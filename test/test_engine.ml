@@ -414,6 +414,159 @@ let test_golden_depths () =
         expected)
     golden
 
+(* Whole schedules, pinned by digest: depth and size alone would miss a
+   reordered or relabelled layer.  One digest per (configuration, shape):
+   the MD5 over the MD5s of [Schedule.to_string] for every schedule of the
+   corpus, which is the paper's four kinds plus Random, Reversal,
+   Mirror_rows and Identity, six seeds each.  Recorded before the kernel
+   was rewritten on flat int arrays; a change here is a changed schedule. *)
+let digest_shapes =
+  [ (32, 32); (16, 16); (8, 8); (5, 9); (12, 7); (20, 33); (1, 6); (6, 1); (2, 2) ]
+
+let schedule_digest name config (rows, cols) =
+  let engine = Router_registry.get name in
+  let config = Router_config.of_string_exn config in
+  let grid = Grid.make ~rows ~cols in
+  let kinds =
+    Generators.paper_kinds grid
+    @ Generators.[ Random; Reversal; Mirror_rows; Identity ]
+  in
+  let digests = Buffer.create 1024 in
+  List.iteri
+    (fun k kind ->
+      for seed = 0 to 5 do
+        let pi = Generators.generate grid kind (Rng.create ((100 * k) + seed)) in
+        let sched = Router_intf.route_grid ~config engine grid pi in
+        Buffer.add_string digests (Digest.string (Schedule.to_string sched))
+      done)
+    kinds;
+  Digest.to_hex (Digest.string (Buffer.contents digests))
+
+(* (engine, configuration, one digest per shape of [digest_shapes]). *)
+let golden_digests =
+  [
+    ( "local", "",
+      [
+        "512675f478f2e1b91c7ea837fde177e7";
+        "b8035c7d7d51528000f2bcce766e5f78";
+        "9fda6642a7767d688dba58f478e568d4";
+        "bfbfa8e3983ff7156fea8e6ff4537adc";
+        "eea3e2ef482a4f5457bb63bfd42186a2";
+        "e72300e70384866c2c315f2dfa3c4dc9";
+        "89564090c810946fb5cba9c200bdb65d";
+        "cf944dd009dc59701f206a23c2c6fc1d";
+        "60889e2b0d17f4377b1c62d0f327fd71";
+      ] );
+    ( "local1", "",
+      [
+        "b8d23e79e22ceb4d9a21e41ff378e61f";
+        "852f1ec19ff177c164e0a797701ea9b3";
+        "1b8270a20986d2a7e4277b9e900167eb";
+        "6cc559e8f1dd2d082536fd380e8ef984";
+        "40792813e80320d4bcd4a3f953316572";
+        "3b7af573997a2d76055a82a04c74cf21";
+        "89564090c810946fb5cba9c200bdb65d";
+        "cf944dd009dc59701f206a23c2c6fc1d";
+        "60889e2b0d17f4377b1c62d0f327fd71";
+      ] );
+    ( "naive", "",
+      [
+        "a951be05345dfa541d75d7aa18551a58";
+        "099fdc764942e8dc8c6ccb4b8d743689";
+        "0bb326b00847904f02802859b1fc924c";
+        "a1442e6270f1d5b0c302bb3ae8b9500e";
+        "a9c06e9c05859921bfe44483b5d98fc4";
+        "582d0913b8e05719974fc99f236a43a8";
+        "89564090c810946fb5cba9c200bdb65d";
+        "cf944dd009dc59701f206a23c2c6fc1d";
+        "7a1eb6038915d5edb723eb45f009dd81";
+      ] );
+    ( "best", "",
+      [
+        "4be0fc98e9627c409a6046af5d431b92";
+        "9f4702fb036ba050da1f44aef47986b4";
+        "b8e51c3b51c2311e0d455897498d144c";
+        "3222ab7d8d6ef7898e1101e712e00ccf";
+        "0842b33dbfa4e4f01c14e51fbbae8df4";
+        "42972448314125b0cd4d61889501db88";
+        "89564090c810946fb5cba9c200bdb65d";
+        "cf944dd009dc59701f206a23c2c6fc1d";
+        "60889e2b0d17f4377b1c62d0f327fd71";
+      ] );
+    ( "snake", "",
+      [
+        "db04ae334065f44c3e49627388c1029b";
+        "1a6ce521507418eb3538e4d7267f1e51";
+        "5f1bee41a4682afae99cd272100f0f7e";
+        "2b8e68fd68ad0f8c9060e9d16f5e65b5";
+        "a582295f9dd06251e98ca29370f3e50f";
+        "a93eac42425ae798a2b591e812fe1d8e";
+        "d6dd627edcf64d77f4363a83962fa8ed";
+        "1ffb9eccf84c9a53141750fb65cb85d6";
+        "de1c6a5b21a581a8178ca246d8c6f0e6";
+      ] );
+    ( "local", "discovery=whole",
+      [
+        "af8d5317b22ae0c53d89e25c4837ebb7";
+        "835f51c25159fbc35e4b87dfa3551a14";
+        "9a69b5f1b38c252b38989d5d6e4a011a";
+        "13f55f374c03feb832791c2cb5dd16a4";
+        "63238d178c452c4c302bb0f42ea3791e";
+        "2aa61bc8d61b9e011e4bd47774c4345e";
+        "89564090c810946fb5cba9c200bdb65d";
+        "cf944dd009dc59701f206a23c2c6fc1d";
+        "60889e2b0d17f4377b1c62d0f327fd71";
+      ] );
+    ( "local", "discovery=fixed:3",
+      [
+        "2daf481fbd0ea5ed32379260f00e2714";
+        "d926fbca55940ee5e6dfdffb87f8c5d2";
+        "f3f4d4e53e0c888b30da032a0a8d7d22";
+        "90ab305e5b2dc9000b192f2dd1be0a6f";
+        "0febf78420c64967bf76cbccc7a1baf0";
+        "1a56aefc20d4fb499e61491e769423ba";
+        "89564090c810946fb5cba9c200bdb65d";
+        "cf944dd009dc59701f206a23c2c6fc1d";
+        "60889e2b0d17f4377b1c62d0f327fd71";
+      ] );
+    ( "local", "assignment=arbitrary",
+      [
+        "0a58e1b3f7739edb4dc550f1b863d765";
+        "c6da4df06a9a4dbe7097b876a946d105";
+        "26f04af4d1c34bef2a2684914d72e019";
+        "d2ceae66334319e30c6f0de38595e058";
+        "3e9d0ed98279a6c4c7f4a10974997570";
+        "7004b5340c416c77b9dfb0cc34ce28bd";
+        "89564090c810946fb5cba9c200bdb65d";
+        "cf944dd009dc59701f206a23c2c6fc1d";
+        "60889e2b0d17f4377b1c62d0f327fd71";
+      ] );
+    ( "local", "compaction=on",
+      [
+        "840094807ce42bdb1e64acf868572882";
+        "2075d9332c11fd433ce83311ef852484";
+        "d1acae4b6704450e9587884f625cd52b";
+        "93fd9ce838bf90e567c2fccfac5ea610";
+        "ac2bf5de365955022911872beb8df631";
+        "2a3944fd0857629d95e3a4610a85b33f";
+        "b6f5c344b376a43d88bda12e68d34ebf";
+        "a51316b2d1d9fbb2512d9d2e982f8370";
+        "60889e2b0d17f4377b1c62d0f327fd71";
+      ] );
+  ]
+
+let test_golden_digests () =
+  List.iter
+    (fun (name, config, digests) ->
+      List.iter2
+        (fun shape want ->
+          checks
+            (Printf.sprintf "%s [%s] %dx%d" name config (fst shape) (snd shape))
+            want
+            (schedule_digest name config shape))
+        digest_shapes digests)
+    golden_digests
+
 (* ------------------------------------------------------- transpile/sabre *)
 
 let test_transpile_with_engine () =
@@ -496,8 +649,12 @@ let () =
             test_route_many_counts_per_call;
         ] );
       ( "golden",
-        [ Alcotest.test_case "default-config schedules" `Quick
-            test_golden_depths ] );
+        [
+          Alcotest.test_case "default-config schedules" `Quick
+            test_golden_depths;
+          Alcotest.test_case "whole-schedule digests" `Quick
+            test_golden_digests;
+        ] );
       ( "transpile",
         [
           Alcotest.test_case "engine-driven transpile" `Quick
