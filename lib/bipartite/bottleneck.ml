@@ -64,6 +64,10 @@ let solve ~nl ~nr edge_list =
     { bottleneck = !bottleneck; pairs = List.rev !pairs; left_match }
   end
 
+(* The complete graph's MCBBM on the dense matrix.  Every threshold probe
+   lists the kept edges row by row, columns ascending, which is the order
+   of the equivalent complete edge list, so Hopcroft–Karp picks the same
+   matching as [solve] on that list. *)
 let solve_complete ~weights =
   let nl = Array.length weights in
   let nr = if nl = 0 then 0 else Array.length weights.(0) in
@@ -72,13 +76,83 @@ let solve_complete ~weights =
       if Array.length row <> nr then
         invalid_arg "Bottleneck.solve_complete: ragged matrix")
     weights;
-  let edge_list = ref [] in
-  for l = nl - 1 downto 0 do
-    for r = nr - 1 downto 0 do
-      edge_list := { l; r; weight = weights.(l).(r) } :: !edge_list
-    done
-  done;
-  solve ~nl ~nr !edge_list
+  Trace.with_span "bottleneck_solve" @@ fun () ->
+  (* A complete bipartite graph saturates its smaller side. *)
+  let target = min nl nr in
+  if target = 0 then { bottleneck = min_int; pairs = []; left_match = Array.make nl (-1) }
+  else begin
+    let ne = nl * nr in
+    let distinct = Array.make ne 0 in
+    for l = 0 to nl - 1 do
+      Array.blit weights.(l) 0 distinct (l * nr) nr
+    done;
+    Array.sort Int.compare distinct;
+    let count = ref 1 in
+    for k = 1 to ne - 1 do
+      if distinct.(k) <> distinct.(!count - 1) then begin
+        distinct.(!count) <- distinct.(k);
+        incr count
+      end
+    done;
+    (* Below the largest per-vertex minimum weight, some vertex that every
+       maximum matching saturates is isolated: no threshold under it is
+       feasible, so the search starts there. *)
+    let floor = ref min_int in
+    if nl <= nr then
+      Array.iter (fun row -> floor := max !floor (Array.fold_left min max_int row)) weights;
+    if nr <= nl then
+      for r = 0 to nr - 1 do
+        let least = ref max_int in
+        for l = 0 to nl - 1 do
+          least := min !least weights.(l).(r)
+        done;
+        floor := max !floor !least
+      done;
+    let hk = Hopcroft_karp.workspace () in
+    let src = Array.make ne 0 and dst = Array.make ne 0 in
+    let left = Array.make nl (-1) and right = Array.make nr (-1) in
+    let matching_at threshold =
+      let kept = ref 0 in
+      for l = 0 to nl - 1 do
+        let row = weights.(l) in
+        for r = 0 to nr - 1 do
+          if row.(r) <= threshold then begin
+            src.(!kept) <- l;
+            dst.(!kept) <- r;
+            incr kept
+          end
+        done
+      done;
+      Hopcroft_karp.max_matching hk ~nl ~nr ~ne:!kept ~src ~dst ~left_match:left
+        ~right_match:right
+    in
+    (* Smallest threshold index whose filtered graph still reaches the
+       maximum cardinality. *)
+    let lo = ref 0 and hi = ref (!count - 1) in
+    while distinct.(!lo) < !floor do
+      incr lo
+    done;
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      Metrics.incr c_probes;
+      if matching_at distinct.(mid) >= target then hi := mid else lo := mid + 1
+    done;
+    let size = matching_at distinct.(!lo) in
+    assert (size = target);
+    let left_match = Array.make nl (-1) in
+    let pairs = ref [] in
+    let bottleneck = ref min_int in
+    for l = nl - 1 downto 0 do
+      let k = left.(l) in
+      if k >= 0 then begin
+        let r = dst.(k) in
+        left_match.(l) <- r;
+        pairs := (l, r) :: !pairs;
+        bottleneck := max !bottleneck weights.(l).(r)
+      end
+    done;
+    { bottleneck = !bottleneck; pairs = !pairs; left_match }
+  end
 
 let brute_force ~nl ~nr edge_list =
   if max nl nr > 10 then invalid_arg "Bottleneck.brute_force: instance too big";

@@ -25,8 +25,11 @@ val solve : nl:int -> nr:int -> edge list -> solution
     @raise Invalid_argument on out-of-range endpoints. *)
 
 val solve_complete : weights:int array array -> solution
-(** Convenience for the complete-bipartite case: [weights.(l).(r)] gives
-    every edge; sides sized by the matrix.  Requires a rectangular matrix. *)
+(** The complete-bipartite case: [weights.(l).(r)] gives every edge; sides
+    sized by the matrix.  Requires a rectangular matrix.  Probes thresholds
+    on the matrix itself, starting from the largest per-vertex minimum
+    weight, and returns exactly what {!solve} returns on the equivalent
+    edge list (rows ascending, columns ascending within a row). *)
 
 val brute_force : nl:int -> nr:int -> edge list -> int
 (** Exhaustive bottleneck value over all maximum matchings — exponential;

@@ -7,30 +7,20 @@ type result = {
   right_match : int array;
 }
 
-(* Reusable scratch for repeated solves (adjacency build + BFS layers).
-   The matched arrays are excluded: they are the result and must survive
-   the next call.  Arrays grow monotonically and are never shrunk, so a
-   workspace sized by the largest instance serves a whole batch. *)
+(* Reusable scratch for repeated solves (adjacency build, BFS layers and
+   queue).  The matched arrays are excluded: they belong to the caller.
+   Arrays grow monotonically and are never shrunk, so a workspace sized by
+   the largest instance serves a whole batch. *)
 type workspace = {
-  mutable count : int array;
-  mutable offsets : int array;
+  mutable offsets : int array;  (* adjacency of l: store.(offsets.(l) ..) *)
   mutable cursor : int array;
-  mutable store : int array;
+  mutable store : int array;  (* edge indices grouped by left vertex *)
   mutable dist : int array;
-  queue : int Queue.t;
+  mutable queue : int array;
 }
 
-let make_workspace () =
-  {
-    count = [||];
-    offsets = [||];
-    cursor = [||];
-    store = [||];
-    dist = [||];
-    queue = Queue.create ();
-  }
-
-let workspace = make_workspace
+let workspace () =
+  { offsets = [||]; cursor = [||]; store = [||]; dist = [||]; queue = [||] }
 
 let grown arr n = if Array.length arr >= n then arr else Array.make n 0
 
@@ -40,114 +30,128 @@ let c_augmentations = Metrics.counter "hk_augmentations"
 
 let infinity_dist = max_int
 
-(* Build per-left-vertex adjacency as edge-index lists, into the
-   workspace's buffers. *)
-let build_adjacency ws ~nl ~nr ~edges =
-  ws.count <- grown ws.count nl;
-  Array.fill ws.count 0 nl 0;
-  Array.iter
-    (fun (l, r) ->
-      if l < 0 || l >= nl || r < 0 || r >= nr then
-        invalid_arg "Hopcroft_karp: endpoint out of range";
-      ws.count.(l) <- ws.count.(l) + 1)
-    edges;
+(* Counting sort of the edge indices by left endpoint: each left vertex's
+   adjacency lists its edges in input order, which is what makes ties
+   break by edge order. *)
+let build_adjacency ws ~nl ~nr ~ne ~src ~dst =
   ws.offsets <- grown ws.offsets (nl + 1);
-  ws.offsets.(0) <- 0;
-  for l = 0 to nl - 1 do
-    ws.offsets.(l + 1) <- ws.offsets.(l) + ws.count.(l)
+  let offsets = ws.offsets in
+  Array.fill offsets 0 (nl + 1) 0;
+  for k = 0 to ne - 1 do
+    let l = src.(k) and r = dst.(k) in
+    if l < 0 || l >= nl || r < 0 || r >= nr then
+      invalid_arg "Hopcroft_karp: endpoint out of range";
+    offsets.(l + 1) <- offsets.(l + 1) + 1
   done;
-  ws.store <- grown ws.store (Array.length edges);
+  for l = 0 to nl - 1 do
+    offsets.(l + 1) <- offsets.(l + 1) + offsets.(l)
+  done;
   ws.cursor <- grown ws.cursor nl;
-  Array.blit ws.offsets 0 ws.cursor 0 nl;
-  Array.iteri
-    (fun k (l, _) ->
-      ws.store.(ws.cursor.(l)) <- k;
-      ws.cursor.(l) <- ws.cursor.(l) + 1)
-    edges
+  ws.store <- grown ws.store ne;
+  let cursor = ws.cursor and store = ws.store in
+  Array.blit offsets 0 cursor 0 nl;
+  for k = 0 to ne - 1 do
+    let l = src.(k) in
+    store.(cursor.(l)) <- k;
+    cursor.(l) <- cursor.(l) + 1
+  done
 
-let solve_in ws ~nl ~nr ~edges =
+(* Layered BFS from the free left vertices; true iff an augmenting path
+   exists. *)
+let bfs ws ~nl ~src ~dst ~left_match ~right_match =
+  let offsets = ws.offsets and store = ws.store in
+  let dist = ws.dist and queue = ws.queue in
+  let tail = ref 0 in
+  for l = 0 to nl - 1 do
+    if left_match.(l) = -1 then begin
+      dist.(l) <- 0;
+      queue.(!tail) <- l;
+      incr tail
+    end
+    else dist.(l) <- infinity_dist
+  done;
+  let head = ref 0 and found = ref false in
+  while !head < !tail do
+    let l = queue.(!head) in
+    incr head;
+    for k = offsets.(l) to offsets.(l + 1) - 1 do
+      match right_match.(dst.(store.(k))) with
+      | -1 -> found := true
+      | e ->
+          let l' = src.(e) in
+          if dist.(l') = infinity_dist then begin
+            dist.(l') <- dist.(l) + 1;
+            queue.(!tail) <- l';
+            incr tail
+          end
+    done
+  done;
+  !found
+
+(* Depth-first augmentation along the BFS layers from left vertex [l]. *)
+let rec augment ws ~src ~dst ~left_match ~right_match l =
+  let offsets = ws.offsets and store = ws.store and dist = ws.dist in
+  let k = ref offsets.(l) and stop = offsets.(l + 1) and done_ = ref false in
+  while (not !done_) && !k < stop do
+    let e = store.(!k) in
+    let r = dst.(e) in
+    let advance =
+      match right_match.(r) with
+      | -1 -> true
+      | e' ->
+          let l' = src.(e') in
+          dist.(l') = dist.(l) + 1
+          && augment ws ~src ~dst ~left_match ~right_match l'
+    in
+    if advance then begin
+      left_match.(l) <- e;
+      right_match.(r) <- e;
+      done_ := true
+    end
+    else incr k
+  done;
+  if not !done_ then dist.(l) <- infinity_dist;
+  !done_
+
+let max_matching ws ~nl ~nr ~ne ~src ~dst ~left_match ~right_match =
   Metrics.incr c_calls;
   (* Cooperative cancellation (DESIGN.md §14): fetched once per solve,
      polled once per BFS phase — the unit of work that is bounded for any
      single instance but repeated without bound across a band search. *)
   let cancel = Cancel.ambient () in
-  let ws = match ws with Some ws -> ws | None -> make_workspace () in
-  build_adjacency ws ~nl ~nr ~edges;
-  let offsets = ws.offsets and adj = ws.store in
-  let left_match = Array.make nl (-1) in
-  let right_match = Array.make nr (-1) in
+  build_adjacency ws ~nl ~nr ~ne ~src ~dst;
   ws.dist <- grown ws.dist nl;
-  let dist = ws.dist in
-  let queue = ws.queue in
-  let matched_left_of_right r =
-    match right_match.(r) with -1 -> -1 | k -> fst edges.(k)
-  in
-  (* Layered BFS from free left vertices; true iff an augmenting path
-     exists. *)
-  let bfs () =
-    Queue.clear queue;
-    for l = 0 to nl - 1 do
-      if left_match.(l) = -1 then begin
-        dist.(l) <- 0;
-        Queue.add l queue
-      end
-      else dist.(l) <- infinity_dist
-    done;
-    let found = ref false in
-    while not (Queue.is_empty queue) do
-      let l = Queue.pop queue in
-      for k = offsets.(l) to offsets.(l + 1) - 1 do
-        let edge = adj.(k) in
-        let r = snd edges.(edge) in
-        match matched_left_of_right r with
-        | -1 -> found := true
-        | l' ->
-            if dist.(l') = infinity_dist then begin
-              dist.(l') <- dist.(l) + 1;
-              Queue.add l' queue
-            end
-      done
-    done;
-    !found
-  in
-  let rec dfs l =
-    let rec try_edges k =
-      if k >= offsets.(l + 1) then begin
-        dist.(l) <- infinity_dist;
-        false
-      end
-      else begin
-        let edge = adj.(k) in
-        let r = snd edges.(edge) in
-        let advance =
-          match matched_left_of_right r with
-          | -1 -> true
-          | l' -> dist.(l') = dist.(l) + 1 && dfs l'
-        in
-        if advance then begin
-          left_match.(l) <- edge;
-          right_match.(r) <- edge;
-          true
-        end
-        else try_edges (k + 1)
-      end
-    in
-    try_edges offsets.(l)
-  in
+  ws.queue <- grown ws.queue nl;
+  Array.fill left_match 0 nl (-1);
+  Array.fill right_match 0 nr (-1);
   let size = ref 0 in
   while
     Cancel.poll cancel;
-    bfs ()
+    bfs ws ~nl ~src ~dst ~left_match ~right_match
   do
     Metrics.incr c_phases;
     for l = 0 to nl - 1 do
-      if left_match.(l) = -1 && dfs l then begin
+      if left_match.(l) = -1 && augment ws ~src ~dst ~left_match ~right_match l
+      then begin
         incr size;
         Metrics.incr c_augmentations
       end
     done
   done;
-  { size = !size; left_match; right_match }
+  !size
+
+let solve_in ws ~nl ~nr ~edges =
+  let ws = match ws with Some ws -> ws | None -> workspace () in
+  let ne = Array.length edges in
+  let src = Array.make ne 0 and dst = Array.make ne 0 in
+  Array.iteri
+    (fun k (l, r) ->
+      src.(k) <- l;
+      dst.(k) <- r)
+    edges;
+  let left_match = Array.make nl (-1) and right_match = Array.make nr (-1) in
+  let size = max_matching ws ~nl ~nr ~ne ~src ~dst ~left_match ~right_match in
+  { size; left_match; right_match }
 
 let solve ~nl ~nr ~edges = solve_in None ~nl ~nr ~edges
 

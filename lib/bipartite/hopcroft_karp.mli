@@ -19,12 +19,23 @@ type result = {
 
 type workspace
 (** Reusable scratch buffers (adjacency build, BFS layers, queue) for
-    repeated solves.  The matched arrays returned in {!result} are always
-    freshly allocated, so results outlive the workspace's next use.
-    Buffers grow monotonically to the largest instance seen. *)
+    repeated solves.  Buffers grow monotonically to the largest instance
+    seen. *)
 
 val workspace : unit -> workspace
 (** A fresh, empty workspace. *)
+
+val max_matching :
+  workspace ->
+  nl:int -> nr:int -> ne:int -> src:int array -> dst:int array ->
+  left_match:int array -> right_match:int array -> int
+(** The matching core, on flat arrays: edge [k < ne] joins left vertex
+    [src.(k)] to right vertex [dst.(k)].  Writes the index of the edge
+    matching each vertex (or [-1]) into [left_match.(0..nl-1)] and
+    [right_match.(0..nr-1)], and returns the matching's size.  Allocates
+    nothing once the workspace has grown to the instance.  Ties are broken
+    by edge order, exactly as {!solve} breaks them.
+    @raise Invalid_argument on out-of-range endpoints. *)
 
 val solve : nl:int -> nr:int -> edges:(int * int) array -> result
 (** Maximum-cardinality matching.  Deterministic: ties are broken by edge
@@ -32,9 +43,10 @@ val solve : nl:int -> nr:int -> edges:(int * int) array -> result
 
 val solve_in :
   workspace option -> nl:int -> nr:int -> edges:(int * int) array -> result
-(** {!solve}, reusing the given workspace's scratch buffers.  Purely an
-    allocation optimization: the matching found is identical.
-    [solve_in None] is {!solve}. *)
+(** {!solve}, reusing the given workspace's scratch buffers: an adapter
+    that unzips [edges] for {!max_matching}.  The matching found is
+    identical; the returned arrays are fresh.  [solve_in None] is
+    {!solve}. *)
 
 val is_perfect : nl:int -> nr:int -> result -> bool
 (** Whether every vertex on both sides is matched (requires [nl = nr]). *)

@@ -9,27 +9,54 @@ type t = {
   dst_row : int array;
 }
 
-let build ?reuse grid pi =
+(* Cannibalize a previous column graph of the same vertex count: the four
+   edge arrays are overwritten wholesale by the builders, so batch callers
+   avoid re-allocating 4n words per permutation. *)
+let make ?reuse ~rows ~cols n =
+  match reuse with
+  | Some prev when Array.length prev.src_col = n -> { prev with rows; cols }
+  | _ ->
+      let fresh () = Array.make n 0 in
+      { rows; cols; src_col = fresh (); dst_col = fresh (); src_row = fresh (); dst_row = fresh () }
+
+let check_size name grid pi =
   let n = Grid.size grid in
-  if Array.length pi <> n then invalid_arg "Column_graph.build: size mismatch";
-  (* Cannibalize a previous column graph of the same vertex count: the four
-     edge arrays are overwritten wholesale below, so batch callers avoid
-     re-allocating 4n words per permutation. *)
-  let src_col, dst_col, src_row, dst_row =
-    match reuse with
-    | Some prev when Array.length prev.src_col = n ->
-        (prev.src_col, prev.dst_col, prev.src_row, prev.dst_row)
-    | _ -> (Array.make n 0, Array.make n 0, Array.make n 0, Array.make n 0)
-  in
+  if Array.length pi <> n then invalid_arg (name ^ ": size mismatch");
+  n
+
+let image name n pi v =
+  let w = pi.(v) in
+  if w < 0 || w >= n then invalid_arg (name ^ ": image out of range");
+  w
+
+let build ?reuse grid pi =
+  let n = check_size "Column_graph.build" grid pi in
+  let rows = Grid.rows grid and cols = Grid.cols grid in
+  let t = make ?reuse ~rows ~cols n in
   for v = 0 to n - 1 do
-    let r, c = Grid.coord grid v in
-    let r', c' = Grid.coord grid pi.(v) in
-    src_row.(v) <- r;
-    src_col.(v) <- c;
-    dst_row.(v) <- r';
-    dst_col.(v) <- c'
+    let w = image "Column_graph.build" n pi v in
+    t.src_row.(v) <- v / cols;
+    t.src_col.(v) <- v mod cols;
+    t.dst_row.(v) <- w / cols;
+    t.dst_col.(v) <- w mod cols
   done;
-  { rows = Grid.rows grid; cols = Grid.cols grid; src_col; dst_col; src_row; dst_row }
+  t
+
+(* Vertex (r, c) of the grid is vertex (c, r) of its transpose, at flat
+   index c * rows + r there; its image moves the same way. *)
+let build_transposed ?reuse grid pi =
+  let n = check_size "Column_graph.build_transposed" grid pi in
+  let rows = Grid.rows grid and cols = Grid.cols grid in
+  let t = make ?reuse ~rows:cols ~cols:rows n in
+  for v = 0 to n - 1 do
+    let w = image "Column_graph.build_transposed" n pi v in
+    let e = ((v mod cols) * rows) + (v / cols) in
+    t.src_row.(e) <- v mod cols;
+    t.src_col.(e) <- v / cols;
+    t.dst_row.(e) <- w mod cols;
+    t.dst_col.(e) <- w / cols
+  done;
+  t
 
 let rows t = t.rows
 
@@ -45,15 +72,25 @@ let src_row t e = t.src_row.(e)
 
 let dst_row t e = t.dst_row.(e)
 
-let all_edge_ids t = List.init (num_edges t) (fun e -> e)
-
 let hk_edges t =
-  Array.init (num_edges t) (fun e -> (t.src_col.(e), t.dst_col.(e)))
-
-let edges_in_band t ~live ~lo ~hi =
-  let acc = ref [] in
-  for e = num_edges t - 1 downto 0 do
-    if live.(e) && t.src_row.(e) >= lo && t.src_row.(e) <= hi then
-      acc := e :: !acc
+  let edges = Array.make (num_edges t) (0, 0) in
+  for e = 0 to num_edges t - 1 do
+    edges.(e) <- (t.src_col.(e), t.dst_col.(e))
   done;
-  !acc
+  edges
+
+(* Edge ids are row-major source vertices, so the band's edges are one
+   contiguous id range. *)
+let scan_band t ~live ~lo ~hi ~ids ~src ~dst =
+  if lo < 0 || hi >= t.rows || lo > hi then invalid_arg "Column_graph.scan_band";
+  let count = ref 0 in
+  for e = lo * t.cols to ((hi + 1) * t.cols) - 1 do
+    if live.(e) then begin
+      let k = !count in
+      ids.(k) <- e;
+      src.(k) <- t.src_col.(e);
+      dst.(k) <- t.dst_col.(e);
+      count := k + 1
+    end
+  done;
+  !count

@@ -7,7 +7,8 @@
     banded subgraphs the locality-aware search scans.
 
     Edges are indexed by the source vertex's flat grid index, so the label
-    arrays are total and O(1) to consult. *)
+    arrays are total and O(1) to consult, and the edges of source row [r]
+    are the contiguous ids [r*n .. r*n + n - 1]. *)
 
 type t
 
@@ -17,6 +18,13 @@ val build : ?reuse:t -> Qr_graph.Grid.t -> Qr_perm.Perm.t -> t
     allocating fresh ones — the batched [route_many] seam; the reused value
     must not be consulted afterwards.  A size mismatch silently falls back
     to fresh allocation. *)
+
+val build_transposed : ?reuse:t -> Qr_graph.Grid.t -> Qr_perm.Perm.t -> t
+(** [build_transposed grid pi] is the column graph of the transposed
+    instance, equal to
+    [build (Grid.transpose grid) (Grid_perm.transpose grid pi)], built from
+    the shape alone: no transposed grid or permutation is materialized.
+    [reuse] as in {!build}. *)
 
 val rows : t -> int
 (** [m] — also the multigraph's regularity degree. *)
@@ -35,11 +43,17 @@ val src_row : t -> int -> int
 
 val dst_row : t -> int -> int
 
-val all_edge_ids : t -> int list
-
 val hk_edges : t -> (int * int) array
 (** Endpoint pairs [(src_col, dst_col)] indexed by edge id, the form
-    {!Qr_bipartite.Hopcroft_karp} and {!Qr_bipartite.Decompose} consume. *)
+    {!Qr_bipartite.Hopcroft_karp.solve} and {!Qr_bipartite.Decompose}
+    consume. *)
 
-val edges_in_band : t -> live:bool array -> lo:int -> hi:int -> int list
-(** Live edge ids whose source row lies in [lo..hi] (inclusive). *)
+val scan_band :
+  t -> live:bool array -> lo:int -> hi:int ->
+  ids:int array -> src:int array -> dst:int array -> int
+(** [scan_band t ~live ~lo ~hi ~ids ~src ~dst] writes the live edges whose
+    source row lies in [lo..hi] (inclusive), ascending by id, into the
+    first entries of [ids], with their source and destination columns in
+    [src] and [dst] (the flat form {!Qr_bipartite.Hopcroft_karp.max_matching}
+    consumes), and returns how many there are.  Reads only the band's rows.
+    @raise Invalid_argument unless [0 <= lo <= hi < rows t]. *)

@@ -14,7 +14,10 @@ let sigmas_of_assignment cg ~matchings ~assigned_rows =
   then invalid_arg "Grid_route.sigmas_of_assignment: bad row assignment";
   if List.length matchings <> m then
     invalid_arg "Grid_route.sigmas_of_assignment: need one matching per row";
-  let sigmas = Array.init n (fun _ -> Array.make m (-1)) in
+  let sigmas = Array.make n [||] in
+  for j = 0 to n - 1 do
+    sigmas.(j) <- Array.make m (-1)
+  done;
   List.iteri
     (fun k matching ->
       let row = assigned_rows.(k) in
@@ -35,133 +38,201 @@ let sigmas_of_assignment cg ~matchings ~assigned_rows =
     sigmas;
   sigmas
 
-let check_sigmas grid pi sigmas =
-  let m = Grid.rows grid and n = Grid.cols grid in
+(* The GridRoute precondition against a column graph's destinations. *)
+let sigmas_fit cg sigmas =
+  let m = Column_graph.rows cg and n = Column_graph.cols cg in
   Array.length sigmas = n
   && Array.for_all (fun s -> Array.length s = m && Perm.is_permutation s) sigmas
   &&
   (* After round 1 the qubit from (i,j) sits at (sigmas.(j).(i), j); its
      destination column must be unique within that row. *)
-  let seen = Array.make_matrix m n false in
+  let seen = Array.make (m * n) false in
   let ok = ref true in
   for j = 0 to n - 1 do
     for i = 0 to m - 1 do
-      let r = sigmas.(j).(i) in
-      let _, c' = Grid.coord grid pi.(Grid.index grid i j) in
-      if seen.(r).(c') then ok := false else seen.(r).(c') <- true
+      let cell = (sigmas.(j).(i) * n) + Column_graph.dst_col cg ((i * n) + j) in
+      if seen.(cell) then ok := false else seen.(cell) <- true
     done
   done;
   !ok
 
-(* Merge per-line local schedules into grid-wide layers: layer [t] of the
-   phase is the union of every line's layer [t].  [lift line (a, b)] maps a
-   local adjacent pair to a grid edge. *)
-let merge_lines lines ~lift =
-  let rec peel lines acc =
-    let layer = ref [] in
-    let rest =
-      List.filter_map
-        (fun (line, layers) ->
-          match layers with
-          | [] -> None
-          | first :: tail ->
-              List.iter (fun pair -> layer := lift line pair :: !layer) first;
-              if tail = [] then None else Some (line, tail))
-        lines
+let check_sigmas grid pi sigmas = sigmas_fit (Column_graph.build grid pi) sigmas
+
+(* One round, planned: every line's destinations and starting parity, and
+   the swap count of each merged layer.  A round's layer [t] is the union
+   of every line's [t]-th non-empty odd–even round. *)
+type phase = {
+  lines : int;  (* columns in rounds 1 and 3, rows in round 2 *)
+  len : int;  (* positions per line *)
+  dests : int array;  (* line l's destinations, at l * len .. *)
+  parity : int array;  (* starting parity per line *)
+  sizes : int array;  (* swaps per merged layer *)
+  mutable depth : int;
+}
+
+type rounds = { rows : int; cols : int; phases : phase array }
+
+let depth r = Array.fold_left (fun acc ph -> acc + ph.depth) 0 r.phases
+
+(* Choose each line's parity as Path_route.route_min_parity does (odd only
+   when strictly shallower), from counted rather than recorded rounds. *)
+let plan_phase ph ~tokens ~even ~odd =
+  for line = 0 to ph.lines - 1 do
+    let off = line * ph.len in
+    Array.blit ph.dests off tokens 0 ph.len;
+    let depth_even = Path_route.count_layers tokens ph.len 0 even in
+    Array.blit ph.dests off tokens 0 ph.len;
+    let depth_odd = Path_route.count_layers tokens ph.len 1 odd in
+    let depth, counts =
+      if depth_odd < depth_even then begin
+        ph.parity.(line) <- 1;
+        (depth_odd, odd)
+      end
+      else (depth_even, even)
     in
-    if !layer = [] then List.rev acc
-    else peel rest (Array.of_list !layer :: acc)
-  in
-  peel lines []
+    for t = 0 to depth - 1 do
+      ph.sizes.(t) <- ph.sizes.(t) + counts.(t)
+    done;
+    if depth > ph.depth then ph.depth <- depth
+  done
 
-let apply_layers token_at layers =
-  List.iter
-    (fun layer ->
-      Array.iter
-        (fun (u, v) ->
-          let tmp = token_at.(u) in
-          token_at.(u) <- token_at.(v);
-          token_at.(v) <- tmp)
-        layer)
-    layers
+(* Apply a planned round to [token_at]: each line realizes its
+   destinations.  Position p of a line is vertex
+   line * line_stride + p * pos_stride. *)
+let move_tokens ph token_at ~line_stride ~pos_stride tmp =
+  for line = 0 to ph.lines - 1 do
+    let off = line * ph.len and base = line * line_stride in
+    for p = 0 to ph.len - 1 do
+      tmp.(ph.dests.(off + p)) <- token_at.(base + (p * pos_stride))
+    done;
+    for p = 0 to ph.len - 1 do
+      token_at.(base + (p * pos_stride)) <- tmp.(p)
+    done
+  done
 
-let route_rounds grid pi sigmas =
-  if not (check_sigmas grid pi sigmas) then
+let plan_rounds cg sigmas =
+  if not (sigmas_fit cg sigmas) then
     invalid_arg "Grid_route.route_with_sigmas: invalid sigmas";
   (* Rounds are few but each scans the whole grid; one checkpoint per
      round bounds the overshoot past an expired deadline. *)
   let cancel = Cancel.ambient () in
   Cancel.poll cancel;
-  let m = Grid.rows grid and n = Grid.cols grid in
-  let token_at = Array.init (Grid.size grid) (fun v -> v) in
+  let m = Column_graph.rows cg and n = Column_graph.cols cg in
+  let size = m * n and k = max m n in
+  let tokens = Array.make k 0 and tmp = Array.make k 0 in
+  let even = Array.make (k + 1) 0 and odd = Array.make (k + 1) 0 in
+  let token_at = Array.init size (fun v -> v) in
+  let phase ~lines ~len ~line_stride ~pos_stride fill_dests =
+    let ph =
+      {
+        lines;
+        len;
+        dests = Array.make size 0;
+        parity = Array.make lines 0;
+        sizes = Array.make (len + 1) 0;
+        depth = 0;
+      }
+    in
+    fill_dests ph.dests;
+    plan_phase ph ~tokens ~even ~odd;
+    move_tokens ph token_at ~line_stride ~pos_stride tmp;
+    ph
+  in
   (* Round 1: columns, qubit at (i,j) goes to row sigmas.(j).(i). *)
   let round1 =
     Trace.with_span "round1_columns" (fun () ->
-        let column_lines =
-          List.init n (fun j ->
-              let dests = Array.init m (fun i -> sigmas.(j).(i)) in
-              (j, Path_route.route_min_parity dests))
-        in
-        let round =
-          merge_lines column_lines ~lift:(fun j (a, b) ->
-              (Grid.index grid a j, Grid.index grid b j))
-        in
-        apply_layers token_at round;
-        round)
+        phase ~lines:n ~len:m ~line_stride:1 ~pos_stride:n (fun dests ->
+            Array.iteri (fun j sigma -> Array.blit sigma 0 dests (j * m) m) sigmas))
   in
   (* Round 2: rows, to destination columns. *)
   let round2 =
     Trace.with_span "round2_rows" (fun () ->
         Cancel.poll cancel;
-        let row_lines =
-          List.init m (fun r ->
-              let dests =
-                Array.init n (fun j ->
-                    let v = token_at.(Grid.index grid r j) in
-                    snd (Grid.coord grid pi.(v)))
-              in
-              (r, Path_route.route_min_parity dests))
-        in
-        let round =
-          merge_lines row_lines ~lift:(fun r (a, b) ->
-              (Grid.index grid r a, Grid.index grid r b))
-        in
-        apply_layers token_at round;
-        round)
+        phase ~lines:m ~len:n ~line_stride:n ~pos_stride:1 (fun dests ->
+            for v = 0 to size - 1 do
+              dests.(v) <- Column_graph.dst_col cg token_at.(v)
+            done))
   in
   (* Round 3: columns, to destination rows. *)
   let round3 =
     Trace.with_span "round3_columns" (fun () ->
         Cancel.poll cancel;
-        let column_lines' =
-          List.init n (fun j ->
-              let dests =
-                Array.init m (fun i ->
-                    let v = token_at.(Grid.index grid i j) in
-                    let r', c' = Grid.coord grid pi.(v) in
-                    assert (c' = j);
-                    r')
-              in
-              (j, Path_route.route_min_parity dests))
-        in
-        let round =
-          merge_lines column_lines' ~lift:(fun j (a, b) ->
-              (Grid.index grid a j, Grid.index grid b j))
-        in
-        apply_layers token_at round;
-        round)
+        phase ~lines:n ~len:m ~line_stride:1 ~pos_stride:n (fun dests ->
+            for j = 0 to n - 1 do
+              for i = 0 to m - 1 do
+                let v = token_at.((i * n) + j) in
+                assert (Column_graph.dst_col cg v = j);
+                dests.((j * m) + i) <- Column_graph.dst_row cg v
+              done
+            done))
   in
   (* Every token must have reached its destination. *)
-  Array.iteri (fun v dst -> assert (token_at.(dst) = v)) pi;
-  (round1, round2, round3)
+  for v = 0 to size - 1 do
+    assert (token_at.((Column_graph.dst_row cg v * n) + Column_graph.dst_col cg v) = v)
+  done;
+  { rows = m; cols = n; phases = [| round1; round2; round3 |] }
 
-let route_with_sigmas grid pi sigmas =
-  let round1, round2, round3 = route_rounds grid pi sigmas in
+(* Replay every line from its chosen parity, writing each swap straight
+   into its exactly sized merged layer.  Layers are filled from the end,
+   so a layer lists lines, and positions within a line, in descending
+   order.  Position p of a line is output vertex
+   line * vertex_line + p * vertex_pos. *)
+let emit_phase ph ~vertex_line ~vertex_pos tokens =
+  let layers = Array.make ph.depth [||] in
+  for t = 0 to ph.depth - 1 do
+    layers.(t) <- Array.make ph.sizes.(t) (0, 0)
+  done;
+  let fill = Array.sub ph.sizes 0 ph.depth in
+  for line = 0 to ph.lines - 1 do
+    let base = line * vertex_line in
+    Array.blit ph.dests (line * ph.len) tokens 0 ph.len;
+    let t = ref 0 and idle = ref 0 and start = ref ph.parity.(line) in
+    while !idle < 2 do
+      let p = ref !start and swapped = ref false in
+      while !p + 1 < ph.len do
+        let a = tokens.(!p) and b = tokens.(!p + 1) in
+        if a > b then begin
+          tokens.(!p) <- b;
+          tokens.(!p + 1) <- a;
+          let u = base + (!p * vertex_pos) and i = fill.(!t) - 1 in
+          fill.(!t) <- i;
+          layers.(!t).(i) <- (u, u + vertex_pos);
+          swapped := true
+        end;
+        p := !p + 2
+      done;
+      if !swapped then begin
+        incr t;
+        idle := 0
+      end
+      else incr idle;
+      start := 1 - !start
+    done
+  done;
+  Array.iter (fun left -> assert (left = 0)) fill;
+  Array.to_list layers
+
+let emit ?(transposed = false) r =
+  Trace.with_span "schedule_emit" @@ fun () ->
+  (* Output vertex of routed (row, col): row * rs + col * cs. *)
+  let rs, cs = if transposed then (1, r.rows) else (r.cols, 1) in
+  let cancel = Cancel.ambient () in
+  let tokens = Array.make (max r.rows r.cols) 0 in
+  let phase k ~vertex_line ~vertex_pos =
+    Cancel.poll cancel;
+    emit_phase r.phases.(k) ~vertex_line ~vertex_pos tokens
+  in
+  let round1 = phase 0 ~vertex_line:cs ~vertex_pos:rs in
+  let round2 = phase 1 ~vertex_line:rs ~vertex_pos:cs in
+  let round3 = phase 2 ~vertex_line:cs ~vertex_pos:rs in
   Schedule.concat round1 (Schedule.concat round2 round3)
 
+let route_with_sigmas grid pi sigmas =
+  emit (plan_rounds (Column_graph.build grid pi) sigmas)
+
 let round_depths grid pi sigmas =
-  let round1, round2, round3 = route_rounds grid pi sigmas in
-  (Schedule.depth round1, Schedule.depth round2, Schedule.depth round3)
+  let r = plan_rounds (Column_graph.build grid pi) sigmas in
+  (r.phases.(0).depth, r.phases.(1).depth, r.phases.(2).depth)
 
 let naive_sigmas ?ws ?(strategy = Extraction) grid pi =
   let cg =

@@ -28,9 +28,33 @@ val check_sigmas : Qr_graph.Grid.t -> Qr_perm.Perm.t -> sigmas -> bool
 
 val route_with_sigmas :
   Qr_graph.Grid.t -> Qr_perm.Perm.t -> sigmas -> Schedule.t
-(** Run the three rounds with odd–even transposition on each line.  The
-    result realizes [π] exactly (asserted internally).
+(** Run the three rounds with odd–even transposition on each line, each
+    line from the shallower starting parity
+    ({!Path_route.route_min_parity}).  The result realizes [π] exactly
+    (asserted internally).  [emit (plan_rounds (Column_graph.build grid pi)
+    sigmas)].
     @raise Invalid_argument when {!check_sigmas} fails. *)
+
+type rounds
+(** The three rounds of one instance, planned but not yet written out:
+    every line's destinations and starting parity, and the swap count of
+    every merged layer.  Planning counts odd–even rounds without recording
+    a swap, so the depth is known before any layer is built. *)
+
+val plan_rounds : Column_graph.t -> sigmas -> rounds
+(** Plan the rounds of the column graph's instance, checking that every
+    token reaches its destination.
+    @raise Invalid_argument when the sigmas fail {!check_sigmas}. *)
+
+val depth : rounds -> int
+(** Depth of the schedule {!emit} would write. *)
+
+val emit : ?transposed:bool -> rounds -> Schedule.t
+(** Write the planned schedule, each layer into an exactly sized array.
+    With [~transposed:true] the rounds were planned on the transposed
+    instance ({!Column_graph.build_transposed}) and vertex ids are lifted
+    back to the original grid as each swap is written, as
+    [Schedule.map_vertices (Grid_perm.untranspose_vertex grid)] would. *)
 
 val round_depths :
   Qr_graph.Grid.t -> Qr_perm.Perm.t -> sigmas -> int * int * int

@@ -1,6 +1,3 @@
-module Grid = Qr_graph.Grid
-module Perm = Qr_perm.Perm
-module Grid_perm = Qr_perm.Grid_perm
 module Hopcroft_karp = Qr_bipartite.Hopcroft_karp
 module Decompose = Qr_bipartite.Decompose
 module Bottleneck = Qr_bipartite.Bottleneck
@@ -30,55 +27,124 @@ let delta cg matching r =
       + abs (Column_graph.dst_row cg edge - r))
     0 matching
 
+(* Δ(M, r) = Σ_x h(x)·|x − r| over the histogram h of the matching's 2n
+   row labels; stepping r to r + 1 adds one per label at or below r and
+   subtracts one per label above it. *)
+let deltas cg matching =
+  let m = Column_graph.rows cg in
+  let hist = Array.make m 0 in
+  let at_zero = ref 0 in
+  Array.iter
+    (fun edge ->
+      let i = Column_graph.src_row cg edge and i' = Column_graph.dst_row cg edge in
+      hist.(i) <- hist.(i) + 1;
+      hist.(i') <- hist.(i') + 1;
+      at_zero := !at_zero + i + i')
+    matching;
+  let labels = 2 * Array.length matching in
+  let out = Array.make m !at_zero in
+  let below = ref 0 in
+  for r = 0 to m - 2 do
+    below := !below + hist.(r);
+    out.(r + 1) <- out.(r) + !below - (labels - !below)
+  done;
+  out
+
+(* Scratch of one band search, all flat: the live edges, the band being
+   drained as (edge id, source column, destination column) entries, and
+   the matchings found so far in discovery order. *)
+type search = {
+  cg : Column_graph.t;
+  hk : Hopcroft_karp.workspace;
+  live : bool array;
+  ids : int array;
+  src : int array;
+  dst : int array;
+  sides : int array;  (* per column: bit 0 a band source, bit 1 a destination *)
+  left_match : int array;
+  right_match : int array;
+  found : int array array;
+  mutable count : int;
+}
+
+(* A perfect matching of the band needs an edge at every column on both
+   sides; most narrow windows fail this before any matching is run. *)
+let covers_columns s ne =
+  let n = Column_graph.cols s.cg in
+  Array.fill s.sides 0 n 0;
+  for k = 0 to ne - 1 do
+    s.sides.(s.src.(k)) <- s.sides.(s.src.(k)) lor 1;
+    s.sides.(s.dst.(k)) <- s.sides.(s.dst.(k)) lor 2
+  done;
+  Array.for_all (fun bits -> bits = 3) s.sides
+
 (* Extract perfect matchings from the live edges with source row in
    [lo..hi] until none remains; kill the edges of each matching found. *)
-let drain_band hk cg ~live ~lo ~hi found =
-  let n = Column_graph.cols cg in
+let drain_band s ~lo ~hi =
+  let n = Column_graph.cols s.cg in
   let cancel = Cancel.ambient () in
   let continue_ = ref true in
   while !continue_ do
     Cancel.poll cancel;
-    let band = Column_graph.edges_in_band cg ~live ~lo ~hi in
-    if List.length band < n then continue_ := false
+    let ne =
+      Column_graph.scan_band s.cg ~live:s.live ~lo ~hi ~ids:s.ids ~src:s.src
+        ~dst:s.dst
+    in
+    if
+      ne < n
+      || (not (covers_columns s ne))
+      || Hopcroft_karp.max_matching s.hk ~nl:n ~nr:n ~ne ~src:s.src ~dst:s.dst
+           ~left_match:s.left_match ~right_match:s.right_match
+         < n
+    then continue_ := false
     else begin
-      let sub = Array.of_list band in
-      let sub_edges =
-        Array.map
-          (fun e -> (Column_graph.src_col cg e, Column_graph.dst_col cg e))
-          sub
-      in
-      let result = Hopcroft_karp.solve_in hk ~nl:n ~nr:n ~edges:sub_edges in
-      if result.size < n then continue_ := false
-      else begin
-        let matching = Array.map (fun k -> sub.(k)) result.left_match in
-        Array.iter (fun e -> live.(e) <- false) matching;
-        Metrics.incr c_matchings;
-        Metrics.observe h_band_width (float_of_int (hi - lo + 1));
-        found := matching :: !found
-      end
+      let matching = Array.make n 0 in
+      for l = 0 to n - 1 do
+        let e = s.ids.(s.left_match.(l)) in
+        matching.(l) <- e;
+        s.live.(e) <- false
+      done;
+      Metrics.incr c_matchings;
+      Metrics.observe h_band_width (float_of_int (hi - lo + 1));
+      s.found.(s.count) <- matching;
+      s.count <- s.count + 1
     end
   done
 
 let discover_doubling ?hk ?(initial_width = 0) cg =
-  let m = Column_graph.rows cg in
+  let m = Column_graph.rows cg and n = Column_graph.cols cg in
+  let ne = Column_graph.num_edges cg in
+  let s =
+    {
+      cg;
+      hk = (match hk with Some hk -> hk | None -> Hopcroft_karp.workspace ());
+      live = Array.make ne true;
+      ids = Array.make ne 0;
+      src = Array.make ne 0;
+      dst = Array.make ne 0;
+      sides = Array.make n 0;
+      left_match = Array.make n (-1);
+      right_match = Array.make n (-1);
+      found = Array.make m [||];
+      count = 0;
+    }
+  in
   let cancel = Cancel.ambient () in
-  let live = Array.make (Column_graph.num_edges cg) true in
-  let found = ref [] in
   let w = ref initial_width in
-  while List.length !found < m do
+  while s.count < m do
     Metrics.incr c_band_rounds;
     let r0 = ref 0 in
-    while !r0 < m && List.length !found < m do
+    while !r0 < m && s.count < m do
       Metrics.incr c_band_windows;
       Cancel.poll cancel;
       let hi = min (!r0 + !w) (m - 1) in
-      drain_band hk cg ~live ~lo:!r0 ~hi found;
+      drain_band s ~lo:!r0 ~hi;
       r0 := !r0 + !w + 1
     done;
     w := if !w = 0 then 1 else 2 * !w
   done;
   (* Narrow-band matchings first: they carry the locality. *)
-  List.rev !found
+  Array.to_list s.found
 
 let discover_whole hk cg =
   let n = Column_graph.cols cg in
@@ -97,52 +163,59 @@ let assign_rows assignment cg matchings =
   match assignment with
   | Arbitrary -> Array.init m (fun k -> k)
   | Mcbbm ->
-      let weights =
-        Array.of_list
-          (List.map
-             (fun matching -> Array.init m (fun r -> delta cg matching r))
-             matchings)
-      in
+      let weights = Array.make (List.length matchings) [||] in
+      List.iteri (fun k matching -> weights.(k) <- deltas cg matching) matchings;
       let solution = Bottleneck.solve_complete ~weights in
       let assigned = solution.left_match in
       (* A complete bipartite graph always has a perfect matching. *)
       Array.iter (fun r -> assert (r >= 0)) assigned;
       assigned
 
-let sigmas ?ws ?(discovery = Doubling) ?(assignment = Mcbbm) grid pi =
+let column_graph ws build =
   let cg =
     Trace.with_span "column_graph_build" (fun () ->
-        Column_graph.build ?reuse:(Router_workspace.reusable_cg ws) grid pi)
+        build (Router_workspace.reusable_cg ws))
   in
   Option.iter (fun w -> Router_workspace.remember_cg w cg) ws;
-  let hk = Router_workspace.hk ws in
+  cg
+
+let sigmas_of_graph ws ~discovery ~assignment cg =
   let matchings =
     Trace.with_span "band_search"
       ~attrs:[ ("discovery", Trace.String (discovery_name discovery)) ]
-      (fun () -> discover_matchings ?hk discovery cg)
+      (fun () -> discover_matchings ?hk:(Router_workspace.hk ws) discovery cg)
   in
   let assigned_rows =
     Trace.with_span "mcbbm_assign" (fun () -> assign_rows assignment cg matchings)
   in
   Grid_route.sigmas_of_assignment cg ~matchings ~assigned_rows
 
+let sigmas ?ws ?(discovery = Doubling) ?(assignment = Mcbbm) grid pi =
+  column_graph ws (fun reuse -> Column_graph.build ?reuse grid pi)
+  |> sigmas_of_graph ws ~discovery ~assignment
+
 let route ?ws ?discovery ?assignment grid pi =
   Grid_route.route_with_sigmas grid pi (sigmas ?ws ?discovery ?assignment grid pi)
 
-let route_best_orientation ?ws ?discovery ?assignment grid pi =
+let route_best_orientation ?ws ?(discovery = Doubling) ?(assignment = Mcbbm) grid pi
+    =
+  let plan build =
+    let cg = column_graph ws build in
+    Grid_route.plan_rounds cg (sigmas_of_graph ws ~discovery ~assignment cg)
+  in
   let direct =
     Trace.with_span "orientation_direct" (fun () ->
-        route ?ws ?discovery ?assignment grid pi)
+        plan (fun reuse -> Column_graph.build ?reuse grid pi))
   in
   let transposed =
     Trace.with_span "orientation_transposed" (fun () ->
-        (* The transposed instance has the same vertex count, so it reuses
-           the direct orientation's buffers. *)
-        let grid_t = Grid.transpose grid in
-        let pi_t = Grid_perm.transpose grid pi in
-        route ?ws ?discovery ?assignment grid_t pi_t)
+        (* Routed from the shape alone, with no transposed grid or
+           permutation built.  The instance has the same vertex count, so
+           with a workspace it reuses the direct orientation's buffers. *)
+        plan (fun reuse -> Column_graph.build_transposed ?reuse grid pi))
   in
-  let lifted =
-    Schedule.map_vertices (Grid_perm.untranspose_vertex grid) transposed
-  in
-  if Schedule.depth lifted < Schedule.depth direct then lifted else direct
+  (* Both depths are known before any layer is written, so only the
+     shallower orientation is materialized; a tie keeps the direct one. *)
+  if Grid_route.depth transposed < Grid_route.depth direct then
+    Grid_route.emit ~transposed:true transposed
+  else Grid_route.emit direct

@@ -30,6 +30,11 @@ type assignment =
 val delta : Column_graph.t -> int array -> int -> int
 (** [delta cg matching r] is the paper's Δ(M, r). *)
 
+val deltas : Column_graph.t -> int array -> int array
+(** [deltas cg matching] is Δ(M, r) for every row [r], in O(m + n) from a
+    histogram of the matching's row labels: the MCBBM weight row of one
+    matching.  [(deltas cg matching).(r) = delta cg matching r]. *)
+
 val discover_matchings :
   ?hk:Qr_bipartite.Hopcroft_karp.workspace ->
   discovery -> Column_graph.t -> int array list

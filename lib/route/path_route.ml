@@ -44,4 +44,45 @@ let route_min_parity dests =
   let odd = route_from_parity 1 dests in
   if List.length odd < List.length even then odd else even
 
+(* The same rounds as [route_from_parity], counted instead of recorded.
+   Two idle rounds in a row (one even, one odd) mean every adjacent pair
+   is in order, which replaces the O(k) sortedness scan per round; the
+   extra idle rounds are dropped as empty rounds are. *)
+let count_layers tokens k parity counts =
+  let depth = ref 0 and idle = ref 0 and start = ref parity and rounds = ref 0 in
+  while !idle < 2 do
+    incr rounds;
+    let swaps = ref 0 and p = ref !start in
+    while !p + 1 < k do
+      let a = tokens.(!p) and b = tokens.(!p + 1) in
+      if a > b then begin
+        tokens.(!p) <- b;
+        tokens.(!p + 1) <- a;
+        incr swaps
+      end;
+      p := !p + 2
+    done;
+    if !swaps = 0 then incr idle
+    else begin
+      idle := 0;
+      counts.(!depth) <- !swaps;
+      incr depth
+    end;
+    start := 1 - !start
+  done;
+  Metrics.add c_rounds !rounds;
+  for i = 0 to k - 1 do
+    assert (tokens.(i) = i)
+  done;
+  !depth
+
+let min_parity dests =
+  if not (Perm.is_permutation dests) then
+    invalid_arg "Path_route.min_parity: dests is not a permutation";
+  let k = Array.length dests in
+  let counts = Array.make (k + 2) 0 in
+  let even = count_layers (Array.copy dests) k 0 counts in
+  let odd = count_layers (Array.copy dests) k 1 counts in
+  if odd < even then 1 else 0
+
 let depth_upper_bound k = k

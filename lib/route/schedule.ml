@@ -87,8 +87,16 @@ let compact ~n t =
     (swaps t);
   List.init !max_depth (fun d -> Array.of_list (List.rev !buckets.(d)))
 
+(* Each layer starts from the static pair: [Array.map] would seed an array
+   longer than Max_young_wosize with a freshly allocated pair, which makes
+   the runtime empty the minor heap once per layer. *)
 let map_vertices f t =
-  List.map (fun layer -> Array.map (fun (u, v) -> (f u, f v)) layer) t
+  List.map
+    (fun layer ->
+      let mapped = Array.make (Array.length layer) (0, 0) in
+      Array.iteri (fun i (u, v) -> mapped.(i) <- (f u, f v)) layer;
+      mapped)
+    t
 
 let to_string t =
   let layer_line layer =

@@ -279,6 +279,49 @@ let mcbbm_assignment_is_permutation =
       List.length s.pairs = n
       && Qr_perm.Perm.is_permutation s.left_match)
 
+(* The dense MCBBM against its reference: [solve] on the complete edge
+   list in row-major order, including rectangular and empty sides. *)
+let complete_matches_edge_list =
+  QCheck.Test.make ~name:"dense solve_complete = solve on the complete edge list"
+    ~count:300
+    QCheck.(triple (int_range 0 7) (int_range 0 7) (int_range 0 100000))
+    (fun (nl, nr, seed) ->
+      let rng = Rng.create seed in
+      let range = 1 + Rng.int rng 30 in
+      let weights =
+        Array.init nl (fun _ -> Array.init nr (fun _ -> Rng.int rng range - 5))
+      in
+      let edges =
+        List.concat
+          (List.init nl (fun l ->
+               List.init nr (fun r -> Bottleneck.{ l; r; weight = weights.(l).(r) })))
+      in
+      let dense = Bottleneck.solve_complete ~weights in
+      let reference = Bottleneck.solve ~nl ~nr edges in
+      dense.left_match = reference.left_match
+      && dense.pairs = reference.pairs
+      && dense.bottleneck = reference.bottleneck)
+
+(* The array core against the tuple adapter's historical contract: the
+   same matching, whatever the workspace has served before. *)
+let max_matching_reuses_workspace =
+  QCheck.Test.make ~name:"max_matching on a reused workspace = solve" ~count:200
+    QCheck.(pair (int_range 1 8) (int_range 0 100000))
+    (fun (n, seed) ->
+      let rng = Rng.create seed in
+      let ws = HK.workspace () in
+      List.for_all
+        (fun ne ->
+          let edges = Array.init ne (fun _ -> (Rng.int rng n, Rng.int rng n)) in
+          let src = Array.map fst edges and dst = Array.map snd edges in
+          let left_match = Array.make n 7 and right_match = Array.make n 7 in
+          let size = HK.max_matching ws ~nl:n ~nr:n ~ne ~src ~dst ~left_match ~right_match in
+          let reference = HK.solve ~nl:n ~nr:n ~edges in
+          size = reference.size
+          && left_match = reference.left_match
+          && right_match = reference.right_match)
+        [ 3 * n; n; 0; 2 * n ])
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "qr_bipartite"
@@ -295,6 +338,7 @@ let () =
           Alcotest.test_case "hall none" `Quick test_hall_violator_none_when_perfect;
           Alcotest.test_case "hall found" `Quick test_hall_violator_found;
           qc hk_matches_brute_force;
+          qc max_matching_reuses_workspace;
         ] );
       ( "decompose",
         [
@@ -323,5 +367,6 @@ let () =
             test_bottleneck_negative_weights;
           qc bottleneck_matches_brute_force;
           qc mcbbm_assignment_is_permutation;
+          qc complete_matches_edge_list;
         ] );
     ]

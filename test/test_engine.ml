@@ -567,6 +567,26 @@ let test_golden_digests () =
         digest_shapes digests)
     golden_digests
 
+(* The allocation-lean kernel's budget: one route of a fixed 32x32 random
+   permutation.  Minor words are deterministic per input.  Before the
+   kernel worked on flat int arrays this input allocated 1_939_105 minor
+   words per route (and forced about 170 minor collections); the bound is
+   a third of that. *)
+let test_kernel_minor_words () =
+  with_clean_sinks @@ fun () ->
+  let grid = Grid.make ~rows:32 ~cols:32 in
+  let pi = Generators.generate grid Generators.Random (Rng.create 42) in
+  let engine = Router_registry.get "local" in
+  ignore (Router_intf.route_grid engine grid pi);
+  let before = Gc.minor_words () in
+  let sched = Router_intf.route_grid engine grid pi in
+  let words = Gc.minor_words () -. before in
+  checki "depth" 85 (Schedule.depth sched);
+  checkb
+    (Printf.sprintf "%.0f minor words <= 1_939_105 / 3" words)
+    true
+    (words <= 1_939_105. /. 3.)
+
 (* ------------------------------------------------------- transpile/sabre *)
 
 let test_transpile_with_engine () =
@@ -654,6 +674,7 @@ let () =
             test_golden_depths;
           Alcotest.test_case "whole-schedule digests" `Quick
             test_golden_digests;
+          Alcotest.test_case "kernel minor words" `Quick test_kernel_minor_words;
         ] );
       ( "transpile",
         [

@@ -6,6 +6,7 @@ module Generators = Qr_perm.Generators
 module Schedule = Qr_route.Schedule
 module Column_graph = Qr_route.Column_graph
 module Grid_route = Qr_route.Grid_route
+module Path_route = Qr_route.Path_route
 module Decompose = Qr_bipartite.Decompose
 module Rng = Qr_util.Rng
 
@@ -50,11 +51,20 @@ let test_edges_in_band () =
   let pi = Perm.identity 8 in
   let cg = Column_graph.build grid pi in
   let live = Array.make 8 true in
-  checki "rows 1..2 edges" 4
-    (List.length (Column_graph.edges_in_band cg ~live ~lo:1 ~hi:2));
+  let ids = Array.make 8 (-1) and src = Array.make 8 (-1) and dst = Array.make 8 (-1) in
+  let scan () = Column_graph.scan_band cg ~live ~lo:1 ~hi:2 ~ids ~src ~dst in
+  checki "rows 1..2 edges" 4 (scan ());
+  checkb "band ids ascending" true (Array.sub ids 0 4 = [| 2; 3; 4; 5 |]);
+  checkb "source columns" true (Array.sub src 0 4 = [| 0; 1; 0; 1 |]);
+  checkb "destination columns" true (Array.sub dst 0 4 = [| 0; 1; 0; 1 |]);
   live.(Grid.index grid 1 0) <- false;
-  checki "dead edges excluded" 3
-    (List.length (Column_graph.edges_in_band cg ~live ~lo:1 ~hi:2))
+  checki "dead edges excluded" 3 (scan ());
+  checkb "dead id skipped" true (Array.sub ids 0 3 = [| 3; 4; 5 |]);
+  checki "single row" 2
+    (Column_graph.scan_band cg ~live ~lo:3 ~hi:3 ~ids ~src ~dst);
+  Alcotest.check_raises "band past the last row"
+    (Invalid_argument "Column_graph.scan_band") (fun () ->
+      ignore (Column_graph.scan_band cg ~live ~lo:3 ~hi:4 ~ids ~src ~dst))
 
 (* -------------------------------------------------------------- Grid_route *)
 
@@ -194,6 +204,54 @@ let naive_route_property =
       && Schedule.realizes ~n:(m * n) s pi
       && Schedule.depth s <= (2 * m) + n)
 
+(* The three rounds as first written, as a reference: every line routed by
+   Path_route.route_min_parity into lists, layer t of a round the union of
+   every line's t-th layer (lines, and positions within a line, descending),
+   applied before the next round reads its destinations. *)
+let reference_rounds grid pi sigmas =
+  let m = Grid.rows grid and n = Grid.cols grid in
+  let token_at = Array.init (m * n) Fun.id in
+  let round lines dests_of vertex =
+    let per_line = List.init lines (fun l -> Path_route.route_min_parity (dests_of l)) in
+    let depth = List.fold_left (fun d layers -> max d (List.length layers)) 0 per_line in
+    let layers =
+      List.init depth (fun t ->
+          List.concat
+            (List.mapi
+               (fun l layers ->
+                 match List.nth_opt layers t with
+                 | Some pairs -> List.map (fun (a, b) -> (vertex l a, vertex l b)) pairs
+                 | None -> [])
+               per_line)
+          |> List.rev |> Array.of_list)
+    in
+    List.iter
+      (Array.iter (fun (u, v) ->
+           let x = token_at.(u) in
+           token_at.(u) <- token_at.(v);
+           token_at.(v) <- x))
+      layers;
+    layers
+  in
+  let col j i = Grid.index grid i j and row r j = Grid.index grid r j in
+  let dst v = Grid.coord grid pi.(token_at.(v)) in
+  let round1 = round n (fun j -> Array.copy sigmas.(j)) col in
+  let round2 = round m (fun r -> Array.init n (fun j -> snd (dst (row r j)))) row in
+  let round3 = round n (fun j -> Array.init m (fun i -> fst (dst (col j i)))) col in
+  round1 @ round2 @ round3
+
+let rounds_match_reference =
+  QCheck.Test.make ~name:"planned and emitted rounds = list-merged reference"
+    ~count:200
+    QCheck.(triple (int_range 1 8) (int_range 1 8) (int_range 0 100000))
+    (fun (m, n, seed) ->
+      let grid = Grid.make ~rows:m ~cols:n in
+      let pi = Perm.check (Rng.permutation (Rng.create seed) (m * n)) in
+      List.for_all
+        (fun sigmas ->
+          Grid_route.route_with_sigmas grid pi sigmas = reference_rounds grid pi sigmas)
+        [ Grid_route.naive_sigmas grid pi; Qr_route.Local_grid_route.sigmas grid pi ])
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "grid_route"
@@ -220,5 +278,6 @@ let () =
           Alcotest.test_case "row-local rounds" `Quick
             test_round_depths_row_local;
           qc naive_route_property;
+          qc rounds_match_reference;
         ] );
     ]

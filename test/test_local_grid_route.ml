@@ -197,6 +197,67 @@ let best_orientation_property =
       && Schedule.realizes ~n:(m * n) s pi
       && Schedule.depth s <= min ((2 * m) + n) ((2 * n) + m))
 
+let random_instance (m, n, seed) =
+  let grid = Grid.make ~rows:m ~cols:n in
+  (grid, Perm.check (Rng.permutation (Rng.create seed) (m * n)))
+
+let shape_gen = QCheck.(triple (int_range 1 9) (int_range 1 9) (int_range 0 100000))
+
+(* The histogram Δ against the per-row reference, on every matching the
+   band search discovers. *)
+let deltas_match_delta =
+  QCheck.Test.make ~name:"all-rows deltas = delta per row" ~count:150 shape_gen
+    (fun shape ->
+      let grid, pi = random_instance shape in
+      let cg = Column_graph.build grid pi in
+      List.for_all
+        (fun matching ->
+          let all = Local.deltas cg matching in
+          Array.length all = Grid.rows grid
+          && Array.for_all Fun.id
+               (Array.mapi (fun r d -> d = Local.delta cg matching r) all))
+        (Local.discover_matchings Local.Doubling cg))
+
+let transposed_column_graph =
+  QCheck.Test.make ~name:"build_transposed = build on the transposed instance"
+    ~count:150 shape_gen (fun shape ->
+      let grid, pi = random_instance shape in
+      let direct = Column_graph.build grid pi in
+      let fast = Column_graph.build_transposed ~reuse:direct grid pi in
+      let slow =
+        Column_graph.build (Grid.transpose grid)
+          (Qr_perm.Grid_perm.transpose grid pi)
+      in
+      let labels cg =
+        List.init (Column_graph.num_edges cg) (fun e ->
+            Column_graph.
+              (src_row cg e, src_col cg e, dst_row cg e, dst_col cg e))
+      in
+      Column_graph.rows fast = Column_graph.rows slow
+      && Column_graph.cols fast = Column_graph.cols slow
+      && labels fast = labels slow)
+
+(* Algorithm 1 against its reference: both orientations materialized
+   through the public pipeline and the transposed one lifted back with
+   map_vertices, the shallower kept (ties to the direct one). *)
+let best_orientation_matches_reference =
+  QCheck.Test.make ~name:"Algorithm 1 = two materialized orientations" ~count:150
+    shape_gen (fun shape ->
+      let grid, pi = random_instance shape in
+      let direct = Local.route grid pi in
+      let transposed =
+        Local.route (Grid.transpose grid) (Qr_perm.Grid_perm.transpose grid pi)
+        |> Schedule.map_vertices (Qr_perm.Grid_perm.untranspose_vertex grid)
+      in
+      let reference =
+        if Schedule.depth transposed < Schedule.depth direct then transposed
+        else direct
+      in
+      let sigmas = Local.sigmas grid pi in
+      let d1, d2, d3 = Grid_route.round_depths grid pi sigmas in
+      Local.route_best_orientation grid pi = reference
+      && d1 + d2 + d3 = Schedule.depth direct)
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "local_grid_route"
@@ -224,5 +285,8 @@ let () =
           Alcotest.test_case "ablation switches" `Quick test_ablation_switches_work;
           qc local_route_property;
           qc best_orientation_property;
+          qc deltas_match_delta;
+          qc transposed_column_graph;
+          qc best_orientation_matches_reference;
         ] );
     ]

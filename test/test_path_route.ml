@@ -96,6 +96,28 @@ let depth_lower_bound_displacement =
       let max_disp = Perm.max_distance (fun i j -> abs (i - j)) dests in
       List.length layers >= max_disp)
 
+(* The count-only simulation against the list-building reference: the
+   parity it picks gives route_min_parity's schedule, and its per-round
+   swap counts are that schedule's layer sizes. *)
+let count_only_parity_matches =
+  QCheck.Test.make ~name:"count-only parity choice = route_min_parity" ~count:500
+    QCheck.(pair (int_range 1 40) (int_range 0 100000))
+    (fun (k, seed) ->
+      let dests = Perm.check (Rng.permutation (Rng.create seed) k) in
+      let best = Path_route.route_min_parity dests in
+      let counted parity =
+        let counts = Array.make (k + 1) (-1) and tokens = Array.copy dests in
+        let depth = Path_route.count_layers tokens k parity counts in
+        (depth, Array.to_list (Array.sub counts 0 depth))
+      in
+      let sizes layers = List.map List.length layers in
+      Path_route.route_from_parity (Path_route.min_parity dests) dests = best
+      && List.for_all
+           (fun parity ->
+             let layers = Path_route.route_from_parity parity dests in
+             counted parity = (List.length layers, sizes layers))
+           [ 0; 1 ])
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "path_route"
@@ -112,5 +134,6 @@ let () =
           qc route_always_correct;
           qc min_parity_always_correct;
           qc depth_lower_bound_displacement;
+          qc count_only_parity_matches;
         ] );
     ]

@@ -157,6 +157,21 @@ let test_map_vertices () =
     Alcotest.(array int)
     "shifted" [| 0; 1; 3; 2 |] (Schedule.apply ~n:4 m)
 
+(* Layers longer than Max_young_wosize (256 words) must not be seeded
+   with a fresh pair: the runtime would empty the minor heap once per
+   layer (41 collections per call here before the fix). *)
+let test_map_vertices_minor_gcs () =
+  let sched =
+    List.init 40 (fun l -> Array.init 512 (fun i -> ((2 * i) + l, (2 * i) + 1)))
+  in
+  for _ = 1 to 20 do
+    let before = (Gc.quick_stat ()).Gc.minor_collections in
+    let mapped = Schedule.map_vertices (fun v -> v + 1) sched in
+    let gcs = (Gc.quick_stat ()).Gc.minor_collections - before in
+    checkb (Printf.sprintf "%d minor collections <= 4" gcs) true (gcs <= 4);
+    checki "size kept" (40 * 512) (Schedule.size mapped)
+  done
+
 let compact_idempotent =
   QCheck.Test.make ~name:"compact is idempotent" ~count:200
     QCheck.(small_list (pair (int_bound 7) (int_bound 7)))
@@ -207,6 +222,8 @@ let () =
           Alcotest.test_case "compact preserves" `Quick
             test_compact_preserves_permutation;
           Alcotest.test_case "map_vertices" `Quick test_map_vertices;
+          Alcotest.test_case "map_vertices minor collections" `Quick
+            test_map_vertices_minor_gcs;
           Alcotest.test_case "json shape" `Quick test_json_shape;
           Alcotest.test_case "of_json validates" `Quick test_of_json_validates;
           qc json_roundtrip_exact;
