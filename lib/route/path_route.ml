@@ -76,13 +76,4 @@ let count_layers tokens k parity counts =
   done;
   !depth
 
-let min_parity dests =
-  if not (Perm.is_permutation dests) then
-    invalid_arg "Path_route.min_parity: dests is not a permutation";
-  let k = Array.length dests in
-  let counts = Array.make (k + 2) 0 in
-  let even = count_layers (Array.copy dests) k 0 counts in
-  let odd = count_layers (Array.copy dests) k 1 counts in
-  if odd < even then 1 else 0
-
 let depth_upper_bound k = k

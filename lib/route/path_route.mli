@@ -31,10 +31,5 @@ val count_layers : int array -> int -> int -> int array -> int
     number of non-empty rounds, the depth of that schedule.  [counts] needs
     [k + 1] entries.  Allocates nothing. *)
 
-val min_parity : int array -> int
-(** The starting parity {!route_min_parity} keeps, found by counting both
-    parities' non-empty rounds instead of materializing them.
-    @raise Invalid_argument if [dests] is not a permutation. *)
-
 val depth_upper_bound : int -> int
 (** [k] for a path of [k] vertices (the classical guarantee). *)
