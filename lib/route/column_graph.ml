@@ -17,7 +17,14 @@ let make ?reuse ~rows ~cols n =
   | Some prev when Array.length prev.src_col = n -> { prev with rows; cols }
   | _ ->
       let fresh () = Array.make n 0 in
-      { rows; cols; src_col = fresh (); dst_col = fresh (); src_row = fresh (); dst_row = fresh () }
+      {
+        rows;
+        cols;
+        src_col = fresh ();
+        dst_col = fresh ();
+        src_row = fresh ();
+        dst_row = fresh ();
+      }
 
 let check_size name grid pi =
   let n = Grid.size grid in
