@@ -419,28 +419,47 @@ let test_golden_depths () =
    the MD5 over the MD5s of [Schedule.to_string] for every schedule of the
    corpus, which is the paper's four kinds plus Random, Reversal,
    Mirror_rows and Identity, six seeds each.  Recorded before the kernel
-   was rewritten on flat int arrays; a change here is a changed schedule. *)
+   was rewritten on flat int arrays; a change here is a changed schedule.
+
+   The same pass also digests the wire bytes of every schedule,
+   [Json.to_string (Schedule.to_json s)], which is what a [route]
+   response carries; those digests were recorded before the JSON printer
+   stopped going through [string_of_int].  Both are memoized per
+   (configuration, shape) so the corpus is routed once. *)
 let digest_shapes =
   [ (32, 32); (16, 16); (8, 8); (5, 9); (12, 7); (20, 33); (1, 6); (6, 1); (2, 2) ]
 
-let schedule_digest name config (rows, cols) =
-  let engine = Router_registry.get name in
-  let config = Router_config.of_string_exn config in
-  let grid = Grid.make ~rows ~cols in
-  let kinds =
-    Generators.paper_kinds grid
-    @ Generators.[ Random; Reversal; Mirror_rows; Identity ]
-  in
-  let digests = Buffer.create 1024 in
-  List.iteri
-    (fun k kind ->
-      for seed = 0 to 5 do
-        let pi = Generators.generate grid kind (Rng.create ((100 * k) + seed)) in
-        let sched = Router_intf.route_grid ~config engine grid pi in
-        Buffer.add_string digests (Digest.string (Schedule.to_string sched))
-      done)
-    kinds;
-  Digest.to_hex (Digest.string (Buffer.contents digests))
+let corpus_digests =
+  let memo = Hashtbl.create 128 in
+  fun name config (rows, cols) ->
+    match Hashtbl.find_opt memo (name, config, rows, cols) with
+    | Some digests -> digests
+    | None ->
+        let engine = Router_registry.get name in
+        let parsed = Router_config.of_string_exn config in
+        let grid = Grid.make ~rows ~cols in
+        let kinds =
+          Generators.paper_kinds grid
+          @ Generators.[ Random; Reversal; Mirror_rows; Identity ]
+        in
+        let scheds = Buffer.create 1024 and wire = Buffer.create 1024 in
+        List.iteri
+          (fun k kind ->
+            for seed = 0 to 5 do
+              let pi =
+                Generators.generate grid kind (Rng.create ((100 * k) + seed))
+              in
+              let sched = Router_intf.route_grid ~config:parsed engine grid pi in
+              Buffer.add_string scheds
+                (Digest.string (Schedule.to_string sched));
+              Buffer.add_string wire
+                (Digest.string (Obs_json.to_string (Schedule.to_json sched)))
+            done)
+          kinds;
+        let hex buf = Digest.to_hex (Digest.string (Buffer.contents buf)) in
+        let digests = (hex scheds, hex wire) in
+        Hashtbl.replace memo (name, config, rows, cols) digests;
+        digests
 
 (* (engine, configuration, one digest per shape of [digest_shapes]). *)
 let golden_digests =
@@ -563,9 +582,136 @@ let test_golden_digests () =
           checks
             (Printf.sprintf "%s [%s] %dx%d" name config (fst shape) (snd shape))
             want
-            (schedule_digest name config shape))
+            (fst (corpus_digests name config shape)))
         digest_shapes digests)
     golden_digests
+
+(* (engine, configuration, one wire digest per shape of [digest_shapes]),
+   in the order of [golden_digests]. *)
+let golden_wire_digests =
+  [
+    ( "local", "",
+      [
+        "33d3b2c108c0d3789cddba2aced5bf06";
+        "b10ec6525b43bfe476a49661f960b7f4";
+        "dfc770d39d2c6331f218aedaa5d54b25";
+        "4d43e3ddb07460a8521f85836751687c";
+        "cceebd7e424f94ee8d53471aa3a5c7f9";
+        "4ffd36b170ecaf86b5911ede048a54c3";
+        "ff8e896a18bb53717224c7a5fc8facd3";
+        "e08bcf47518caf0dabc6b018cbafef7b";
+        "a551b144f780b79864130ea703289afd";
+      ] );
+    ( "local1", "",
+      [
+        "7f90cf868f8511f9e99f6a6a443b6809";
+        "324e9e150e4ed913ca724d845db8f5b7";
+        "1db3a5a06b78967e1629ae97a2a1c213";
+        "29713a871e0343c63f416536f8727362";
+        "63d05e680ea3002c2015d858380e8005";
+        "c7b8db8b0c8e0d1ac3a9a29adafbfb3b";
+        "ff8e896a18bb53717224c7a5fc8facd3";
+        "e08bcf47518caf0dabc6b018cbafef7b";
+        "a551b144f780b79864130ea703289afd";
+      ] );
+    ( "naive", "",
+      [
+        "e52088e98766cd89d99eee619a05ee4f";
+        "e82d5d960595beb54066661fd2f70237";
+        "c6702e51edd7e99bd63742f0434f5a79";
+        "c14db7272131048b35cc6ef767795757";
+        "c4bb36642ae86b17cb6756c89a6e263e";
+        "2bfa3f0ed192815df6fd224935abd335";
+        "ff8e896a18bb53717224c7a5fc8facd3";
+        "e08bcf47518caf0dabc6b018cbafef7b";
+        "dae8c936430b949044a31e165bf76a4e";
+      ] );
+    ( "best", "",
+      [
+        "a6c121e1046aa01f24178d6392e1125a";
+        "78e7198d857a7ef99e0b69bb2587c908";
+        "76d8f980f686d385099ec1aa76da36d3";
+        "29c539a26a81edb4b414b17133562412";
+        "f0c316f13cfd05824352d5ebe33cb52f";
+        "abfc1f9a4421e802df19d1b254d8dabe";
+        "ff8e896a18bb53717224c7a5fc8facd3";
+        "e08bcf47518caf0dabc6b018cbafef7b";
+        "a551b144f780b79864130ea703289afd";
+      ] );
+    ( "snake", "",
+      [
+        "7414ee5b8f928dd31f9eca6a0405e33f";
+        "1165818e012355b57b3241945ff865e2";
+        "3d28e4f7b784b8ae1daf0bc562a39ea6";
+        "0b916bdbce6001cbcbdbcf8a108bba59";
+        "1a6897708f484a5edb1e2189119265b4";
+        "3fc5e97123de7a0a0f9ab4a6a0ca0fd6";
+        "6c5d91da16b180daf28fb2d7a8ba89e6";
+        "924316b951a88beeb707dcfafcd8315b";
+        "cd8a985e73949d0e8600470aedfb968d";
+      ] );
+    ( "local", "discovery=whole",
+      [
+        "d691a55f564e1bdc478109ab2db9de0d";
+        "7135c9c59990ba6a55af9459097c75b3";
+        "b3f7297f30a04be35c54a43306716e38";
+        "ce4694c339081ff88d9d8e37fb891d62";
+        "c73ba75d967d6fa3d46709c1119ee946";
+        "746fb72e2b8a6373533a7790fb9cc675";
+        "ff8e896a18bb53717224c7a5fc8facd3";
+        "e08bcf47518caf0dabc6b018cbafef7b";
+        "a551b144f780b79864130ea703289afd";
+      ] );
+    ( "local", "discovery=fixed:3",
+      [
+        "5b94cda3dabc38d3d51ebe13c08d1565";
+        "4e9d8f92b09b8145cce3faba08398de4";
+        "87330de20c72b9a055253db8f9c04d21";
+        "4491d04d0a6369ab51667d91bba407a2";
+        "beb0c5712a9f784235dbb5146ef9ac4a";
+        "31bfebaca153ef4d79c33090d74e39db";
+        "ff8e896a18bb53717224c7a5fc8facd3";
+        "e08bcf47518caf0dabc6b018cbafef7b";
+        "a551b144f780b79864130ea703289afd";
+      ] );
+    ( "local", "assignment=arbitrary",
+      [
+        "845a8ff5991f0e8ee853bd72afe7b474";
+        "0fea18aa65071f41c3e4a1f3349f36b2";
+        "e8825b1e866303fc813b05bde185c710";
+        "1bdb79b8632947cca4470bb6bf6e510f";
+        "172db737c5283d940dc6d26e5a2d0d34";
+        "bf1f5f8cbb0928119cede155d2a8c1f0";
+        "ff8e896a18bb53717224c7a5fc8facd3";
+        "e08bcf47518caf0dabc6b018cbafef7b";
+        "a551b144f780b79864130ea703289afd";
+      ] );
+    ( "local", "compaction=on",
+      [
+        "407a4ba764b9f4ab1e518b30faefe7df";
+        "93137ea7122fa29e72120878430b8875";
+        "6c1aca139f94051019abd1c711781f42";
+        "fbec65e73205595a23000a00202b327c";
+        "d3588ed04b2c0e40b9b21ee6b7fbd97a";
+        "070368835859f8dc17796865f7759990";
+        "88156293dd4dc0b79a2484da9b338aec";
+        "72ab0d66cca75bb7b841e7ba287f0ccd";
+        "a551b144f780b79864130ea703289afd";
+      ] );
+  ]
+
+let test_golden_wire_digests () =
+  List.iter
+    (fun (name, config, digests) ->
+      List.iter2
+        (fun shape want ->
+          checks
+            (Printf.sprintf "%s [%s] %dx%d wire" name config (fst shape)
+               (snd shape))
+            want
+            (snd (corpus_digests name config shape)))
+        digest_shapes digests)
+    golden_wire_digests
 
 (* The allocation-lean kernel's budget: one route of a fixed 32x32 random
    permutation.  Minor words are deterministic per input.  Before the
@@ -674,6 +820,8 @@ let () =
             test_golden_depths;
           Alcotest.test_case "whole-schedule digests" `Quick
             test_golden_digests;
+          Alcotest.test_case "wire-bytes digests" `Quick
+            test_golden_wire_digests;
           Alcotest.test_case "kernel minor words" `Quick test_kernel_minor_words;
         ] );
       ( "transpile",

@@ -95,6 +95,28 @@ let test_json_deep_nesting () =
   checkb "re-prints to the same bytes" true
     (Json.to_string (Json.of_string_exn text) = text)
 
+(* The printer's integer rendering must be byte-identical to
+   [string_of_int] for every int: the edges, every digit-count boundary
+   (±10^k and ±(10^k - 1)), and random ints over the whole range. *)
+let json_int_edges =
+  let rec powers p acc =
+    let acc = p :: (p - 1) :: (-p) :: (1 - p) :: acc in
+    if p > max_int / 10 then acc else powers (p * 10) acc
+  in
+  [ 0; 1; -1; 9; -9; 10; -10; max_int; min_int; min_int + 1; max_int - 1 ]
+  @ powers 10 []
+
+let test_json_int_edges () =
+  List.iter
+    (fun i ->
+      checks (string_of_int i) (string_of_int i) (Json.to_string (Json.Int i)))
+    json_int_edges
+
+let json_int_prints_as_string_of_int =
+  QCheck.Test.make ~name:"Int prints as string_of_int" ~count:2000
+    QCheck.(oneof [ int; small_signed_int; oneofl json_int_edges ])
+    (fun i -> Json.to_string (Json.Int i) = string_of_int i)
+
 let test_json_unicode_escapes () =
   let parsed text =
     match Json.of_string text with
@@ -707,6 +729,8 @@ let () =
           Alcotest.test_case "nonfinite roundtrip" `Quick
             test_json_nonfinite_roundtrip;
           Alcotest.test_case "member" `Quick test_json_member;
+          Alcotest.test_case "int edges" `Quick test_json_int_edges;
+          QCheck_alcotest.to_alcotest json_int_prints_as_string_of_int;
         ] );
       ( "trace",
         [
