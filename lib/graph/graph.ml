@@ -63,23 +63,30 @@ let of_edges ~n edge_list =
   for v = 0 to n - 1 do
     offsets.(v + 1) <- offsets.(v) + deg.(v)
   done;
-  let adjacency = Array.make offsets.(n) 0 in
-  let cursor = Array.copy offsets in
+  (* First placement: each row holds its neighbors in input order. *)
+  let unsorted = Array.make offsets.(n) 0 in
+  let cursor = Array.sub offsets 0 n in
   let place (u, v) =
-    adjacency.(cursor.(u)) <- v;
+    unsorted.(cursor.(u)) <- v;
     cursor.(u) <- cursor.(u) + 1;
-    adjacency.(cursor.(v)) <- u;
+    unsorted.(cursor.(v)) <- u;
     cursor.(v) <- cursor.(v) + 1
   in
   List.iter place edge_list;
-  for v = 0 to n - 1 do
-    let lo = offsets.(v) and len = offsets.(v + 1) - offsets.(v) in
-    let slice = Array.sub adjacency lo len in
-    Array.sort compare slice;
-    Array.blit slice 0 adjacency lo len;
-    for k = lo + 1 to lo + len - 1 do
-      if adjacency.(k) = adjacency.(k - 1) then
-        invalid_arg "Graph.of_edges: duplicate edge"
+  (* Second placement scans sources in increasing order and appends each
+     source to its neighbors' rows, so every row comes out sorted: a
+     counting sort, linear in n + m.  A repeated edge lands next to its
+     twin. *)
+  let adjacency = Array.make offsets.(n) 0 in
+  Array.blit offsets 0 cursor 0 n;
+  for u = 0 to n - 1 do
+    for k = offsets.(u) to offsets.(u + 1) - 1 do
+      let v = unsorted.(k) in
+      let c = cursor.(v) in
+      if c > offsets.(v) && adjacency.(c - 1) = u then
+        invalid_arg "Graph.of_edges: duplicate edge";
+      adjacency.(c) <- u;
+      cursor.(v) <- c + 1
     done
   done;
   { n; offsets; adjacency }

@@ -41,30 +41,55 @@ let float_to_buffer buf f =
       Buffer.add_string buf ".0"
   end
 
-let rec to_buffer buf = function
-  | Null -> Buffer.add_string buf "null"
-  | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Int i -> Buffer.add_string buf (string_of_int i)
-  | Float f -> float_to_buffer buf f
-  | String s -> escape_to buf s
-  | List items ->
-      Buffer.add_char buf '[';
-      List.iteri
-        (fun k item ->
-          if k > 0 then Buffer.add_char buf ',';
-          to_buffer buf item)
-        items;
-      Buffer.add_char buf ']'
-  | Obj fields ->
-      Buffer.add_char buf '{';
-      List.iteri
-        (fun k (key, item) ->
-          if k > 0 then Buffer.add_char buf ',';
-          escape_to buf key;
-          Buffer.add_char buf ':';
-          to_buffer buf item)
-        fields;
-      Buffer.add_char buf '}'
+(* [string_of_int] without its C [caml_format_int] call, which costs
+   several times the rest of an integer's rendering.  Digits are peeled
+   off the non-positive magnitude into [digits] from the right, so
+   [min_int] needs no special case; 20 bytes hold the sign and the 19
+   digits of [min_int]. *)
+let int_to_buffer buf digits i =
+  let pos = ref 20 and n = ref (if i < 0 then i else -i) in
+  while
+    decr pos;
+    Bytes.unsafe_set digits !pos (Char.unsafe_chr (48 - (!n mod 10)));
+    n := !n / 10;
+    !n <> 0
+  do
+    ()
+  done;
+  if i < 0 then begin
+    decr pos;
+    Bytes.unsafe_set digits !pos '-'
+  end;
+  Buffer.add_subbytes buf digits !pos (20 - !pos)
+
+let to_buffer buf json =
+  let digits = Bytes.create 20 in
+  let rec go = function
+    | Null -> Buffer.add_string buf "null"
+    | Bool b -> Buffer.add_string buf (if b then "true" else "false")
+    | Int i -> int_to_buffer buf digits i
+    | Float f -> float_to_buffer buf f
+    | String s -> escape_to buf s
+    | List items ->
+        Buffer.add_char buf '[';
+        List.iteri
+          (fun k item ->
+            if k > 0 then Buffer.add_char buf ',';
+            go item)
+          items;
+        Buffer.add_char buf ']'
+    | Obj fields ->
+        Buffer.add_char buf '{';
+        List.iteri
+          (fun k (key, item) ->
+            if k > 0 then Buffer.add_char buf ',';
+            escape_to buf key;
+            Buffer.add_char buf ':';
+            go item)
+          fields;
+        Buffer.add_char buf '}'
+  in
+  go json
 
 let to_string json =
   let buf = Buffer.create 256 in

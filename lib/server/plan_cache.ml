@@ -10,17 +10,28 @@ let c_evictions = Metrics.counter "plan_cache_evictions"
 
 type key = string
 
+(* Fixed-width fields first (rows, cols, the engine name's length, the
+   permutation's digest), then the engine name and the config text, so
+   two keys are equal exactly when all five parts are.  The permutation
+   is digested as 8 little-endian bytes per entry: rendering it as text
+   cost one [string_of_int] per entry on every request. *)
 let key ~grid ~pi ~engine ~config =
-  let buf = Buffer.create 64 in
-  Array.iter
-    (fun d ->
-      Buffer.add_string buf (string_of_int d);
-      Buffer.add_char buf ',')
-    pi;
-  Printf.sprintf "%dx%d|%s|%s|%s" (Grid.rows grid) (Grid.cols grid)
-    (Digest.to_hex (Digest.string (Buffer.contents buf)))
-    engine
-    (Router_config.to_string config)
+  let n = Array.length pi in
+  let perm = Bytes.create (8 * n) in
+  for k = 0 to n - 1 do
+    Bytes.set_int64_le perm (8 * k) (Int64.of_int pi.(k))
+  done;
+  let head = Bytes.create 24 in
+  Bytes.set_int64_le head 0 (Int64.of_int (Grid.rows grid));
+  Bytes.set_int64_le head 8 (Int64.of_int (Grid.cols grid));
+  Bytes.set_int64_le head 16 (Int64.of_int (String.length engine));
+  String.concat ""
+    [
+      Bytes.unsafe_to_string head;
+      Digest.bytes perm;
+      engine;
+      Router_config.to_string config;
+    ]
 
 (* Doubly-linked recency list threaded through the table's entries: head =
    most recent, tail = next eviction.  All operations O(1). *)

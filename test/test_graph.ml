@@ -45,6 +45,133 @@ let test_graph_edges_canonical () =
     Alcotest.(list (pair int int))
     "u < v, lexicographic" [ (0, 1); (2, 3) ] (Graph.edges g)
 
+(* The sort-based construction [Graph.of_edges] used before it placed
+   rows twice (one [Array.sort compare] per row): kept as the reference
+   the linear-time builder must match, rejections and messages
+   included. *)
+let reference_rows ~n edge_list =
+  if n < 0 then invalid_arg "Graph.of_edges: negative vertex count";
+  let check (u, v) =
+    if u < 0 || u >= n || v < 0 || v >= n then
+      invalid_arg "Graph.of_edges: endpoint out of range";
+    if u = v then invalid_arg "Graph.of_edges: self-loop"
+  in
+  List.iter check edge_list;
+  let rows = Array.make n [] in
+  List.iter
+    (fun (u, v) ->
+      rows.(u) <- v :: rows.(u);
+      rows.(v) <- u :: rows.(v))
+    edge_list;
+  Array.map
+    (fun row ->
+      let row = Array.of_list row in
+      Array.sort compare row;
+      for k = 1 to Array.length row - 1 do
+        if row.(k) = row.(k - 1) then
+          invalid_arg "Graph.of_edges: duplicate edge"
+      done;
+      row)
+    rows
+
+let outcome f = match f () with v -> Ok v | exception Invalid_argument m -> Error m
+
+let of_edges_agrees ~n edge_list =
+  outcome (fun () -> reference_rows ~n edge_list)
+  = outcome (fun () ->
+        let g = Graph.of_edges ~n edge_list in
+        Array.init (Graph.num_vertices g) (Graph.neighbors g))
+
+let grid_edges rows cols =
+  List.concat
+    (List.init rows (fun r ->
+         List.concat
+           (List.init cols (fun c ->
+                let v = (r * cols) + c in
+                (if c + 1 < cols then [ (v, v + 1) ] else [])
+                @ if r + 1 < rows then [ (v, v + cols) ] else []))))
+
+let test_graph_of_edges_matches_reference () =
+  let agrees name n edges = checkb name true (of_edges_agrees ~n edges) in
+  List.iter
+    (fun (rows, cols) ->
+      let edges = grid_edges rows cols in
+      agrees (Printf.sprintf "grid %dx%d" rows cols) (rows * cols) edges;
+      agrees
+        (Printf.sprintf "grid %dx%d reversed" rows cols)
+        (rows * cols) (List.rev edges))
+    [ (1, 1); (1, 7); (7, 1); (2, 2); (5, 9); (16, 16); (32, 32) ];
+  let range n = List.init n Fun.id in
+  List.iter
+    (fun n ->
+      let path = List.map (fun i -> (i, i + 1)) (range (n - 1)) in
+      agrees (Printf.sprintf "path %d" n) n path;
+      if n >= 3 then agrees (Printf.sprintf "cycle %d" n) n ((0, n - 1) :: path);
+      agrees
+        (Printf.sprintf "star %d" n)
+        n
+        (List.map (fun i -> (0, i + 1)) (range (n - 1)));
+      agrees
+        (Printf.sprintf "complete %d" n)
+        n
+        (List.concat_map
+           (fun u -> List.map (fun v -> (v, u)) (range u))
+           (range n)))
+    [ 1; 2; 3; 10; 61 ];
+  (* The named constructors build the same rows as the reference. *)
+  let rows g = Array.init (Graph.num_vertices g) (Graph.neighbors g) in
+  checkb "Graph.complete 40" true
+    (rows (Graph.complete 40)
+    = reference_rows ~n:40
+        (List.concat_map
+           (fun u -> List.map (fun v -> (u, v)) (List.init (39 - u) (fun k -> u + k + 1)))
+           (range 40)));
+  checkb "Graph.star 500" true
+    (rows (Graph.star 500)
+    = reference_rows ~n:500 (List.map (fun i -> (0, i + 1)) (range 499)));
+  checkb "Graph.cycle 9" true
+    (rows (Graph.cycle 9)
+    = reference_rows ~n:9 ((0, 8) :: List.map (fun i -> (i, i + 1)) (range 8)))
+
+let test_graph_rejections_keep_messages () =
+  let rejects name message n edges =
+    Alcotest.check_raises name (Invalid_argument message) (fun () ->
+        ignore (Graph.of_edges ~n edges));
+    checkb (name ^ " = reference") true (of_edges_agrees ~n edges)
+  in
+  let dup = "Graph.of_edges: duplicate edge" in
+  rejects "same orientation" dup 3 [ (0, 1); (0, 1) ];
+  rejects "far apart" dup 6 [ (4, 5); (0, 1); (2, 3); (1, 2); (5, 4) ];
+  rejects "on a hub" dup 5 [ (0, 1); (0, 2); (0, 3); (0, 4); (3, 0) ];
+  rejects "loop before a duplicate" "Graph.of_edges: self-loop" 3
+    [ (0, 1); (1, 0); (2, 2) ];
+  rejects "range before a duplicate" "Graph.of_edges: endpoint out of range" 3
+    [ (0, 1); (1, 0); (-1, 2) ];
+  rejects "negative n" "Graph.of_edges: negative vertex count" (-1) []
+
+(* Random edge lists over a slightly wider range than [0, n), so loops,
+   duplicates and out-of-range endpoints all occur; each list is also
+   checked with those filtered out, which leaves a simple graph. *)
+let of_edges_reference_property =
+  QCheck.Test.make ~name:"of_edges = sort-based reference" ~count:500
+    QCheck.(
+      pair (int_range 0 16) (small_list (pair (int_range (-1) 17) (int_range (-1) 17))))
+    (fun (n, raw) ->
+      let seen = Hashtbl.create 16 in
+      let simple =
+        List.filter
+          (fun (u, v) ->
+            let key = (min u v, max u v) in
+            let keep =
+              u <> v && u >= 0 && v >= 0 && u < n && v < n
+              && not (Hashtbl.mem seen key)
+            in
+            if keep then Hashtbl.replace seen key ();
+            keep)
+          raw
+      in
+      of_edges_agrees ~n raw && of_edges_agrees ~n simple)
+
 let test_graph_path () =
   let g = Graph.path 5 in
   checki "edges" 4 (Graph.num_edges g);
@@ -344,6 +471,11 @@ let () =
             test_graph_rejects_out_of_range;
           Alcotest.test_case "neighbors sorted" `Quick test_graph_neighbors_sorted;
           Alcotest.test_case "edges canonical" `Quick test_graph_edges_canonical;
+          Alcotest.test_case "of_edges = reference" `Quick
+            test_graph_of_edges_matches_reference;
+          Alcotest.test_case "rejections keep messages" `Quick
+            test_graph_rejections_keep_messages;
+          qc of_edges_reference_property;
           Alcotest.test_case "path" `Quick test_graph_path;
           Alcotest.test_case "cycle" `Quick test_graph_cycle;
           Alcotest.test_case "cycle too small" `Quick test_graph_cycle_small_rejected;

@@ -273,6 +273,66 @@ let test_cache_key_discriminates () =
      not identity). *)
   checkb "fresh equal key hits" true (Plan_cache.find cache (key_for 0) <> None)
 
+(* Keys are equal exactly when rows, cols, permutation, engine and
+   configuration all are.  The same 32-entry arrays are shared by four
+   shapes (4x8 and 8x4 among them), and the variants of a permutation
+   include ones a single transposition away. *)
+let key_equality_property =
+  let shapes = [| (4, 8); (8, 4); (2, 16); (32, 1) |] in
+  let engines = [| "local"; "local1"; "best"; "naive" |] in
+  let configs =
+    [|
+      Router_config.default;
+      Router_config.of_string_exn "transpose=off";
+      Router_config.of_string_exn "seed=1";
+    |]
+  in
+  let base = Qr_util.Rng.permutation (Qr_util.Rng.create 7) 32 in
+  let perm (k, i, j) =
+    let p = Array.copy base in
+    if k > 0 then begin
+      (* k = 1: one transposition of [base]; k = 2: two disjoint ones. *)
+      let t = p.(i) in
+      p.(i) <- p.(j);
+      p.(j) <- t;
+      if k > 1 then begin
+        let a = (i + 1) mod 32 and b = (j + 2) mod 32 in
+        let t = p.(a) in
+        p.(a) <- p.(b);
+        p.(b) <- t
+      end
+    end;
+    p
+  in
+  let side =
+    QCheck.(
+      quad (int_bound 3) (triple (int_bound 2) (int_bound 31) (int_bound 31))
+        (int_bound 3) (int_bound 2))
+  in
+  QCheck.Test.make ~name:"key equal iff all parts equal" ~count:2000
+    (QCheck.pair side side)
+    (fun ((s1, p1, e1, c1), (s2, p2, e2, c2)) ->
+      let key s p e c =
+        let rows, cols = shapes.(s) in
+        Plan_cache.key ~grid:(Grid.make ~rows ~cols) ~pi:(perm p)
+          ~engine:engines.(e) ~config:configs.(c)
+      in
+      key s1 p1 e1 c1 = key s2 p2 e2 c2
+      = (s1 = s2 && perm p1 = perm p2 && e1 = e2 && c1 = c2))
+
+let test_cache_key_shape_and_transposition () =
+  let pi = Qr_util.Rng.permutation (Qr_util.Rng.create 3) 32 in
+  let key rows cols pi =
+    Plan_cache.key ~grid:(Grid.make ~rows ~cols) ~pi ~engine:"local"
+      ~config:Router_config.default
+  in
+  checkb "4x8 <> 8x4 for one array" true (key 4 8 pi <> key 8 4 pi);
+  checkb "same shape, same array" true (key 4 8 pi = key 4 8 (Array.copy pi));
+  let swapped = Array.copy pi in
+  swapped.(0) <- pi.(31);
+  swapped.(31) <- pi.(0);
+  checkb "one transposition apart" true (key 4 8 pi <> key 4 8 swapped)
+
 let test_cache_zero_capacity () =
   let cache = Plan_cache.create ~capacity:0 () in
   let k = key_for 0 in
@@ -781,6 +841,9 @@ let () =
           Alcotest.test_case "lru eviction" `Quick test_cache_lru_eviction;
           Alcotest.test_case "key discriminates" `Quick
             test_cache_key_discriminates;
+          Alcotest.test_case "key shape and transposition" `Quick
+            test_cache_key_shape_and_transposition;
+          QCheck_alcotest.to_alcotest key_equality_property;
           Alcotest.test_case "zero capacity" `Quick test_cache_zero_capacity;
           Alcotest.test_case "clear keeps counters" `Quick
             test_cache_clear_keeps_counters;
