@@ -13,6 +13,7 @@ let build_edges rows cols =
 
 let make ~rows ~cols =
   if rows <= 0 || cols <= 0 then invalid_arg "Grid.make: dimensions must be positive";
+  if rows > max_int / cols then invalid_arg "Grid.make: too many vertices";
   { rows; cols; graph = Graph.of_edges ~n:(rows * cols) (build_edges rows cols) }
 
 let rows t = t.rows

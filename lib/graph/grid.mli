@@ -11,7 +11,7 @@ type t
 
 val make : rows:int -> cols:int -> t
 (** Build the grid.  @raise Invalid_argument unless both dimensions are
-    positive. *)
+    positive and [rows * cols] fits in an [int]. *)
 
 val rows : t -> int
 

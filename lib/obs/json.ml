@@ -157,14 +157,39 @@ let of_string_exn' s =
                   with _ -> fail "bad \\u escape"
                 in
                 pos := !pos + 4;
-                (* UTF-8 encode; lone surrogates pass through naively. *)
+                (* A high surrogate followed by an escaped low surrogate is
+                   one code point past U+FFFF.  Lone surrogates pass
+                   through naively as their 3-byte encoding. *)
+                let code =
+                  if
+                    code land 0xFC00 = 0xD800
+                    && !pos + 6 < n
+                    && s.[!pos + 1] = '\\'
+                    && s.[!pos + 2] = 'u'
+                  then
+                    match int_of_string_opt ("0x" ^ String.sub s (!pos + 3) 4) with
+                    | Some low when low land 0xFC00 = 0xDC00 ->
+                        pos := !pos + 6;
+                        0x10000 + ((code - 0xD800) lsl 10) + (low - 0xDC00)
+                    | _ -> code
+                  else code
+                in
+                (* UTF-8 encode. *)
                 if code < 0x80 then Buffer.add_char buf (Char.chr code)
                 else if code < 0x800 then begin
                   Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
                   Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
                 end
-                else begin
+                else if code < 0x10000 then begin
                   Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
+                  Buffer.add_char buf
+                    (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
+                  Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+                end
+                else begin
+                  Buffer.add_char buf (Char.chr (0xF0 lor (code lsr 18)));
+                  Buffer.add_char buf
+                    (Char.chr (0x80 lor ((code lsr 12) land 0x3F)));
                   Buffer.add_char buf
                     (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
                   Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))

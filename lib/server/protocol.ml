@@ -214,14 +214,25 @@ let grid_to_json grid =
   Json.Obj
     [ ("rows", Json.Int (Grid.rows grid)); ("cols", Json.Int (Grid.cols grid)) ]
 
-let grid_of_json json =
+(* The size check reads two numbers, where [Grid.make] would build the
+   whole coupling graph first; [rows > n / cols] is [rows * cols > n]
+   without forming a product that may overflow. *)
+let grid_of_json ?vertices json =
   match
     ( Option.bind (Json.member "rows" json) Json.get_int,
       Option.bind (Json.member "cols" json) Json.get_int )
   with
-  | Some rows, Some cols ->
-      if rows >= 1 && cols >= 1 then Ok (Grid.make ~rows ~cols)
-      else Error "grid: rows and cols must be >= 1"
+  | Some rows, Some cols -> (
+      if rows < 1 || cols < 1 then Error "grid: rows and cols must be >= 1"
+      else
+        match vertices with
+        | Some n when rows > n / cols || rows * cols <> n ->
+            Error
+              (Printf.sprintf "grid: %dx%d does not have %d vertices" rows cols
+                 n)
+        | None when rows > max_int / cols ->
+            Error (Printf.sprintf "grid: %dx%d has too many vertices" rows cols)
+        | _ -> Ok (Grid.make ~rows ~cols))
   | _ -> Error "grid: expected {\"rows\": m, \"cols\": n}"
 
 let perm_to_json pi =

@@ -121,7 +121,12 @@ val response_server_ms : Json.t -> float option
 val grid_to_json : Qr_graph.Grid.t -> Json.t
 (** [{"rows": m, "cols": n}]. *)
 
-val grid_of_json : Json.t -> (Qr_graph.Grid.t, string) result
+val grid_of_json :
+  ?vertices:int -> Json.t -> (Qr_graph.Grid.t, string) result
+(** With [vertices], [rows × cols] must equal it.  That is checked on the
+    two numbers, overflow-safe, before the coupling graph is built, so an
+    oversized grid costs nothing to reject.  Without it, only a grid
+    whose vertex count overflows an [int] is rejected. *)
 
 val perm_to_json : Qr_perm.Perm.t -> Json.t
 (** The destination array as a JSON list. *)

@@ -153,10 +153,18 @@ let consecutive_errors t = t.consecutive_errors
 
 let ( let* ) = Result.bind
 
-let parse_grid params =
+(* [vertices] is how many vertices the request routes over: the perm's
+   length or the circuit's qubit count.  [Protocol.grid_of_json] compares
+   it with rows × cols before building the coupling graph, so a grid too
+   large for the request is rejected without being built. *)
+let parse_grid ~vertices params =
   match Json.member "grid" params with
   | None -> Error "missing grid"
-  | Some g -> P.grid_of_json g
+  | Some g -> P.grid_of_json ~vertices g
+
+let perm_length = function
+  | Json.List items -> Ok (List.length items)
+  | _ -> Error "perm: expected a list of integers"
 
 let parse_engine params =
   match Json.member "engine" params with
@@ -246,12 +254,14 @@ let routed t grid pi engine config =
           compute ())
 
 let do_route t deadline params =
-  let* grid = parse_grid params in
-  let* pi =
+  let* perm =
     match Json.member "perm" params with
     | None -> Error "missing perm"
-    | Some j -> P.perm_of_json ~expect_size:(Grid.size grid) j
+    | Some j -> Ok j
   in
+  let* vertices = perm_length perm in
+  let* grid = parse_grid ~vertices params in
+  let* pi = P.perm_of_json ~expect_size:(Grid.size grid) perm in
   let* engine = parse_engine params in
   let* config = parse_config params in
   Deadline.check deadline;
@@ -267,13 +277,16 @@ let do_route t deadline params =
        ])
 
 let do_route_batch t deadline params =
-  let* grid = parse_grid params in
   let* perm_jsons =
     match Json.member "perms" params with
+    | Some (Json.List []) -> Error "perms: expected at least one permutation"
     | Some (Json.List items) -> Ok items
     | Some _ -> Error "perms: expected a list of permutations"
     | None -> Error "missing perms"
   in
+  (* The first perm sizes the grid; [perm_of_json] checks the rest. *)
+  let* vertices = perm_length (List.hd perm_jsons) in
+  let* grid = parse_grid ~vertices params in
   let* engine = parse_engine params in
   let* config = parse_config params in
   let n = Grid.size grid in
@@ -357,21 +370,13 @@ let do_route_batch t deadline params =
 (* Transpilation manages its own per-run workspace inside
    [Transpile.run_grid]; the session's is not threaded through. *)
 let do_transpile t deadline params =
-  let* grid = parse_grid params in
   let* logical =
     match Json.member "circuit" params with
     | Some (Json.String text) -> Qasm.parse text
     | Some _ -> Error "circuit: expected the circuit text as a string"
     | None -> Error "missing circuit"
   in
-  let* () =
-    let q = Circuit.num_qubits logical and n = Grid.size grid in
-    if q = n then Ok ()
-    else
-      Error
-        (Printf.sprintf "circuit has %d qubits but the grid has %d vertices" q
-           n)
-  in
+  let* grid = parse_grid ~vertices:(Circuit.num_qubits logical) params in
   let* engine = parse_engine params in
   let* config = parse_config params in
   Deadline.check deadline;

@@ -133,12 +133,27 @@ let test_json_unicode_escapes () =
      3-byte encoding of the code point (documented parser behavior). *)
   checks "lone high surrogate" "\xed\xa0\x80" (parsed {|"\ud800"|});
   checks "lone low surrogate" "\xed\xbf\xbf" (parsed {|"\udfff"|});
+  (* An escaped surrogate pair is one code point, encoded in 4 bytes. *)
+  checks "U+1F600" "\xf0\x9f\x98\x80" (parsed {|"\ud83d\ude00"|});
+  checks "U+10000" "\xf0\x90\x80\x80" (parsed {|"\ud800\udc00"|});
+  checks "U+10FFFF" "\xf4\x8f\xbf\xbf" (parsed {|"\udbff\udfff"|});
+  checks "pair between text" "a\xf0\x9f\x98\x80b"
+    (parsed {|"a\ud83d\ude00b"|});
+  checks "high then A" "\xed\xa0\xbdA" (parsed {|"\ud83dA"|});
+  checks "high then escaped A" "\xed\xa0\xbdA" (parsed {|"\ud83d\u0041"|});
+  checks "high then high" "\xed\xa0\xbd\xed\xa0\xbd"
+    (parsed {|"\ud83d\ud83d"|});
+  checks "low then high" "\xed\xb8\x80\xed\xa0\xbd"
+    (parsed {|"\ude00\ud83d"|});
+  checks "high at the end" "\xed\xa0\xbd" (parsed {|"\ud83d"|});
   let is_error s =
     match Json.of_string s with Error _ -> true | Ok _ -> false
   in
   checkb "truncated \\u" true (is_error {|"\u00|});
   checkb "short \\u" true (is_error {|"\u12"|});
-  checkb "non-hex \\u" true (is_error {|"\uzzzz"|})
+  checkb "non-hex \\u" true (is_error {|"\uzzzz"|});
+  checkb "high then non-hex \\u" true (is_error {|"\ud83d\uzzzz"|});
+  checkb "high then truncated \\u" true (is_error {|"\ud83d\ude0"|})
 
 let test_json_error_offsets () =
   (* Error messages carry the byte offset of the failure — the server

@@ -145,7 +145,20 @@ let test_grid_codec () =
   let bad text = Result.is_error (P.grid_of_json (Json.of_string_exn text)) in
   checkb "missing cols" true (bad {|{"rows": 3}|});
   checkb "zero rows" true (bad {|{"rows": 0, "cols": 5}|});
-  checkb "non-object" true (bad "[3,5]")
+  checkb "non-object" true (bad "[3,5]");
+  (* With [vertices], rows x cols must match, overflow included. *)
+  let sized vertices text =
+    P.grid_of_json ~vertices (Json.of_string_exn text)
+  in
+  checkb "matching size" true (Result.is_ok (sized 15 {|{"rows": 3, "cols": 5}|}));
+  checkb "size mismatch" true
+    (sized 4 {|{"rows": 3, "cols": 5}|}
+    = Error "grid: 3x5 does not have 4 vertices");
+  checkb "wrapping product" true
+    (Result.is_error
+       (sized 0 {|{"rows": 4294967296, "cols": 4294967296}|}));
+  checkb "overflow without vertices" true
+    (bad {|{"rows": 4294967296, "cols": 4294967296}|})
 
 let test_perm_codec () =
   let pi = Perm.check [| 2; 0; 1 |] in
@@ -456,6 +469,52 @@ let test_session_error_envelopes () =
   let response = Session.handle_line session {|{"id": "abc"}|} in
   checkb "id recovered" true
     (Json.member "id" (Json.of_string_exn response) = Some (Json.String "abc"))
+
+(* A grid whose size does not match the request is rejected before its
+   coupling graph is built: 1500x1500 would be 2.25M vertices and ~27M
+   words of edge lists, and 2^32 x 2^32 wraps rows * cols to 0. *)
+let test_session_oversized_grid () =
+  let session = Session.create () in
+  let rejected line =
+    let before = Gc.minor_words () in
+    let code = error_code_of (Session.handle_line session line) in
+    let words = Gc.minor_words () -. before in
+    checkb (line ^ " is invalid_params") true (code = Some P.Invalid_params);
+    checkb
+      (Printf.sprintf "%.0f minor words: grid not built" words)
+      true (words < 100_000.)
+  in
+  rejected
+    {|{"id":1,"method":"route","params":{"grid":{"rows":1500,"cols":1500},"perm":[1,0,2,3]}}|};
+  rejected
+    {|{"id":2,"method":"route","params":{"grid":{"rows":4294967296,"cols":4294967296},"perm":[1,0,2,3]}}|};
+  rejected
+    {|{"id":3,"method":"route_batch","params":{"grid":{"rows":1500,"cols":1500},"perms":[[1,0,2,3]]}}|};
+  rejected
+    {|{"id":4,"method":"route_batch","params":{"grid":{"rows":1500,"cols":1500},"perms":[]}}|};
+  rejected
+    {|{"id":5,"method":"transpile","params":{"grid":{"rows":4294967296,"cols":4294967296},"circuit":"qubits 4\ncx 0 1\n"}}|};
+  rejected
+    {|{"id":6,"method":"transpile","params":{"grid":{"rows":1500,"cols":1500},"circuit":"qubits 4\ncx 0 1\n"}}|};
+  (* A later perm of the wrong length is still caught per perm. *)
+  checkb "second perm checked" true
+    (error_code_of
+       (Session.handle_line session
+          {|{"id":7,"method":"route_batch","params":{"grid":{"rows":2,"cols":2},"perms":[[1,0,2,3],[1,0]]}}|})
+    = Some P.Invalid_params)
+
+(* A string id with an escaped surrogate pair comes back as valid UTF-8,
+   the 4-byte encoding of U+1F600. *)
+let test_session_echoes_astral_id () =
+  let session = Session.create () in
+  let response =
+    Session.handle_line session {|{"id":"\ud83d\ude00","method":"engines"}|}
+  in
+  checkb "id is U+1F600 in UTF-8" true
+    (Json.member "id" (Json.of_string_exn response)
+    = Some (Json.String "\xf0\x9f\x98\x80"));
+  checkb "raw bytes on the wire" true
+    (String.starts_with ~prefix:"{\"id\":\"\xf0\x9f\x98\x80\"" response)
 
 let test_session_route_batch () =
   let config = { Session.default_config with Session.max_batch = 2 } in
@@ -864,6 +923,10 @@ let () =
           Alcotest.test_case "error envelopes" `Quick
             test_session_error_envelopes;
           Alcotest.test_case "route_batch" `Quick test_session_route_batch;
+          Alcotest.test_case "oversized grid" `Quick
+            test_session_oversized_grid;
+          Alcotest.test_case "astral-plane id" `Quick
+            test_session_echoes_astral_id;
           Alcotest.test_case "transpile" `Quick test_session_transpile;
           Alcotest.test_case "engines/health/metrics" `Quick
             test_session_introspection_methods;
