@@ -13,8 +13,8 @@ type key = string
 (* Fixed-width fields first (rows, cols, the engine name's length, the
    permutation's digest), then the engine name and the config text, so
    two keys are equal exactly when all five parts are.  The permutation
-   is digested as 8 little-endian bytes per entry: rendering it as text
-   cost one [string_of_int] per entry on every request. *)
+   is digested as 8 little-endian bytes per entry, not as text, which
+   would cost one [string_of_int] per entry on every request. *)
 let key ~grid ~pi ~engine ~config =
   let n = Array.length pi in
   let perm = Bytes.create (8 * n) in

@@ -3,9 +3,12 @@
     Routing is deterministic — the schedule for a [(grid, permutation,
     engine, configuration)] quadruple never changes — so a long-lived
     service can answer repeated requests without replanning.  Keys
-    canonicalize the quadruple as grid dimensions, an MD5 digest of the
-    permutation's destination array, the engine's registry name and the
-    configuration's canonical text form; cached schedules are returned
+    canonicalize the quadruple as the grid dimensions, an MD5 digest of
+    the permutation's destination array in a fixed-width binary encoding
+    (8 little-endian bytes per entry), the engine's registry name and the
+    configuration's canonical text form.  The fixed-width fields come
+    first and the engine name is length-prefixed, so two keys are equal
+    exactly when all of their parts are.  Cached schedules are returned
     as-is, so a hit is byte-identical to the original response.
 
     Hits, misses and evictions are counted both per cache (the accessors
