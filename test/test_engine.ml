@@ -586,8 +586,7 @@ let test_golden_digests () =
         digest_shapes digests)
     golden_digests
 
-(* (engine, configuration, one wire digest per shape of [digest_shapes]),
-   in the order of [golden_digests]. *)
+(* (engine, configuration, one wire digest per shape of [digest_shapes]). *)
 let golden_wire_digests =
   [
     ( "local", "",

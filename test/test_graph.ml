@@ -45,10 +45,9 @@ let test_graph_edges_canonical () =
     Alcotest.(list (pair int int))
     "u < v, lexicographic" [ (0, 1); (2, 3) ] (Graph.edges g)
 
-(* The sort-based construction [Graph.of_edges] used before it placed
-   rows twice (one [Array.sort compare] per row): kept as the reference
-   the linear-time builder must match, rejections and messages
-   included. *)
+(* Reference CSR rows by the sort-based construction (one
+   [Array.sort compare] per row).  The linear-time [Graph.of_edges] must
+   match it, rejections and their messages included. *)
 let reference_rows ~n edge_list =
   if n < 0 then invalid_arg "Graph.of_edges: negative vertex count";
   let check (u, v) =
@@ -92,46 +91,30 @@ let grid_edges rows cols =
                 @ if r + 1 < rows then [ (v, v + cols) ] else []))))
 
 let test_graph_of_edges_matches_reference () =
-  let agrees name n edges = checkb name true (of_edges_agrees ~n edges) in
+  let same name g n edges =
+    checkb name true
+      (Array.init (Graph.num_vertices g) (Graph.neighbors g)
+      = reference_rows ~n edges)
+  in
   List.iter
     (fun (rows, cols) ->
-      let edges = grid_edges rows cols in
-      agrees (Printf.sprintf "grid %dx%d" rows cols) (rows * cols) edges;
-      agrees
-        (Printf.sprintf "grid %dx%d reversed" rows cols)
-        (rows * cols) (List.rev edges))
+      let n = rows * cols and edges = grid_edges rows cols in
+      let name = Printf.sprintf "grid %dx%d" rows cols in
+      same name (Grid.graph (Grid.make ~rows ~cols)) n edges;
+      checkb (name ^ " reversed") true (of_edges_agrees ~n (List.rev edges)))
     [ (1, 1); (1, 7); (7, 1); (2, 2); (5, 9); (16, 16); (32, 32) ];
-  let range n = List.init n Fun.id in
   List.iter
     (fun n ->
-      let path = List.map (fun i -> (i, i + 1)) (range (n - 1)) in
-      agrees (Printf.sprintf "path %d" n) n path;
-      if n >= 3 then agrees (Printf.sprintf "cycle %d" n) n ((0, n - 1) :: path);
-      agrees
-        (Printf.sprintf "star %d" n)
-        n
-        (List.map (fun i -> (0, i + 1)) (range (n - 1)));
-      agrees
-        (Printf.sprintf "complete %d" n)
-        n
-        (List.concat_map
-           (fun u -> List.map (fun v -> (v, u)) (range u))
-           (range n)))
-    [ 1; 2; 3; 10; 61 ];
-  (* The named constructors build the same rows as the reference. *)
-  let rows g = Array.init (Graph.num_vertices g) (Graph.neighbors g) in
-  checkb "Graph.complete 40" true
-    (rows (Graph.complete 40)
-    = reference_rows ~n:40
-        (List.concat_map
-           (fun u -> List.map (fun v -> (u, v)) (List.init (39 - u) (fun k -> u + k + 1)))
-           (range 40)));
-  checkb "Graph.star 500" true
-    (rows (Graph.star 500)
-    = reference_rows ~n:500 (List.map (fun i -> (0, i + 1)) (range 499)));
-  checkb "Graph.cycle 9" true
-    (rows (Graph.cycle 9)
-    = reference_rows ~n:9 ((0, 8) :: List.map (fun i -> (i, i + 1)) (range 8)))
+      let range = List.init n Fun.id in
+      let path = List.init (n - 1) (fun i -> (i, i + 1)) in
+      same (Printf.sprintf "path %d" n) (Graph.path n) n path;
+      if n >= 3 then
+        same (Printf.sprintf "cycle %d" n) (Graph.cycle n) n ((0, n - 1) :: path);
+      same (Printf.sprintf "star %d" n) (Graph.star n) n
+        (List.init (n - 1) (fun i -> (0, i + 1)));
+      same (Printf.sprintf "complete %d" n) (Graph.complete n) n
+        (List.concat_map (fun u -> List.map (fun v -> (v, u)) (List.init u Fun.id)) range))
+    [ 1; 2; 3; 10; 61; 500 ]
 
 let test_graph_rejections_keep_messages () =
   let rejects name message n edges =

@@ -284,7 +284,19 @@ let test_cache_key_discriminates () =
     = None);
   (* Same quadruple built from fresh values still hits (keys are by value,
      not identity). *)
-  checkb "fresh equal key hits" true (Plan_cache.find cache (key_for 0) <> None)
+  checkb "fresh equal key hits" true (Plan_cache.find cache (key_for 0) <> None);
+  (* One array under 4x8 and under 8x4, and two arrays one transposition
+     apart, give distinct keys. *)
+  let pi = Qr_util.Rng.permutation (Qr_util.Rng.create 3) 32 in
+  let key rows cols pi =
+    Plan_cache.key ~grid:(Grid.make ~rows ~cols) ~pi ~engine:"local"
+      ~config:Router_config.default
+  in
+  checkb "4x8 and 8x4" true (key 4 8 pi <> key 8 4 pi);
+  let swapped = Array.copy pi in
+  swapped.(0) <- pi.(31);
+  swapped.(31) <- pi.(0);
+  checkb "one transposition apart" true (key 4 8 pi <> key 4 8 swapped)
 
 (* Keys are equal exactly when rows, cols, permutation, engine and
    configuration all are.  The same 32-entry arrays are shared by four
@@ -332,19 +344,6 @@ let key_equality_property =
       in
       key s1 p1 e1 c1 = key s2 p2 e2 c2
       = (s1 = s2 && perm p1 = perm p2 && e1 = e2 && c1 = c2))
-
-let test_cache_key_shape_and_transposition () =
-  let pi = Qr_util.Rng.permutation (Qr_util.Rng.create 3) 32 in
-  let key rows cols pi =
-    Plan_cache.key ~grid:(Grid.make ~rows ~cols) ~pi ~engine:"local"
-      ~config:Router_config.default
-  in
-  checkb "4x8 <> 8x4 for one array" true (key 4 8 pi <> key 8 4 pi);
-  checkb "same shape, same array" true (key 4 8 pi = key 4 8 (Array.copy pi));
-  let swapped = Array.copy pi in
-  swapped.(0) <- pi.(31);
-  swapped.(31) <- pi.(0);
-  checkb "one transposition apart" true (key 4 8 pi <> key 4 8 swapped)
 
 let test_cache_zero_capacity () =
   let cache = Plan_cache.create ~capacity:0 () in
@@ -900,8 +899,6 @@ let () =
           Alcotest.test_case "lru eviction" `Quick test_cache_lru_eviction;
           Alcotest.test_case "key discriminates" `Quick
             test_cache_key_discriminates;
-          Alcotest.test_case "key shape and transposition" `Quick
-            test_cache_key_shape_and_transposition;
           QCheck_alcotest.to_alcotest key_equality_property;
           Alcotest.test_case "zero capacity" `Quick test_cache_zero_capacity;
           Alcotest.test_case "clear keeps counters" `Quick
