@@ -275,7 +275,11 @@ let test_grid_degenerate () =
 let test_grid_rejects_empty () =
   Alcotest.check_raises "zero rows"
     (Invalid_argument "Grid.make: dimensions must be positive") (fun () ->
-      ignore (Grid.make ~rows:0 ~cols:3))
+      ignore (Grid.make ~rows:0 ~cols:3));
+  (* 2^32 x 2^32 wraps rows * cols to 0 in a 63-bit int. *)
+  Alcotest.check_raises "overflowing product"
+    (Invalid_argument "Grid.make: too many vertices") (fun () ->
+      ignore (Grid.make ~rows:(1 lsl 32) ~cols:(1 lsl 32)))
 
 (* -------------------------------------------------------------- Product *)
 
