@@ -154,9 +154,8 @@ let consecutive_errors t = t.consecutive_errors
 let ( let* ) = Result.bind
 
 (* [vertices] is how many vertices the request routes over: the perm's
-   length or the circuit's qubit count.  [Protocol.grid_of_json] compares
-   it with rows × cols before building the coupling graph, so a grid too
-   large for the request is rejected without being built. *)
+   length or the circuit's qubit count.  The grid is built only when it
+   has exactly that many (DESIGN.md §14, "Input hardening"). *)
 let parse_grid ~vertices params =
   match Json.member "grid" params with
   | None -> Error "missing grid"
