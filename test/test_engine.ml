@@ -712,6 +712,44 @@ let test_golden_wire_digests () =
         digest_shapes digests)
     golden_wire_digests
 
+(* The token-swapping engines, pinned the same way on the small shapes of
+   [digest_shapes] only: one 32x32 ATS route takes seconds.  (engine, one
+   (schedule, wire) digest pair per shape of [ats_digest_shapes]). *)
+let ats_digest_shapes = [ (8, 8); (5, 9); (12, 7); (1, 6); (6, 1); (2, 2) ]
+
+let golden_ats_digests =
+  [
+    ( "ats",
+      [
+        ("8d6e1f0cb9dd1f8d505216b4e5a5631e", "c9788be1c1b1a04170978464a5b7de35");
+        ("b10c3ada2f7b411c781a58ff68809bac", "570837c8fb00b2641f5bc65fc2db0f3a");
+        ("02e661111d2b67bac152ffe2de0c769d", "6c188d49f0f615329236c1a7397fbd9b");
+        ("41e0376c0281594a2fae6384782f23da", "a57e60d9ea87a9cd76894bbacda85515");
+        ("6c621de5ce84f7fe6fee6379be052764", "d63f5dd8690216a2468dcc424e06bbf5");
+        ("7810292471815f502a2423186e0104ff", "354d8211a3403ee0fc1415f21ab1bc16");
+      ] );
+    ( "ats-serial",
+      [
+        ("7361b6d9b2be3e0f7a4bb878d99d0413", "ef493d06b40726e25b0cab3ee04ee088");
+        ("74a6d3b36e063e7bde4c4f53c7713a3e", "5c6b85bce08aa47fc79972a8c98fdb09");
+        ("dc1540f48cee5164aa637a6842e3f94a", "d8b5fe5382561142cf7aa3d243fddfa3");
+        ("4af024eb7a69a555807989a1ec0e8fb3", "18374eb98b637455cc136e82e7a96cb0");
+        ("f4951cd6b178758fefb0f9373aa4b175", "058fdd11108349196d876c2fe3fd2776");
+        ("64e61692b9193be648198787578e0f2f", "346a5925114296a6151f7077bfdd28aa");
+      ] );
+  ]
+
+let test_golden_ats_digests () =
+  List.iter
+    (fun (name, digests) ->
+      List.iter2
+        (fun ((rows, cols) as shape) (want_sched, want_wire) ->
+          let sched, wire = corpus_digests name "" shape in
+          checks (Printf.sprintf "%s %dx%d" name rows cols) want_sched sched;
+          checks (Printf.sprintf "%s %dx%d wire" name rows cols) want_wire wire)
+        ats_digest_shapes digests)
+    golden_ats_digests
+
 (* The allocation-lean kernel's budget: one route of a fixed 32x32 random
    permutation.  Minor words are deterministic per input.  Before the
    kernel worked on flat int arrays this input allocated 1_939_105 minor
@@ -821,6 +859,8 @@ let () =
             test_golden_digests;
           Alcotest.test_case "wire-bytes digests" `Quick
             test_golden_wire_digests;
+          Alcotest.test_case "ats whole-schedule and wire digests" `Quick
+            test_golden_ats_digests;
           Alcotest.test_case "kernel minor words" `Quick test_kernel_minor_words;
         ] );
       ( "transpile",
