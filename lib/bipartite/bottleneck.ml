@@ -66,8 +66,8 @@ let solve ~nl ~nr edge_list =
 
 (* The complete graph's MCBBM on the dense matrix.  Every threshold probe
    lists the kept edges row by row, columns ascending, which is the order
-   of the equivalent complete edge list, so Hopcroft–Karp picks the same
-   matching as [solve] on that list. *)
+   of the equivalent complete edge list, and solves cold, so Hopcroft–Karp
+   picks the same matching as [solve] on that list. *)
 let solve_complete ~weights =
   let nl = Array.length weights in
   let nr = if nl = 0 then 0 else Array.length weights.(0) in
@@ -81,22 +81,9 @@ let solve_complete ~weights =
   let target = min nl nr in
   if target = 0 then { bottleneck = min_int; pairs = []; left_match = Array.make nl (-1) }
   else begin
-    let ne = nl * nr in
-    let distinct = Array.make ne 0 in
-    for l = 0 to nl - 1 do
-      Array.blit weights.(l) 0 distinct (l * nr) nr
-    done;
-    Array.sort Int.compare distinct;
-    let count = ref 1 in
-    for k = 1 to ne - 1 do
-      if distinct.(k) <> distinct.(!count - 1) then begin
-        distinct.(!count) <- distinct.(k);
-        incr count
-      end
-    done;
     (* Below the largest per-vertex minimum weight, some vertex that every
        maximum matching saturates is isolated: no threshold under it is
-       feasible, so the search starts there. *)
+       feasible. *)
     let floor = ref min_int in
     if nl <= nr then
       Array.iter (fun row -> floor := max !floor (Array.fold_left min max_int row)) weights;
@@ -108,10 +95,12 @@ let solve_complete ~weights =
         done;
         floor := max !floor !least
       done;
+    let ne = nl * nr in
     let hk = Hopcroft_karp.workspace () in
     let src = Array.make ne 0 and dst = Array.make ne 0 in
     let left = Array.make nl (-1) and right = Array.make nr (-1) in
     let matching_at threshold =
+      Metrics.incr c_probes;
       let kept = ref 0 in
       for l = 0 to nl - 1 do
         let row = weights.(l) in
@@ -126,19 +115,33 @@ let solve_complete ~weights =
       Hopcroft_karp.max_matching hk ~nl ~nr ~ne:!kept ~src ~dst ~left_match:left
         ~right_match:right
     in
-    (* Smallest threshold index whose filtered graph still reaches the
-       maximum cardinality. *)
-    let lo = ref 0 and hi = ref (!count - 1) in
-    while distinct.(!lo) < !floor do
-      incr lo
-    done;
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      Metrics.incr c_probes;
-      if matching_at distinct.(mid) >= target then hi := mid else lo := mid + 1
-    done;
-    let size = matching_at distinct.(!lo) in
-    assert (size = target);
+    (* The floor is the answer whenever it is feasible.  Otherwise
+       binary-search the distinct weights above it for the smallest
+       feasible threshold (the largest weight always is) and solve there. *)
+    if matching_at !floor < target then begin
+      let distinct = Array.make ne 0 in
+      for l = 0 to nl - 1 do
+        Array.blit weights.(l) 0 distinct (l * nr) nr
+      done;
+      Array.sort Int.compare distinct;
+      let count = ref 1 in
+      for k = 1 to ne - 1 do
+        if distinct.(k) <> distinct.(!count - 1) then begin
+          distinct.(!count) <- distinct.(k);
+          incr count
+        end
+      done;
+      let lo = ref 0 and hi = ref (!count - 1) in
+      while distinct.(!lo) <= !floor do
+        incr lo
+      done;
+      while !lo < !hi do
+        let mid = (!lo + !hi) / 2 in
+        if matching_at distinct.(mid) >= target then hi := mid else lo := mid + 1
+      done;
+      let size = matching_at distinct.(!lo) in
+      assert (size = target)
+    end;
     let left_match = Array.make nl (-1) in
     let pairs = ref [] in
     let bottleneck = ref min_int in

@@ -5,10 +5,12 @@
     on the complete graph [H(P, [m])] (matchings × rows, weighted by the
     locality metric Δ) to assign each discovered perfect matching to a row.
 
-    Implementation: binary search over the sorted distinct weights, testing
-    each threshold with Hopcroft–Karp — the textbook method; the
-    Punnen–Nair [16] bound is an optimization of the same scheme (DESIGN.md
-    §4). *)
+    Implementation: the textbook threshold method — the smallest weight
+    threshold whose kept edges still admit a maximum-cardinality matching,
+    each threshold tested with Hopcroft–Karp.  {!solve} binary-searches the
+    sorted distinct weights; {!solve_complete} first solves at a lower
+    bound that is usually the answer.  The Punnen–Nair [16] bound is an
+    optimization of the same scheme (DESIGN.md §4). *)
 
 type edge = { l : int; r : int; weight : int }
 
@@ -27,9 +29,15 @@ val solve : nl:int -> nr:int -> edge list -> solution
 val solve_complete : weights:int array array -> solution
 (** The complete-bipartite case: [weights.(l).(r)] gives every edge; sides
     sized by the matrix.  Requires a rectangular matrix.  Probes thresholds
-    on the matrix itself, starting from the largest per-vertex minimum
-    weight, and returns exactly what {!solve} returns on the equivalent
-    edge list (rows ascending, columns ascending within a row). *)
+    on the matrix itself.  The first probe is the floor, the largest
+    per-vertex minimum weight on the smaller side, below which no threshold
+    is feasible; when that matching saturates the smaller side it is the
+    result, after one Hopcroft–Karp solve.  Otherwise the distinct weights
+    above the floor are binary-searched and the smallest feasible one is
+    solved again.  Every probe is a cold solve over the kept edges in the
+    equivalent edge list's order (rows ascending, columns ascending within
+    a row), so the result is exactly what {!solve} returns on that list.
+    Each probe counts once in the [bottleneck_thresholds_probed] metric. *)
 
 val brute_force : nl:int -> nr:int -> edge list -> int
 (** Exhaustive bottleneck value over all maximum matchings — exponential;

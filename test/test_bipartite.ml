@@ -243,6 +243,44 @@ let test_bottleneck_complete_matrix () =
   let s = Bottleneck.solve_complete ~weights in
   checki "anti-diagonal" 1 s.bottleneck
 
+(* Threshold probes in one [solve_complete], read from the Metrics
+   counter, which is on only for the call. *)
+let probes_of weights =
+  Qr_obs.Metrics.reset ();
+  Qr_obs.Metrics.enable ();
+  Fun.protect ~finally:Qr_obs.Metrics.disable @@ fun () ->
+  let s = Bottleneck.solve_complete ~weights in
+  let probes =
+    match Qr_obs.Metrics.find_counter "bottleneck_thresholds_probed" with
+    | Some c -> Qr_obs.Metrics.value c
+    | None -> Alcotest.fail "bottleneck_thresholds_probed not registered"
+  in
+  (s, probes)
+
+(* Every row and column minimum is 1, so the floor is 1, but rows 0 and 1
+   both have their only weight-1 edge in column 0: the search has to go
+   above the floor, to 9. *)
+let infeasible_floor = [| [| 1; 9; 9 |]; [| 1; 9; 9 |]; [| 9; 1; 1 |] |]
+
+let test_bottleneck_infeasible_floor () =
+  let s, probes = probes_of infeasible_floor in
+  checki "bottleneck above the floor" 9 s.bottleneck;
+  checkb "searched past the floor probe" true (probes > 1);
+  let edges =
+    List.concat
+      (List.init 3 (fun l ->
+           List.init 3 (fun r ->
+               Bottleneck.{ l; r; weight = infeasible_floor.(l).(r) })))
+  in
+  let reference = Bottleneck.solve ~nl:3 ~nr:3 edges in
+  checkb "same matching as solve" true
+    (s.left_match = reference.left_match && s.pairs = reference.pairs)
+
+let test_bottleneck_floor_probe_only () =
+  let s, probes = probes_of [| [| 3; 1 |]; [| 1; 3 |] |] in
+  checki "bottleneck at the floor" 1 s.bottleneck;
+  checki "one probe" 1 probes
+
 let test_bottleneck_negative_weights () =
   let edges =
     [
@@ -280,27 +318,51 @@ let mcbbm_assignment_is_permutation =
       && Qr_perm.Perm.is_permutation s.left_match)
 
 (* The dense MCBBM against its reference: [solve] on the complete edge
-   list in row-major order, including rectangular and empty sides. *)
+   list in row-major order, including rectangular and empty sides.  Each
+   nonempty instance is counted by branch, from its probe count: one probe
+   when the floor is feasible, more when the search goes above it; the
+   test fails unless both branches were taken. *)
 let complete_matches_edge_list =
-  QCheck.Test.make ~name:"dense solve_complete = solve on the complete edge list"
-    ~count:300
-    QCheck.(triple (int_range 0 7) (int_range 0 7) (int_range 0 100000))
-    (fun (nl, nr, seed) ->
-      let rng = Rng.create seed in
-      let range = 1 + Rng.int rng 30 in
-      let weights =
-        Array.init nl (fun _ -> Array.init nr (fun _ -> Rng.int rng range - 5))
-      in
-      let edges =
-        List.concat
-          (List.init nl (fun l ->
-               List.init nr (fun r -> Bottleneck.{ l; r; weight = weights.(l).(r) })))
-      in
-      let dense = Bottleneck.solve_complete ~weights in
-      let reference = Bottleneck.solve ~nl ~nr edges in
-      dense.left_match = reference.left_match
-      && dense.pairs = reference.pairs
-      && dense.bottleneck = reference.bottleneck)
+  let floor_hits = ref 0 and search_hits = ref 0 in
+  let property =
+    QCheck.Test.make
+      ~name:"dense solve_complete = solve on the complete edge list"
+      ~count:300
+      QCheck.(triple (int_range 0 7) (int_range 0 7) (int_range 0 100000))
+      (fun (nl, nr, seed) ->
+        let rng = Rng.create seed in
+        let range = 1 + Rng.int rng 30 in
+        let weights =
+          Array.init nl (fun _ ->
+              Array.init nr (fun _ -> Rng.int rng range - 5))
+        in
+        let edges =
+          List.concat
+            (List.init nl (fun l ->
+                 List.init nr (fun r ->
+                     Bottleneck.{ l; r; weight = weights.(l).(r) })))
+        in
+        let dense, probes = probes_of weights in
+        if probes = 1 then incr floor_hits
+        else if probes > 1 then incr search_hits;
+        let reference = Bottleneck.solve ~nl ~nr edges in
+        dense.left_match = reference.left_match
+        && dense.pairs = reference.pairs
+        && dense.bottleneck = reference.bottleneck)
+  in
+  let name, speed, run = QCheck_alcotest.to_alcotest property in
+  ( name,
+    speed,
+    fun () ->
+      floor_hits := 0;
+      search_hits := 0;
+      run ();
+      checkb
+        (Printf.sprintf "floor branch taken (%d)" !floor_hits)
+        true (!floor_hits > 0);
+      checkb
+        (Printf.sprintf "search branch taken (%d)" !search_hits)
+        true (!search_hits > 0) )
 
 (* The array core against the tuple adapter's historical contract: the
    same matching, whatever the workspace has served before. *)
@@ -365,8 +427,12 @@ let () =
           Alcotest.test_case "complete matrix" `Quick test_bottleneck_complete_matrix;
           Alcotest.test_case "negative weights" `Quick
             test_bottleneck_negative_weights;
+          Alcotest.test_case "infeasible floor" `Quick
+            test_bottleneck_infeasible_floor;
+          Alcotest.test_case "feasible floor: one probe" `Quick
+            test_bottleneck_floor_probe_only;
           qc bottleneck_matches_brute_force;
           qc mcbbm_assignment_is_permutation;
-          qc complete_matches_edge_list;
+          complete_matches_edge_list;
         ] );
     ]
