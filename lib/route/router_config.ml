@@ -74,11 +74,21 @@ let bool_of_onoff key = function
   | "off" | "false" -> Ok false
   | s -> Error (Printf.sprintf "%s: %S (expected on or off)" key s)
 
-let positive_int key s =
-  match int_of_string_opt s with
-  | Some v when v >= 1 -> Ok v
-  | Some _ -> Error (Printf.sprintf "%s: must be >= 1" key)
-  | None -> Error (Printf.sprintf "%s: bad integer %S" key s)
+let max_trials = 64
+
+(* Each ATS trial and each [best] contender is a whole routing run, so a
+   request that names a million trials, or one contender many times,
+   multiplies its cost without bound. *)
+let check c =
+  if c.ats_trials < 1 || c.ats_trials > max_trials then
+    Error (Printf.sprintf "trials: must be between 1 and %d" max_trials)
+  else
+    match c.best_of with
+    | Some names
+      when List.compare_lengths (List.sort_uniq String.compare names) names
+           <> 0 ->
+        Error "best: contenders must be distinct"
+    | _ -> Ok c
 
 let best_of_string s =
   match String.split_on_char '+' s with
@@ -100,9 +110,10 @@ let apply_pair c key value =
   | "compaction" ->
       let* b = bool_of_onoff "compaction" value in
       Ok { c with compaction = b }
-  | "trials" ->
-      let* v = positive_int "trials" value in
-      Ok { c with ats_trials = v }
+  | "trials" -> (
+      match int_of_string_opt value with
+      | Some v -> Ok { c with ats_trials = v }
+      | None -> Error (Printf.sprintf "trials: bad integer %S" value))
   | "seed" -> (
       match int_of_string_opt value with
       | Some v -> Ok { c with seed = v }
@@ -117,19 +128,22 @@ let of_string s =
     String.split_on_char ',' (String.trim s)
     |> List.filter (fun f -> String.trim f <> "")
   in
-  List.fold_left
-    (fun acc field ->
-      let* c = acc in
-      match String.index_opt field '=' with
-      | None -> Error (Printf.sprintf "expected key=value, got %S" field)
-      | Some i ->
-          let key = String.trim (String.sub field 0 i) in
-          let value =
-            String.trim
-              (String.sub field (i + 1) (String.length field - i - 1))
-          in
-          apply_pair c key value)
-    (Ok default) fields
+  let* c =
+    List.fold_left
+      (fun acc field ->
+        let* c = acc in
+        match String.index_opt field '=' with
+        | None -> Error (Printf.sprintf "expected key=value, got %S" field)
+        | Some i ->
+            let key = String.trim (String.sub field 0 i) in
+            let value =
+              String.trim
+                (String.sub field (i + 1) (String.length field - i - 1))
+            in
+            apply_pair c key value)
+      (Ok default) fields
+  in
+  check c
 
 let of_string_exn s =
   match of_string s with

@@ -29,12 +29,22 @@ type t = {
       (** Greedy ASAP re-layering ({!Schedule.compact}) as a post-pass on
           the final schedule. *)
   ats_trials : int;
-      (** Restart count for parallel ATS (default 4).  Must be >= 1. *)
+      (** Restart count for parallel ATS (default 4), between 1 and
+          {!max_trials}. *)
   seed : int;  (** RNG seed for the token-swapping engines. *)
   best_of : string list option;
-      (** Contenders the [best] engine races; [None] means its default
-          (local + naive). *)
+      (** Contenders the [best] engine races, each named once; [None] means
+          its default (local + naive). *)
 }
+
+val max_trials : int
+(** The most ATS trials a configuration may ask for: 64. *)
+
+val check : t -> (t, string) result
+(** The limits every parsed configuration must meet, whichever form it
+    came in: [ats_trials] between 1 and {!max_trials}, and no contender
+    named twice in [best_of].  Both bound the routing runs one request
+    can ask for.  Returns the configuration unchanged when it passes. *)
 
 val default : t
 (** The paper's defaults: doubling discovery, MCBBM assignment, transpose
@@ -48,8 +58,8 @@ val to_string : t -> string
 
 val of_string : string -> (t, string) result
 (** Parse a [key=value] list over {!default}.  Empty string parses to
-    {!default}.  Unknown keys, malformed values, [trials < 1] and band
-    heights [< 1] are errors. *)
+    {!default}.  Unknown keys, malformed values, band heights [< 1] and
+    configurations that fail {!check} are errors. *)
 
 val of_string_exn : string -> t
 (** @raise Invalid_argument on malformed input. *)

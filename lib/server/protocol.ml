@@ -293,71 +293,76 @@ let config_of_json json =
       match Router_config.of_string text with
       | Ok c -> Ok c
       | Error msg -> Error ("config: " ^ msg))
-  | Json.Obj fields ->
-      List.fold_left
-        (fun acc (key, value) ->
-          let* c = acc in
-          let bad what =
-            Error (Printf.sprintf "config: %s: expected %s" key what)
-          in
-          match key with
-          | "discovery" -> (
-              match Json.get_string value with
-              | Some s -> (
-                  match Router_config.discovery_of_string s with
-                  | Ok d -> Ok { c with Router_config.discovery = d }
-                  | Error msg -> Error ("config: " ^ msg))
-              | None -> bad "a string")
-          | "assignment" -> (
-              match Json.get_string value with
-              | Some "mcbbm" ->
-                  Ok
-                    {
-                      c with
-                      Router_config.assignment = Qr_route.Local_grid_route.Mcbbm;
-                    }
-              | Some "arbitrary" ->
-                  Ok
-                    {
-                      c with
-                      Router_config.assignment =
-                        Qr_route.Local_grid_route.Arbitrary;
-                    }
-              | _ -> bad "\"mcbbm\" or \"arbitrary\"")
-          | "transpose" -> (
-              match Json.get_bool value with
-              | Some b -> Ok { c with Router_config.transpose = b }
-              | None -> bad "a boolean")
-          | "compaction" -> (
-              match Json.get_bool value with
-              | Some b -> Ok { c with Router_config.compaction = b }
-              | None -> bad "a boolean")
-          | "trials" -> (
-              match Json.get_int value with
-              | Some v when v >= 1 -> Ok { c with Router_config.ats_trials = v }
-              | _ -> bad "an integer >= 1")
-          | "seed" -> (
-              match Json.get_int value with
-              | Some v -> Ok { c with Router_config.seed = v }
-              | None -> bad "an integer")
-          | "best" -> (
-              match Json.get_list value with
-              | Some items -> (
-                  let names =
-                    List.fold_left
-                      (fun acc j ->
-                        match (acc, Json.get_string j) with
-                        | Some acc, Some s when s <> "" -> Some (s :: acc)
-                        | _ -> None)
-                      (Some []) items
-                  in
-                  match names with
-                  | Some (_ :: _ as rev) ->
-                      Ok { c with Router_config.best_of = Some (List.rev rev) }
-                  | _ -> bad "a non-empty list of engine names")
-              | None -> bad "a non-empty list of engine names")
-          | _ -> Error (Printf.sprintf "config: unknown key %S" key))
-        (Ok Router_config.default) fields
+  | Json.Obj fields -> (
+      let* c =
+        List.fold_left
+          (fun acc (key, value) ->
+            let* c = acc in
+            let bad what =
+              Error (Printf.sprintf "config: %s: expected %s" key what)
+            in
+            match key with
+            | "discovery" -> (
+                match Json.get_string value with
+                | Some s -> (
+                    match Router_config.discovery_of_string s with
+                    | Ok d -> Ok { c with Router_config.discovery = d }
+                    | Error msg -> Error ("config: " ^ msg))
+                | None -> bad "a string")
+            | "assignment" -> (
+                match Json.get_string value with
+                | Some "mcbbm" ->
+                    Ok
+                      {
+                        c with
+                        Router_config.assignment = Qr_route.Local_grid_route.Mcbbm;
+                      }
+                | Some "arbitrary" ->
+                    Ok
+                      {
+                        c with
+                        Router_config.assignment =
+                          Qr_route.Local_grid_route.Arbitrary;
+                      }
+                | _ -> bad "\"mcbbm\" or \"arbitrary\"")
+            | "transpose" -> (
+                match Json.get_bool value with
+                | Some b -> Ok { c with Router_config.transpose = b }
+                | None -> bad "a boolean")
+            | "compaction" -> (
+                match Json.get_bool value with
+                | Some b -> Ok { c with Router_config.compaction = b }
+                | None -> bad "a boolean")
+            | "trials" -> (
+                match Json.get_int value with
+                | Some v -> Ok { c with Router_config.ats_trials = v }
+                | None -> bad "an integer")
+            | "seed" -> (
+                match Json.get_int value with
+                | Some v -> Ok { c with Router_config.seed = v }
+                | None -> bad "an integer")
+            | "best" -> (
+                match Json.get_list value with
+                | Some items -> (
+                    let names =
+                      List.fold_left
+                        (fun acc j ->
+                          match (acc, Json.get_string j) with
+                          | Some acc, Some s when s <> "" -> Some (s :: acc)
+                          | _ -> None)
+                        (Some []) items
+                    in
+                    match names with
+                    | Some (_ :: _ as rev) ->
+                        Ok { c with Router_config.best_of = Some (List.rev rev) }
+                    | _ -> bad "a non-empty list of engine names")
+                | None -> bad "a non-empty list of engine names")
+            | _ -> Error (Printf.sprintf "config: unknown key %S" key))
+          (Ok Router_config.default) fields
+      in
+      match Router_config.check c with
+      | Ok c -> Ok c
+      | Error msg -> Error ("config: " ^ msg))
   | _ -> Error "config: expected an object or a key=value string"
 
 let engines_json () =

@@ -140,6 +140,9 @@ let test_config_parse_errors () =
   checkb "unknown key" true (rejects "bogus=1");
   checkb "missing =" true (rejects "transpose");
   checkb "trials=0" true (rejects "trials=0");
+  checkb "trials=65" true (rejects "trials=65");
+  checkb "trials=64 accepted" false (rejects "trials=64");
+  checkb "duplicate best" true (rejects "best=local+naive+local");
   checkb "band 0" true (rejects "discovery=fixed:0");
   checkb "bad discovery" true (rejects "discovery=quantum");
   checkb "empty best" true (rejects "best=");

@@ -504,6 +504,42 @@ let test_session_oversized_grid () =
 
 (* A string id with an escaped surrogate pair comes back as valid UTF-8,
    the 4-byte encoding of U+1F600. *)
+(* A request's config names how many routing runs it costs: one per ATS
+   trial and one per [best] contender.  Past the limits in
+   [Router_config.check] it is refused before any routing: a trillion
+   trials would hold a worker for weeks, and 200 copies of one contender
+   on 8x8 took 150 times as long as one. *)
+let test_session_config_limits () =
+  let session = Session.create () in
+  let rejected line =
+    let before = Gc.minor_words () in
+    let code = error_code_of (Session.handle_line session line) in
+    let words = Gc.minor_words () -. before in
+    checkb "invalid_params" true (code = Some P.Invalid_params);
+    checkb
+      (Printf.sprintf "%.0f minor words: nothing routed" words)
+      true (words < 100_000.)
+  in
+  rejected
+    {|{"id":1,"method":"route","params":{"grid":{"rows":2,"cols":2},"perm":[1,0,3,2],"engine":"ats","config":{"trials":1000000000000}}}|};
+  let perm = String.concat "," (List.init 64 (fun v -> string_of_int (63 - v))) in
+  let copies = String.concat "," (List.init 200 (fun _ -> {|"ats"|})) in
+  rejected
+    (Printf.sprintf
+       {|{"id":2,"method":"route","params":{"grid":{"rows":8,"cols":8},"perm":[%s],"engine":"best","config":{"best":[%s]}}}|}
+       perm copies);
+  rejected
+    {|{"id":3,"method":"route","params":{"grid":{"rows":2,"cols":2},"perm":[1,0,3,2],"engine":"ats","config":"trials=65"}}|};
+  rejected
+    {|{"id":4,"method":"route","params":{"grid":{"rows":2,"cols":2},"perm":[1,0,3,2],"engine":"best","config":{"best":["local","naive","local"]}}}|};
+  rejected
+    {|{"id":5,"method":"route","params":{"grid":{"rows":2,"cols":2},"perm":[1,0,3,2],"engine":"ats","config":{"trials":0}}}|};
+  checkb "trials=64 accepted" true
+    (error_code_of
+       (Session.handle_line session
+          {|{"id":6,"method":"route","params":{"grid":{"rows":2,"cols":2},"perm":[1,0,3,2],"engine":"ats","config":{"trials":64}}}|})
+    = None)
+
 let test_session_echoes_astral_id () =
   let session = Session.create () in
   let response =
@@ -922,6 +958,8 @@ let () =
           Alcotest.test_case "route_batch" `Quick test_session_route_batch;
           Alcotest.test_case "oversized grid" `Quick
             test_session_oversized_grid;
+          Alcotest.test_case "config limits" `Quick
+            test_session_config_limits;
           Alcotest.test_case "astral-plane id" `Quick
             test_session_echoes_astral_id;
           Alcotest.test_case "transpile" `Quick test_session_transpile;
