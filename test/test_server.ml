@@ -508,7 +508,8 @@ let test_session_oversized_grid () =
    trial and one per [best] contender.  Past the limits in
    [Router_config.check] it is refused before any routing: a trillion
    trials would hold a worker for weeks, and 200 copies of one contender
-   on 8x8 took 150 times as long as one. *)
+   on 8x8 took 150 times as long as one.  The cheap cases go first, so a
+   missing check fails the test instead of hanging it. *)
 let test_session_config_limits () =
   let session = Session.create () in
   let rejected line =
@@ -520,24 +521,25 @@ let test_session_config_limits () =
       (Printf.sprintf "%.0f minor words: nothing routed" words)
       true (words < 100_000.)
   in
-  rejected
-    {|{"id":1,"method":"route","params":{"grid":{"rows":2,"cols":2},"perm":[1,0,3,2],"engine":"ats","config":{"trials":1000000000000}}}|};
+  let route_2x2 engine config =
+    Printf.sprintf
+      {|{"id":1,"method":"route","params":{"grid":{"rows":2,"cols":2},"perm":[1,0,3,2],"engine":"%s","config":%s}}|}
+      engine config
+  in
+  rejected (route_2x2 "ats" {|{"trials":65}|});
+  rejected (route_2x2 "ats" {|"trials=65"|});
+  rejected (route_2x2 "best" {|{"best":["local","naive","local"]}|});
+  rejected (route_2x2 "ats" {|{"trials":0}|});
+  rejected (route_2x2 "ats" {|{"trials":1000000000000}|});
   let perm = String.concat "," (List.init 64 (fun v -> string_of_int (63 - v))) in
   let copies = String.concat "," (List.init 200 (fun _ -> {|"ats"|})) in
   rejected
     (Printf.sprintf
        {|{"id":2,"method":"route","params":{"grid":{"rows":8,"cols":8},"perm":[%s],"engine":"best","config":{"best":[%s]}}}|}
        perm copies);
-  rejected
-    {|{"id":3,"method":"route","params":{"grid":{"rows":2,"cols":2},"perm":[1,0,3,2],"engine":"ats","config":"trials=65"}}|};
-  rejected
-    {|{"id":4,"method":"route","params":{"grid":{"rows":2,"cols":2},"perm":[1,0,3,2],"engine":"best","config":{"best":["local","naive","local"]}}}|};
-  rejected
-    {|{"id":5,"method":"route","params":{"grid":{"rows":2,"cols":2},"perm":[1,0,3,2],"engine":"ats","config":{"trials":0}}}|};
   checkb "trials=64 accepted" true
     (error_code_of
-       (Session.handle_line session
-          {|{"id":6,"method":"route","params":{"grid":{"rows":2,"cols":2},"perm":[1,0,3,2],"engine":"ats","config":{"trials":64}}}|})
+       (Session.handle_line session (route_2x2 "ats" {|{"trials":64}|}))
     = None)
 
 let test_session_echoes_astral_id () =
