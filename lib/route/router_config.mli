@@ -29,20 +29,16 @@ type t = {
       (** Greedy ASAP re-layering ({!Schedule.compact}) as a post-pass on
           the final schedule. *)
   ats_trials : int;
-      (** Restart count for parallel ATS (default 4), between 1 and
-          {!max_trials}. *)
+      (** Restart count for parallel ATS (default 4), between 1 and 64. *)
   seed : int;  (** RNG seed for the token-swapping engines. *)
   best_of : string list option;
       (** Contenders the [best] engine races, each named once; [None] means
           its default (local + naive). *)
 }
 
-val max_trials : int
-(** The most ATS trials a configuration may ask for: 64. *)
-
 val check : t -> (t, string) result
 (** The limits every parsed configuration must meet, whichever form it
-    came in: [ats_trials] between 1 and {!max_trials}, and no contender
+    came in: [ats_trials] between 1 and 64, and no contender
     named twice in [best_of].  Both bound the routing runs one request
     can ask for.  Returns the configuration unchanged when it passes. *)
 

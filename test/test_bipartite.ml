@@ -320,37 +320,35 @@ let mcbbm_assignment_is_permutation =
 (* The dense MCBBM against its reference: [solve] on the complete edge
    list in row-major order, including rectangular and empty sides.  Each
    nonempty instance is counted by branch, from its probe count: one probe
-   when the floor is feasible, more when the search goes above it; the
-   test fails unless both branches were taken. *)
+   when the floor is feasible, more when the search goes above it. *)
+let floor_hits = ref 0 and search_hits = ref 0
+
 let complete_matches_edge_list =
-  let floor_hits = ref 0 and search_hits = ref 0 in
-  let property =
-    QCheck.Test.make
-      ~name:"dense solve_complete = solve on the complete edge list"
-      ~count:300
-      QCheck.(triple (int_range 0 7) (int_range 0 7) (int_range 0 100000))
-      (fun (nl, nr, seed) ->
-        let rng = Rng.create seed in
-        let range = 1 + Rng.int rng 30 in
-        let weights =
-          Array.init nl (fun _ ->
-              Array.init nr (fun _ -> Rng.int rng range - 5))
-        in
-        let edges =
-          List.concat
-            (List.init nl (fun l ->
-                 List.init nr (fun r ->
-                     Bottleneck.{ l; r; weight = weights.(l).(r) })))
-        in
-        let dense, probes = probes_of weights in
-        if probes = 1 then incr floor_hits
-        else if probes > 1 then incr search_hits;
-        let reference = Bottleneck.solve ~nl ~nr edges in
-        dense.left_match = reference.left_match
-        && dense.pairs = reference.pairs
-        && dense.bottleneck = reference.bottleneck)
-  in
-  let name, speed, run = QCheck_alcotest.to_alcotest property in
+  QCheck.Test.make ~name:"dense solve_complete = solve on the complete edge list"
+    ~count:300
+    QCheck.(triple (int_range 0 7) (int_range 0 7) (int_range 0 100000))
+    (fun (nl, nr, seed) ->
+      let rng = Rng.create seed in
+      let range = 1 + Rng.int rng 30 in
+      let weights =
+        Array.init nl (fun _ -> Array.init nr (fun _ -> Rng.int rng range - 5))
+      in
+      let edges =
+        List.concat
+          (List.init nl (fun l ->
+               List.init nr (fun r -> Bottleneck.{ l; r; weight = weights.(l).(r) })))
+      in
+      let dense, probes = probes_of weights in
+      if probes = 1 then incr floor_hits
+      else if probes > 1 then incr search_hits;
+      let reference = Bottleneck.solve ~nl ~nr edges in
+      dense.left_match = reference.left_match
+      && dense.pairs = reference.pairs
+      && dense.bottleneck = reference.bottleneck)
+
+(* The property above, failing unless both branches were taken. *)
+let complete_matches_on_both_branches =
+  let name, speed, run = QCheck_alcotest.to_alcotest complete_matches_edge_list in
   ( name,
     speed,
     fun () ->
@@ -433,6 +431,6 @@ let () =
             test_bottleneck_floor_probe_only;
           qc bottleneck_matches_brute_force;
           qc mcbbm_assignment_is_permutation;
-          complete_matches_edge_list;
+          complete_matches_on_both_branches;
         ] );
     ]
