@@ -508,7 +508,7 @@ let test_session_oversized_grid () =
    trial and one per [best] contender.  Past the limits in
    [Router_config.check] it is refused before any routing: a trillion
    trials would hold a worker for weeks, and 200 copies of one contender
-   on 8x8 took 150 times as long as one.  The cheap cases go first, so a
+   on 8x8 took about 200 times as long as one.  The cheap cases go first, so a
    missing check fails the test instead of hanging it. *)
 let test_session_config_limits () =
   let session = Session.create () in
