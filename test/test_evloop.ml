@@ -5,7 +5,10 @@
    per-connection write queue — and the two regression scenarios the
    loop exists for: a slow client is closed at its outbox cap instead
    of buffering without bound, and a client that never reads its
-   responses no longer head-of-line-blocks every other connection. *)
+   responses no longer head-of-line-blocks every other connection.  The
+   parity scripts run the same request lines through [serve_fd] and the
+   socket server at one and at two workers and expect the same
+   replies. *)
 
 module Json = Qr_obs.Json
 module Metrics = Qr_obs.Metrics
@@ -362,6 +365,130 @@ let test_slow_reader_does_not_block_others () =
      in
      drain ()))
 
+(* ------------------------------------------------------- serving parity *)
+
+(* The serving paths a script can take: [serve_fd] in process over a
+   socketpair, and a forked [run_socket] at one and at two workers.
+   Every path must give the same replies to the same script. *)
+type serving = Fd | Socket of int
+
+let serving_name = function
+  | Fd -> "serve_fd"
+  | Socket w -> Printf.sprintf "run_socket ~workers:%d" w
+
+let servings = [ Fd; Socket 1; Socket 2 ]
+
+let rec write_fully fd s off =
+  if off < String.length s then
+    write_fully fd s
+      (off + Unix.write_substring fd s off (String.length s - off))
+
+(* Everything the server sends until it closes.  A reset after the
+   server's close counts as the end: the replies before it were read. *)
+let read_to_eof fd =
+  let buf = Buffer.create 1024 in
+  let chunk = Bytes.create 4096 in
+  let rec go () =
+    match Unix.read fd chunk 0 4096 with
+    | 0 -> ()
+    | k ->
+        Buffer.add_subbytes buf chunk 0 k;
+        go ()
+    | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> ()
+  in
+  go ();
+  String.split_on_char '\n' (Buffer.contents buf)
+  |> List.filter (fun s -> String.trim s <> "")
+
+(* A reply as (echoed id, "ok" or the wire error code). *)
+let reply_summary line =
+  let doc = Json.of_string_exn line in
+  let id = Json.to_string (Option.value ~default:Json.Null (Json.member "id" doc)) in
+  match P.response_result doc with
+  | Ok _ -> (id, "ok")
+  | Error err -> (id, P.code_to_string err.P.code)
+
+(* Send [lines] in one write, half-close unless told not to, and collect
+   the replies until the server closes the connection. *)
+let run_script ?(config = Session.default_config) ?(half_close = true) serving
+    lines =
+  let payload = String.concat "" (List.map (fun l -> l ^ "\n") lines) in
+  let exchange fd run_server =
+    write_fully fd payload 0;
+    if half_close then Unix.shutdown fd Unix.SHUTDOWN_SEND;
+    run_server ();
+    List.map reply_summary (read_to_eof fd)
+  in
+  match serving with
+  | Fd ->
+      let server, client =
+        Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0
+      in
+      let server_open = ref true in
+      let close_server () =
+        if !server_open then begin
+          server_open := false;
+          Unix.close server
+        end
+      in
+      Fun.protect
+        ~finally:(fun () ->
+          close_server ();
+          Unix.close client)
+      @@ fun () ->
+      exchange client (fun () ->
+          Server.serve_fd ~config server;
+          close_server ())
+  | Socket workers ->
+      with_forked_server ~config ~workers "qr_evloop_parity" @@ fun path ->
+      let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+      Unix.connect fd (Unix.ADDR_UNIX path);
+      exchange fd ignore
+
+let show_replies replies =
+  String.concat "; " (List.map (fun (id, s) -> id ^ ":" ^ s) replies)
+
+let check_replies serving expected replies =
+  Alcotest.(check string)
+    (serving_name serving ^ " replies")
+    (show_replies expected) (show_replies replies)
+
+let oks ids = List.map (fun id -> (string_of_int id, "ok")) ids
+
+let test_parity_pipelined_routes () =
+  with_test_deadline 60 @@ fun () ->
+  let lines = List.init 10 (fun i -> route_line ~id:(i + 1) ()) in
+  List.iter
+    (fun serving ->
+      check_replies serving (oks (List.init 10 succ)) (run_script serving lines))
+    servings
+
+let test_parity_oversized_line () =
+  with_test_deadline 60 @@ fun () ->
+  let config = { Session.default_config with Session.max_line_bytes = 512 } in
+  let lines = [ route_line ~id:1 (); String.make 600 'x'; route_line ~id:3 () ] in
+  List.iter
+    (fun serving ->
+      check_replies serving
+        [ ("1", "ok"); ("null", "invalid_request") ]
+        (run_script ~config serving lines))
+    servings
+
+let test_parity_success_resets_budget () =
+  (* Never two errors in a row, so a budget of 2 never trips: a success
+     resets the count on every path. *)
+  with_test_deadline 60 @@ fun () ->
+  let config = { Session.default_config with Session.error_budget = 2 } in
+  let lines = [ "junk"; route_line ~id:2 (); "junk"; route_line ~id:4 (); "junk" ] in
+  let junk = ("null", "parse_error") in
+  List.iter
+    (fun serving ->
+      check_replies serving
+        [ junk; ("2", "ok"); junk; ("4", "ok"); junk ]
+        (run_script ~config serving lines))
+    servings
+
 (* ------------------------------------------------- many-connection scaling *)
 
 let test_beyond_select_capacity () =
@@ -458,5 +585,13 @@ let () =
         [
           Alcotest.test_case "beyond FD_SETSIZE" `Slow
             test_beyond_select_capacity;
+        ] );
+      ( "parity",
+        [
+          Alcotest.test_case "pipelined routes" `Slow
+            test_parity_pipelined_routes;
+          Alcotest.test_case "oversized line" `Slow test_parity_oversized_line;
+          Alcotest.test_case "success resets the budget" `Slow
+            test_parity_success_resets_budget;
         ] );
     ]
