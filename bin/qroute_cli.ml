@@ -550,9 +550,11 @@ let serve_cmd =
       & info [ "workers" ] ~docv:"N"
           ~doc:
             "Worker domains serving requests (socket mode).  1 (default) \
-             keeps the single-threaded event loop; N > 1 runs requests on a \
-             pool of N domains, with per-connection response order \
-             preserved and route_batch items fanned across the pool.")
+             answers requests inline on the event loop's domain, with one \
+             session for every connection; N > 1 runs them on a pool of N \
+             domains and fans route_batch items across it.  Replies, their \
+             order, shedding and error budgets are the same at every \
+             count.")
   in
   let max_line_bytes =
     Arg.(
@@ -602,8 +604,9 @@ let serve_cmd =
       & opt (some int) None
       & info [ "max-rss-mb" ] ~docv:"MB"
           ~doc:
-            "Memory brownout threshold: past this max-RSS high-water mark \
-             the plan cache is shrunk and batch requests rejected.")
+            "Memory brownout threshold (socket mode, at every worker \
+             count): past this max-RSS high-water mark the plan cache is \
+             shrunk and batch requests rejected.")
   in
   let breaker_threshold =
     Arg.(

@@ -6,15 +6,8 @@ module Fault = Qr_fault.Fault
 let c_wakeups =
   Metrics.counter "server_loop_wakeups"
     ~help:
-      "Event-loop returns from poll/select (ready fds or timer expiry); \
+      "Event-loop returns from poll (ready fds or timer expiry); \
        an idle server with no timers armed makes none."
-
-type backend = Poll | Select
-
-(* Unix.select fails with EINVAL at FD_SETSIZE; 1024 on every libc we
-   target.  The guard lives here so the accept loop can refuse politely
-   instead of dying in the multiplexer. *)
-let select_capacity = 1024
 
 type handle = {
   h_fd : Unix.file_descr;
@@ -32,34 +25,17 @@ type timer = {
 }
 
 type t = {
-  backend : backend;
   mutable handles : handle list;
   mutable timers : timer list;
   mutable wakeups : int;
 }
 
-let create ?backend () =
-  let backend =
-    match backend with
-    | Some b -> b
-    | None -> if Sys_poll.available then Poll else Select
-  in
-  { backend; handles = []; timers = []; wakeups = 0 }
-
-let backend t = t.backend
-
-let capacity t =
-  match t.backend with Poll -> None | Select -> Some select_capacity
+let create () = { handles = []; timers = []; wakeups = 0 }
 
 let fd_count t =
   List.length (List.filter (fun h -> h.h_active) t.handles)
 
-let at_capacity t =
-  match capacity t with None -> false | Some cap -> fd_count t >= cap
-
 let watch t ?(readable = true) ?(writable = false) fd cb =
-  if at_capacity t then
-    invalid_arg "Event_loop.watch: backend at capacity (FD_SETSIZE)";
   let h =
     { h_fd = fd; h_read = readable; h_write = writable; h_active = true;
       h_cb = cb }
@@ -147,7 +123,7 @@ let fire_timers t =
 (* One kernel wait.  The snapshot arrays are rebuilt per cycle (the
    handle list mutates under dispatch); dispatch re-checks [h_active]
    so a callback closing a later connection in the same cycle wins. *)
-let poll_backend t ~timeout =
+let poll_once t ~timeout =
   let interested =
     List.filter (fun h -> h.h_active && (h.h_read || h.h_write)) t.handles
   in
@@ -188,34 +164,6 @@ let poll_backend t ~timeout =
       true
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
 
-let select_backend t ~timeout =
-  let interested =
-    List.filter (fun h -> h.h_active && (h.h_read || h.h_write)) t.handles
-  in
-  let rfds =
-    List.filter_map (fun h -> if h.h_read then Some h.h_fd else None)
-      interested
-  in
-  let wfds =
-    List.filter_map (fun h -> if h.h_write then Some h.h_fd else None)
-      interested
-  in
-  let timeout_s = if timeout < 0 then -1.0 else float_of_int timeout /. 1e3 in
-  match Unix.select rfds wfds [] timeout_s with
-  | ready_r, ready_w, _ ->
-      t.wakeups <- t.wakeups + 1;
-      Metrics.incr c_wakeups;
-      List.iter
-        (fun h ->
-          if h.h_active then begin
-            let readable = h.h_read && List.memq h.h_fd ready_r in
-            let writable = h.h_write && List.memq h.h_fd ready_w in
-            if readable || writable then h.h_cb ~readable ~writable
-          end)
-        interested;
-      true
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
-
 let run_once t =
   let timeout = timeout_ms t in
   let dispatched =
@@ -223,12 +171,7 @@ let run_once t =
        storms the multiplexer, delay(ms) stalls a cycle.  A plain
        injected raise is absorbed as an empty wakeup so a chaos plan
        cannot kill the loop at its root. *)
-    match
-      Fault.point "server.poll" ~f:(fun () ->
-          match t.backend with
-          | Poll -> poll_backend t ~timeout
-          | Select -> select_backend t ~timeout)
-    with
+    match Fault.point "server.poll" ~f:(fun () -> poll_once t ~timeout) with
     | ok -> ok
     | exception Fault.Injected _ -> false
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> false

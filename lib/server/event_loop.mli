@@ -1,7 +1,6 @@
 (** Readiness-driven event loop for the serving stack (DESIGN.md §15).
 
-    Wraps [poll(2)] ({!Qr_util.Sys_poll}) — with a [Unix.select]
-    fallback for platforms without it — behind the three things a
+    Wraps [poll(2)] ({!Qr_util.Sys_poll}) behind the three things a
     single-domain server loop needs:
 
     - {e fd interest}: per-descriptor read/write interest with a
@@ -23,11 +22,8 @@
     can inject [EINTR] storms or delays into the multiplexer itself; an
     injected raise is absorbed as a zero-ready wakeup.
 
-    Capacity: the poll backend is bounded only by the process fd limit.
-    The select backend refuses ({!at_capacity}) to watch more than
-    [FD_SETSIZE]-ish descriptors instead of letting [Unix.select] raise
-    [EINVAL] and kill the accept loop; callers stop accepting while at
-    capacity.
+    Capacity: [poll(2)] has no [FD_SETSIZE] cap, so the loop is bounded
+    only by the process fd limit.
 
     Single-owner: one domain creates, registers and runs; callbacks run
     on that domain.  Worker domains reach the loop only through
@@ -35,26 +31,10 @@
 
 type t
 
-type backend = Poll | Select
-
-val create : ?backend:backend -> unit -> t
-(** Default backend: [Poll] when {!Qr_util.Sys_poll.available}, else
-    [Select].  Forcing [~backend:Poll] where unavailable raises
-    [Failure] at first poll; forcing [Select] is how the FD_SETSIZE
-    guard is tested on a poll-capable host. *)
-
-val backend : t -> backend
-
-val capacity : t -> int option
-(** [None] = bounded only by the fd limit (poll); [Some n] = hard
-    backend cap (select: FD_SETSIZE = 1024). *)
+val create : unit -> t
 
 val fd_count : t -> int
 (** Currently watched descriptors. *)
-
-val at_capacity : t -> bool
-(** Whether {!watch} would push past {!capacity} — the accept loop's
-    guard: stop accepting rather than die in the multiplexer. *)
 
 (** {2 Descriptor interest} *)
 
@@ -71,8 +51,7 @@ val watch :
     [writable]).  The callback runs once per wakeup with which armed
     direction(s) are ready; at least one of the two is [true].
     Callbacks may watch/unwatch/re-arm freely — changes take effect the
-    same cycle for interest, next cycle for the poll set.
-    @raise Invalid_argument when {!at_capacity}. *)
+    same cycle for interest, next cycle for the poll set. *)
 
 val set_interest : t -> handle -> ?readable:bool -> ?writable:bool -> unit -> unit
 (** Re-arm a handle's interest; omitted directions keep their value.  A

@@ -52,7 +52,7 @@ let write_metrics_file path =
 let metrics_interval_ns = 2_000_000_000L
 
 (* A rate-limited writer: [tick] writes at most every ~2s, [flush] always
-   (startup, shutdown, EOF).  The socket loops drive [tick] from an
+   (startup, shutdown, EOF).  The socket loop drives [tick] from an
    event-loop timer instead of a poll-timeout cadence, so a server with
    no metrics file armed never wakes for it at all. *)
 let metrics_writer metrics_file =
@@ -69,16 +69,6 @@ let metrics_writer metrics_file =
           flush ()
       in
       (tick, flush)
-
-(* Arm the snapshot cadence on the event loop — only when there is a
-   file to write. *)
-let add_metrics_timer loop metrics_file tick =
-  match metrics_file with
-  | None -> ()
-  | Some _ ->
-      ignore
-        (Event_loop.add_timer loop ~period_ns:metrics_interval_ns
-           ~delay_ns:metrics_interval_ns tick)
 
 (* ---------------------------------------------------------- channel loop *)
 
@@ -112,109 +102,159 @@ let run_stdio ?config ?metrics_file () =
 
 (* ------------------------------------------------------------ connections *)
 
-(* One nonblocking accepted socket in the readiness loop.  Responses go
+(* One nonblocking connection in the readiness loop.  Responses go
    through a bounded {!Write_queue} flushed on writability: a client
    that stops reading grows only its own queue, and past the byte cap
    the connection is closed ([server_slow_client_closes]) instead of
    head-of-line-blocking the loop the way the historical blocking
    [write_all] did.
 
+   Each request line claims the next arrival slot, and its reply fills
+   that slot in the outbox — whether the line was answered inline, by a
+   pool worker, or with a ready-made shed, oversized or watchdog reply.
+   The loop moves filled slots into the write queue in slot order, so
+   replies leave in arrival order however the executor interleaves
+   them.
+
    [eof] stops reading but keeps flushing (the half-closed one-shot
    client pattern: request sent, write side shut down, still waiting to
-   read its response); the connection closes once the queue drains.
-   [dead] closes immediately, discarding queued bytes. *)
+   read its response); the connection closes once every claimed slot
+   has been written.  [dead] closes immediately, discarding queued
+   bytes. *)
+
+(* A reply's standing toward the consecutive-error budget: [`Errored]
+   counts, [`Ok] resets, and [`Shed] leaves it alone.  An [overloaded]
+   reply is the server's condition, not evidence of a misbehaving
+   client — a polite client honouring retry_after_ms through a long
+   brownout must neither be disconnected for it nor have its garbage
+   streak forgiven by it. *)
+type standing = [ `Ok | `Errored | `Shed ]
+
 type conn = {
   fd : Unix.file_descr;
   inbuf : Buffer.t;  (* bytes read, possibly ending mid-line *)
-  session : Session.t;
   wq : Write_queue.t;
+  mutex : Mutex.t;  (* guards [outbox]: pool workers fill slots *)
+  outbox : (int, string * standing) Hashtbl.t;  (* slot -> reply *)
   mutable handle : Event_loop.handle option;
+  (* The fields below belong to the loop's domain. *)
+  mutable next_slot : int;
+  mutable next_write : int;
+  mutable inflight : int;  (* slots claimed, not yet moved to the wq *)
+  mutable errors : int;  (* consecutive [`Errored] replies *)
   mutable eof : bool;
   mutable dead : bool;
 }
 
-let conn_closing conn = conn.eof || conn.dead
+let claim conn =
+  let slot = conn.next_slot in
+  conn.next_slot <- slot + 1;
+  conn.inflight <- conn.inflight + 1;
+  slot
 
-(* Queue a response line.  Overflow is the slow-client verdict: drop the
-   connection rather than buffer without bound. *)
-let send conn line =
-  if not conn.dead then
-    match Write_queue.enqueue conn.wq line with
-    | `Ok -> ()
-    | `Overflow ->
-        Metrics.incr c_slow_closes;
-        conn.dead <- true
+let fill conn slot reply =
+  Mutex.lock conn.mutex;
+  Hashtbl.replace conn.outbox slot reply;
+  Mutex.unlock conn.mutex
+
+(* A ready-made reply rides the ordered outbox like any other, so it
+   never jumps the queue. *)
+let park conn reply = fill conn (claim conn) reply
+
+(* Answer one request line, with per-request exception isolation — a
+   crashing handler yields an [internal_error] reply, never a dead
+   loop.  [guard] wraps the handler (the pool's cancel token and
+   [worker.hang] fault point); a request the watchdog killed gets the
+   watchdog's reply. *)
+let answer ?(guard = fun f -> f ()) session line =
+  match guard (fun () -> Session.handle_line_status session line) with
+  | reply, errored -> (reply, if errored then `Errored else `Ok)
+  | exception Cancel.Cancelled Cancel.Killed ->
+      (Session.hung_response_line line, `Errored)
+  | exception exn ->
+      Metrics.incr c_crashed;
+      (Session.crashed_response_line line exn, `Errored)
+
+(* Move filled slots into the write queue in slot order; stop at the
+   first slot not filled yet.  The error budget is counted here, in
+   arrival order, the one place it is counted.  A tripped budget sets
+   [eof]: nothing more is read, but every reply to a line already read
+   still flushes.  A dead connection keeps consuming its slots (so
+   [inflight] reaches 0 and it can close) without queuing bytes.  A
+   queue overflow is the slow-client verdict: drop the connection
+   rather than buffer without bound. *)
+let flush_outbox config conn =
+  let rec go () =
+    Mutex.lock conn.mutex;
+    let next = Hashtbl.find_opt conn.outbox conn.next_write in
+    Hashtbl.remove conn.outbox conn.next_write;
+    Mutex.unlock conn.mutex;
+    match next with
+    | None -> ()
+    | Some (line, standing) ->
+        conn.inflight <- conn.inflight - 1;
+        conn.next_write <- conn.next_write + 1;
+        if (not conn.dead) && Write_queue.enqueue conn.wq line = `Overflow
+        then begin
+          Metrics.incr c_slow_closes;
+          conn.dead <- true
+        end;
+        (match standing with
+        | `Errored ->
+            conn.errors <- conn.errors + 1;
+            if conn.errors = config.Session.error_budget then begin
+              Metrics.incr c_budget_closes;
+              conn.eof <- true
+            end
+        | `Ok -> conn.errors <- 0
+        | `Shed -> ());
+        go ()
+  in
+  go ()
+
+let set_interest loop conn ?readable ?writable () =
+  Option.iter
+    (fun h -> Event_loop.set_interest loop h ?readable ?writable ())
+    conn.handle
 
 (* Flush whatever the kernel will take and keep write interest armed
    exactly while bytes remain.  The [server.writable] fault point covers
    the flush as a whole (a chaos plan can stall or kill the writable
    path); per-write faults stay on [server.write] inside the queue. *)
 let flush_conn loop conn =
-  if not conn.dead then begin
+  if not conn.dead then
     match
       Fault.point "server.writable" ~f:(fun () -> Write_queue.flush conn.wq)
     with
-    | `Idle -> (
-        match conn.handle with
-        | Some h -> Event_loop.set_interest loop h ~writable:false ()
-        | None -> ())
-    | `Pending -> (
-        match conn.handle with
-        | Some h -> Event_loop.set_interest loop h ~writable:true ()
-        | None -> ())
-    | `Closed -> conn.dead <- true
-    | exception Fault.Injected _ -> conn.dead <- true
-  end
-
-(* Answer one request line, with per-request exception isolation — a
-   crashing handler yields an [internal_error] response, never a dead
-   loop — and enforce the connection's consecutive-error budget.  A
-   budget trip closes gracefully: the final reply still flushes. *)
-let respond config conn line =
-  let reply =
-    try Session.handle_line conn.session line
-    with exn ->
-      Metrics.incr c_crashed;
-      Session.crashed_response_line line exn
-  in
-  send conn reply;
-  let budget = config.Session.error_budget in
-  if budget > 0 && Session.consecutive_errors conn.session >= budget then begin
-    Metrics.incr c_budget_closes;
-    conn.eof <- true
-  end
+    | `Idle -> set_interest loop conn ~writable:false ()
+    | `Pending -> set_interest loop conn ~writable:true ()
+    | `Closed | (exception Fault.Injected _) -> conn.dead <- true
 
 (* Move complete lines out of an input buffer; the trailing fragment
    (no newline yet) stays for the next read.  Stops at the first line
    longer than [limit] — the in-bound lines before it are returned for
-   normal processing and [`Oversized] tells the caller to answer
+   normal processing and the [true] flag tells the caller to answer
    [invalid_request] and close.  A trailing fragment past the limit
    trips the same way: the buffer must never grow without bound while
    waiting for a newline that may never come. *)
-let take_lines_buf inbuf ~limit =
+let take_lines inbuf ~limit =
   let data = Buffer.contents inbuf in
   Buffer.clear inbuf;
-  let n = String.length data in
-  let lines = ref [] in
-  let start = ref 0 in
-  let oversized = ref false in
-  (try
-     while not !oversized do
-       let i = String.index_from data !start '\n' in
-       if i - !start > limit then oversized := true
-       else begin
-         let line = String.sub data !start (i - !start) in
-         start := i + 1;
-         if String.trim line <> "" then lines := line :: !lines
-       end
-     done
-   with Not_found -> ());
-  if (not !oversized) && n - !start > limit then oversized := true;
-  if not !oversized then Buffer.add_substring inbuf data !start (n - !start);
-  if !oversized then `Oversized (List.rev !lines) else `Lines (List.rev !lines)
-
-let take_lines config conn =
-  take_lines_buf conn.inbuf ~limit:config.Session.max_line_bytes
+  let rec go start lines =
+    match String.index_from_opt data start '\n' with
+    | Some i when i - start > limit -> (List.rev lines, true)
+    | Some i ->
+        let line = String.sub data start (i - start) in
+        go (i + 1) (if String.trim line = "" then lines else line :: lines)
+    | None ->
+        let rest = String.length data - start in
+        if rest > limit then (List.rev lines, true)
+        else begin
+          Buffer.add_substring inbuf data start rest;
+          (List.rev lines, false)
+        end
+  in
+  go 0 []
 
 (* Pull whatever is readable off a connection.  [Would_block] is the
    normal end of a readiness-sized burst on a nonblocking fd — park
@@ -222,8 +262,7 @@ let take_lines config conn =
    here). *)
 let read_conn conn chunk =
   let rec go () =
-    if conn_closing conn then ()
-    else
+    if not (conn.eof || conn.dead) then
       match Io_util.read_chunk ~fault:"server.read" conn.fd chunk with
       | Io_util.Would_block -> ()
       | Io_util.Eof | Io_util.Closed -> conn.eof <- true
@@ -234,60 +273,262 @@ let read_conn conn chunk =
   in
   go ()
 
-let stop_reading loop conn =
-  match conn.handle with
-  | Some h -> Event_loop.set_interest loop h ~readable:false ()
-  | None -> ()
+(* -------------------------------------------------------------- executors *)
 
-(* ------------------------------------------------- single-connection loop *)
+(* What answers the lines.  [submit] claims a line's arrival slot and
+   sees that it gets filled; [run] ends every loop cycle; [respawn]
+   replaces a worker the watchdog declared lost; [shutdown] releases
+   what the executor owns. *)
+type executor = {
+  submit : conn -> string -> unit;
+  run : unit -> unit;
+  respawn : int -> unit;
+  shutdown : unit -> unit;
+}
 
-let serve_fd ?(config = Session.default_config) ?session fd =
-  let session =
-    match session with Some s -> s | None -> Session.create ~config ()
+(* Inline on the loop's domain ([serve_fd], [--workers 1]), with one
+   session for every connection.  Lines are staged in the bounded
+   in-flight queue and answered at the end of the cycle, in arrival
+   order; lines pipelined past [max_inflight] are shed with [overloaded]
+   right away rather than queued without limit.  The queue is empty
+   again before the next poll, so a SIGTERM between cycles never
+   abandons accepted work, and no self-pipe is needed. *)
+let inline_executor config make_session =
+  let staged = Queue.create () in
+  let session = make_session (fun () -> Queue.length staged) in
+  let submit conn line =
+    if Queue.length staged >= config.Session.max_inflight then begin
+      Metrics.incr c_shed;
+      park conn (Session.overloaded_response_line line, `Shed)
+    end
+    else Queue.add (conn, claim conn, line) staged
   in
-  let loop = Event_loop.create () in
-  Unix.set_nonblock fd;
+  let run () =
+    while not (Queue.is_empty staged) do
+      let conn, slot, line = Queue.pop staged in
+      fill conn slot (answer session line)
+    done
+  in
+  { submit; run; respawn = ignore; shutdown = ignore }
+
+(* Pool mode (DESIGN.md §13, §14): lines become jobs on a {!Worker_pool}
+   of [workers] domains.  A worker finishing a job pokes a self-pipe
+   whose read end is just another readable fd in the loop's interest
+   set, so its reply is written promptly instead of waiting out a poll
+   timeout. *)
+let pool_executor config ~loop ~cache ~sup ~workers =
+  (* Both pipe ends nonblocking — a full pipe already means a wake-up is
+     pending — and CLOEXEC, like every fd this loop mints. *)
+  let pipe_rd, pipe_wr = Unix.pipe ~cloexec:true () in
+  Unix.set_nonblock pipe_rd;
+  Unix.set_nonblock pipe_wr;
+  let poke = Bytes.make 1 '!' in
+  let notify () =
+    try ignore (Unix.write pipe_wr poke 0 1) with Unix.Unix_error _ -> ()
+  in
+  let sink = Bytes.create 512 in
+  let rec drain_pipe () =
+    match Unix.read pipe_rd sink 0 512 with
+    | 0 -> ()
+    | _ -> drain_pipe ()
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> drain_pipe ()
+  in
+  ignore
+    (Event_loop.watch loop pipe_rd (fun ~readable ~writable:_ ->
+         if readable then drain_pipe ()));
+  let pool =
+    Worker_pool.create ~queue_bound:config.Session.max_inflight ~notify
+      ~workers ()
+  in
+  (* One session per worker, created lazily {e on} the worker so its
+     router workspace is domain-owned there; slot [k] is only ever
+     touched by worker [k].  All sessions share the one plan cache. *)
+  let sessions = Array.make workers None in
+  let session_for k =
+    match sessions.(k) with
+    | Some s -> s
+    | None ->
+        let s =
+          Session.create ~config ~cache ~pool ~worker:(k + 1)
+            ~inflight_probe:(fun () -> Worker_pool.pending pool)
+            ()
+        in
+        sessions.(k) <- Some s;
+        s
+  in
+  (* Adaptive admission sheds before the queue is even tried; a refused
+     job (queue at hard bound) sheds into the line's own slot so
+     ordering holds.  Each accepted job runs under a supervisor ticket:
+     a fresh cancel token becomes ambient for the request (engines poll
+     it), the watchdog's abort fills the slot with the [internal_error]
+     reply if the worker is declared lost, and the settle CAS guarantees
+     exactly one of worker and watchdog answers. *)
+  let submit conn line =
+    match Supervisor.should_shed sup with
+    | Some retry_after_ms ->
+        Metrics.incr c_shed;
+        park conn (Session.overloaded_response_line ~retry_after_ms line, `Shed)
+    | None ->
+        let slot = claim conn in
+        let submitted_ns = Timer.now_ns () in
+        let job () =
+          let k = Option.value ~default:0 (Worker_pool.worker_index ()) in
+          Supervisor.note_queue_delay sup
+            (Int64.sub (Timer.now_ns ()) submitted_ns);
+          let cancel = Cancel.create () in
+          let ticket =
+            Supervisor.enter sup ~worker:k ~cancel ~abort:(fun () ->
+                fill conn slot (Session.hung_response_line line, `Errored);
+                notify ())
+          in
+          let guard f =
+            Cancel.with_ambient cancel (fun () -> Fault.point "worker.hang" ~f)
+          in
+          let reply = answer ~guard (session_for k) line in
+          let won = Supervisor.settle ticket in
+          Supervisor.leave sup ticket;
+          if won then fill conn slot reply
+        in
+        if not (Worker_pool.submit pool job) then begin
+          Metrics.incr c_shed;
+          fill conn slot
+            ( Session.overloaded_response_line
+                ~retry_after_ms:(Supervisor.retry_hint_ms sup) line,
+              `Shed )
+        end
+  in
+  (* A lost worker's session is dropped before its slot is respawned, so
+     the replacement builds a fresh one (the zombie may still be
+     mutating the old workspace) — the write happens before [replace]'s
+     spawn, so the new domain sees it. *)
+  let respawn k =
+    sessions.(k) <- None;
+    Worker_pool.replace pool k
+  in
+  let shutdown () =
+    Worker_pool.shutdown pool;
+    (try Unix.close pipe_rd with Unix.Unix_error _ -> ());
+    try Unix.close pipe_wr with Unix.Unix_error _ -> ()
+  in
+  { submit; run = ignore; respawn; shutdown }
+
+(* ------------------------------------------------------------ the pipeline *)
+
+(* One serving loop's connections and what answers them.  [release]
+   hands a finished connection's fd back: [serve_fd]'s caller owns its
+   fd, the socket server closes its own. *)
+type pipeline = {
+  config : Session.config;
+  loop : Event_loop.t;
+  exec : executor;
+  release : Unix.file_descr -> unit;
+  chunk : Bytes.t;
+  mutable conns : conn list;
+}
+
+let pipeline ~config ~loop ~release exec =
+  { config; loop; exec; release; chunk = Bytes.create 65536; conns = [] }
+
+(* Read and stage.  An oversized line parks the [invalid_request]
+   goodbye in its own slot, behind the lines before it, and sets [eof]
+   rather than [dead]: those replies and the goodbye still flush before
+   the socket closes. *)
+let on_conn p conn ~readable ~writable =
+  if readable then begin
+    read_conn conn p.chunk;
+    let lines, oversized =
+      take_lines conn.inbuf ~limit:p.config.Session.max_line_bytes
+    in
+    List.iter (p.exec.submit conn) lines;
+    if oversized then begin
+      Metrics.incr c_oversized;
+      park conn (Session.oversized_response_line (), `Errored);
+      conn.eof <- true
+    end
+  end;
+  if writable then flush_conn p.loop conn
+
+let add_conn p fd =
   let conn =
     {
       fd;
       inbuf = Buffer.create 256;
-      session;
       wq =
         Write_queue.create ~fault:"server.write"
-          ~cap_bytes:config.Session.max_outbox_bytes fd;
+          ~cap_bytes:p.config.Session.max_outbox_bytes fd;
+      mutex = Mutex.create ();
+      outbox = Hashtbl.create 8;
       handle = None;
+      next_slot = 0;
+      next_write = 0;
+      inflight = 0;
+      errors = 0;
       eof = false;
       dead = false;
     }
   in
-  let chunk = Bytes.create 65536 in
-  let on_readable ~readable ~writable =
-    if readable then begin
-      read_conn conn chunk;
-      match take_lines config conn with
-      | `Lines lines -> List.iter (fun line -> respond config conn line) lines
-      | `Oversized lines ->
-          List.iter (fun line -> respond config conn line) lines;
-          Metrics.incr c_oversized;
-          send conn (Session.oversized_response_line ());
-          conn.eof <- true
-    end;
-    ignore writable
+  conn.handle <- Some (Event_loop.watch p.loop fd (on_conn p conn));
+  p.conns <- conn :: p.conns
+
+let close_conn p conn =
+  Option.iter (Event_loop.unwatch p.loop) conn.handle;
+  p.release conn.fd
+
+(* The end of every cycle: let the executor answer what was staged, move
+   filled slots into the write queues, flush, and reap every connection
+   that is finished — closing and with every claimed slot written.  A
+   half-closed connection (the one-shot client pattern) has [eof] set
+   but still gets its replies before the close. *)
+let on_cycle p () =
+  p.exec.run ();
+  p.conns <-
+    List.filter
+      (fun conn ->
+        flush_outbox p.config conn;
+        flush_conn p.loop conn;
+        if conn.eof then set_interest p.loop conn ~readable:false ();
+        if
+          (conn.eof || conn.dead)
+          && conn.inflight = 0
+          && (conn.dead || Write_queue.is_empty conn.wq)
+        then begin
+          close_conn p conn;
+          false
+        end
+        else true)
+      p.conns
+
+(* Graceful drain: stop reading, answer every line already read, then
+   give slow readers a bounded grace to take their remaining bytes; a
+   client that never reads is cut off at the deadline.  Timers keep
+   their cadence, so a wedged pool worker cannot hold the drain hostage
+   — the watchdog answers its request.  The first reap runs before any
+   poll, so an idle shutdown returns without blocking. *)
+let drain p =
+  List.iter (fun conn -> conn.eof <- true) p.conns;
+  let deadline = Int64.add (Timer.now_ns ()) drain_flush_ns in
+  ignore (Event_loop.add_timer p.loop ~delay_ns:drain_flush_ns ignore);
+  on_cycle p ();
+  Event_loop.run p.loop ~on_cycle:(on_cycle p)
+    ~stop:(fun () ->
+      p.conns = [] || Int64.compare (Timer.now_ns ()) deadline > 0)
+
+(* ------------------------------------------------- single-connection loop *)
+
+let serve_fd ?(config = Session.default_config) ?session fd =
+  let p =
+    pipeline ~config ~loop:(Event_loop.create ()) ~release:ignore
+      (inline_executor config (fun _ ->
+           match session with Some s -> s | None -> Session.create ~config ()))
   in
-  let h = Event_loop.watch loop fd (fun ~readable ~writable -> on_readable ~readable ~writable) in
-  conn.handle <- Some h;
-  let finally () =
-    Event_loop.unwatch loop h;
-    (* The caller owns the fd; hand it back in the blocking state it
-       arrived in. *)
-    try Unix.clear_nonblock fd with Unix.Unix_error _ -> ()
-  in
+  Unix.set_nonblock fd;
+  add_conn p fd;
+  (* The caller owns the fd; hand it back in the blocking state it
+     arrived in. *)
+  let finally () = try Unix.clear_nonblock fd with Unix.Unix_error _ -> () in
   Fun.protect ~finally @@ fun () ->
-  Event_loop.run loop
-    ~on_cycle:(fun () ->
-      flush_conn loop conn;
-      if conn.eof then stop_reading loop conn)
-    ~stop:(fun () -> conn.dead || (conn.eof && Write_queue.is_empty conn.wq))
+  Event_loop.run p.loop ~on_cycle:(on_cycle p) ~stop:(fun () -> p.conns = [])
 
 (* ------------------------------------------------------------ socket loop *)
 
@@ -297,10 +538,9 @@ let remove_stale_socket path =
   | _ -> failwith (Printf.sprintf "%s exists and is not a socket" path)
   | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
 
-(* Shared scaffolding for both socket loops: signals, the listening
-   socket (CLOEXEC + nonblocking: the forked chaos tests and respawned
-   worker domains must not inherit serving fds, and the accept burst
-   must end in [EWOULDBLOCK], not a block). *)
+(* Signals and the listening socket (CLOEXEC + nonblocking: the forked
+   chaos tests and respawned worker domains must not inherit serving
+   fds, and the accept burst must end in [EWOULDBLOCK], not a block). *)
 let with_signals_and_listener ~path f =
   let stop = ref false in
   let prev_int =
@@ -326,535 +566,93 @@ let with_signals_and_listener ~path f =
   in
   f ~stop ~listener ~restore
 
-(* Accept everything pending this wakeup.  The capacity guard keeps the
-   select fallback below FD_SETSIZE — connections past it wait in the
-   listen backlog instead of blowing up the multiplexer with EINVAL
-   (the poll backend has no such cap).  An injected accept fault skips
-   one accept; the client sees a connection that was never picked up
-   and retries. *)
-let accept_burst loop listener ~on_fd =
-  let continue = ref true in
-  while !continue do
-    if Event_loop.at_capacity loop then begin
-      Log.warn_once ~key:"fd_capacity"
-        "select backend at FD_SETSIZE; deferring accepts"
-        [ ("capacity", Json.Int (Option.value ~default:0 (Event_loop.capacity loop))) ];
-      continue := false
-    end
-    else
-      match
-        Fault.point "server.accept" ~f:(fun () ->
-            Unix.accept ~cloexec:true listener)
-      with
-      | fd, _ ->
-          Unix.set_nonblock fd;
-          Metrics.incr c_connections;
-          on_fd fd
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-          continue := false
-      | exception Fault.Injected _ -> continue := false
-      | exception Unix.Unix_error _ -> continue := false
-  done
+(* Accept everything pending this wakeup, until [EWOULDBLOCK], an
+   accept error, or an injected accept fault — which skips one accept:
+   the client sees a connection that was never picked up and
+   retries. *)
+let rec accept_burst listener ~on_fd =
+  match
+    Fault.point "server.accept" ~f:(fun () -> Unix.accept ~cloexec:true listener)
+  with
+  | fd, _ ->
+      Unix.set_nonblock fd;
+      Metrics.incr c_connections;
+      on_fd fd;
+      accept_burst listener ~on_fd
+  | exception (Unix.Unix_error _ | Fault.Injected _) -> ()
 
-let run_socket_single ~config ?metrics_file ~path () =
-  Metrics.enable ();
-  Metrics.set g_workers 1.;
-  let tick_metrics, flush_metrics = metrics_writer metrics_file in
-  with_signals_and_listener ~path @@ fun ~stop ~listener ~restore ->
-  let loop = Event_loop.create () in
-  add_metrics_timer loop metrics_file tick_metrics;
-  let cache = Plan_cache.create ~capacity:config.Session.cache_capacity () in
-  let conns = ref [] in
-  let pending = Queue.create () in
-  let chunk = Bytes.create 65536 in
-  (* Stage complete lines in the bounded in-flight queue; requests
-     pipelined past the bound are shed with [overloaded] right away
-     rather than queued without limit.  An oversized line queues a close
-     marker behind the conn's staged lines, so the [invalid_request]
-     goodbye still leaves in arrival order. *)
-  let stage conn =
-    let lines, oversized =
-      match take_lines config conn with
-      | `Lines lines -> (lines, false)
-      | `Oversized lines -> (lines, true)
-    in
-    List.iter
-      (fun line ->
-        if Queue.length pending >= config.Session.max_inflight then begin
-          Metrics.incr c_shed;
-          send conn (Session.overloaded_response_line line)
-        end
-        else Queue.add (conn, `Line line) pending)
-      lines;
-    if oversized then Queue.add (conn, `Oversized) pending
-  in
-  let on_conn conn ~readable ~writable =
-    if readable then begin
-      read_conn conn chunk;
-      stage conn
-    end;
-    if writable then flush_conn loop conn
-  in
-  let add_conn fd =
-    let conn =
-      {
-        fd;
-        inbuf = Buffer.create 256;
-        session =
-          Session.create ~config ~cache
-            ~inflight_probe:(fun () -> Queue.length pending)
-            ();
-        wq =
-          Write_queue.create ~fault:"server.write"
-            ~cap_bytes:config.Session.max_outbox_bytes fd;
-        handle = None;
-        eof = false;
-        dead = false;
-      }
-    in
-    let h =
-      Event_loop.watch loop fd (fun ~readable ~writable ->
-          on_conn conn ~readable ~writable)
-    in
-    conn.handle <- Some h;
-    conns := conn :: !conns
-  in
-  let close_conn conn =
-    (match conn.handle with Some h -> Event_loop.unwatch loop h | None -> ());
-    try Unix.close conn.fd with Unix.Unix_error _ -> ()
-  in
-  let cleanup () =
-    List.iter close_conn !conns;
-    restore ();
-    (* Final snapshot so the last requests before shutdown are visible
-       to scrapers. *)
-    flush_metrics ()
-  in
-  (* Drain: answer everything staged this cycle, in arrival order.  The
-     queue is empty again before the next poll, so a SIGTERM between
-     cycles never abandons accepted work.  A half-closed connection
-     (client shut down its write side and is waiting to read — the
-     one-shot client pattern) has eof set but must still get its
-     responses; the write queue flushes them before the close. *)
-  let on_cycle () =
-    while not (Queue.is_empty pending) do
-      match Queue.pop pending with
-      | conn, `Line line -> respond config conn line
-      | conn, `Oversized ->
-          Metrics.incr c_oversized;
-          send conn (Session.oversized_response_line ());
-          conn.eof <- true
-    done;
-    conns :=
-      List.filter
-        (fun conn ->
-          flush_conn loop conn;
-          if conn.eof then stop_reading loop conn;
-          if conn.dead || (conn.eof && Write_queue.is_empty conn.wq) then begin
-            close_conn conn;
-            false
-          end
-          else true)
-        !conns
-  in
-  let listener_h =
-    Event_loop.watch loop listener (fun ~readable ~writable ->
-        ignore writable;
-        if readable then accept_burst loop listener ~on_fd:add_conn)
-  in
-  Fun.protect ~finally:cleanup @@ fun () ->
-  flush_metrics ();
-  Event_loop.run loop ~on_cycle ~stop:(fun () -> !stop);
-  (* Graceful drain: stop accepting and reading; all staged requests
-     are already answered into the write queues (the pending queue
-     empties every cycle), so only give slow readers a bounded grace to
-     take their remaining bytes. *)
-  Event_loop.unwatch loop listener_h;
-  List.iter (fun c -> c.eof <- true) !conns;
-  let deadline = Int64.add (Timer.now_ns ()) drain_flush_ns in
-  let drained () = !conns = [] in
-  ignore (Event_loop.add_timer loop ~delay_ns:drain_flush_ns (fun () -> ()));
-  (* Reap already-flushed connections before the first poll so an idle
-     shutdown returns without blocking. *)
-  on_cycle ();
-  Event_loop.run loop ~on_cycle
-    ~stop:(fun () ->
-      drained () || Int64.compare (Timer.now_ns ()) deadline > 0)
+(* The supervisor's knobs are durations and a size; one below 1 is a
+   configuration error, reported before the socket is bound. *)
+let check_supervisor_knobs config =
+  List.iter
+    (fun (field, value) ->
+      match value with
+      | Some v when v < 1 ->
+          failwith (Printf.sprintf "%s must be at least 1, got %d" field v)
+      | _ -> ())
+    [
+      ("hung_request_ms", config.Session.hung_request_ms);
+      ("queue_delay_target_ms", config.Session.queue_delay_target_ms);
+      ("max_rss_mb", config.Session.max_rss_mb);
+    ]
 
-(* --------------------------------------------------- multicore socket loop *)
-
-(* Pool mode (DESIGN.md §13, §15): the accept/IO loop stays on the main
-   domain; parsed request lines become jobs on a {!Worker_pool}.  Each
-   request is stamped with a per-connection sequence number at arrival,
-   and finished responses land in the connection's outbox (a mutex-
-   guarded seq -> line table filled by workers); the main loop moves
-   consecutive sequence numbers into the connection's write queue, so
-   responses leave every connection in arrival order no matter how the
-   workers interleave — including shed [overloaded] responses, which
-   are parked in the outbox at their slot instead of jumping the queue.
-   A worker finishing a job pokes a self-pipe that is just another
-   readable fd in the loop's interest set, so responses are written
-   promptly instead of waiting out a poll timeout. *)
-type pconn = {
-  p_fd : Unix.file_descr;
-  p_inbuf : Buffer.t;
-  p_mutex : Mutex.t;  (* guards p_outbox *)
-  (* seq -> (response, standing).  [`Errored] counts toward the
-     connection's consecutive-error budget, [`Ok] resets it, and
-     [`Shed] leaves it alone: an [overloaded] reply is the server's
-     condition, not evidence of a misbehaving client — a polite client
-     honouring retry_after_ms through a long brownout must neither be
-     disconnected for it nor have its garbage streak forgiven by it. *)
-  p_outbox : (int, string * [ `Ok | `Errored | `Shed ]) Hashtbl.t;
-  p_wq : Write_queue.t;
-  mutable p_handle : Event_loop.handle option;
-  mutable p_next_seq : int;  (* main domain only *)
-  mutable p_next_write : int;  (* main domain only *)
-  mutable p_inflight : int;  (* submitted, not yet moved to the wq; main only *)
-  mutable p_eof : bool;  (* read side finished *)
-  mutable p_dead : bool;  (* write failed, slow-client cap, or budget *)
-  mutable p_errors : int;  (* consecutive error responses *)
-}
-
-let run_socket_pool ~config ?metrics_file ~path ~workers () =
+let run_socket ?(config = Session.default_config) ?metrics_file
+    ?(workers = 1) ~path () =
+  check_supervisor_knobs config;
+  let workers = max 1 workers in
   Metrics.enable ();
   Metrics.set g_workers (float_of_int workers);
   let tick_metrics, flush_metrics = metrics_writer metrics_file in
   with_signals_and_listener ~path @@ fun ~stop ~listener ~restore ->
   let loop = Event_loop.create () in
-  add_metrics_timer loop metrics_file tick_metrics;
+  (* Arm the snapshot cadence only when there is a file to write. *)
+  if metrics_file <> None then
+    ignore
+      (Event_loop.add_timer loop ~period_ns:metrics_interval_ns
+         ~delay_ns:metrics_interval_ns tick_metrics);
   let cache = Plan_cache.create ~capacity:config.Session.cache_capacity () in
-  (* Self-pipe: workers poke the write end after each finished job; the
-     read end sits in the interest set like any connection.  Both ends
-     nonblocking — a full pipe already means a wake-up is pending — and
-     CLOEXEC, like every fd this loop mints. *)
-  let pipe_rd, pipe_wr = Unix.pipe ~cloexec:true () in
-  Unix.set_nonblock pipe_rd;
-  Unix.set_nonblock pipe_wr;
-  let poke = Bytes.make 1 '!' in
-  let notify () =
-    try ignore (Unix.write pipe_wr poke 0 1) with Unix.Unix_error _ -> ()
-  in
-  let pool =
-    Worker_pool.create ~queue_bound:config.Session.max_inflight ~notify
-      ~workers ()
-  in
+  (* The watchdog and adaptive admission act on pool jobs, so they are
+     armed only with a pool; the memory brownout works at every worker
+     count. *)
+  let pool_only knob = if workers > 1 then knob else None in
+  let hung_ms = pool_only config.Session.hung_request_ms in
   let sup =
-    Supervisor.create ?hung_ms:config.Session.hung_request_ms
-      ?queue_delay_target_ms:config.Session.queue_delay_target_ms
+    Supervisor.create ?hung_ms
+      ?queue_delay_target_ms:(pool_only config.Session.queue_delay_target_ms)
       ?max_rss_mb:config.Session.max_rss_mb ~workers ()
   in
-  (* One session per worker, created lazily {e on} the worker so its
-     router workspace is domain-owned there; slot [k] is only ever
-     touched by worker [k].  All sessions share the one plan cache. *)
-  let sessions = Array.make workers None in
-  let session_for k =
-    match sessions.(k) with
-    | Some s -> s
-    | None ->
-        let s =
-          Session.create ~config ~cache ~pool ~worker:(k + 1)
-            ~inflight_probe:(fun () -> Worker_pool.pending pool)
-            ()
-        in
-        sessions.(k) <- Some s;
-        s
+  let exec =
+    if workers > 1 then pool_executor config ~loop ~cache ~sup ~workers
+    else
+      inline_executor config (fun inflight_probe ->
+          Session.create ~config ~cache ~inflight_probe ())
   in
-  let conns = ref [] in
-  let chunk = Bytes.create 65536 in
-  let drain_pipe () =
-    let b = Bytes.create 512 in
-    let rec go () =
-      match Unix.read pipe_rd b 0 512 with
-      | 0 -> ()
-      | _ -> go ()
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-          ()
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-    in
-    go ()
-  in
-  (* Park a ready-made response at the next arrival slot — shed,
-     oversized and watchdog replies ride the same ordered outbox as
-     real responses, so they never jump the queue. *)
-  let park conn reply =
-    let seq = conn.p_next_seq in
-    conn.p_next_seq <- seq + 1;
-    conn.p_inflight <- conn.p_inflight + 1;
-    Mutex.lock conn.p_mutex;
-    Hashtbl.replace conn.p_outbox seq reply;
-    Mutex.unlock conn.p_mutex
-  in
-  (* Assign the arrival slot and hand the line to the pool.  Adaptive
-     admission sheds before the queue is even tried; a refused job
-     (queue at hard bound) sheds into the same slot so ordering holds.
-     Each accepted job runs under a supervisor ticket: a fresh cancel
-     token becomes ambient for the request (engines poll it), the
-     watchdog's abort parks the [internal_error] reply if the worker is
-     declared lost, and the settle CAS guarantees exactly one of worker
-     and watchdog answers. *)
-  let submit_line conn line =
-    match Supervisor.should_shed sup with
-    | Some retry_after_ms ->
-        Metrics.incr c_shed;
-        park conn (Session.overloaded_response_line ~retry_after_ms line, `Shed)
-    | None ->
-        let seq = conn.p_next_seq in
-        conn.p_next_seq <- seq + 1;
-        conn.p_inflight <- conn.p_inflight + 1;
-        let submitted_ns = Timer.now_ns () in
-        let deliver reply =
-          Mutex.lock conn.p_mutex;
-          Hashtbl.replace conn.p_outbox seq reply;
-          Mutex.unlock conn.p_mutex
-        in
-        let job () =
-          let k = Option.value ~default:0 (Worker_pool.worker_index ()) in
-          Supervisor.note_queue_delay sup
-            (Int64.sub (Timer.now_ns ()) submitted_ns);
-          let cancel = Cancel.create () in
-          let ticket =
-            Supervisor.enter sup ~worker:k ~cancel ~abort:(fun () ->
-                deliver (Session.hung_response_line line, `Errored);
-                notify ())
-          in
-          let reply =
-            try
-              let line, errored =
-                Cancel.with_ambient cancel (fun () ->
-                    Fault.point "worker.hang" ~f:(fun () ->
-                        Session.handle_line_status (session_for k) line))
-              in
-              (line, if errored then `Errored else `Ok)
-            with
-            | Cancel.Cancelled Cancel.Killed ->
-                (Session.hung_response_line line, `Errored)
-            | exn ->
-                Metrics.incr c_crashed;
-                (Session.crashed_response_line line exn, `Errored)
-          in
-          let won = Supervisor.settle ticket in
-          Supervisor.leave sup ticket;
-          if won then deliver reply
-        in
-        if not (Worker_pool.submit pool job) then begin
-          Metrics.incr c_shed;
-          deliver
-            ( Session.overloaded_response_line
-                ~retry_after_ms:(Supervisor.retry_hint_ms sup) line,
-              `Shed )
-        end
-  in
-  (* Move finished responses into the write queue in sequence order;
-     stop at the first slot a worker hasn't filled yet.  A dead
-     connection keeps consuming its slots (so inflight reaches 0 and it
-     can close) without queuing bytes.  A queue overflow is the
-     slow-client verdict: the client stopped reading while its replies
-     kept coming. *)
-  let flush_outbox conn =
-    let rec go () =
-      Mutex.lock conn.p_mutex;
-      let next = Hashtbl.find_opt conn.p_outbox conn.p_next_write in
-      (match next with
-      | Some _ -> Hashtbl.remove conn.p_outbox conn.p_next_write
-      | None -> ());
-      Mutex.unlock conn.p_mutex;
-      match next with
-      | None -> ()
-      | Some (line, standing) ->
-          conn.p_inflight <- conn.p_inflight - 1;
-          conn.p_next_write <- conn.p_next_write + 1;
-          if not conn.p_dead then begin
-            (match Write_queue.enqueue conn.p_wq line with
-            | `Ok -> ()
-            | `Overflow ->
-                Metrics.incr c_slow_closes;
-                conn.p_dead <- true);
-            match standing with
-            | `Errored ->
-                conn.p_errors <- conn.p_errors + 1;
-                let budget = config.Session.error_budget in
-                if budget > 0 && conn.p_errors >= budget then begin
-                  Metrics.incr c_budget_closes;
-                  conn.p_dead <- true
-                end
-            | `Ok -> conn.p_errors <- 0
-            | `Shed -> ()
-          end;
-          go ()
-    in
-    go ()
-  in
-  let flush_wq conn =
-    if not conn.p_dead then begin
-      match
-        Fault.point "server.writable" ~f:(fun () ->
-            Write_queue.flush conn.p_wq)
-      with
-      | `Idle -> (
-          match conn.p_handle with
-          | Some h -> Event_loop.set_interest loop h ~writable:false ()
-          | None -> ())
-      | `Pending -> (
-          match conn.p_handle with
-          | Some h -> Event_loop.set_interest loop h ~writable:true ()
-          | None -> ())
-      | `Closed -> conn.p_dead <- true
-      | exception Fault.Injected _ -> conn.p_dead <- true
-    end
-  in
-  let read_pconn conn =
-    let rec go () =
-      if conn.p_eof || conn.p_dead then ()
-      else
-        match Io_util.read_chunk ~fault:"server.read" conn.p_fd chunk with
-        | Io_util.Would_block -> ()
-        | Io_util.Eof | Io_util.Closed -> conn.p_eof <- true
-        | Io_util.Read k ->
-            Buffer.add_subbytes conn.p_inbuf chunk 0 k;
-            go ()
-        | exception Fault.Injected _ -> conn.p_eof <- true
-    in
-    go ()
-  in
-  let stage_pconn conn =
-    match
-      take_lines_buf conn.p_inbuf ~limit:config.Session.max_line_bytes
-    with
-    | `Lines lines -> List.iter (submit_line conn) lines
-    | `Oversized lines ->
-        List.iter (submit_line conn) lines;
-        Metrics.incr c_oversized;
-        park conn (Session.oversized_response_line (), `Errored);
-        (* p_eof, not p_dead: queued replies (and the goodbye) still
-           flush before the socket closes. *)
-        conn.p_eof <- true
-  in
-  let on_pconn conn ~readable ~writable =
-    if readable then begin
-      read_pconn conn;
-      stage_pconn conn
-    end;
-    if writable then flush_wq conn
-  in
-  let add_conn fd =
-    let conn =
-      {
-        p_fd = fd;
-        p_inbuf = Buffer.create 256;
-        p_mutex = Mutex.create ();
-        p_outbox = Hashtbl.create 8;
-        p_wq =
-          Write_queue.create ~fault:"server.write"
-            ~cap_bytes:config.Session.max_outbox_bytes fd;
-        p_handle = None;
-        p_next_seq = 0;
-        p_next_write = 0;
-        p_inflight = 0;
-        p_eof = false;
-        p_dead = false;
-        p_errors = 0;
-      }
-    in
-    let h =
-      Event_loop.watch loop fd (fun ~readable ~writable ->
-          on_pconn conn ~readable ~writable)
-    in
-    conn.p_handle <- Some h;
-    conns := conn :: !conns
-  in
-  let close_pconn conn =
-    (match conn.p_handle with
-    | Some h -> Event_loop.unwatch loop h
-    | None -> ());
-    try Unix.close conn.p_fd with Unix.Unix_error _ -> ()
+  let release fd = try Unix.close fd with Unix.Unix_error _ -> () in
+  let p = pipeline ~config ~loop ~release exec in
+  (* The watchdog/brownout cadence is an event-loop timer, armed only
+     when there is something to supervise, so an idle server without
+     either makes no timer wakeups at all. *)
+  if hung_ms <> None || config.Session.max_rss_mb <> None then begin
+    let period_ns = Supervisor.poll_interval_ns sup in
+    ignore
+      (Event_loop.add_timer loop ~period_ns ~delay_ns:period_ns (fun () ->
+           List.iter exec.respawn (Supervisor.monitor sup);
+           Supervisor.check_memory sup ~cache))
+  end;
+  let listener_h =
+    Event_loop.watch loop listener (fun ~readable ~writable:_ ->
+        if readable then accept_burst listener ~on_fd:(add_conn p))
   in
   let cleanup () =
-    Worker_pool.shutdown pool;
-    List.iter close_pconn !conns;
-    (try Unix.close pipe_rd with Unix.Unix_error _ -> ());
-    (try Unix.close pipe_wr with Unix.Unix_error _ -> ());
+    exec.shutdown ();
+    List.iter (close_conn p) p.conns;
     restore ();
+    (* Final snapshot so the last requests before shutdown are visible
+       to scrapers. *)
     flush_metrics ()
-  in
-  (* One watchdog/brownout pass.  A worker declared lost gets its slot
-     respawned; its session is dropped first so the replacement builds a
-     fresh one (the zombie may still be mutating the old workspace) —
-     the write happens before [replace]'s spawn, so the new domain sees
-     it. *)
-  let supervise () =
-    List.iter
-      (fun k ->
-        sessions.(k) <- None;
-        Worker_pool.replace pool k)
-      (Supervisor.monitor sup);
-    Supervisor.check_memory sup ~cache
-  in
-  (* The watchdog/brownout cadence replaces the old fixed poll timeout:
-     armed only when there is something to supervise, so an idle server
-     without a watchdog makes no timer wakeups at all. *)
-  if
-    config.Session.hung_request_ms <> None
-    || config.Session.max_rss_mb <> None
-  then begin
-    let period_ns = Supervisor.poll_interval_ns sup in
-    ignore (Event_loop.add_timer loop ~period_ns ~delay_ns:period_ns supervise)
-  end;
-  let on_cycle () =
-    conns :=
-      List.filter
-        (fun conn ->
-          flush_outbox conn;
-          flush_wq conn;
-          if conn.p_eof then
-            (match conn.p_handle with
-            | Some h -> Event_loop.set_interest loop h ~readable:false ()
-            | None -> ());
-          if
-            (conn.p_eof || conn.p_dead)
-            && conn.p_inflight = 0
-            && (conn.p_dead || Write_queue.is_empty conn.p_wq)
-          then begin
-            close_pconn conn;
-            false
-          end
-          else true)
-        !conns
-  in
-  ignore
-    (Event_loop.watch loop pipe_rd (fun ~readable ~writable ->
-         ignore writable;
-         if readable then drain_pipe ()));
-  let listener_h =
-    Event_loop.watch loop listener (fun ~readable ~writable ->
-        ignore writable;
-        if readable then accept_burst loop listener ~on_fd:add_conn)
   in
   Fun.protect ~finally:cleanup @@ fun () ->
   flush_metrics ();
-  Event_loop.run loop ~on_cycle ~stop:(fun () -> !stop);
-  (* Graceful drain: stop accepting; everything already submitted gets
-     its response moved into a write queue before the pool is shut down
-     and the sockets close.  The watchdog keeps its cadence so a wedged
-     worker cannot hold the drain hostage — its request is answered by
-     the abort reply.  The final flush gives slow readers a bounded
-     grace; a client that never reads is cut off at the deadline. *)
+  Event_loop.run loop ~on_cycle:(on_cycle p) ~stop:(fun () -> !stop);
   Event_loop.unwatch loop listener_h;
-  let deadline = Int64.add (Timer.now_ns ()) drain_flush_ns in
-  ignore (Event_loop.add_timer loop ~delay_ns:drain_flush_ns (fun () -> ()));
-  ignore
-    (Event_loop.add_timer loop ~period_ns:50_000_000L ~delay_ns:50_000_000L
-       supervise);
-  on_cycle ();
-  Event_loop.run loop ~on_cycle
-    ~stop:(fun () ->
-      (List.for_all
-         (fun c ->
-           c.p_inflight = 0 && (c.p_dead || Write_queue.is_empty c.p_wq))
-         !conns)
-      || Int64.compare (Timer.now_ns ()) deadline > 0)
-
-let run_socket ?(config = Session.default_config) ?metrics_file
-    ?(workers = 1) ~path () =
-  if workers <= 1 then run_socket_single ~config ?metrics_file ~path ()
-  else run_socket_pool ~config ?metrics_file ~path ~workers ()
+  drain p

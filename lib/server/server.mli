@@ -8,19 +8,18 @@
     - {!serve_fd} serves one already-connected file descriptor (one end
       of a socketpair, an inherited fd) until EOF — the loop the chaos
       harness drives;
-    - {!run_socket} serves a Unix-domain socket.  With [workers = 1]
-      (the default) it is a single-threaded readiness-driven
-      {!Event_loop} ([poll(2)], [select] fallback): every accepted
-      connection gets its own {!Session} (its own workspace) but all
-      connections share one {!Plan_cache}, so any client can hit plans
-      another client warmed.  With [workers > 1] the accept/IO loop
-      stays on the main domain and requests run on a {!Worker_pool} of
-      that many domains — one session per worker, the plan cache still
-      shared — with responses written back in arrival order per
-      connection (DESIGN.md §13); the pool's self-pipe read end is just
-      another readable fd in the loop's interest set.
+    - {!run_socket} serves a Unix-domain socket.
 
-    All accepted descriptors are nonblocking and close-on-exec.
+    {!serve_fd} and {!run_socket} share one connection pipeline on a
+    readiness-driven [poll(2)] {!Event_loop} (DESIGN.md §15): each
+    request line claims the connection's next arrival slot, and replies
+    are written in slot order whoever produces them, so they leave every
+    connection in arrival order.  All sessions of a socket server share
+    one {!Plan_cache}, so any client can hit plans another client
+    warmed.
+
+    All accepted descriptors are nonblocking and close-on-exec; only the
+    fd limit bounds their number ([poll(2)] has no FD_SETSIZE cap).
     Responses go through a per-connection bounded write queue
     ({!Write_queue}) flushed on writability: a client that stops
     reading blocks {e only itself}, and once its outbox exceeds
@@ -37,26 +36,26 @@
     a dead loop.  A peer vanishing mid-response ([EPIPE]/[ECONNRESET])
     closes that connection only.  A connection that accumulates
     [error_budget] consecutive error responses is shed
-    ([server_error_budget_closes] metric).  Fault points [server.read],
+    ([server_error_budget_closes] metric): nothing more is read from
+    it, but every line already read is still answered.  The budget is
+    counted on the connection, in arrival order, from
+    {!Session.handle_line_status}'s flag.  Fault points [server.read],
     [server.write], [server.accept], [server.poll] and
     [server.writable] let a chaos plan exercise all of these
     deterministically.
 
     Backpressure: complete request lines are staged in a bounded in-flight
-    queue; once [max_inflight] requests are queued in a poll cycle,
-    further pipelined requests are answered immediately with the
-    [overloaded] error instead of growing the queue without bound.
-
-    Capacity: on the poll backend the fd limit is the only bound; on
-    the select fallback the loop stops accepting (one-time warning) at
-    the FD_SETSIZE guard instead of dying in the multiplexer.
+    queue (the pool's job queue at [workers > 1]); once [max_inflight]
+    requests are queued, further pipelined requests are answered with
+    the [overloaded] error, in their own arrival slot, instead of
+    growing the queue without bound.
 
     Shutdown: SIGINT/SIGTERM flip a flag; the loop stops accepting
-    (listener unwatched), answers everything already queued, flushes
-    write queues under a bounded (5s) grace for slow readers, closes
-    and removes the socket file before returning (graceful drain).  The stdio and socket
-    loops enable {!Qr_obs.Metrics} so the [metrics] method and the
-    plan-cache counters are live.
+    (listener unwatched) and reading, answers every line already read,
+    flushes write queues under a bounded (5s) grace for slow readers,
+    closes and removes the socket file before returning (graceful
+    drain).  The stdio and socket loops enable {!Qr_obs.Metrics} so the
+    [metrics] method and the plan-cache counters are live.
 
     Telemetry (DESIGN.md §12): with [metrics_file] set, the loops write
     the Prometheus exposition ({!Qr_obs.Metrics.to_prometheus}, process
@@ -87,11 +86,13 @@ val serve_fd :
     read fault, or the error budget trips — reads through the
     [server.read] fault point and writes through [server.write], so chaos
     plans reach the real descriptor I/O (unlike {!serve_channels}, whose
-    buffered channels bypass it).  Runs [fd] through the same
-    {!Event_loop} + {!Write_queue} machinery as the socket loops
-    (the fd is switched to nonblocking for the duration and restored
-    on exit).  Does not close [fd] and does not enable metrics; the
-    caller owns both. *)
+    buffered channels bypass it).  Runs [fd] through the socket
+    server's connection pipeline with the inline executor, so
+    [max_inflight], [max_line_bytes], [max_outbox_bytes] and
+    [error_budget] apply as they do on a socket (the fd is switched to
+    nonblocking for the duration and restored on exit).  [session]
+    answers every line; by default a fresh one.  Does not close [fd]
+    and does not enable metrics; the caller owns both. *)
 
 val run_socket :
   ?config:Session.config ->
@@ -102,19 +103,22 @@ val run_socket :
   unit
 (** Bind, listen and serve [path] until SIGINT/SIGTERM, then drain.  A
     stale socket file left by a crashed server is replaced; any other
-    existing file is an error ([Failure]).  The socket file is removed on
-    exit.  Sessions report the pending queue's length as their [health]
-    [inflight] count.  [metrics_file] snapshots are written at startup,
-    about every 2s, and at shutdown.
+    existing file is an error ([Failure]), and so is a
+    [hung_request_ms], [queue_delay_target_ms] or [max_rss_mb] below 1
+    ([Failure] naming the field, raised before the socket is bound).
+    The socket file is removed on exit.  Sessions report the pending
+    queue's length as their [health] [inflight] count.  [metrics_file]
+    snapshots are written at startup, about every 2s, and at shutdown.
 
-    [workers] (default 1) selects the serving engine.  1 keeps the
-    historical single-threaded loop, byte-for-byte.  [> 1] runs requests
-    on that many worker domains: per-connection response order is still
-    arrival order (sequence-numbered reorder buffer), the in-flight
-    bound still sheds with [overloaded] (the shed response waits its
-    turn in the same order), the per-connection error budget is still
-    enforced (on the accept loop, from each response's status), and
-    SIGINT/SIGTERM still drain everything submitted before the pool
-    shuts down.  [route_batch] items additionally fan out across the
-    pool.  The [server_workers] gauge reports the mode;
-    [server_queue_depth] tracks the pool's backlog. *)
+    [workers] (default 1) picks the executor and nothing else: replies,
+    their order, shedding, the error budget and the drain are the same
+    at every count.  [1] answers requests inline on the loop's domain
+    with one {!Session} for every connection.  [> 1] runs them on a
+    {!Worker_pool} of that many domains, one session per worker;
+    [route_batch] items additionally fan out across the pool, and the
+    supervisor's watchdog
+    ([hung_request_ms]) and adaptive admission
+    ([queue_delay_target_ms]) act on the pool's jobs.  The memory
+    brownout ([max_rss_mb]) works at every count.  The
+    [server_workers] gauge reports the mode; [server_queue_depth]
+    tracks the pool's backlog. *)

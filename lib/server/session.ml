@@ -111,7 +111,6 @@ type t = {
   pool : Worker_pool.t option;  (* fan route_batch items across workers *)
   worker : int option;  (* owning worker's index, for access logs *)
   mutable served : int;
-  mutable consecutive_errors : int;
   mutable last_cached : bool option;
   mutable last_access : access option;
 }
@@ -139,7 +138,6 @@ let create ?(config = default_config) ?cache ?(inflight_probe = fun () -> 0)
     pool;
     worker;
     served = 0;
-    consecutive_errors = 0;
     last_cached = None;
     last_access = None;
   }
@@ -147,7 +145,6 @@ let create ?(config = default_config) ?cache ?(inflight_probe = fun () -> 0)
 let config t = t.config
 let cache t = t.cache
 let requests_served t = t.served
-let consecutive_errors t = t.consecutive_errors
 
 (* ----------------------------------------------------- param extraction *)
 
@@ -552,11 +549,8 @@ let handle_request t (req : P.request) =
         a_degraded = Router_registry.degradations () > degradations_before;
       };
   match result with
-  | Ok json ->
-      t.consecutive_errors <- 0;
-      P.ok_response ?trace:req.trace ~server_ms:ms ~id:req.id json
+  | Ok json -> P.ok_response ?trace:req.trace ~server_ms:ms ~id:req.id json
   | Error err ->
-      t.consecutive_errors <- t.consecutive_errors + 1;
       Metrics.incr c_errors;
       P.error_response ?trace:req.trace ~server_ms:ms ~id:req.id err
 
@@ -601,7 +595,6 @@ let log_access t ~bytes =
 
 let reject t ~meth err =
   Metrics.incr c_errors;
-  t.consecutive_errors <- t.consecutive_errors + 1;
   t.last_access <-
     Some
       {

@@ -1,10 +1,13 @@
-(** Per-connection request processing.
+(** Request processing.
 
-    A session owns everything one connection reuses across requests: a
+    A session owns everything its requests reuse: a
     {!Qr_route.Router_workspace.t} (so every request after the first rides
     the batched [route_many] allocation profile), a {!Plan_cache.t}
-    (optionally shared between connections by the server), and the request
-    counter behind the [health] report.  {!handle_line} is the whole
+    (optionally shared between sessions by the server), and the request
+    counter behind the [health] report.  The socket server runs one
+    session for every connection at [--workers 1] and one per worker
+    above it, so connection state (the error budget) lives in
+    {!Server}, not here.  {!handle_line} is the whole
     request pipeline — parse, dispatch, route, serialize — and is pure
     string-to-string, so tests and the [serve_session] example drive it
     without sockets or channels.
@@ -38,8 +41,9 @@ type config = {
           replanned (default [false]). *)
   error_budget : int;
       (** Consecutive error responses a connection may accumulate
-          before the socket server sheds it (default 32; 0 disables;
-          enforced by {!Server}). *)
+          before the server stops reading it and closes it once its
+          replies are written (default 32; 0 disables; enforced by
+          {!Server}). *)
   max_line_bytes : int;
       (** Largest request line (and largest partial line buffered while
           waiting for its newline) a connection may send; past it the
@@ -114,11 +118,6 @@ val cache : t -> Plan_cache.t
 
 val requests_served : t -> int
 
-val consecutive_errors : t -> int
-(** Error responses since the last success on this session — the
-    per-connection error budget the socket server enforces.  Reset to 0
-    by every success response. *)
-
 val handle_request : t -> Protocol.request -> Protocol.Json.t
 (** Dispatch one parsed request to its method handler; always returns a
     response envelope (errors are encoded, never raised).  The envelope
@@ -140,10 +139,10 @@ val handle_line : t -> string -> string
 
 val handle_line_status : t -> string -> string * bool
 (** {!handle_line} plus whether the response was an error — the signal
-    the multicore server feeds its per-connection error budget, which
-    it tracks on the accept loop (worker sessions are shared between
-    connections, so {!consecutive_errors} can't be per-connection
-    there). *)
+    {!Server} feeds each connection's consecutive-error budget.  The
+    budget is counted on the connection, not the session: one session
+    serves every connection at [--workers 1], and each worker's session
+    serves many at [--workers > 1]. *)
 
 val overloaded_response_line : ?retry_after_ms:int -> string -> string
 (** The [overloaded] error response for a request line that was shed

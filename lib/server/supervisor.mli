@@ -1,6 +1,7 @@
-(** Supervision and overload control for the pool-mode server.
+(** Supervision and overload control for the socket server.
 
-    Three cooperating protections (DESIGN.md §14):
+    Three cooperating protections (DESIGN.md §14); the first two act on
+    pool jobs, the brownout works at every worker count:
 
     - {b Watchdog}: every pool job runs under a {!ticket} carrying the
       request's {!Qr_util.Cancel.t}.  The main loop calls {!monitor}
@@ -72,8 +73,8 @@ val monitor : t -> int list
 val poll_interval_s : t -> float
 (** Watchdog cadence that keeps kill/lost detection within a fraction
     of [hung_ms]: [hung_ms/4] clamped to [\[10ms, 1s\]]; [1s] when off.
-    Historically the select timeout; now the period of the event-loop
-    timer that drives {!monitor} (DESIGN.md §15). *)
+    The period of the event-loop timer that drives {!monitor} and
+    {!check_memory} (DESIGN.md §15). *)
 
 val poll_interval_ns : t -> int64
 (** {!poll_interval_s} in nanoseconds — the period handed to

@@ -5,10 +5,8 @@
    without a tick timeout.  The binding is deliberately tiny: the caller
    owns three parallel arrays (fd, interest mask, result mask) so a busy
    event loop re-polls without allocating, and errno handling is reduced
-   to the one case the loop treats specially (EINTR).
-
-   Platforms without poll(2) report unavailability and the OCaml side
-   falls back to Unix.select. */
+   to the one case the loop treats specially (EINTR).  poll(2) is POSIX,
+   and the other stubs already assume a Unix host. */
 
 #include <caml/mlvalues.h>
 #include <caml/alloc.h>
@@ -16,20 +14,9 @@
 #include <caml/fail.h>
 #include <caml/threads.h>
 
-#ifndef _WIN32
 #include <poll.h>
 #include <errno.h>
 #include <stdlib.h>
-#endif
-
-CAMLprim value qr_util_poll_available(value unit)
-{
-#ifdef _WIN32
-  return Val_false;
-#else
-  return Val_true;
-#endif
-}
 
 /* Interest/result masks shared with Sys_poll: 1 = readable, 2 =
    writable, 4 = error (POLLERR | POLLHUP | POLLNVAL, result only).
@@ -38,10 +25,6 @@ CAMLprim value qr_util_poll_available(value unit)
 CAMLprim value qr_util_poll(value v_fds, value v_events, value v_revents,
                             value v_timeout_ms)
 {
-#ifdef _WIN32
-  caml_failwith("Sys_poll.poll: poll(2) unavailable on this platform");
-  return Val_int(0);
-#else
   CAMLparam4(v_fds, v_events, v_revents, v_timeout_ms);
   mlsize_t n = Wosize_val(v_fds);
   int timeout = Int_val(v_timeout_ms);
@@ -78,5 +61,4 @@ CAMLprim value qr_util_poll(value v_fds, value v_events, value v_revents,
   }
   free(pfds);
   CAMLreturn(Val_int(r));
-#endif
 }

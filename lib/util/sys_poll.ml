@@ -1,10 +1,7 @@
-external poll_available : unit -> bool = "qr_util_poll_available"
-
 external poll_raw :
   Unix.file_descr array -> int array -> int array -> int -> int
   = "qr_util_poll"
 
-let available = poll_available ()
 let pollin = 1
 let pollout = 2
 let pollerr = 4

@@ -4,16 +4,13 @@
     cannot watch descriptors numbered [>= FD_SETSIZE] (typically 1024 —
     it raises [EINVAL], taking the whole accept loop down with it), and
     rebuilding [fd_set]s every call costs O(highest fd) in the kernel.
-    [poll(2)] has neither problem.  {!Qr_server.Event_loop} uses this
-    binding when {!available}, and falls back to [Unix.select] (with an
-    explicit capacity guard) where it is not.
+    [poll(2)] has neither problem, and it is POSIX, so
+    {!Qr_server.Event_loop} uses this binding on every platform the
+    stubs build on.
 
     The interface is deliberately array-in/array-out so a long-lived
     event loop can re-poll without allocating: the caller keeps three
     parallel arrays of the same length and reuses them across calls. *)
-
-val available : bool
-(** Whether [poll(2)] exists on this platform. *)
 
 val pollin : int
 (** Interest/result bit: readable (data, EOF, or a pending accept). *)
@@ -40,4 +37,4 @@ val poll :
 
     @raise Unix.Unix_error [EINTR] when interrupted by a signal (the
     caller re-checks its stop flag and re-polls).
-    @raise Failure on platforms without [poll(2)] or any other errno. *)
+    @raise Failure on any other errno. *)

@@ -1,20 +1,18 @@
 (* Tests for the readiness-driven serving loop (DESIGN.md §15): the
    event loop's timers (ordering, periodic coalescing), fd interest
    (readable and writable on one descriptor), wakeup accounting, the
-   select backend's FD_SETSIZE capacity guard, the bounded
-   per-connection write queue — and the two regression scenarios the
-   loop exists for: a slow client is closed at its outbox cap instead
-   of buffering without bound, and a client that never reads its
-   responses no longer head-of-line-blocks every other connection.  The
-   parity scripts run the same request lines through [serve_fd] and the
-   socket server at one and at two workers and expect the same
-   replies. *)
+   bounded per-connection write queue, serving past FD_SETSIZE
+   connections — and the two regression scenarios the loop exists for:
+   a slow client is closed at its outbox cap instead of buffering
+   without bound, and a client that never reads its responses no longer
+   head-of-line-blocks every other connection.  The parity scripts run
+   the same request lines through [serve_fd] and the socket server at
+   one and at two workers and expect the same replies. *)
 
 module Json = Qr_obs.Json
 module Metrics = Qr_obs.Metrics
 module Grid = Qr_graph.Grid
 module Perm = Qr_perm.Perm
-module Sys_poll = Qr_util.Sys_poll
 module P = Qr_server.Protocol
 module Session = Qr_server.Session
 module Server = Qr_server.Server
@@ -116,42 +114,6 @@ let test_readable_and_writable () =
   checkb "writable interest disarmed" true (!got = (true, false));
   Event_loop.unwatch loop h;
   checki "unwatch forgets the fd" 0 (Event_loop.fd_count loop)
-
-let test_select_capacity_guard () =
-  (* The select fallback must refuse to watch past FD_SETSIZE instead of
-     letting Unix.select die with EINVAL mid-serve. *)
-  let loop = Event_loop.create ~backend:Event_loop.Select () in
-  (match Event_loop.capacity loop with
-  | Some cap -> checki "select capacity is FD_SETSIZE" 1024 cap
-  | None -> Alcotest.fail "select backend must report a capacity");
-  let pairs = ref [] in
-  let finally () =
-    List.iter
-      (fun (a, b) ->
-        (try Unix.close a with Unix.Unix_error _ -> ());
-        try Unix.close b with Unix.Unix_error _ -> ())
-      !pairs
-  in
-  Fun.protect ~finally @@ fun () ->
-  (try
-     while not (Event_loop.at_capacity loop) do
-       let a, b =
-         Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0
-       in
-       pairs := (a, b) :: !pairs;
-       ignore (Event_loop.watch loop a (fun ~readable:_ ~writable:_ -> ()));
-       if not (Event_loop.at_capacity loop) then
-         ignore (Event_loop.watch loop b (fun ~readable:_ ~writable:_ -> ()))
-     done
-   with Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
-     Alcotest.fail "fd limit below FD_SETSIZE; raise ulimit -n");
-  checki "guard trips exactly at capacity" 1024 (Event_loop.fd_count loop);
-  with_socketpair @@ fun extra _ ->
-  checkb "watch past capacity refuses" true
-    (try
-       ignore (Event_loop.watch loop extra (fun ~readable:_ ~writable:_ -> ()));
-       false
-     with Invalid_argument _ -> true)
 
 (* ----------------------------------------------------------- write queue *)
 
@@ -489,66 +451,169 @@ let test_parity_success_resets_budget () =
         (run_script ~config serving lines))
     servings
 
+let test_shed_keeps_arrival_order () =
+  (* Ten routes pipelined past an in-flight bound of 4.  A shed reply
+     waits its turn: ids come back 1-10 on every path, each ok or
+     overloaded, and the four admitted first are always ok.  The pool
+     sheds by timing; inline, everything past the bound in one read is
+     shed. *)
+  with_test_deadline 60 @@ fun () ->
+  let config = { Session.default_config with Session.max_inflight = 4 } in
+  let lines = List.init 10 (fun i -> route_line ~id:(i + 1) ()) in
+  List.iter
+    (fun serving ->
+      let name = serving_name serving in
+      let replies = run_script ~config serving lines in
+      Alcotest.(check (list string))
+        (name ^ ": arrival order")
+        (List.init 10 (fun i -> string_of_int (i + 1)))
+        (List.map fst replies);
+      List.iteri
+        (fun i (_, status) ->
+          if i < 4 then Alcotest.(check string) (name ^ ": admitted") "ok" status
+          else
+            checkb (name ^ ": ok or overloaded") true
+              (status = "ok" || status = "overloaded"))
+        replies;
+      if serving = Fd then
+        check_replies serving
+          (oks [ 1; 2; 3; 4 ]
+          @ List.init 6 (fun i -> (string_of_int (i + 5), "overloaded")))
+          replies)
+    servings
+
+let test_budget_flushes_read_replies () =
+  (* The budget trips on the second junk line, with no half-close: the
+     server stops reading and closes by itself, but the route already
+     read behind the junk is still answered, on every path. *)
+  with_test_deadline 60 @@ fun () ->
+  let config = { Session.default_config with Session.error_budget = 2 } in
+  let lines = [ route_line ~id:1 (); "junk"; "junk"; route_line ~id:4 () ] in
+  let junk = ("null", "parse_error") in
+  List.iter
+    (fun serving ->
+      check_replies serving
+        [ ("1", "ok"); junk; junk; ("4", "ok") ]
+        (run_script ~config ~half_close:false serving lines))
+    servings
+
+let batch_line id =
+  Printf.sprintf
+    {|{"id": %d, "method": "route_batch", "params": {"grid": {"rows": 3, "cols": 3}, "perms": [[8,7,6,5,4,3,2,1,0]], "engine": "local"}}|}
+    id
+
+let test_brownout_at_every_worker_count () =
+  (* Any live process is past 1 MB of max RSS, so the first memory check
+     (about 1 s after start) arms the brownout, and batches are refused
+     at one worker as at two. *)
+  with_test_deadline 60 @@ fun () ->
+  let config = { Session.default_config with Session.max_rss_mb = Some 1 } in
+  List.iter
+    (fun workers ->
+      with_forked_server ~config ~workers "qr_evloop_brownout" @@ fun path ->
+      Unix.sleepf 1.5;
+      let rec batch_status tries =
+        match Client.call ~path (batch_line 1) with
+        | Ok reply ->
+            let _, status = reply_summary reply in
+            if status = "ok" && tries > 0 then begin
+              Unix.sleepf 0.25;
+              batch_status (tries - 1)
+            end
+            else status
+        | Error msg -> Alcotest.failf "batch call failed: %s" msg
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "workers %d: batch refused" workers)
+        "overloaded" (batch_status 10))
+    [ 1; 2 ]
+
+let test_bad_supervisor_knobs_refused () =
+  (* A non-positive watchdog, admission or memory knob is a config
+     error at every worker count: [Failure] naming the field, raised
+     before the socket is bound. *)
+  with_test_deadline 30 @@ fun () ->
+  let path =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "qr_evloop_knobs_%d.sock" (Unix.getpid ()))
+  in
+  let d = Session.default_config in
+  List.iter
+    (fun (field, config) ->
+      List.iter
+        (fun workers ->
+          let name = Printf.sprintf "%s at workers %d" field workers in
+          (match Server.run_socket ~config ~workers ~path () with
+          | () -> Alcotest.failf "%s: served" name
+          | exception Failure msg ->
+              checkb (name ^ ": names the field") true
+                (String.length msg >= String.length field
+                && String.sub msg 0 (String.length field) = field));
+          checkb (name ^ ": socket never bound") false (Sys.file_exists path))
+        [ 1; 2 ])
+    [
+      ("hung_request_ms", { d with Session.hung_request_ms = Some 0 });
+      ("queue_delay_target_ms", { d with Session.queue_delay_target_ms = Some 0 });
+      ("max_rss_mb", { d with Session.max_rss_mb = Some (-1) });
+    ]
+
 (* ------------------------------------------------- many-connection scaling *)
 
 let test_beyond_select_capacity () =
-  (* The poll backend serves more concurrent connections than
-     FD_SETSIZE allows — the scenario that killed the select loop with
-     EINVAL.  Gated on the fd limit: a constrained environment skips
-     rather than fails. *)
-  if not Sys_poll.available then
-    checkb "poll unavailable; nothing to test" true true
-  else
-    with_test_deadline 120 @@ fun () ->
-    with_forked_server "qr_evloop_many" @@ fun path ->
-    let conns = ref [] in
-    let finally () =
-      List.iter
-        (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-        !conns
+  (* The poll loop serves more concurrent connections than FD_SETSIZE
+     allows — the scenario that killed the select loop with EINVAL.
+     Gated on the fd limit: a constrained environment skips rather than
+     fails. *)
+  with_test_deadline 120 @@ fun () ->
+  with_forked_server "qr_evloop_many" @@ fun path ->
+  let conns = ref [] in
+  let finally () =
+    List.iter
+      (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+      !conns
+  in
+  Fun.protect ~finally @@ fun () ->
+  let target = 1100 in
+  let opened =
+    try
+      for _ = 1 to target do
+        let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        conns := fd :: !conns;
+        Unix.connect fd (Unix.ADDR_UNIX path)
+      done;
+      target
+    with Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
+      List.length !conns
+  in
+  if opened < target then
+    (* fd limit too low to exercise the scenario; connections close in
+       [finally], the server just drains. *)
+    checkb "skipped: fd limit below the 1100-connection target" true true
+  else begin
+    (* Every connection is idle-open; the newest one still gets
+       answered — the server is past FD_SETSIZE and serving. *)
+    let fd = List.hd !conns in
+    let line = route_line ~id:9999 () ^ "\n" in
+    ignore (Unix.write_substring fd line 0 (String.length line));
+    let buf = Buffer.create 512 in
+    let chunk = Bytes.create 4096 in
+    let rec read_line () =
+      if String.contains (Buffer.contents buf) '\n' then ()
+      else
+        match Unix.read fd chunk 0 4096 with
+        | 0 -> Alcotest.fail "server closed the 1100th connection"
+        | k ->
+            Buffer.add_subbytes buf chunk 0 k;
+            read_line ()
     in
-    Fun.protect ~finally @@ fun () ->
-    let target = 1100 in
-    let opened =
-      try
-        for _ = 1 to target do
-          let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-          conns := fd :: !conns;
-          Unix.connect fd (Unix.ADDR_UNIX path)
-        done;
-        target
-      with Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
-        List.length !conns
-    in
-    if opened < target then
-      (* fd limit too low to exercise the scenario; connections close in
-         [finally], the server just drains. *)
-      checkb "skipped: fd limit below the 1100-connection target" true true
-    else begin
-      (* Every connection is idle-open; the newest one still gets
-         answered — the server is past FD_SETSIZE and serving. *)
-      let fd = List.hd !conns in
-      let line = route_line ~id:9999 () ^ "\n" in
-      ignore (Unix.write_substring fd line 0 (String.length line));
-      let buf = Buffer.create 512 in
-      let chunk = Bytes.create 4096 in
-      let rec read_line () =
-        if String.contains (Buffer.contents buf) '\n' then ()
-        else
-          match Unix.read fd chunk 0 4096 with
-          | 0 -> Alcotest.fail "server closed the 1100th connection"
-          | k ->
-              Buffer.add_subbytes buf chunk 0 k;
-              read_line ()
-      in
-      read_line ();
-      let data = Buffer.contents buf in
-      let response = String.sub data 0 (String.index data '\n') in
-      match P.response_result (Json.of_string_exn response) with
-      | Ok _ -> checkb "served beyond FD_SETSIZE" true true
-      | Error err ->
-          Alcotest.failf "route failed at 1100 connections: %s" err.P.message
-    end
+    read_line ();
+    let data = Buffer.contents buf in
+    let response = String.sub data 0 (String.index data '\n') in
+    match P.response_result (Json.of_string_exn response) with
+    | Ok _ -> checkb "served beyond FD_SETSIZE" true true
+    | Error err ->
+        Alcotest.failf "route failed at 1100 connections: %s" err.P.message
+  end
 
 (* -------------------------------------------------------------------- run *)
 
@@ -565,8 +630,6 @@ let () =
         [
           Alcotest.test_case "readable+writable on one fd" `Quick
             test_readable_and_writable;
-          Alcotest.test_case "select capacity guard" `Slow
-            test_select_capacity_guard;
         ] );
       ( "write_queue",
         [
@@ -593,5 +656,13 @@ let () =
           Alcotest.test_case "oversized line" `Slow test_parity_oversized_line;
           Alcotest.test_case "success resets the budget" `Slow
             test_parity_success_resets_budget;
+          Alcotest.test_case "shed keeps arrival order" `Slow
+            test_shed_keeps_arrival_order;
+          Alcotest.test_case "budget flushes read replies" `Slow
+            test_budget_flushes_read_replies;
+          Alcotest.test_case "brownout at every worker count" `Slow
+            test_brownout_at_every_worker_count;
+          Alcotest.test_case "bad supervisor knobs refused" `Quick
+            test_bad_supervisor_knobs_refused;
         ] );
     ]

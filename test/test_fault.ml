@@ -481,13 +481,18 @@ let test_session_dispatch_crash_isolated () =
   checkb "next request fine" true (Json.member "schedule" ok <> None)
 
 let test_session_consecutive_errors () =
+  (* The flag the server counts each connection's error budget from. *)
   let session = Session.create () in
-  checki "starts clean" 0 (Session.consecutive_errors session);
-  ignore (Session.handle_line session "junk");
-  ignore (Session.handle_line session {|{"id": 1}|});
-  checki "errors accumulate" 2 (Session.consecutive_errors session);
-  ignore (Session.handle_line session (route_line rev9));
-  checki "success resets" 0 (Session.consecutive_errors session)
+  let errored line = snd (Session.handle_line_status session line) in
+  checkb "parse error flagged" true (errored "junk");
+  checkb "invalid request flagged" true (errored {|{"id": 1}|});
+  checkb "success not flagged" false (errored (route_line rev9));
+  checkb "routing error flagged" true
+    (errored
+       {|{"id": 4, "method": "route", "params": {"grid": {"rows": 3, "cols": 3}, "perm": [0,0,1,2,3,4,5,6,7], "engine": "local"}}|});
+  let reply, flag = Session.handle_line_status session "junk" in
+  checkb "flag agrees with the reply" true
+    (flag && error_code_of reply = Some P.Parse_error)
 
 let test_batch_deadline_aborts_mid_plan () =
   let session = Session.create () in
