@@ -1,11 +1,11 @@
 (* Tests for the readiness-driven serving loop (DESIGN.md §15): the
    event loop's timers (ordering, periodic coalescing), fd interest
    (readable and writable on one descriptor), wakeup accounting, the
-   bounded per-connection write queue, serving past FD_SETSIZE
-   connections — and the two regression scenarios the loop exists for:
-   a slow client is closed at its outbox cap instead of buffering
-   without bound, and a client that never reads its responses no longer
-   head-of-line-blocks every other connection.  The parity scripts run
+   bounded per-connection write queue, an idle server that makes no
+   wakeups, serving past FD_SETSIZE connections — and the two regression
+   scenarios the loop exists for: a slow client is closed at its outbox
+   cap instead of buffering without bound, and a client that never reads
+   its responses no longer head-of-line-blocks every other connection.  The parity scripts run
    the same request lines through [serve_fd] and the socket server at
    one and at two workers and expect the same replies. *)
 
@@ -557,6 +557,68 @@ let test_bad_supervisor_knobs_refused () =
       ("max_rss_mb", { d with Session.max_rss_mb = Some (-1) });
     ]
 
+(* ------------------------------------------------------------ idle server *)
+
+(* One request/response round trip on a persistent connection; [inbox]
+   keeps any bytes read past the reply's newline. *)
+let round_trip fd inbox line =
+  write_fully fd (line ^ "\n") 0;
+  let chunk = Bytes.create 4096 in
+  let rec recv () =
+    let data = Buffer.contents inbox in
+    match String.index_opt data '\n' with
+    | Some i ->
+        Buffer.clear inbox;
+        Buffer.add_substring inbox data (i + 1) (String.length data - i - 1);
+        String.sub data 0 i
+    | None -> (
+        match Unix.read fd chunk 0 4096 with
+        | 0 -> Alcotest.fail "server closed the connection"
+        | k ->
+            Buffer.add_subbytes inbox chunk 0 k;
+            recv ())
+  in
+  recv ()
+
+let test_idle_server_sleeps () =
+  (* An idle server arms no timer, so it sleeps in poll: under one
+     wakeup per second over a 3 s quiet window, net of the wakeups the
+     metrics probe itself costs, at one worker and with the pool. *)
+  with_test_deadline 60 @@ fun () ->
+  List.iter
+    (fun workers ->
+      with_forked_server ~workers "qr_evloop_idle" @@ fun path ->
+      let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+      Unix.connect fd (Unix.ADDR_UNIX path);
+      let inbox = Buffer.create 512 in
+      let rpc line =
+        match P.response_result (Json.of_string_exn (round_trip fd inbox line)) with
+        | Ok result -> result
+        | Error err -> Alcotest.failf "workers %d: %s" workers err.P.message
+      in
+      for id = 1 to 10 do
+        ignore (rpc (route_line ~id ()))
+      done;
+      let wakeups () =
+        counter_of (rpc {|{"id": 0, "method": "metrics"}|}) "server_loop_wakeups"
+      in
+      let w_a = wakeups () in
+      let w_b = wakeups () in
+      let probe_cost = w_b - w_a in
+      let window_s = 3.0 in
+      Unix.sleepf window_s;
+      let w_c = wakeups () in
+      let per_s =
+        Float.max 0. (float_of_int (w_c - w_b - probe_cost) /. window_s)
+      in
+      checkb (Printf.sprintf "workers %d: wakeups counted" workers) true (w_a > 0);
+      checkb
+        (Printf.sprintf "workers %d: %.2f idle wakeups/s (probe costs %d)"
+           workers per_s probe_cost)
+        true (per_s < 1.0))
+    [ 1; 2 ]
+
 (* ------------------------------------------------- many-connection scaling *)
 
 let test_beyond_select_capacity () =
@@ -644,6 +706,8 @@ let () =
           Alcotest.test_case "slow reader does not block others" `Slow
             test_slow_reader_does_not_block_others;
         ] );
+      ( "idle",
+        [ Alcotest.test_case "idle server sleeps" `Slow test_idle_server_sleeps ] );
       ( "scaling",
         [
           Alcotest.test_case "beyond FD_SETSIZE" `Slow

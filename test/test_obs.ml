@@ -4,6 +4,10 @@ module Json = Qr_obs.Json
 module Trace = Qr_obs.Trace
 module Metrics = Qr_obs.Metrics
 
+(* The "every engine traced" case routes the whole registry, token
+   engines included. *)
+let () = Qroute.Token_engines.register ()
+
 let check = Alcotest.check
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -712,8 +716,9 @@ let test_routed_counters_consistent () =
   List.iter
     (fun required ->
       checkb (required ^ " span present") true (List.mem required names))
-    [ "route"; "band_search"; "mcbbm_assign"; "round1_columns";
-      "round2_rows"; "round3_columns" ];
+    [ "route"; "column_graph_build"; "band_search"; "mcbbm_assign";
+      "bottleneck_solve"; "round1_columns"; "round2_rows"; "round3_columns";
+      "orientation_direct"; "orientation_transposed" ];
   let counter name =
     match Metrics.find_counter name with
     | Some c -> Metrics.value c
@@ -724,8 +729,39 @@ let test_routed_counters_consistent () =
     (counter "swap_layers");
   checki "swaps_total = size" (Qroute.Schedule.size sched)
     (counter "swaps_total");
-  checkb "band_search_iterations counted" true
-    (counter "band_search_iterations" > 0)
+  List.iter
+    (fun name -> checkb (name ^ " counted") true (counter name > 0))
+    [ "band_search_iterations"; "hk_calls"; "odd_even_rounds" ]
+
+let test_every_engine_traced () =
+  (* Every registered engine routes with both sinks on, and both exports
+     print and parse back to the same document. *)
+  with_clean_sinks @@ fun () ->
+  let grid = Qroute.Grid.make ~rows:4 ~cols:4 in
+  let n = Qroute.Grid.size grid in
+  List.iteri
+    (fun i engine ->
+      let name = engine.Qroute.Router_intf.name in
+      Metrics.reset ();
+      Metrics.enable ();
+      let pi = Qroute.Rng.permutation (Qroute.Rng.create (1000 + i)) n in
+      let sched, spans =
+        Trace.run (fun () -> Qroute.Router_intf.route_grid engine grid pi)
+      in
+      Metrics.disable ();
+      checkb (name ^ " realizes pi") true
+        (Qroute.Schedule.realizes ~n sched pi);
+      checkb (name ^ " route span") true
+        (List.exists (fun (s : Trace.span) -> s.name = "route") spans);
+      List.iter
+        (fun (what, doc) ->
+          match Json.of_string (Json.to_string doc) with
+          | Ok parsed ->
+              checkb (name ^ " " ^ what ^ " parses back") true
+                (Json.equal parsed doc)
+          | Error msg -> Alcotest.failf "%s %s: %s" name what msg)
+        [ ("phases", Trace.summary_json spans); ("metrics", Metrics.to_json ()) ])
+    (Qroute.Router_registry.all ())
 
 let () =
   Alcotest.run "qr_obs"
@@ -800,5 +836,7 @@ let () =
         [
           Alcotest.test_case "instrumented route" `Quick
             test_routed_counters_consistent;
+          Alcotest.test_case "every engine traced" `Quick
+            test_every_engine_traced;
         ] );
     ]
