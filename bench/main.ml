@@ -10,16 +10,8 @@
 
      fig4      print the Figure-4 depth series
      fig5      print the Figure-5 runtime series
-     phases    per-strategy phase-cost breakdown (Qr_obs spans + counters);
-               writes BENCH_phases.json
      parallel  route_batch throughput at 1/2/4/8 worker domains;
                writes BENCH_parallel.json
-     overload  cancellation-checkpoint overhead and adaptive-admission
-               behavior under a burst; writes BENCH_overload.json
-     evloop    readiness-loop behavior over a live socket server: idle
-               wakeups/sec, round-trip latency under idle connections
-               and under a never-reading slow client;
-               writes BENCH_evloop.json
      ablation  isolate each design choice of LocalGridRoute
      circuits  end-to-end transpilation of the motivating workloads
      realistic depth on permutations harvested from real transpilations
@@ -31,7 +23,11 @@
    environment, fig4/fig5 additionally write machine-readable CSV files
    (one row per grid x workload x strategy x seed) for plotting.  Every
    schedule produced anywhere in this harness is checked to realize its
-   permutation. *)
+   permutation.
+
+   The per-phase cost breakdown of one engine is
+   [qroute sweep --engines NAME --trace FILE --metrics FILE]; the
+   end-to-end and per-layer benchmark of record is perfbench/. *)
 
 open Qroute
 
@@ -158,82 +154,6 @@ let fig5 sides =
     "seconds per routing call" ~with_bound:false;
   write_csv "fig5" !csv_rows
 
-(* --------------------------------------------------------------- phases *)
-
-(* Per-strategy phase-cost breakdown over the random workload: route with
-   the span tracer and metrics registry on, print the per-phase summary,
-   and write the whole sweep to BENCH_phases.json.  This is the yardstick
-   for perf PRs: it attributes runtime to band search, MCBBM assignment,
-   the three odd–even rounds, decomposition and ATS trials rather than one
-   end-to-end wall clock. *)
-let phases sides =
-  header "Phase breakdown: where the routing time goes (random workload)";
-  let engines = Router_registry.all () in
-  let grids_json =
-    List.map
-      (fun side ->
-        let grid = Grid.make ~rows:side ~cols:side in
-        let per_strategy =
-          List.map
-            (fun engine ->
-              Trace.start ();
-              Metrics.reset ();
-              Metrics.enable ();
-              for seed = 0 to seeds - 1 do
-                let pi =
-                  Generators.generate grid Generators.Random
-                    (Rng.create (1000 + seed))
-                in
-                let sched = Router_intf.route_grid engine grid pi in
-                assert (Schedule.realizes ~n:(Grid.size grid) sched pi)
-              done;
-              let spans = Trace.stop () in
-              Metrics.disable ();
-              Printf.printf "\n-- %dx%d  %s  (%d seeds)\n%s" side side
-                engine.Router_intf.name seeds (Trace.summary_table spans);
-              Obs_json.Obj
-                [
-                  ("strategy", Obs_json.String engine.Router_intf.name);
-                  ("phases", Trace.summary_json spans);
-                  ("metrics", Metrics.to_json ());
-                ])
-            engines
-        in
-        Obs_json.Obj
-          [
-            ("grid_side", Obs_json.Int side);
-            ("strategies", Obs_json.List per_strategy);
-          ])
-      sides
-  in
-  let doc =
-    Obs_json.Obj
-      [
-        ("workload", Obs_json.String "random");
-        ("seeds", Obs_json.Int seeds);
-        ("grids", Obs_json.List grids_json);
-      ]
-  in
-  let path = "BENCH_phases.json" in
-  Out_channel.with_open_text path (fun oc -> Obs_json.to_channel oc doc);
-  (* Self-check: what we wrote must parse back to the same document. *)
-  let content = In_channel.with_open_text path In_channel.input_all in
-  (match Obs_json.of_string content with
-  | Ok parsed ->
-      if not (Obs_json.equal parsed doc) then
-        failwith "BENCH_phases.json did not round-trip"
-  | Error msg -> failwith ("BENCH_phases.json is not well-formed: " ^ msg));
-  Printf.printf "\n(phase breakdown written to %s)\n" path;
-  (* The same registry in Prometheus text format (the last strategy's
-     counts — the registry is reset per strategy above): an exemplar
-     exposition for scrape-and-plot tooling, and a standing check that
-     [to_prometheus] renders every instrument the routing stack
-     registers. *)
-  let prom_path = "BENCH_phases.prom" in
-  Out_channel.with_open_text prom_path (fun oc ->
-      output_string oc (Metrics.to_prometheus ()));
-  Printf.printf "(prometheus exposition written to %s)\n" prom_path
-
 (* ------------------------------------------------------------- parallel *)
 
 (* Multicore scaling of route_batch-style fan-out: route the same bag of
@@ -326,380 +246,6 @@ let parallel () =
   | Error msg ->
       failwith ("BENCH_parallel.json is not well-formed: " ^ msg));
   Printf.printf "(parallel scaling written to %s)\n" path
-
-(* ------------------------------------------------------------- overload *)
-
-(* The supervision plane under pressure, and the cost of being
-   supervisable.  Two measurements:
-
-   - {e checkpoint overhead}: the same routing workload with no cancel
-     token vs a live (never-fired) ambient token — the per-poll cost of
-     the cooperative-cancellation checkpoints, which DESIGN.md §14
-     promises is noise;
-   - {e burst behavior}: a burst several times the pool's queue bound is
-     pushed through a worker pool under a supervisor with an adaptive
-     queue-delay target; we record how many requests completed vs were
-     shed, the retry hints handed out, and the completed requests'
-     latency tail.  This is the shape of the serve-loop's admission
-     logic ([Server.run_socket --workers N --queue-delay-ms T]) without
-     the sockets.
-
-   Writes BENCH_overload.json. *)
-let overload () =
-  header "Overload: cancellation overhead and adaptive admission";
-  let grid = Grid.make ~rows:16 ~cols:16 in
-  let n = Grid.size grid in
-  let engine = Router_registry.get "local" in
-  let perms =
-    List.init 48 (fun i ->
-        Generators.generate grid Generators.Random (Rng.create (23000 + i)))
-  in
-  let route pi = Router_intf.route_grid engine grid pi in
-  let time_all label f =
-    ignore (List.map f perms);
-    (* warm-up *)
-    let _, seconds = Timer.time (fun () -> ignore (List.map f perms)) in
-    let per_route_ms = seconds /. float_of_int (List.length perms) *. 1e3 in
-    Printf.printf "%-24s %10.3f ms/route\n" label per_route_ms;
-    per_route_ms
-  in
-  let bare_ms = time_all "no cancel token" route in
-  let watched_ms =
-    time_all "live ambient token" (fun pi ->
-        Cancel.with_ambient (Cancel.create ()) (fun () -> route pi))
-  in
-  let overhead_pct = (watched_ms -. bare_ms) /. bare_ms *. 100. in
-  Printf.printf "checkpoint overhead: %+.1f%%\n" overhead_pct;
-  (* Burst: queue bound 16, 4 workers, 160 submissions.  The supervisor
-     sheds on queue-delay EWMA; the pool's hard bound sheds the rest. *)
-  let workers = 4 and queue_bound = 16 and burst = 160 in
-  let sup = Supervisor.create ~queue_delay_target_ms:2 ~workers () in
-  let pool = Worker_pool.create ~queue_bound ~workers () in
-  let completed = ref 0 and shed = ref 0 and hints = ref [] in
-  let mutex = Mutex.create () in
-  let latencies = ref [] in
-  let submit i =
-    let pi = List.nth perms (i mod List.length perms) in
-    let submitted_ns = Timer.now_ns () in
-    match Supervisor.should_shed sup with
-    | Some hint ->
-        Mutex.lock mutex;
-        incr shed;
-        hints := hint :: !hints;
-        Mutex.unlock mutex
-    | None ->
-        let job () =
-          Supervisor.note_queue_delay sup
-            (Int64.sub (Timer.now_ns ()) submitted_ns);
-          let sched, seconds = Timer.time (fun () -> route pi) in
-          assert (Schedule.realizes ~n sched pi);
-          Mutex.lock mutex;
-          incr completed;
-          latencies := seconds :: !latencies;
-          Mutex.unlock mutex
-        in
-        if not (Worker_pool.submit pool job) then begin
-          Mutex.lock mutex;
-          incr shed;
-          hints := Supervisor.retry_hint_ms sup :: !hints;
-          Mutex.unlock mutex
-        end
-  in
-  let _, wall = Timer.time (fun () ->
-      for i = 0 to burst - 1 do
-        submit i
-      done;
-      Worker_pool.shutdown pool)
-  in
-  let lat = Array.of_list !latencies in
-  Array.sort compare lat;
-  let p50 = if Array.length lat = 0 then nan else Stats.percentile lat 50. in
-  let p99 = if Array.length lat = 0 then nan else Stats.percentile lat 99. in
-  let mean_hint =
-    match !hints with
-    | [] -> 0.
-    | l ->
-        float_of_int (List.fold_left ( + ) 0 l) /. float_of_int (List.length l)
-  in
-  Printf.printf
-    "burst %d through %d workers (bound %d): %d completed, %d shed, mean \
-     retry hint %.0f ms, p50 %.3f ms, p99 %.3f ms\n"
-    burst workers queue_bound !completed !shed mean_hint (p50 *. 1e3)
-    (p99 *. 1e3);
-  if !completed + !shed <> burst then
-    failwith "overload bench lost requests: completed + shed <> burst";
-  let doc =
-    Obs_json.Obj
-      [
-        ("grid_side", Obs_json.Int 16);
-        ("strategy", Obs_json.String "local");
-        ("cancel_overhead_pct", Obs_json.Float overhead_pct);
-        ("bare_ms_per_route", Obs_json.Float bare_ms);
-        ("watched_ms_per_route", Obs_json.Float watched_ms);
-        ( "burst",
-          Obs_json.Obj
-            [
-              ("submissions", Obs_json.Int burst);
-              ("workers", Obs_json.Int workers);
-              ("queue_bound", Obs_json.Int queue_bound);
-              ("queue_delay_target_ms", Obs_json.Int 2);
-              ("completed", Obs_json.Int !completed);
-              ("shed", Obs_json.Int !shed);
-              ("mean_retry_hint_ms", Obs_json.Float mean_hint);
-              ("wall_s", Obs_json.Float wall);
-              ("p50_ms", Obs_json.Float (p50 *. 1e3));
-              ("p99_ms", Obs_json.Float (p99 *. 1e3));
-            ] );
-      ]
-  in
-  let path = "BENCH_overload.json" in
-  Out_channel.with_open_text path (fun oc -> Obs_json.to_channel oc doc);
-  let content = In_channel.with_open_text path In_channel.input_all in
-  (match Obs_json.of_string content with
-  | Ok parsed ->
-      if not (Obs_json.equal parsed doc) then
-        failwith "BENCH_overload.json did not round-trip"
-  | Error msg ->
-      failwith ("BENCH_overload.json is not well-formed: " ^ msg));
-  Printf.printf "(overload behavior written to %s)\n" path
-
-(* --------------------------------------------------------------- evloop *)
-
-(* Readiness-loop behavior over a live Unix-domain socket server
-   (DESIGN.md §15), measured from the outside:
-
-   - {e idle wakeups}: the [server_loop_wakeups] counter delta over a
-     quiet window — the old loop ticked every second even with nothing
-     to do; the event loop arms no timer and must sit at ~0/s;
-   - {e connection scaling}: round-trip latency of a busy connection
-     while dozens of idle connections are parked in the poll set;
-   - {e slow reader}: the same round-trips while one client floods
-     pipelined requests and never reads a byte.  The historical
-     blocking write_all wedged the accept loop on that client; the
-     write-queued loop must keep the healthy tail close to baseline and
-     close the staller at its outbox cap ([server_slow_client_closes]).
-
-   Writes BENCH_evloop.json. *)
-let evloop () =
-  header "Event loop: idle wakeups, connection scaling, slow reader";
-  (* The staller's descriptor is closed server-side mid-flood; writes
-     into it must surface as EPIPE, not kill the harness. *)
-  ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore);
-  let module Session = Server_session in
-  let module P = Server_protocol in
-  let path =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "qr_bench_evloop_%d.sock" (Unix.getpid ()))
-  in
-  (try Unix.unlink path with Unix.Unix_error _ -> ());
-  let outbox_cap = 65_536 in
-  let config =
-    { Session.default_config with Session.max_outbox_bytes = outbox_cap }
-  in
-  (* The child would otherwise replay the parent's buffered stdout. *)
-  flush stdout;
-  match Unix.fork () with
-  | 0 ->
-      (try Server.run_socket ~config ~path () with _ -> ());
-      exit 0
-  | child ->
-      let finally () =
-        (try Unix.kill child Sys.sigterm with Unix.Unix_error _ -> ());
-        (try ignore (Unix.waitpid [] child) with Unix.Unix_error _ -> ());
-        try Unix.unlink path with Unix.Unix_error _ -> ()
-      in
-      Fun.protect ~finally @@ fun () ->
-      let rec await tries =
-        if tries = 0 then failwith "evloop bench: server socket never appeared";
-        if not (Sys.file_exists path) then begin
-          Unix.sleepf 0.02;
-          await (tries - 1)
-        end
-      in
-      await 250;
-      let connect () =
-        let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        Unix.connect fd (Unix.ADDR_UNIX path);
-        fd
-      in
-      let close fd = try Unix.close fd with Unix.Unix_error _ -> () in
-      (* One blocking request/response round trip on a persistent
-         connection; every response envelope is validated. *)
-      let route_line id =
-        Printf.sprintf
-          {|{"id": %d, "method": "route", "params": {"grid": {"rows": 3, "cols": 3}, "perm": [8,7,6,5,4,3,2,1,0], "engine": "local"}}|}
-          id
-      in
-      let chunk = Bytes.create 4096 in
-      let inbox = Buffer.create 512 in
-      let round_trip fd line =
-        let line = line ^ "\n" in
-        let len = String.length line in
-        let rec send off =
-          if off < len then send (off + Unix.write_substring fd line off (len - off))
-        in
-        send 0;
-        let rec recv () =
-          match String.index_opt (Buffer.contents inbox) '\n' with
-          | Some i ->
-              let data = Buffer.contents inbox in
-              let response = String.sub data 0 i in
-              Buffer.clear inbox;
-              Buffer.add_substring inbox data (i + 1)
-                (String.length data - i - 1);
-              response
-          | None -> (
-              match Unix.read fd chunk 0 4096 with
-              | 0 -> failwith "evloop bench: server closed the busy connection"
-              | k ->
-                  Buffer.add_subbytes inbox chunk 0 k;
-                  recv ())
-        in
-        let response = recv () in
-        (match P.response_result (Obs_json.of_string_exn response) with
-        | Ok _ -> ()
-        | Error err ->
-            failwith ("evloop bench: error response: " ^ err.P.message));
-        response
-      in
-      let counter_rpc fd name =
-        let reply =
-          round_trip fd (Printf.sprintf {|{"id": 0, "method": "metrics"}|})
-        in
-        match P.response_result (Obs_json.of_string_exn reply) with
-        | Ok metrics -> (
-            match Obs_json.member "counters" metrics with
-            | Some (Obs_json.Obj fields) -> (
-                match List.assoc_opt name fields with
-                | Some (Obs_json.Int n) -> n
-                | _ -> 0)
-            | _ -> 0)
-        | Error err -> failwith ("evloop bench: metrics: " ^ err.P.message)
-      in
-      let busy = connect () in
-      Fun.protect ~finally:(fun () -> close busy) @@ fun () ->
-      (* Warm-up: plan cache filled, steady state. *)
-      for i = 1 to 10 do
-        ignore (round_trip busy (route_line i))
-      done;
-      (* Idle wakeups: calibrate the cost of the probe itself with two
-         back-to-back reads, then measure a quiet window. *)
-      let w_a = counter_rpc busy "server_loop_wakeups" in
-      let w_b = counter_rpc busy "server_loop_wakeups" in
-      let probe_cost = w_b - w_a in
-      let window_s = 3.0 in
-      Unix.sleepf window_s;
-      let w_c = counter_rpc busy "server_loop_wakeups" in
-      let idle_wakeups_per_s =
-        Float.max 0. (float_of_int (w_c - w_b - probe_cost) /. window_s)
-      in
-      Printf.printf
-        "idle wakeups: %.2f/s over a %.0fs window (probe costs %d wakeups)\n"
-        idle_wakeups_per_s window_s probe_cost;
-      let requests = 200 in
-      let timed_run label ~before_each =
-        let samples = Array.make requests 0. in
-        for i = 0 to requests - 1 do
-          before_each ();
-          let _, seconds =
-            Timer.time (fun () -> round_trip busy (route_line (100 + i)))
-          in
-          samples.(i) <- seconds *. 1e3
-        done;
-        Array.sort compare samples;
-        let p50 = Stats.percentile samples 50. in
-        let p99 = Stats.percentile samples 99. in
-        Printf.printf "%-28s p50 %8.3f ms   p99 %8.3f ms\n" label p50 p99;
-        (p50, p99)
-      in
-      (* Baseline with a pile of idle connections parked in the poll
-         set: scaling in fd count, not in work. *)
-      let idle_conns = List.init 64 (fun _ -> connect ()) in
-      Fun.protect ~finally:(fun () -> List.iter close idle_conns) @@ fun () ->
-      let base_p50, base_p99 =
-        timed_run "64 idle connections" ~before_each:(fun () -> ())
-      in
-      (* Slow reader: flood without ever reading, topped up nonblocking
-         before every timed round trip so the stall persists through the
-         measurement. *)
-      let staller = connect () in
-      Fun.protect ~finally:(fun () -> close staller) @@ fun () ->
-      Unix.set_nonblock staller;
-      let flood_line = route_line 7777 ^ "\n" in
-      let flood = String.concat "" (List.init 64 (fun _ -> flood_line)) in
-      let staller_open = ref true in
-      let top_up () =
-        if !staller_open then
-          try ignore (Unix.write_substring staller flood 0 (String.length flood))
-          with
-          | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-          | Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
-              staller_open := false
-      in
-      for _ = 1 to 50 do
-        top_up ()
-      done;
-      let stall_p50, stall_p99 = timed_run "one never-reading client" ~before_each:top_up in
-      (* The staller must be closed at the cap once its backlog passes
-         the kernel buffer plus the outbox bound. *)
-      let rec await_close tries =
-        if tries = 0 then 0
-        else
-          let n = counter_rpc busy "server_slow_client_closes" in
-          if n >= 1 then n
-          else begin
-            top_up ();
-            Unix.sleepf 0.1;
-            await_close (tries - 1)
-          end
-      in
-      let slow_closes = await_close 100 in
-      Printf.printf "slow clients closed at the %d-byte cap: %d\n" outbox_cap
-        slow_closes;
-      if slow_closes < 1 then
-        failwith "evloop bench: staller was never closed at the outbox cap";
-      let ratio = if base_p99 > 0. then stall_p99 /. base_p99 else nan in
-      Printf.printf "p99 under stall / p99 baseline: %.2fx\n" ratio;
-      let doc =
-        Obs_json.Obj
-          [
-            ("workers", Obs_json.Int 1);
-            ( "idle",
-              Obs_json.Obj
-                [
-                  ("window_s", Obs_json.Float window_s);
-                  ("probe_cost_wakeups", Obs_json.Int probe_cost);
-                  ("wakeups_per_s", Obs_json.Float idle_wakeups_per_s);
-                ] );
-            ( "baseline",
-              Obs_json.Obj
-                [
-                  ("idle_connections", Obs_json.Int 64);
-                  ("requests", Obs_json.Int requests);
-                  ("p50_ms", Obs_json.Float base_p50);
-                  ("p99_ms", Obs_json.Float base_p99);
-                ] );
-            ( "slow_reader",
-              Obs_json.Obj
-                [
-                  ("requests", Obs_json.Int requests);
-                  ("max_outbox_bytes", Obs_json.Int outbox_cap);
-                  ("p50_ms", Obs_json.Float stall_p50);
-                  ("p99_ms", Obs_json.Float stall_p99);
-                  ("p99_ratio", Obs_json.Float ratio);
-                  ("slow_client_closes", Obs_json.Int slow_closes);
-                ] );
-          ]
-      in
-      let out = "BENCH_evloop.json" in
-      Out_channel.with_open_text out (fun oc -> Obs_json.to_channel oc doc);
-      let content = In_channel.with_open_text out In_channel.input_all in
-      (match Obs_json.of_string content with
-      | Ok parsed ->
-          if not (Obs_json.equal parsed doc) then
-            failwith "BENCH_evloop.json did not round-trip"
-      | Error msg -> failwith ("BENCH_evloop.json is not well-formed: " ^ msg));
-      Printf.printf "(event-loop behavior written to %s)\n" out
 
 (* ------------------------------------------------------------- ablations *)
 
@@ -1139,10 +685,7 @@ let () =
   match mode with
   | "fig4" -> fig4 sides
   | "fig5" -> fig5 sides
-  | "phases" -> phases sides
   | "parallel" -> parallel ()
-  | "overload" -> overload ()
-  | "evloop" -> evloop ()
   | "ablation" -> ablations ()
   | "circuits" -> circuits ()
   | "realistic" -> realistic ()
@@ -1150,15 +693,12 @@ let () =
   | "all" ->
       fig4 sides;
       fig5 sides;
-      phases sides;
       parallel ();
-      overload ();
-      evloop ();
       ablations ();
       circuits ();
       realistic ();
       micro ()
   | other ->
-      Printf.eprintf "unknown mode %S (expected fig4|fig5|phases|parallel|overload|evloop|ablation|circuits|realistic|micro|all)\n"
+      Printf.eprintf "unknown mode %S (expected fig4|fig5|parallel|ablation|circuits|realistic|micro|all)\n"
         other;
       exit 1
