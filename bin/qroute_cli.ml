@@ -563,7 +563,7 @@ let serve_cmd =
           ~doc:
             "Largest request line (or buffered partial line) a connection \
              may send; past it the server replies $(b,invalid_request) and \
-             closes the connection.")
+             closes the connection ($(b,--stdio): answers, then exits).")
   in
   let max_outbox_bytes =
     Arg.(

@@ -70,30 +70,71 @@ let metrics_writer metrics_file =
       in
       (tick, flush)
 
+(* ---------------------------------------------------------------- framing *)
+
+(* Move complete lines out of an input buffer; the trailing fragment
+   (no newline yet) stays for the next read.  Stops at the first line
+   longer than [limit] — the in-bound lines before it are returned for
+   normal processing and the [true] flag tells the caller to answer
+   [invalid_request] and close.  A trailing fragment past the limit
+   trips the same way: the buffer must never grow without bound while
+   waiting for a newline that may never come. *)
+let take_lines inbuf ~limit =
+  let data = Buffer.contents inbuf in
+  Buffer.clear inbuf;
+  let rec go start lines =
+    match String.index_from_opt data start '\n' with
+    | Some i when i - start > limit -> (List.rev lines, true)
+    | Some i ->
+        let line = String.sub data start (i - start) in
+        go (i + 1) (if String.trim line = "" then lines else line :: lines)
+    | None ->
+        let rest = String.length data - start in
+        if rest > limit then (List.rev lines, true)
+        else begin
+          Buffer.add_substring inbuf data start rest;
+          (List.rev lines, false)
+        end
+  in
+  go 0 []
+
 (* ---------------------------------------------------------- channel loop *)
 
+(* Every transport frames lines the same way: [take_lines] under
+   [max_line_bytes], and the end of input ends the last line. *)
 let serve_channels ?config ?session ?metrics_file ic oc =
   let session =
     match session with Some s -> s | None -> Session.create ?config ()
   in
+  let limit = (Session.config session).Session.max_line_bytes in
   let tick_metrics, flush_metrics = metrics_writer metrics_file in
-  (try
-     while true do
-       let line = input_line ic in
-       if String.trim line <> "" then begin
-         let reply =
-           try Session.handle_line session line
-           with exn ->
-             Metrics.incr c_crashed;
-             Session.crashed_response_line line exn
-         in
-         output_string oc reply;
-         output_char oc '\n';
-         flush oc;
-         tick_metrics ()
-       end
-     done
-   with End_of_file -> ());
+  let send reply =
+    output_string oc reply;
+    output_char oc '\n';
+    flush oc
+  in
+  let answer line =
+    send
+      (try Session.handle_line session line
+       with exn ->
+         Metrics.incr c_crashed;
+         Session.crashed_response_line line exn);
+    tick_metrics ()
+  in
+  let inbuf = Buffer.create 256 and chunk = Bytes.create 65536 in
+  let rec go () =
+    let k = input ic chunk 0 (Bytes.length chunk) in
+    if k = 0 then Buffer.add_char inbuf '\n'
+    else Buffer.add_subbytes inbuf chunk 0 k;
+    let lines, oversized = take_lines inbuf ~limit in
+    List.iter answer lines;
+    if oversized then begin
+      Metrics.incr c_oversized;
+      send (Session.oversized_response_line ())
+    end
+    else if k > 0 then go ()
+  in
+  go ();
   flush_metrics ()
 
 let run_stdio ?config ?metrics_file () =
@@ -230,42 +271,21 @@ let flush_conn loop conn =
     | `Pending -> set_interest loop conn ~writable:true ()
     | `Closed | (exception Fault.Injected _) -> conn.dead <- true
 
-(* Move complete lines out of an input buffer; the trailing fragment
-   (no newline yet) stays for the next read.  Stops at the first line
-   longer than [limit] — the in-bound lines before it are returned for
-   normal processing and the [true] flag tells the caller to answer
-   [invalid_request] and close.  A trailing fragment past the limit
-   trips the same way: the buffer must never grow without bound while
-   waiting for a newline that may never come. *)
-let take_lines inbuf ~limit =
-  let data = Buffer.contents inbuf in
-  Buffer.clear inbuf;
-  let rec go start lines =
-    match String.index_from_opt data start '\n' with
-    | Some i when i - start > limit -> (List.rev lines, true)
-    | Some i ->
-        let line = String.sub data start (i - start) in
-        go (i + 1) (if String.trim line = "" then lines else line :: lines)
-    | None ->
-        let rest = String.length data - start in
-        if rest > limit then (List.rev lines, true)
-        else begin
-          Buffer.add_substring inbuf data start rest;
-          (List.rev lines, false)
-        end
-  in
-  go 0 []
-
 (* Pull whatever is readable off a connection.  [Would_block] is the
    normal end of a readiness-sized burst on a nonblocking fd — park
    until poll reports the fd readable again (the old loop busy-spun
-   here). *)
+   here).  The peer's orderly EOF ends its last line, as on stdio; a
+   reset, a read fault, a budget trip or the drain leaves a fragment
+   unanswered. *)
 let read_conn conn chunk =
   let rec go () =
     if not (conn.eof || conn.dead) then
       match Io_util.read_chunk ~fault:"server.read" conn.fd chunk with
       | Io_util.Would_block -> ()
-      | Io_util.Eof | Io_util.Closed -> conn.eof <- true
+      | Io_util.Eof ->
+          Buffer.add_char conn.inbuf '\n';
+          conn.eof <- true
+      | Io_util.Closed -> conn.eof <- true
       | Io_util.Read k ->
           Buffer.add_subbytes conn.inbuf chunk 0 k;
           go ()

@@ -72,10 +72,13 @@ val serve_channels :
   out_channel ->
   unit
 (** Serve one connection's worth of requests: read lines until EOF,
-    answer each on [oc] (flushed per response).  Blank lines are skipped.
-    The loop {!run_stdio} wraps, and the seam tests drive over an
-    in-memory channel pair.  [metrics_file] snapshots are written at most
-    every ~2s after a response, plus once at EOF. *)
+    answer each on [oc] (flushed per response).  Lines are framed as on a
+    socket: blank lines are skipped, EOF ends the last line, and a line
+    longer than the session's [max_line_bytes] is answered with
+    [invalid_request] and ends the loop.  The loop {!run_stdio} wraps,
+    and the seam tests drive over an in-memory channel pair.
+    [metrics_file] snapshots are written at most every ~2s after a
+    response, plus once at EOF. *)
 
 val run_stdio : ?config:Session.config -> ?metrics_file:string -> unit -> unit
 (** {!serve_channels} on stdin/stdout with metrics enabled. *)

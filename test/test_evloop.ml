@@ -370,11 +370,10 @@ let reply_summary line =
   | Ok _ -> (id, "ok")
   | Error err -> (id, P.code_to_string err.P.code)
 
-(* Send [lines] in one write, half-close unless told not to, and collect
-   the replies until the server closes the connection. *)
-let run_script ?(config = Session.default_config) ?(half_close = true) serving
-    lines =
-  let payload = String.concat "" (List.map (fun l -> l ^ "\n") lines) in
+(* Send [payload] in one write, half-close unless told not to, and
+   collect the replies until the server closes the connection. *)
+let run_payload ?(config = Session.default_config) ?(half_close = true)
+    serving payload =
   let exchange fd run_server =
     write_fully fd payload 0;
     if half_close then Unix.shutdown fd Unix.SHUTDOWN_SEND;
@@ -408,6 +407,11 @@ let run_script ?(config = Session.default_config) ?(half_close = true) serving
       Unix.connect fd (Unix.ADDR_UNIX path);
       exchange fd ignore
 
+(* [lines], each ended by a newline, through [run_payload]. *)
+let run_script ?config ?half_close serving lines =
+  run_payload ?config ?half_close serving
+    (String.concat "" (List.map (fun l -> l ^ "\n") lines))
+
 let show_replies replies =
   String.concat "; " (List.map (fun (id, s) -> id ^ ":" ^ s) replies)
 
@@ -435,6 +439,15 @@ let test_parity_oversized_line () =
       check_replies serving
         [ ("1", "ok"); ("null", "invalid_request") ]
         (run_script ~config serving lines))
+    servings
+
+let test_parity_unterminated_last_line () =
+  (* The peer's EOF ends its last line: a request sent without a newline
+     before the half-close is answered on every path. *)
+  with_test_deadline 60 @@ fun () ->
+  let payload = route_line ~id:1 () ^ "\n" ^ {|{"id": 2, "method": "health"}|} in
+  List.iter
+    (fun serving -> check_replies serving (oks [ 1; 2 ]) (run_payload serving payload))
     servings
 
 let test_parity_success_resets_budget () =
@@ -718,6 +731,8 @@ let () =
           Alcotest.test_case "pipelined routes" `Slow
             test_parity_pipelined_routes;
           Alcotest.test_case "oversized line" `Slow test_parity_oversized_line;
+          Alcotest.test_case "unterminated last line" `Slow
+            test_parity_unterminated_last_line;
           Alcotest.test_case "success resets the budget" `Slow
             test_parity_success_resets_budget;
           Alcotest.test_case "shed keeps arrival order" `Slow

@@ -855,18 +855,19 @@ let test_metrics_file_snapshot () =
 
 (* --------------------------------------------------------- serving loop *)
 
-let serve_script lines =
+let serve_script ?config lines =
   (* Drive Server.serve_channels over an in-memory pipe pair: requests are
      written up front (well within pipe capacity), the loop runs to EOF,
-     and the responses are read back — no sockets, no subprocess. *)
+     and the responses are read back — no sockets, no subprocess.  The
+     last line goes without a newline: the end of input ends it. *)
   let req_read, req_write = Unix.pipe ~cloexec:false () in
   let resp_read, resp_write = Unix.pipe ~cloexec:false () in
   let reqs = Unix.out_channel_of_descr req_write in
-  List.iter (fun line -> output_string reqs (line ^ "\n")) lines;
+  output_string reqs (String.concat "\n" lines);
   close_out reqs;
   let ic = Unix.in_channel_of_descr req_read in
   let oc = Unix.out_channel_of_descr resp_write in
-  Server.serve_channels ic oc;
+  Server.serve_channels ?config ic oc;
   close_out oc;
   close_in ic;
   let responses = Unix.in_channel_of_descr resp_read in
@@ -910,7 +911,20 @@ let test_serve_channels_end_to_end () =
       checkb "hit visible in health" true (member_exn "hits" pc = Json.Int 1));
   (* Identical requests, identical bytes — ids differ, schedules must not. *)
   let sched line = Json.to_string (member_exn "schedule" (result_of line)) in
-  checks "cache hit is byte-identical" (sched (nth 0)) (sched (nth 1))
+  checks "cache hit is byte-identical" (sched (nth 0)) (sched (nth 1));
+  (* A line past max_line_bytes gets invalid_request, as on a socket, and
+     nothing after it is read. *)
+  let config = { Session.default_config with Session.max_line_bytes = 512 } in
+  match
+    serve_script ~config
+      [ route_line ~id:1 (); String.make 600 'x'; route_line ~id:3 () ]
+  with
+  | [ first; goodbye ] ->
+      checkb "line before the long one answered" true
+        (id_of first = Some (Json.Int 1) && error_code_of first = None);
+      checkb "long line refused" true
+        (error_code_of goodbye = Some P.Invalid_request)
+  | replies -> Alcotest.failf "%d replies, expected 2" (List.length replies)
 
 let () =
   Alcotest.run "qr_server"
