@@ -560,15 +560,21 @@ let remove_stale_socket path =
 
 (* Signals and the listening socket (CLOEXEC + nonblocking: the forked
    chaos tests and respawned worker domains must not inherit serving
-   fds, and the accept burst must end in [EWOULDBLOCK], not a block). *)
+   fds, and the accept burst must end in [EWOULDBLOCK], not a block).
+   A signal that lands between the loop's [stop] check and its poll is
+   handled on the way into poll, which an idle loop would then sleep in
+   for good; so the handler also makes [wake] readable. *)
 let with_signals_and_listener ~path f =
   let stop = ref false in
-  let prev_int =
-    Sys.signal Sys.sigint (Sys.Signal_handle (fun _ -> stop := true))
+  let wake, poke = Unix.pipe ~cloexec:true () in
+  Unix.set_nonblock wake;
+  Unix.set_nonblock poke;
+  let on_signal _ =
+    stop := true;
+    try ignore (Unix.write_substring poke "!" 0 1) with Unix.Unix_error _ -> ()
   in
-  let prev_term =
-    Sys.signal Sys.sigterm (Sys.Signal_handle (fun _ -> stop := true))
-  in
+  let prev_int = Sys.signal Sys.sigint (Sys.Signal_handle on_signal) in
+  let prev_term = Sys.signal Sys.sigterm (Sys.Signal_handle on_signal) in
   (* A client closing mid-write must surface as EPIPE, not kill the
      process. *)
   let prev_pipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
@@ -582,9 +588,10 @@ let with_signals_and_listener ~path f =
     (try Unix.unlink path with Unix.Unix_error _ -> ());
     ignore (Sys.signal Sys.sigint prev_int);
     ignore (Sys.signal Sys.sigterm prev_term);
-    ignore (Sys.signal Sys.sigpipe prev_pipe)
+    ignore (Sys.signal Sys.sigpipe prev_pipe);
+    List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) [ wake; poke ]
   in
-  f ~stop ~listener ~restore
+  f ~stop ~wake ~listener ~restore
 
 (* Accept everything pending this wakeup, until [EWOULDBLOCK], an
    accept error, or an injected accept fault — which skips one accept:
@@ -623,8 +630,9 @@ let run_socket ?(config = Session.default_config) ?metrics_file
   Metrics.enable ();
   Metrics.set g_workers (float_of_int workers);
   let tick_metrics, flush_metrics = metrics_writer metrics_file in
-  with_signals_and_listener ~path @@ fun ~stop ~listener ~restore ->
+  with_signals_and_listener ~path @@ fun ~stop ~wake ~listener ~restore ->
   let loop = Event_loop.create () in
+  let wake_h = Event_loop.watch loop wake (fun ~readable:_ ~writable:_ -> ()) in
   (* Arm the snapshot cadence only when there is a file to write. *)
   if metrics_file <> None then
     ignore
@@ -675,4 +683,5 @@ let run_socket ?(config = Session.default_config) ?metrics_file
   flush_metrics ();
   Event_loop.run loop ~on_cycle:(on_cycle p) ~stop:(fun () -> !stop);
   Event_loop.unwatch loop listener_h;
+  Event_loop.unwatch loop wake_h;
   drain p

@@ -19,6 +19,7 @@ module Server = Qr_server.Server
 module Client = Qr_server.Client
 module Event_loop = Qr_server.Event_loop
 module Write_queue = Qr_server.Write_queue
+module Fault = Qr_fault.Fault
 
 let () = Qr_token.Engines.register ()
 let () = ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore)
@@ -235,7 +236,9 @@ let member_exn name doc =
   | Some v -> v
   | None -> Alcotest.failf "missing field %s" name
 
-let with_forked_server ?(config = Session.default_config) ?workers tag f =
+(* A socket server in a forked child, with the fault plan [faults] armed
+   there; returns the child's pid and the socket path. *)
+let fork_server ?(config = Session.default_config) ?workers ?faults tag =
   let path =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "%s_%d.sock" tag (Unix.getpid ()))
@@ -243,17 +246,26 @@ let with_forked_server ?(config = Session.default_config) ?workers tag f =
   (try Unix.unlink path with Unix.Unix_error _ -> ());
   match Unix.fork () with
   | 0 ->
+      Option.iter
+        (fun plan ->
+          match Fault.parse_plan plan with
+          | Ok specs -> Fault.arm specs
+          | Error _ -> Unix._exit 2)
+        faults;
       (try Server.run_socket ~config ?workers ~path () with _ -> ());
       Unix._exit 0
-  | child ->
-      let finally () =
-        (try Unix.kill child Sys.sigterm with Unix.Unix_error _ -> ());
-        (try ignore (Unix.waitpid [] child) with Unix.Unix_error _ -> ());
-        try Unix.unlink path with Unix.Unix_error _ -> ()
-      in
-      Fun.protect ~finally @@ fun () ->
-      await_socket path;
-      f path
+  | child -> (child, path)
+
+let with_forked_server ?config ?workers tag f =
+  let child, path = fork_server ?config ?workers tag in
+  let finally () =
+    (try Unix.kill child Sys.sigterm with Unix.Unix_error _ -> ());
+    (try ignore (Unix.waitpid [] child) with Unix.Unix_error _ -> ());
+    try Unix.unlink path with Unix.Unix_error _ -> ()
+  in
+  Fun.protect ~finally @@ fun () ->
+  await_socket path;
+  f path
 
 let test_slow_reader_does_not_block_others () =
   (* The head-of-line-blocking regression (satellite of DESIGN.md §15):
@@ -632,6 +644,40 @@ let test_idle_server_sleeps () =
         true (per_s < 1.0))
     [ 1; 2 ]
 
+let test_sigterm_between_cycles () =
+  (* A [server.poll] delay holds every cycle just short of its kernel
+     wait, so a SIGTERM sent right after a reply lands between the
+     loop's stop check and its poll.  The server must exit anyway, not
+     sleep in poll until the next connection. *)
+  with_test_deadline 30 @@ fun () ->
+  List.iter
+    (fun workers ->
+      let child, path =
+        fork_server ~workers ~faults:"server.poll=delay(300)" "qr_evloop_sigterm"
+      in
+      let finally () =
+        (try Unix.kill child Sys.sigkill with Unix.Unix_error _ -> ());
+        (try ignore (Unix.waitpid [] child) with Unix.Unix_error _ -> ());
+        try Unix.unlink path with Unix.Unix_error _ -> ()
+      in
+      Fun.protect ~finally @@ fun () ->
+      await_socket path;
+      (match Client.call ~path {|{"id": 1, "method": "health"}|} with
+      | Ok _ -> ()
+      | Error msg -> Alcotest.failf "workers %d: health: %s" workers msg);
+      Unix.kill child Sys.sigterm;
+      let rec exited tries =
+        match Unix.waitpid [ Unix.WNOHANG ] child with
+        | 0, _ when tries > 0 ->
+            Unix.sleepf 0.05;
+            exited (tries - 1)
+        | 0, _ -> false
+        | _ -> true
+      in
+      checkb (Printf.sprintf "workers %d: exits on SIGTERM" workers) true
+        (exited 60))
+    [ 1; 2 ]
+
 (* ------------------------------------------------- many-connection scaling *)
 
 let test_beyond_select_capacity () =
@@ -720,7 +766,11 @@ let () =
             test_slow_reader_does_not_block_others;
         ] );
       ( "idle",
-        [ Alcotest.test_case "idle server sleeps" `Slow test_idle_server_sleeps ] );
+        [
+          Alcotest.test_case "idle server sleeps" `Slow test_idle_server_sleeps;
+          Alcotest.test_case "SIGTERM between cycles" `Slow
+            test_sigterm_between_cycles;
+        ] );
       ( "scaling",
         [
           Alcotest.test_case "beyond FD_SETSIZE" `Slow
