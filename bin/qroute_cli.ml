@@ -74,11 +74,24 @@ let kind_conv =
   in
   Arg.conv (parse, fun fmt k -> Format.pp_print_string fmt (Generators.name k))
 
+(* Grid sides and seed counts: 0 or less is a usage error, not an
+   uncaught [Invalid_argument] from the library. *)
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some k when k > 0 -> Ok k
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let rows_arg =
-  Arg.(value & opt int 8 & info [ "rows"; "m" ] ~docv:"M" ~doc:"Grid rows.")
+  Arg.(
+    value & opt positive_int 8 & info [ "rows"; "m" ] ~docv:"M" ~doc:"Grid rows.")
 
 let cols_arg =
-  Arg.(value & opt int 8 & info [ "cols"; "n" ] ~docv:"N" ~doc:"Grid columns.")
+  Arg.(
+    value & opt positive_int 8
+    & info [ "cols"; "n" ] ~docv:"N" ~doc:"Grid columns.")
 
 let seed_arg =
   Arg.(value & opt int 0 & info [ "seed" ] ~docv:"SEED" ~doc:"RNG seed.")
@@ -201,11 +214,13 @@ let sweep_cmd =
   let sizes =
     Arg.(
       value
-      & opt (list int) [ 4; 8; 12; 16 ]
+      & opt (list positive_int) [ 4; 8; 12; 16 ]
       & info [ "sizes" ] ~docv:"N,..." ~doc:"Square grid side lengths.")
   in
   let seeds =
-    Arg.(value & opt int 3 & info [ "seeds" ] ~docv:"K" ~doc:"Seeds per point.")
+    Arg.(
+      value & opt positive_int 3
+      & info [ "seeds" ] ~docv:"K" ~doc:"Seeds per point.")
   in
   let engines_arg =
     Arg.(

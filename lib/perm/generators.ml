@@ -30,9 +30,13 @@ let of_name s =
       Some (String.sub s lp (String.length s - lp))
     else None
   in
-  let int_param prefix wrap =
+  (* A parameter its generator would reject parses to [None]. *)
+  let int_param ?(min = min_int) prefix wrap =
     match after prefix with
-    | Some rest -> Option.map wrap (int_of_string_opt rest)
+    | Some rest -> (
+        match int_of_string_opt rest with
+        | Some k when k >= min -> Some (wrap k)
+        | _ -> None)
     | None -> None
   in
   match s with
@@ -42,8 +46,8 @@ let of_name s =
   | "mirror" -> Some Mirror_rows
   | _ ->
       let parsers =
-        [ (fun () -> int_param "block:" (fun b -> Block_local b));
-          (fun () -> int_param "skinny:" (fun l -> Long_skinny l));
+        [ (fun () -> int_param ~min:1 "block:" (fun b -> Block_local b));
+          (fun () -> int_param ~min:2 "skinny:" (fun l -> Long_skinny l));
           (fun () -> int_param "rowshift:" (fun k -> Row_shift k));
           (fun () -> int_param "colshift:" (fun k -> Col_shift k));
           (fun () ->
@@ -58,7 +62,8 @@ let of_name s =
                            (String.length rest - cut - 1))
                     in
                     match (b, c) with
-                    | Some b, Some c -> Some (Overlapping_blocks (b, c))
+                    | Some b, Some c when b >= 1 ->
+                        Some (Overlapping_blocks (b, c))
                     | _ -> None)
                 | None -> None)
             | None -> None) ]

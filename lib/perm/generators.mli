@@ -34,7 +34,8 @@ val name : kind -> string
 val of_name : string -> kind option
 (** Parse labels produced by {!name}; parameterized kinds accept
     ["block:4"], ["overlap:4x32"], ["skinny:8"], ["rowshift:2"],
-    ["colshift:2"] syntax. *)
+    ["colshift:2"] syntax.  A parameter {!generate} would reject is
+    [None]: a block side below 1, a skinny length below 2. *)
 
 val generate : Qr_graph.Grid.t -> kind -> Qr_util.Rng.t -> Perm.t
 (** Draw one permutation of the grid's vertices.  Deterministic kinds ignore

@@ -292,7 +292,11 @@ let test_generator_names_roundtrip () =
 let test_generator_of_name_garbage () =
   checkb "garbage" true (Generators.of_name "nonsense" = None);
   checkb "bad param" true (Generators.of_name "block:x" = None);
-  checkb "bad overlap" true (Generators.of_name "overlap:4" = None)
+  checkb "bad overlap" true (Generators.of_name "overlap:4" = None);
+  (* Parameters the generators reject never parse. *)
+  List.iter
+    (fun s -> checkb s true (Generators.of_name s = None))
+    [ "block:0"; "block:-2"; "overlap:0x4"; "skinny:1" ]
 
 let test_generator_deterministic_for_seed () =
   let g = Grid.make ~rows:6 ~cols:6 in
