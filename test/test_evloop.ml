@@ -237,8 +237,8 @@ let member_exn name doc =
   | None -> Alcotest.failf "missing field %s" name
 
 (* A socket server in a forked child, with the fault plan [faults] armed
-   there; returns the child's pid and the socket path. *)
-let fork_server ?(config = Session.default_config) ?workers ?faults tag =
+   there; [f] gets the child's pid and the socket path. *)
+let fork_server ?(config = Session.default_config) ?workers ?faults tag f =
   let path =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "%s_%d.sock" tag (Unix.getpid ()))
@@ -247,25 +247,22 @@ let fork_server ?(config = Session.default_config) ?workers ?faults tag =
   match Unix.fork () with
   | 0 ->
       Option.iter
-        (fun plan ->
-          match Fault.parse_plan plan with
-          | Ok specs -> Fault.arm specs
-          | Error _ -> Unix._exit 2)
+        (fun plan -> Result.iter Fault.arm (Fault.parse_plan plan))
         faults;
       (try Server.run_socket ~config ?workers ~path () with _ -> ());
       Unix._exit 0
-  | child -> (child, path)
+  | child ->
+      let finally () =
+        (try Unix.kill child Sys.sigterm with Unix.Unix_error _ -> ());
+        (try ignore (Unix.waitpid [] child) with Unix.Unix_error _ -> ());
+        try Unix.unlink path with Unix.Unix_error _ -> ()
+      in
+      Fun.protect ~finally @@ fun () ->
+      await_socket path;
+      f child path
 
 let with_forked_server ?config ?workers tag f =
-  let child, path = fork_server ?config ?workers tag in
-  let finally () =
-    (try Unix.kill child Sys.sigterm with Unix.Unix_error _ -> ());
-    (try ignore (Unix.waitpid [] child) with Unix.Unix_error _ -> ());
-    try Unix.unlink path with Unix.Unix_error _ -> ()
-  in
-  Fun.protect ~finally @@ fun () ->
-  await_socket path;
-  f path
+  fork_server ?config ?workers tag (fun _ path -> f path)
 
 let test_slow_reader_does_not_block_others () =
   (* The head-of-line-blocking regression (satellite of DESIGN.md §15):
@@ -584,27 +581,6 @@ let test_bad_supervisor_knobs_refused () =
 
 (* ------------------------------------------------------------ idle server *)
 
-(* One request/response round trip on a persistent connection; [inbox]
-   keeps any bytes read past the reply's newline. *)
-let round_trip fd inbox line =
-  write_fully fd (line ^ "\n") 0;
-  let chunk = Bytes.create 4096 in
-  let rec recv () =
-    let data = Buffer.contents inbox in
-    match String.index_opt data '\n' with
-    | Some i ->
-        Buffer.clear inbox;
-        Buffer.add_substring inbox data (i + 1) (String.length data - i - 1);
-        String.sub data 0 i
-    | None -> (
-        match Unix.read fd chunk 0 4096 with
-        | 0 -> Alcotest.fail "server closed the connection"
-        | k ->
-            Buffer.add_subbytes inbox chunk 0 k;
-            recv ())
-  in
-  recv ()
-
 let test_idle_server_sleeps () =
   (* An idle server arms no timer, so it sleeps in poll: under one
      wakeup per second over a 3 s quiet window, net of the wakeups the
@@ -616,9 +592,10 @@ let test_idle_server_sleeps () =
       let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
       Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
       Unix.connect fd (Unix.ADDR_UNIX path);
-      let inbox = Buffer.create 512 in
+      let replies = Unix.in_channel_of_descr fd in
       let rpc line =
-        match P.response_result (Json.of_string_exn (round_trip fd inbox line)) with
+        write_fully fd (line ^ "\n") 0;
+        match P.response_result (Json.of_string_exn (input_line replies)) with
         | Ok result -> result
         | Error err -> Alcotest.failf "workers %d: %s" workers err.P.message
       in
@@ -647,35 +624,22 @@ let test_idle_server_sleeps () =
 let test_sigterm_between_cycles () =
   (* A [server.poll] delay holds every cycle just short of its kernel
      wait, so a SIGTERM sent right after a reply lands between the
-     loop's stop check and its poll.  The server must exit anyway, not
-     sleep in poll until the next connection. *)
+     loop's stop check and its poll.  The server must shut down anyway
+     (its socket file goes), not sleep in poll until the next
+     connection. *)
   with_test_deadline 30 @@ fun () ->
   List.iter
     (fun workers ->
-      let child, path =
-        fork_server ~workers ~faults:"server.poll=delay(300)" "qr_evloop_sigterm"
-      in
-      let finally () =
-        (try Unix.kill child Sys.sigkill with Unix.Unix_error _ -> ());
-        (try ignore (Unix.waitpid [] child) with Unix.Unix_error _ -> ());
-        try Unix.unlink path with Unix.Unix_error _ -> ()
-      in
-      Fun.protect ~finally @@ fun () ->
-      await_socket path;
-      (match Client.call ~path {|{"id": 1, "method": "health"}|} with
-      | Ok _ -> ()
-      | Error msg -> Alcotest.failf "workers %d: health: %s" workers msg);
+      fork_server ~workers ~faults:"server.poll=delay(300)" "qr_evloop_sigterm"
+      @@ fun child path ->
+      ignore (Client.call ~path {|{"id": 1, "method": "health"}|});
       Unix.kill child Sys.sigterm;
-      let rec exited tries =
-        match Unix.waitpid [ Unix.WNOHANG ] child with
-        | 0, _ when tries > 0 ->
-            Unix.sleepf 0.05;
-            exited (tries - 1)
-        | 0, _ -> false
-        | _ -> true
+      let rec gone tries =
+        (not (Sys.file_exists path))
+        || tries > 0 && (Unix.sleepf 0.05; gone (tries - 1))
       in
-      checkb (Printf.sprintf "workers %d: exits on SIGTERM" workers) true
-        (exited 60))
+      checkb (Printf.sprintf "workers %d: shuts down on SIGTERM" workers) true
+        (gone 60))
     [ 1; 2 ]
 
 (* ------------------------------------------------- many-connection scaling *)
