@@ -97,4 +97,4 @@ val summary_json : span list -> Json.t
 
 val summary_table : span list -> string
 (** Fixed-width text rendering of {!summary} — the flat per-phase cost
-    breakdown printed by [qroute --trace] and [bench phases]. *)
+    breakdown printed by [qroute --trace]. *)

@@ -15,7 +15,7 @@
       makes {e zero} wakeups, where the old loop ticked every second;
     - {e wakeup accounting}: every return from the kernel (ready or
       timeout, not [EINTR]) bumps {!wakeups} and the
-      [server_loop_wakeups] counter, the number the [evloop] bench
+      [server_loop_wakeups] counter, which the "idle server sleeps" test
       turns into wakeups/sec.
 
     The poll call runs under the [server.poll] fault point: a chaos plan
