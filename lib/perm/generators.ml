@@ -23,6 +23,12 @@ let name = function
   | Col_shift k -> Printf.sprintf "colshift:%d" k
   | Mirror_rows -> "mirror"
 
+(* The parameters each generator accepts. *)
+let valid = function
+  | Block_local b | Overlapping_blocks (b, _) -> b >= 1
+  | Long_skinny l -> l >= 2
+  | _ -> true
+
 let of_name s =
   let after prefix =
     let lp = String.length prefix in
@@ -30,13 +36,9 @@ let of_name s =
       Some (String.sub s lp (String.length s - lp))
     else None
   in
-  (* A parameter its generator would reject parses to [None]. *)
-  let int_param ?(min = min_int) prefix wrap =
+  let int_param prefix wrap =
     match after prefix with
-    | Some rest -> (
-        match int_of_string_opt rest with
-        | Some k when k >= min -> Some (wrap k)
-        | _ -> None)
+    | Some rest -> Option.map wrap (int_of_string_opt rest)
     | None -> None
   in
   match s with
@@ -46,8 +48,8 @@ let of_name s =
   | "mirror" -> Some Mirror_rows
   | _ ->
       let parsers =
-        [ (fun () -> int_param ~min:1 "block:" (fun b -> Block_local b));
-          (fun () -> int_param ~min:2 "skinny:" (fun l -> Long_skinny l));
+        [ (fun () -> int_param "block:" (fun b -> Block_local b));
+          (fun () -> int_param "skinny:" (fun l -> Long_skinny l));
           (fun () -> int_param "rowshift:" (fun k -> Row_shift k));
           (fun () -> int_param "colshift:" (fun k -> Col_shift k));
           (fun () ->
@@ -62,15 +64,18 @@ let of_name s =
                            (String.length rest - cut - 1))
                     in
                     match (b, c) with
-                    | Some b, Some c when b >= 1 ->
-                        Some (Overlapping_blocks (b, c))
+                    | Some b, Some c -> Some (Overlapping_blocks (b, c))
                     | _ -> None)
                 | None -> None)
             | None -> None) ]
       in
-      List.fold_left
-        (fun acc parse -> match acc with Some _ -> acc | None -> parse ())
-        None parsers
+      match
+        List.fold_left
+          (fun acc parse -> match acc with Some _ -> acc | None -> parse ())
+          None parsers
+      with
+      | Some kind when valid kind -> Some kind
+      | _ -> None
 
 (* Compose a uniform shuffle of [positions] after the accumulated permutation
    [p] (in place): tokens headed into the window get redistributed inside
