@@ -86,7 +86,8 @@ let positive_int =
 
 let rows_arg =
   Arg.(
-    value & opt positive_int 8 & info [ "rows"; "m" ] ~docv:"M" ~doc:"Grid rows.")
+    value & opt positive_int 8
+    & info [ "rows"; "m" ] ~docv:"M" ~doc:"Grid rows.")
 
 let cols_arg =
   Arg.(

@@ -589,7 +589,9 @@ let with_signals_and_listener ~path f =
     ignore (Sys.signal Sys.sigint prev_int);
     ignore (Sys.signal Sys.sigterm prev_term);
     ignore (Sys.signal Sys.sigpipe prev_pipe);
-    List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) [ wake; poke ]
+    List.iter
+      (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+      [ wake; poke ]
   in
   f ~stop ~wake ~listener ~restore
 

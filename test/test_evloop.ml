@@ -2,10 +2,11 @@
    event loop's timers (ordering, periodic coalescing), fd interest
    (readable and writable on one descriptor), wakeup accounting, the
    bounded per-connection write queue, an idle server that makes no
-   wakeups, serving past FD_SETSIZE connections — and the two regression
-   scenarios the loop exists for: a slow client is closed at its outbox
-   cap instead of buffering without bound, and a client that never reads
-   its responses no longer head-of-line-blocks every other connection.  The parity scripts run
+   wakeups and still stops on SIGTERM, serving past FD_SETSIZE
+   connections — and the two regression scenarios the loop exists for:
+   a slow client is closed at its outbox cap instead of buffering
+   without bound, and a client that never reads its responses no longer
+   head-of-line-blocks every other connection.  The parity scripts run
    the same request lines through [serve_fd] and the socket server at
    one and at two workers and expect the same replies. *)
 
@@ -454,9 +455,12 @@ let test_parity_unterminated_last_line () =
   (* The peer's EOF ends its last line: a request sent without a newline
      before the half-close is answered on every path. *)
   with_test_deadline 60 @@ fun () ->
-  let payload = route_line ~id:1 () ^ "\n" ^ {|{"id": 2, "method": "health"}|} in
+  let payload =
+    route_line ~id:1 () ^ "\n" ^ {|{"id": 2, "method": "health"}|}
+  in
   List.iter
-    (fun serving -> check_replies serving (oks [ 1; 2 ]) (run_payload serving payload))
+    (fun serving ->
+      check_replies serving (oks [ 1; 2 ]) (run_payload serving payload))
     servings
 
 let test_parity_success_resets_budget () =
@@ -614,7 +618,8 @@ let test_idle_server_sleeps () =
       let per_s =
         Float.max 0. (float_of_int (w_c - w_b - probe_cost) /. window_s)
       in
-      checkb (Printf.sprintf "workers %d: wakeups counted" workers) true (w_a > 0);
+      checkb (Printf.sprintf "workers %d: wakeups counted" workers) true
+        (w_a > 0);
       checkb
         (Printf.sprintf "workers %d: %.2f idle wakeups/s (probe costs %d)"
            workers per_s probe_cost)

@@ -760,7 +760,10 @@ let test_every_engine_traced () =
               checkb (name ^ " " ^ what ^ " parses back") true
                 (Json.equal parsed doc)
           | Error msg -> Alcotest.failf "%s %s: %s" name what msg)
-        [ ("phases", Trace.summary_json spans); ("metrics", Metrics.to_json ()) ])
+        [
+          ("phases", Trace.summary_json spans);
+          ("metrics", Metrics.to_json ());
+        ])
     (Qroute.Router_registry.all ())
 
 let () =
