@@ -50,12 +50,12 @@
     the [overloaded] error, in their own arrival slot, instead of
     growing the queue without bound.
 
-    Shutdown: SIGINT/SIGTERM flip a flag; the loop stops accepting
-    (listener unwatched) and reading, answers every line already read,
-    flushes write queues under a bounded (5s) grace for slow readers,
-    closes and removes the socket file before returning (graceful
-    drain).  The stdio and socket loops enable {!Qr_obs.Metrics} so the
-    [metrics] method and the plan-cache counters are live.
+    Shutdown: SIGINT/SIGTERM set a flag and wake the loop, which stops
+    accepting (listener unwatched) and reading, answers every line
+    already read, flushes write queues under a bounded (5s) grace for
+    slow readers, and closes and removes the socket file before
+    returning (graceful drain).  The stdio and socket loops enable
+    {!Qr_obs.Metrics}, so [metrics] and the plan-cache counters are live.
 
     Telemetry (DESIGN.md §12): with [metrics_file] set, the loops write
     the Prometheus exposition ({!Qr_obs.Metrics.to_prometheus}, process
