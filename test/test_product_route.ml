@@ -110,6 +110,44 @@ let test_identity_is_free () =
   in
   checki "empty schedule" 0 (Schedule.depth s)
 
+(* Whole schedules, pinned by digest: the MD5 over the MD5s of
+   [Schedule.to_string] for every schedule of the corpus.  Path factors
+   use odd-even transposition, cycle factors single-trial parallel ATS;
+   every product is routed with both [locality] settings, directly and
+   over both orientations.  Recorded before the product router moved
+   onto the grid's column graph, band search and sigma builder; a change
+   here is a changed schedule. *)
+let test_whole_schedule_digest () =
+  let path = (Graph.path, path_router) and cycle = (Graph.cycle, ats_router) in
+  let products =
+    [
+      (path, 1, path, 5); (path, 5, path, 1); (path, 2, path, 2);
+      (path, 3, path, 4); (path, 4, path, 3); (path, 5, path, 5);
+      (path, 6, path, 4); (path, 4, path, 7); (cycle, 4, path, 3);
+      (path, 4, cycle, 5); (cycle, 3, cycle, 4); (cycle, 5, path, 2);
+    ]
+  in
+  let digests = Buffer.create 1024 in
+  List.iteri
+    (fun k ((make1, route1), n1, (make2, route2), n2) ->
+      let p = Product.make (make1 n1) (make2 n2) in
+      for seed = 0 to 14 do
+        let rng = Rng.create ((100 * k) + seed) in
+        let pi = Perm.check (Rng.permutation rng (n1 * n2)) in
+        List.iter
+          (fun locality ->
+            List.iter
+              (fun route ->
+                let s = route ?locality:(Some locality) ~route1 ~route2 p pi in
+                Buffer.add_string digests
+                  (Digest.string (Schedule.to_string s)))
+              [ Product_route.route; Product_route.route_best_orientation ])
+          [ true; false ]
+      done)
+    products;
+  Alcotest.check Alcotest.string "720 schedules" "c929638fcc3d47b7b84497ee3edc696a"
+    (Digest.to_hex (Digest.string (Buffer.contents digests)))
+
 let product_route_property =
   QCheck.Test.make ~name:"product routing correct on random factors"
     ~count:60
@@ -137,6 +175,8 @@ let () =
           Alcotest.test_case "locality flag" `Quick test_locality_flag_both_work;
           Alcotest.test_case "best orientation" `Quick test_best_orientation;
           Alcotest.test_case "identity free" `Quick test_identity_is_free;
+          Alcotest.test_case "whole-schedule digest" `Quick
+            test_whole_schedule_digest;
           qc product_route_property;
         ] );
     ]
