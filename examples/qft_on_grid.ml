@@ -19,13 +19,13 @@ let () =
   let logical = Library.qft (Grid.size grid) in
   report "logical" logical;
 
-  (* Transpile with each routing strategy and compare the inflation. *)
+  (* Transpile with each routing engine and compare the inflation. *)
   List.iter
-    (fun strategy ->
-      let result = transpile ~strategy grid logical in
+    (fun engine ->
+      let result = transpile ~engine grid logical in
       assert (Transpile.verify_feasible (Grid.graph grid) result);
-      report (Strategy.name strategy) result.physical)
-    [ Strategy.Local; Strategy.Naive; Strategy.Ats ];
+      report engine result.physical)
+    [ "local"; "naive"; "ats" ];
 
   (* Exact verification: the physical circuit, run from a random state
      placed by the initial layout and read back through the final layout,

@@ -70,48 +70,23 @@ module Supervisor = Qr_server.Supervisor
    here. *)
 let () = Token_engines.register ()
 
-module Strategy = struct
-  type t = Local | Local_single | Naive | Ats | Ats_serial | Snake | Best
+let route ?(engine = "best") ?config grid pi =
+  Router_intf.route_grid ?config (Router_registry.get engine) grid pi
 
-  let all = [ Local; Local_single; Naive; Ats; Ats_serial; Snake; Best ]
-
-  let name = function
-    | Local -> "local"
-    | Local_single -> "local1"
-    | Naive -> "naive"
-    | Ats -> "ats"
-    | Ats_serial -> "ats-serial"
-    | Snake -> "snake"
-    | Best -> "best"
-
-  let of_name s = List.find_opt (fun strategy -> name strategy = s) all
-
-  let engine strategy = Router_registry.get (name strategy)
-
-  let route ?config strategy grid pi =
-    Router_intf.route_grid ?config (engine strategy) grid pi
-
-  let generic_route ?config strategy g oracle pi =
-    Router_registry.route_generic ?config (engine strategy) g oracle pi
-end
-
-let route ?(strategy = Strategy.Best) ?config grid pi =
-  Strategy.route ?config strategy grid pi
-
-let route_many ?(strategy = Strategy.Best) ?config grid pis =
-  Router_intf.route_many ?config (Strategy.engine strategy)
+let route_many ?(engine = "best") ?config grid pis =
+  Router_intf.route_many ?config (Router_registry.get engine)
     (List.map (fun pi -> Router_intf.Grid_input (grid, pi)) pis)
 
-let route_partial ?(strategy = Strategy.Best) ?config ?policy grid partial =
+let route_partial ?engine ?config ?policy grid partial =
   let policy =
     match policy with
     | Some p -> p
     | None -> Partial_perm.Min_total (fun u v -> Grid.manhattan grid u v)
   in
   let pi = Partial_perm.extend policy partial in
-  (Strategy.route ?config strategy grid pi, pi)
+  (route ?engine ?config grid pi, pi)
 
-let transpile ?(strategy = Strategy.Best) ?config ?initial ?(place = false)
+let transpile ?(engine = "best") ?config ?initial ?(place = false)
     grid circuit =
   let initial =
     match initial with
@@ -122,5 +97,5 @@ let transpile ?(strategy = Strategy.Best) ?config ?initial ?(place = false)
              ~dist:(Distance.of_grid grid) circuit)
     | None -> None
   in
-  Transpile.run_grid ?initial ~engine:(Strategy.engine strategy) ?config grid
-    circuit
+  Transpile.run_grid ?initial ~engine:(Router_registry.get engine) ?config
+    grid circuit

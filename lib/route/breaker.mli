@@ -1,7 +1,7 @@
 (** Per-engine circuit breakers for the verified-routing ladder.
 
-    A breaker watches a rolling window of an engine's outcomes
-    (plan/execute raising, or the schedule failing verification).  When
+    A breaker watches a rolling window of an engine's outcomes (the
+    engine raising, or the schedule failing verification).  When
     failures in the window reach the threshold it {e trips open}:
     requests skip the engine entirely and go straight to the degradation
     chain, so a persistently broken or pathologically slow engine stops

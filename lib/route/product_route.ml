@@ -1,96 +1,36 @@
 module Graph = Qr_graph.Graph
+module Grid = Qr_graph.Grid
 module Product = Qr_graph.Product
 module Bfs = Qr_graph.Bfs
 module Perm = Qr_perm.Perm
-module Hopcroft_karp = Qr_bipartite.Hopcroft_karp
-module Decompose = Qr_bipartite.Decompose
 module Bottleneck = Qr_bipartite.Bottleneck
 
 type factor_router = Graph.t -> Perm.t -> Schedule.t
 
-(* Edge [x] of the generalized column multigraph is the qubit starting at
-   flat index [x]: endpoints are G2-vertices, labels are G1-vertices. *)
-type colgraph = {
-  n1 : int;
-  n2 : int;
-  src_l : int array; (* G1 label of the source, per edge *)
-  dst_l : int array;
-  src_r : int array; (* G2 endpoint (left side), per edge *)
-  dst_r : int array;
-}
+(* The product flattens (u, v) to u * |V2| + v exactly as the |V1|x|V2|
+   grid flattens (row, col) ({!Product.of_grid}), so that grid's column
+   multigraph is the product's: its sides are G2-vertices and its row
+   labels G1-vertices. *)
+let column_graph product pi =
+  let rows = Graph.num_vertices (Product.left product) in
+  let cols = Graph.num_vertices (Product.right product) in
+  Column_graph.build (Grid.make ~rows ~cols) pi
 
-let build_colgraph product pi =
-  let n1 = Graph.num_vertices (Product.left product) in
-  let n2 = Graph.num_vertices (Product.right product) in
-  let total = n1 * n2 in
-  if Array.length pi <> total then invalid_arg "Product_route: size mismatch";
-  let src_l = Array.make total 0 and dst_l = Array.make total 0 in
-  let src_r = Array.make total 0 and dst_r = Array.make total 0 in
-  for x = 0 to total - 1 do
-    let u, v = Product.coord product x in
-    let u', v' = Product.coord product pi.(x) in
-    src_l.(x) <- u;
-    dst_l.(x) <- u';
-    src_r.(x) <- v;
-    dst_r.(x) <- v'
-  done;
-  { n1; n2; src_l; dst_l; src_r; dst_r }
-
-let hk_edges cg = Array.init (Array.length cg.src_r) (fun x -> (cg.src_r.(x), cg.dst_r.(x)))
-
-let drain_band cg ~live ~member found =
-  let n2 = cg.n2 in
-  let continue_ = ref true in
-  while !continue_ do
-    let band = ref [] in
-    for x = Array.length cg.src_l - 1 downto 0 do
-      if live.(x) && member cg.src_l.(x) then band := x :: !band
-    done;
-    if List.length !band < n2 then continue_ := false
-    else begin
-      let sub = Array.of_list !band in
-      let sub_edges = Array.map (fun x -> (cg.src_r.(x), cg.dst_r.(x))) sub in
-      let result = Hopcroft_karp.solve ~nl:n2 ~nr:n2 ~edges:sub_edges in
-      if result.size < n2 then continue_ := false
-      else begin
-        let matching = Array.map (fun k -> sub.(k)) result.left_match in
-        Array.iter (fun x -> live.(x) <- false) matching;
-        found := matching :: !found
-      end
-    end
-  done
-
-let discover_doubling cg =
-  let n1 = cg.n1 in
-  let live = Array.make (Array.length cg.src_l) true in
-  let found = ref [] in
-  let w = ref 0 in
-  while List.length !found < n1 do
-    let r0 = ref 0 in
-    while !r0 < n1 && List.length !found < n1 do
-      let hi = min (!r0 + !w) (n1 - 1) in
-      let lo = !r0 in
-      drain_band cg ~live ~member:(fun u -> u >= lo && u <= hi) found;
-      r0 := !r0 + !w + 1
-    done;
-    w := if !w = 0 then 1 else 2 * !w
-  done;
-  List.rev !found
-
-let discover_whole cg =
-  Decompose.by_extraction ~nl:cg.n2 ~nr:cg.n2 ~edges:(hk_edges cg)
-
-let assign_mcbbm cg dist1 matchings =
-  let n1 = cg.n1 in
+(* MCBBM over the grid's Δ with |i - r| generalized to d_{G1}(i, r). *)
+let assign_mcbbm cg g1 matchings =
+  let dist = Bfs.all_pairs g1 in
   let delta matching r =
     Array.fold_left
-      (fun acc x -> acc + dist1 cg.src_l.(x) r + dist1 cg.dst_l.(x) r)
+      (fun acc x ->
+        acc
+        + dist.(Column_graph.src_row cg x).(r)
+        + dist.(Column_graph.dst_row cg x).(r))
       0 matching
   in
   let weights =
     Array.of_list
       (List.map
-         (fun matching -> Array.init n1 (fun r -> delta matching r))
+         (fun matching -> Array.init (Column_graph.rows cg) (delta matching))
          matchings)
   in
   (Bottleneck.solve_complete ~weights).left_match
@@ -129,39 +69,25 @@ let apply_layers token_at layers =
 let route ?(locality = true) ~route1 ~route2 product pi =
   let g1 = Product.left product and g2 = Product.right product in
   let n1 = Graph.num_vertices g1 and n2 = Graph.num_vertices g2 in
-  let cg = build_colgraph product pi in
-  let matchings = if locality then discover_doubling cg else discover_whole cg in
-  let assigned =
-    if locality then begin
-      let table = Bfs.all_pairs g1 in
-      assign_mcbbm cg (fun a b -> table.(a).(b)) matchings
-    end
+  let cg = column_graph product pi in
+  let matchings =
+    Local_grid_route.discover_matchings
+      (if locality then Local_grid_route.Doubling else Local_grid_route.Whole)
+      cg
+  in
+  let assigned_rows =
+    if locality then assign_mcbbm cg g1 matchings
     else Array.init n1 (fun k -> k)
   in
-  (* sigma: per G2-copy v, the G1-destination of the qubit starting at
-     (u, v) in round 1. *)
-  let sigma = Array.make_matrix n2 n1 (-1) in
-  List.iteri
-    (fun k matching ->
-      let r = assigned.(k) in
-      Array.iteri
-        (fun v x ->
-          assert (cg.src_r.(x) = v);
-          let u = cg.src_l.(x) in
-          assert (sigma.(v).(u) = -1);
-          sigma.(v).(u) <- r)
-        matching)
-    matchings;
-  Array.iter
-    (fun s ->
-      if not (Perm.is_permutation s) then
-        invalid_arg "Product_route: decomposition did not yield permutations")
-    sigma;
+  (* sigmas.(v).(u): the G1-destination of the qubit starting at (u, v) in
+     round 1. *)
+  let sigmas = Grid_route.sigmas_of_assignment cg ~matchings ~assigned_rows in
   let token_at = Array.init (n1 * n2) (fun x -> x) in
   (* Round 1: inside each copy of G1 (fixed G2-vertex v). *)
   let round1 =
     let lines =
-      List.init n2 (fun v -> (v, route1 g1 (Perm.check (Array.copy sigma.(v)))))
+      List.init n2 (fun v ->
+          (v, route1 g1 (Perm.check (Array.copy sigmas.(v)))))
     in
     merge_copies lines ~lift:(fun v u -> Product.index product u v)
   in
@@ -172,8 +98,7 @@ let route ?(locality = true) ~route1 ~route2 product pi =
       List.init n1 (fun u ->
           let dests =
             Array.init n2 (fun v ->
-                let x = token_at.(Product.index product u v) in
-                cg.dst_r.(x))
+                Column_graph.dst_col cg token_at.(Product.index product u v))
           in
           (u, route2 g2 (Perm.check dests)))
     in
@@ -187,8 +112,8 @@ let route ?(locality = true) ~route1 ~route2 product pi =
           let dests =
             Array.init n1 (fun u ->
                 let x = token_at.(Product.index product u v) in
-                assert (cg.dst_r.(x) = v);
-                cg.dst_l.(x))
+                assert (Column_graph.dst_col cg x = v);
+                Column_graph.dst_row cg x)
           in
           (v, route1 g1 (Perm.check dests)))
     in

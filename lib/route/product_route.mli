@@ -11,7 +11,14 @@
     Locality-aware selection generalizes by replacing [|i − r|] with the
     graph distance [d_{G1}]; the banded doubling search runs over windows of
     [G1]'s vertex order, which coincides with the paper's row bands when
-    [G1] is a path. *)
+    [G1] is a path.
+
+    The product flattens [(u, v)] to [u·|V2| + v], as the [|V1|×|V2|] grid
+    flattens [(row, col)], so the column multigraph, the band search and
+    the [σ]s are the grid's own ({!Column_graph.build},
+    {!Local_grid_route.discover_matchings},
+    {!Grid_route.sigmas_of_assignment}).  Only the [d_{G1}]-weighted MCBBM
+    and the factor-router rounds are specific to products. *)
 
 type factor_router = Qr_graph.Graph.t -> Qr_perm.Perm.t -> Schedule.t
 (** A routine that realizes a permutation on a factor graph; the returned

@@ -16,15 +16,10 @@ type capabilities = {
   supports_partial : bool;
 }
 
-type plan =
-  | Sigmas of { grid : Grid.t; pi : Perm.t; sigmas : Grid_route.sigmas }
-  | Ready of Schedule.t
-
 type t = {
   name : string;
   capabilities : capabilities;
-  plan : Router_workspace.t option -> Router_config.t -> input -> plan;
-  execute : plan -> Schedule.t;
+  route : Router_workspace.t option -> Router_config.t -> input -> Schedule.t;
 }
 
 exception Unsupported_input of { engine : string; reason : string }
@@ -53,16 +48,11 @@ let require_grid ~engine = function
       unsupported ~engine
         ~reason:"grid-only engine given a generic graph input"
 
-let execute_plan = function
-  | Ready sched -> sched
-  | Sigmas { grid; pi; sigmas } -> Grid_route.route_with_sigmas grid pi sigmas
-
-(* Plan + execute + the compaction post-pass, with no span or counters —
-   the internal path engines (like [best]) use to race contenders without
+(* Route + the compaction post-pass, with no span or counters — the
+   internal path engines (like [best]) use to race contenders without
    inflating the public per-call metrics. *)
-let run_plan ?ws engine config input =
-  let plan = engine.plan ws config input in
-  let sched = engine.execute plan in
+let run ?ws engine config input =
+  let sched = engine.route ws config input in
   if config.Router_config.compaction then
     Schedule.compact ~n:(input_size input) sched
   else sched
@@ -86,8 +76,8 @@ let route ?ws ?(config = Router_config.default) engine input =
      on this domain stays in force. *)
   let token = Router_workspace.cancel ws in
   let sched =
-    if token == Cancel.none then run_plan ?ws engine config input
-    else Cancel.with_ambient token (fun () -> run_plan ?ws engine config input)
+    if token == Cancel.none then run ?ws engine config input
+    else Cancel.with_ambient token (fun () -> run ?ws engine config input)
   in
   if Metrics.enabled () then begin
     Metrics.incr c_route_calls;

@@ -1,18 +1,13 @@
-(** First-class routing engines with a plan/execute split.
+(** First-class routing engines.
 
-    An {e engine} is a value — name, capability set, and a pair of
-    functions.  [plan] does the thinking (matching discovery, row
-    assignment, search) and returns either the column-phase permutations of
-    the 3-round GridRoute template ([Sigmas]) or a finished schedule
-    ([Ready]); [execute] turns a plan into a schedule.  The split lets
-    callers inspect or cache plans, and lets grid engines defer the
-    odd–even transposition rounds until a schedule is actually needed.
+    An {e engine} is a value: a name, a capability set, and one [route]
+    function from a configuration and an input to a schedule.
 
     Engines are registered and enumerated by {!Router_registry}; the
     observable entry point is {!route}, which wraps the call in the [route]
     span and records the schedule-quality counters ([route_calls],
     [swap_layers], [swaps_total]) exactly once per call — engines that race
-    other engines internally go through the uncounted {!run_plan}. *)
+    other engines internally go through the uncounted {!run}. *)
 
 type input =
   | Grid_input of Qr_graph.Grid.t * Qr_perm.Perm.t
@@ -32,24 +27,16 @@ type capabilities = {
           native-don't-care engine would plan differently). *)
 }
 
-type plan =
-  | Sigmas of {
-      grid : Qr_graph.Grid.t;
-      pi : Qr_perm.Perm.t;
-      sigmas : Grid_route.sigmas;
-    }
-      (** Column-phase permutations; execution is the 3-round template. *)
-  | Ready of Schedule.t  (** Engines that produce schedules directly. *)
-
 type t = {
   name : string;  (** Registry key; lowercase, stable across releases. *)
   capabilities : capabilities;
-  plan : Router_workspace.t option -> Router_config.t -> input -> plan;
-  execute : plan -> Schedule.t;  (** Usually {!execute_plan}. *)
+  route : Router_workspace.t option -> Router_config.t -> input -> Schedule.t;
+      (** The engine itself, with no span, counters or compaction; callers
+          go through {!route} or {!run}. *)
 }
 
 exception Unsupported_input of { engine : string; reason : string }
-(** Raised by [plan] when the input shape is outside the engine's
+(** Raised by an engine's [route] when the input shape is outside the engine's
     capabilities (e.g. a grid-only engine on {!Graph_input}). *)
 
 val unsupported : engine:string -> reason:string -> 'a
@@ -61,21 +48,16 @@ val input_perm : input -> Qr_perm.Perm.t
 
 val require_grid : engine:string -> input -> Qr_graph.Grid.t * Qr_perm.Perm.t
 (** Destructure a grid input or raise {!Unsupported_input} — the standard
-    first line of a grid-only engine's [plan]. *)
+    first line of a grid-only engine's [route]. *)
 
-val execute_plan : plan -> Schedule.t
-(** The default executor: [Ready] is returned as-is; [Sigmas] runs
-    {!Grid_route.route_with_sigmas}. *)
-
-val run_plan :
-  ?ws:Router_workspace.t -> t -> Router_config.t -> input -> Schedule.t
-(** Plan, execute, and apply the configured compaction post-pass — with no
-    span and no counters.  Internal composition seam (the [best] engine
-    races contenders through this). *)
+val run : ?ws:Router_workspace.t -> t -> Router_config.t -> input -> Schedule.t
+(** Route and apply the configured compaction post-pass, with no span and
+    no counters.  Internal composition seam (the [best] engine races
+    contenders through this). *)
 
 val route :
   ?ws:Router_workspace.t -> ?config:Router_config.t -> t -> input -> Schedule.t
-(** The observable routing call: {!run_plan} wrapped in the [route] span
+(** The observable routing call: {!run} wrapped in the [route] span
     (engine name and configuration as attributes) with the
     [route_calls]/[swap_layers]/[swaps_total] counters recorded from the
     returned schedule.  Every engine returns a valid schedule realizing the

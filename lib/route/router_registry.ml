@@ -8,7 +8,7 @@ module Fault = Qr_fault.Fault
 let table : (string, Router_intf.t) Hashtbl.t = Hashtbl.create 16
 let order : string list ref = ref []
 
-(* The [engine.plan]/[engine.execute] fault points live inside the leaf
+(* The [engine.plan] fault points live inside the leaf
    engines, attached here at registration time — not in the callers — so
    resilience wrappers like {!verified} observe their children's injected
    faults instead of being re-injected themselves.  Alongside the
@@ -22,17 +22,13 @@ let with_fault_points (engine : Router_intf.t) =
   let slow_point = "engine.slow." ^ engine.Router_intf.name in
   {
     engine with
-    Router_intf.plan =
+    Router_intf.route =
       (fun ws config input ->
         Fault.point "engine.slow" ~f:(fun () ->
             Fault.point slow_point ~f:(fun () ->
                 Fault.point "engine.plan" ~f:(fun () ->
                     Fault.point plan_point ~f:(fun () ->
-                        engine.Router_intf.plan ws config input)))));
-    execute =
-      (fun plan ->
-        Fault.point "engine.execute" ~f:(fun () ->
-            engine.Router_intf.execute plan));
+                        engine.Router_intf.route ws config input)))));
   }
 
 let register (engine : Router_intf.t) =
@@ -143,7 +139,7 @@ let note_verify_failure ~engine ~reason =
    the misbehaving engine stops charging a full failure per request. *)
 let verified ?(chain = default_verify_chain) ?breaker engine =
   let attempt ws config input candidate =
-    match Router_intf.run_plan ?ws candidate config input with
+    match Router_intf.run ?ws candidate config input with
     | sched -> (
         match validate input sched with
         | Ok () -> Ok sched
@@ -183,7 +179,7 @@ let verified ?(chain = default_verify_chain) ?breaker engine =
                   Metrics.incr c_degraded;
                   Trace.add_attr "degraded_to"
                     (Trace.String fallback.Router_intf.name);
-                  Router_intf.Ready sched
+                  sched
               | Error reason ->
                   note_verify_failure ~engine:fallback.Router_intf.name ~reason;
                   go rest))
@@ -196,7 +192,7 @@ let verified ?(chain = default_verify_chain) ?breaker engine =
     | Some b, `Admit -> Breaker.record b ~ok
     | Some b, `Probe -> Breaker.record_probe b ~ok
   in
-  let plan ws config input =
+  let route ws config input =
     let ticket =
       match breaker with None -> `Admit | Some b -> Breaker.admit b
     in
@@ -210,7 +206,7 @@ let verified ?(chain = default_verify_chain) ?breaker engine =
         match attempt ws config input engine with
         | Ok sched ->
             settle ticket ~ok:true;
-            Router_intf.Ready sched
+            sched
         | Error reason ->
             settle ticket ~ok:false;
             note_verify_failure ~engine:engine.Router_intf.name ~reason;
@@ -223,7 +219,7 @@ let verified ?(chain = default_verify_chain) ?breaker engine =
             | _ -> ());
             raise exn)
   in
-  { engine with Router_intf.plan; execute = Router_intf.execute_plan }
+  { engine with Router_intf.route }
 
 (* {2 The grid engines} *)
 
@@ -238,69 +234,51 @@ let local =
   {
     Router_intf.name = "local";
     capabilities = grid_caps ~transpose:true;
-    plan =
+    route =
       (fun ws config input ->
         let grid, pi = Router_intf.require_grid ~engine:"local" input in
         let discovery = config.Router_config.discovery in
         let assignment = config.Router_config.assignment in
         if config.Router_config.transpose then
-          Router_intf.Ready
-            (Local_grid_route.route_best_orientation ?ws ~discovery
-               ~assignment grid pi)
-        else
-          Router_intf.Sigmas
-            {
-              grid;
-              pi;
-              sigmas = Local_grid_route.sigmas ?ws ~discovery ~assignment grid pi;
-            });
-    execute = Router_intf.execute_plan;
+          Local_grid_route.route_best_orientation ?ws ~discovery ~assignment
+            grid pi
+        else Local_grid_route.route ?ws ~discovery ~assignment grid pi);
   }
 
 let local1 =
   {
     Router_intf.name = "local1";
     capabilities = grid_caps ~transpose:false;
-    plan =
+    route =
       (fun ws config input ->
         let grid, pi = Router_intf.require_grid ~engine:"local1" input in
-        let discovery = config.Router_config.discovery in
-        let assignment = config.Router_config.assignment in
-        Router_intf.Sigmas
-          {
-            grid;
-            pi;
-            sigmas = Local_grid_route.sigmas ?ws ~discovery ~assignment grid pi;
-          });
-    execute = Router_intf.execute_plan;
+        Local_grid_route.route ?ws ~discovery:config.Router_config.discovery
+          ~assignment:config.Router_config.assignment grid pi);
   }
 
 let naive =
   {
     Router_intf.name = "naive";
     capabilities = grid_caps ~transpose:false;
-    plan =
+    route =
       (fun ws _config input ->
         let grid, pi = Router_intf.require_grid ~engine:"naive" input in
-        Router_intf.Sigmas
-          { grid; pi; sigmas = Grid_route.naive_sigmas ?ws grid pi });
-    execute = Router_intf.execute_plan;
+        Grid_route.route_naive ?ws grid pi);
   }
 
 let snake =
   {
     Router_intf.name = "snake";
     capabilities = grid_caps ~transpose:false;
-    plan =
+    route =
       (fun _ws _config input ->
         let grid, pi = Router_intf.require_grid ~engine:"snake" input in
-        Router_intf.Ready (Line_route.route grid pi));
-    execute = Router_intf.execute_plan;
+        Line_route.route grid pi);
   }
 
 let default_contenders = [ "local"; "naive" ]
 
-(* Race the configured contenders through the uncounted [run_plan] path and
+(* Race the configured contenders through the uncounted [run] path and
    keep the shallowest schedule; ties go to the earlier contender, which
    with the default (local before naive) reproduces the paper's
    "no-overhead" combination exactly. *)
@@ -313,7 +291,7 @@ let best =
         supports_transpose = true;
         supports_partial = true;
       };
-    plan =
+    route =
       (fun ws config input ->
         let wanted =
           match config.Router_config.best_of with
@@ -335,13 +313,11 @@ let best =
             match input with
             | Router_intf.Graph_input _ ->
                 note_fallback ~from:"best" ~to_:generic_fallback;
-                Router_intf.Ready
-                  (Router_intf.run_plan ?ws (get generic_fallback) config
-                     input)
+                Router_intf.run ?ws (get generic_fallback) config input
             | Router_intf.Grid_input _ ->
                 invalid_arg "Router_registry: best has no contenders")
         | first :: rest ->
-            let run e = (e, Router_intf.run_plan ?ws e config input) in
+            let run e = (e, Router_intf.run ?ws e config input) in
             let winner, sched =
               List.fold_left
                 (fun (we, ws_sched) e ->
@@ -352,8 +328,7 @@ let best =
             in
             Trace.add_attr "winner"
               (Trace.String winner.Router_intf.name);
-            Router_intf.Ready sched);
-    execute = Router_intf.execute_plan;
+            sched);
   }
 
 let () = List.iter register [ local; local1; naive; snake; best ]

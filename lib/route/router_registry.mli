@@ -1,8 +1,9 @@
 (** Central engine registry.
 
     Engines ({!Router_intf.t}) self-register at module-initialization time
-    under their stable name; the CLI, benchmarks and examples enumerate the
-    registry instead of maintaining hand-written strategy lists.  The grid
+    under their stable name, and every caller — the CLI, the server, the
+    umbrella's [Qroute.route], benchmarks, tests and examples — names an
+    engine by that key or enumerates the registry.  The grid
     engines ([local], [local1], [naive], [snake], [best]) register here;
     the token-swapping engines ([ats], [ats-serial]) live in [qr_token] and
     are registered by the [qroute] umbrella's initialization (or an
@@ -18,11 +19,10 @@
 
 val register : Router_intf.t -> unit
 (** Add an engine.  Registration order is preserved by {!names}/{!all}.
-    The stored engine's plan/execute are wrapped in the [engine.plan] /
-    [engine.execute] fault points ({!Qr_fault.Fault}) plus the
-    name-qualified [engine.plan.<name>] and
-    [engine.slow] / [engine.slow.<name>] points, so injection plans can
-    target the leaf computations — or one specific engine — while
+    The stored engine's [route] is wrapped in the [engine.plan] fault
+    point ({!Qr_fault.Fault}) plus the name-qualified [engine.plan.<name>]
+    and [engine.slow] / [engine.slow.<name>] points, so injection plans
+    can target the leaf computations — or one specific engine — while
     resilience wrappers like {!verified} built on top observe their
     children's faults instead of being re-injected themselves.
     @raise Invalid_argument on a duplicate or empty name. *)

@@ -20,13 +20,11 @@ let ats =
   {
     Router_intf.name = "ats";
     capabilities = generic_caps;
-    plan =
+    route =
       (fun _ws config input ->
         let graph, dist, pi = graph_of_input input in
-        Router_intf.Ready
-          (Parallel_ats.route ~trials:config.Router_config.ats_trials
-             ~seed:config.Router_config.seed graph dist pi));
-    execute = Router_intf.execute_plan;
+        Parallel_ats.route ~trials:config.Router_config.ats_trials
+          ~seed:config.Router_config.seed graph dist pi);
   }
 
 (* [trials] deliberately stays at [Token_swap.schedule]'s own default: the
@@ -37,18 +35,16 @@ let ats_serial =
   {
     Router_intf.name = "ats-serial";
     capabilities = generic_caps;
-    plan =
+    route =
       (fun _ws config input ->
         let graph, dist, pi = graph_of_input input in
-        Router_intf.Ready
-          (Token_swap.schedule ~seed:config.Router_config.seed graph dist pi));
-    execute = Router_intf.execute_plan;
+        Token_swap.schedule ~seed:config.Router_config.seed graph dist pi);
   }
 
 (* Compare-and-set so concurrent [register] calls race safely: exactly
    one caller performs the (init-time, single-threaded by convention —
    see Router_registry's .mli) registration.  The engines themselves
-   hold no shared mutable state: every plan call works out of
+   hold no shared mutable state: every route call works out of
    call-local structures, so they are domain-safe once registered. *)
 let registered = Atomic.make false
 

@@ -1,6 +1,5 @@
-(* Tests for the engine layer: registry, unified configuration, the
-   plan/execute pipeline, batched routing, and the golden behavior of the
-   registered engines. *)
+(* Tests for the engine layer: registry, unified configuration, batched
+   routing, and the golden behavior of the registered engines. *)
 
 open Qroute
 
@@ -28,14 +27,13 @@ let test_registry_names () =
   let names = Router_registry.names () in
   checki "unique names" (List.length names)
     (List.length (List.sort_uniq compare names));
-  (* Every Strategy name resolves to an engine of the same name. *)
+  (* Every engine the umbrella documents is registered under its name. *)
   List.iter
-    (fun strategy ->
-      let name = Strategy.name strategy in
+    (fun name ->
       match Router_registry.find name with
       | Some engine -> checks name name engine.Router_intf.name
-      | None -> Alcotest.failf "strategy %s has no registered engine" name)
-    Strategy.all;
+      | None -> Alcotest.failf "engine %s is not registered" name)
+    [ "local"; "local1"; "naive"; "ats"; "ats-serial"; "snake"; "best" ];
   (* all () follows registration order and agrees with names (). *)
   checkb "all agrees with names" true
     (List.map (fun e -> e.Router_intf.name) (Router_registry.all ()) = names)
@@ -376,7 +374,7 @@ let test_route_many_counts_per_call () =
 
 (* ----------------------------------------------------------------- golden *)
 
-(* Depth/swap pairs captured from the pre-refactor Strategy dispatcher
+(* Depth/swap pairs captured before the engines moved into the registry
    (workload: Generators.Random, default configuration).  The engine
    refactor must not change any default-config schedule. *)
 let golden =

@@ -266,10 +266,10 @@ let test_routers_respect_bounds () =
     let pi = Perm.check (Rng.permutation rng 30) in
     let lb = Bounds.depth_lower_bound grid pi in
     List.iter
-      (fun strategy ->
-        let depth = Schedule.depth (Strategy.route strategy grid pi) in
-        checkb (Strategy.name strategy ^ " >= lower bound") true (depth >= lb))
-      Strategy.all
+      (fun engine ->
+        let depth = Schedule.depth (route ~engine grid pi) in
+        checkb (engine ^ " >= lower bound") true (depth >= lb))
+      (Router_registry.names ())
   done
 
 let test_size_bound_respected () =
@@ -280,10 +280,10 @@ let test_size_bound_respected () =
     let pi = Perm.check (Rng.permutation rng 16) in
     let lb = Bounds.size_lower_bound dist pi in
     List.iter
-      (fun strategy ->
-        let size = Schedule.size (Strategy.route strategy grid pi) in
-        checkb (Strategy.name strategy ^ " size >= bound") true (size >= lb))
-      Strategy.all
+      (fun engine ->
+        let size = Schedule.size (route ~engine grid pi) in
+        checkb (engine ^ " size >= bound") true (size >= lb))
+      (Router_registry.names ())
   done
 
 (* -------------------------------------------------------------- Line_route *)
@@ -328,8 +328,8 @@ let test_snake_much_deeper_on_square () =
   (* The whole point: 1-D embedding wastes the second dimension. *)
   let grid = Grid.make ~rows:8 ~cols:8 in
   let pi = Generators.generate grid Generators.Reversal (Rng.create 0) in
-  let snake = Schedule.depth (Strategy.route Strategy.Snake grid pi) in
-  let local = Schedule.depth (Strategy.route Strategy.Local grid pi) in
+  let snake = Schedule.depth (route ~engine:"snake" grid pi) in
+  let local = Schedule.depth (route ~engine:"local" grid pi) in
   checkb "snake much deeper" true (snake >= 3 * local)
 
 (* ------------------------------------------------------------------- Noise *)
@@ -369,12 +369,12 @@ let test_noise_prefers_shallow_routing () =
      success.  Compare local vs snake on the same instance. *)
   let grid = Grid.make ~rows:4 ~cols:4 in
   let pi = Generators.generate grid Generators.Random (Rng.create 3) in
-  let to_circuit strategy =
-    Circuit.of_schedule ~num_qubits:16 (Strategy.route strategy grid pi)
+  let to_circuit engine =
+    Circuit.of_schedule ~num_qubits:16 (route ~engine grid pi)
   in
   checkb "shallower schedule, higher success" true
-    (Noise.log_success Noise.default (to_circuit Strategy.Local)
-    > Noise.log_success Noise.default (to_circuit Strategy.Snake))
+    (Noise.log_success Noise.default (to_circuit "local")
+    > Noise.log_success Noise.default (to_circuit "snake"))
 
 (* --------------------------------------------------------------- Placement *)
 

@@ -337,10 +337,8 @@ let () =
             supports_transpose = false;
             supports_partial = false;
           };
-        plan =
-          (fun _ _ input ->
-            Router_intf.Ready [ [| (0, Router_intf.input_size input - 1) |] ]);
-        execute = Router_intf.execute_plan;
+        route =
+          (fun _ _ input -> [ [| (0, Router_intf.input_size input - 1) |] ]);
       }
   with Invalid_argument _ -> ()
 
@@ -712,7 +710,7 @@ let chaos_case ~plan ~seed () =
 let chaos_scenarios =
   [
     ("flaky planner", "engine.plan=raise@0.5", 1);
-    ("executor dies once", "engine.execute=raise#1", 2);
+    ("engine raises once", "engine.plan=raise#1", 2);
     ("cache read corruption", "cache.find=corrupt", 3);
     ("cache insert failing", "cache.insert=raise", 4);
     ("dispatch crashes", "session.dispatch=raise@0.3", 5);

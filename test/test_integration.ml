@@ -27,17 +27,17 @@ let test_qft_all_strategies () =
   let grid = Grid.make ~rows:3 ~cols:3 in
   let logical = Library.qft 9 in
   List.iter
-    (fun strategy ->
-      let result = transpile ~strategy grid logical in
+    (fun engine ->
+      let result = transpile ~engine grid logical in
       checkb
-        ("feasible: " ^ Strategy.name strategy)
+        ("feasible: " ^ engine)
         true
         (Transpile.verify_feasible (Grid.graph grid) result);
       checkb
-        ("unitary-equivalent: " ^ Strategy.name strategy)
+        ("unitary-equivalent: " ^ engine)
         true
         (transpilation_equivalent grid logical result 42))
-    [ Strategy.Local; Strategy.Naive; Strategy.Ats; Strategy.Best ]
+    [ "local"; "naive"; "ats"; "best" ]
 
 let test_qft_on_line () =
   (* The paper's worst case: QFT on a path. *)
@@ -112,13 +112,13 @@ let test_all_routers_agree_on_realized_permutation () =
     (fun kind ->
       let pi = Generators.generate grid kind rng in
       List.iter
-        (fun strategy ->
-          let s = Strategy.route strategy grid pi in
+        (fun engine ->
+          let s = route ~engine grid pi in
           checkb
-            (Strategy.name strategy ^ " on " ^ Generators.name kind)
+            (engine ^ " on " ^ Generators.name kind)
             true
             (Perm.equal (Permsim.realized ~n:42 s) pi))
-        Strategy.all)
+        (Router_registry.names ()))
     (Generators.paper_kinds grid)
 
 let test_expanded_swaps_still_equivalent () =
@@ -147,9 +147,9 @@ let test_best_strategy_is_min_of_local_and_naive () =
   let rng = Rng.create 31 in
   for _ = 1 to 5 do
     let pi = Perm.check (Rng.permutation rng 64) in
-    let best = Schedule.depth (Strategy.route Strategy.Best grid pi) in
-    let local = Schedule.depth (Strategy.route Strategy.Local grid pi) in
-    let naive = Schedule.depth (Strategy.route Strategy.Naive grid pi) in
+    let best = Schedule.depth (route ~engine:"best" grid pi) in
+    let local = Schedule.depth (route ~engine:"local" grid pi) in
+    let naive = Schedule.depth (route ~engine:"naive" grid pi) in
     checki "best = min(local, naive)" (min local naive) best
   done
 
@@ -161,8 +161,8 @@ let test_paper_headline_random_workload () =
     let pi =
       Generators.generate grid Generators.Random (Rng.create (500 + seed))
     in
-    let local = Schedule.depth (Strategy.route Strategy.Local grid pi) in
-    let ats = Schedule.depth (Strategy.route Strategy.Ats grid pi) in
+    let local = Schedule.depth (route ~engine:"local" grid pi) in
+    let ats = Schedule.depth (route ~engine:"ats" grid pi) in
     checkb
       (Printf.sprintf "local (%d) < ats (%d)" local ats)
       true (local < ats)
@@ -177,8 +177,8 @@ let test_paper_block_local_comparable () =
       Generators.generate grid (Generators.Block_local 3)
         (Rng.create (600 + seed))
     in
-    let local = Schedule.depth (Strategy.route Strategy.Local grid pi) in
-    let ats = Schedule.depth (Strategy.route Strategy.Ats grid pi) in
+    let local = Schedule.depth (route ~engine:"local" grid pi) in
+    let ats = Schedule.depth (route ~engine:"ats" grid pi) in
     checkb
       (Printf.sprintf "comparable: local=%d ats=%d" local ats)
       true

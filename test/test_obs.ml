@@ -709,7 +709,7 @@ let test_routed_counters_consistent () =
   let grid = Qroute.Grid.make ~rows:6 ~cols:6 in
   let pi = Qroute.Rng.permutation (Qroute.Rng.create 5) (Qroute.Grid.size grid) in
   let sched, spans =
-    Trace.run (fun () -> Qroute.Strategy.route Qroute.Strategy.Best grid pi)
+    Trace.run (fun () -> Qroute.route ~engine:"best" grid pi)
   in
   Metrics.disable ();
   let names = List.map (fun (s : Trace.span) -> s.name) spans in

@@ -145,7 +145,8 @@ let test_whole_schedule_digest () =
           [ true; false ]
       done)
     products;
-  Alcotest.check Alcotest.string "720 schedules" "c929638fcc3d47b7b84497ee3edc696a"
+  Alcotest.check Alcotest.string "720 schedules"
+    "c929638fcc3d47b7b84497ee3edc696a"
     (Digest.to_hex (Digest.string (Buffer.contents digests)))
 
 let product_route_property =

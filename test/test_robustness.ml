@@ -115,24 +115,24 @@ let test_validators_reject_garbage_text () =
    through seeds.) *)
 
 let golden_cases =
-  (* (side, workload, strategy, expected depth) *)
+  (* (side, workload, engine, expected depth) *)
   [
-    (8, Generators.Random, Strategy.Local, 19);
-    (8, Generators.Random, Strategy.Naive, 20);
-    (8, Generators.Block_local 2, Strategy.Local, 3);
-    (8, Generators.Reversal, Strategy.Local, 16);
-    (8, Generators.Reversal, Strategy.Naive, 16);
+    (8, Generators.Random, "local", 19);
+    (8, Generators.Random, "naive", 20);
+    (8, Generators.Block_local 2, "local", 3);
+    (8, Generators.Reversal, "local", 16);
+    (8, Generators.Reversal, "naive", 16);
   ]
 
 let test_golden_depths () =
   List.iter
-    (fun (side, kind, strategy, expected) ->
+    (fun (side, kind, engine, expected) ->
       let grid = Grid.make ~rows:side ~cols:side in
       let pi = Generators.generate grid kind (Rng.create 12345) in
-      let depth = Schedule.depth (Strategy.route strategy grid pi) in
+      let depth = Schedule.depth (route ~engine grid pi) in
       checki
         (Printf.sprintf "%dx%d %s %s" side side (Generators.name kind)
-           (Strategy.name strategy))
+           engine)
         expected depth)
     golden_cases
 
