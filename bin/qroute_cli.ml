@@ -46,7 +46,9 @@ let engine_conv =
 
 let config_conv =
   let parse s =
-    match Router_config.of_string s with
+    match
+      Result.bind (Router_config.of_string s) Router_registry.check_config
+    with
     | Ok config -> Ok config
     | Error msg -> Error (`Msg ("bad --config: " ^ msg))
   in

@@ -40,7 +40,9 @@ val check : t -> (t, string) result
 (** The limits every parsed configuration must meet, whichever form it
     came in: [ats_trials] between 1 and 64, and no contender
     named twice in [best_of].  Both bound the routing runs one request
-    can ask for.  Returns the configuration unchanged when it passes. *)
+    can ask for.  Returns the configuration unchanged when it passes.
+    {!Router_registry.check_config} adds the rules that need the
+    registry. *)
 
 val default : t
 (** The paper's defaults: doubling discovery, MCBBM assignment, transpose

@@ -55,6 +55,22 @@ let get name =
            name
            (String.concat ", " (names ())))
 
+(* [best] races each contender through the registry, so one it cannot
+   find, or [best] itself, fails the request after it is admitted. *)
+let check_config config =
+  match Router_config.check config with
+  | Error _ as e -> e
+  | Ok config -> (
+      let bad = function
+        | "best" -> Some "best: cannot race itself"
+        | name when find name = None ->
+            Some (Printf.sprintf "best: unknown engine %S" name)
+        | _ -> None
+      in
+      match Option.map (List.find_map bad) config.Router_config.best_of with
+      | Some (Some msg) -> Error msg
+      | _ -> Ok config)
+
 (* {2 Explicit generic-graph fallback} *)
 
 let c_fallbacks =

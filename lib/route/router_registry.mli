@@ -33,6 +33,11 @@ val get : string -> Router_intf.t
 (** @raise Invalid_argument for unknown names; the message lists the
     registered engines. *)
 
+val check_config : Router_config.t -> (Router_config.t, string) result
+(** {!Router_config.check}, then the rule that needs the registry: every
+    [best_of] contender is a registered engine other than [best].  Every
+    configuration from outside the program passes through here. *)
+
 val names : unit -> string list
 (** Registered names, in registration order. *)
 

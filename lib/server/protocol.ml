@@ -288,26 +288,20 @@ let config_to_json (c : Router_config.t) =
 
 let config_of_json json =
   let ( let* ) = Result.bind in
-  match json with
-  | Json.String text -> (
-      match Router_config.of_string text with
-      | Ok c -> Ok c
-      | Error msg -> Error ("config: " ^ msg))
-  | Json.Obj fields -> (
-      let* c =
+  let parsed =
+    match json with
+    | Json.String text -> Router_config.of_string text
+    | Json.Obj fields ->
         List.fold_left
           (fun acc (key, value) ->
             let* c = acc in
-            let bad what =
-              Error (Printf.sprintf "config: %s: expected %s" key what)
-            in
+            let bad what = Error (Printf.sprintf "%s: expected %s" key what) in
             match key with
             | "discovery" -> (
                 match Json.get_string value with
                 | Some s -> (
-                    match Router_config.discovery_of_string s with
-                    | Ok d -> Ok { c with Router_config.discovery = d }
-                    | Error msg -> Error ("config: " ^ msg))
+                    let* d = Router_config.discovery_of_string s in
+                    Ok { c with Router_config.discovery = d })
                 | None -> bad "a string")
             | "assignment" -> (
                 match Json.get_string value with
@@ -357,13 +351,13 @@ let config_of_json json =
                         Ok { c with Router_config.best_of = Some (List.rev rev) }
                     | _ -> bad "a non-empty list of engine names")
                 | None -> bad "a non-empty list of engine names")
-            | _ -> Error (Printf.sprintf "config: unknown key %S" key))
+            | _ -> Error (Printf.sprintf "unknown key %S" key))
           (Ok Router_config.default) fields
-      in
-      match Router_config.check c with
-      | Ok c -> Ok c
-      | Error msg -> Error ("config: " ^ msg))
-  | _ -> Error "config: expected an object or a key=value string"
+    | _ -> Error "expected an object or a key=value string"
+  in
+  match Result.bind parsed Router_registry.check_config with
+  | Ok c -> Ok c
+  | Error msg -> Error ("config: " ^ msg)
 
 let engines_json () =
   Json.Obj

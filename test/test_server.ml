@@ -529,6 +529,11 @@ let test_session_config_limits () =
   rejected (route_2x2 "ats" {|{"trials":65}|});
   rejected (route_2x2 "ats" {|"trials=65"|});
   rejected (route_2x2 "best" {|{"best":["local","naive","local"]}|});
+  rejected (route_2x2 "best" {|"best=nosuch"|});
+  rejected (route_2x2 "best" {|{"best":["nosuch"]}|});
+  rejected (route_2x2 "best" {|"best=best"|});
+  rejected (route_2x2 "best" {|{"best":["local","best"]}|});
+  rejected (route_2x2 "ats" {|"best=nosuch"|});
   rejected (route_2x2 "ats" {|{"trials":0}|});
   rejected (route_2x2 "ats" {|{"trials":1000000000000}|});
   let perm = String.concat "," (List.init 64 (fun v -> string_of_int (63 - v))) in
