@@ -96,6 +96,21 @@ let cols_arg =
     value & opt positive_int 8
     & info [ "cols"; "n" ] ~docv:"N" ~doc:"Grid columns.")
 
+(* A pair of sides whose product overflows is a usage error too, found
+   before any grid is built. *)
+let too_many_vertices rows cols =
+  if rows > max_int / cols then
+    Some (Printf.sprintf "a %dx%d grid has too many vertices" rows cols)
+  else None
+
+let grid_arg =
+  let check rows cols =
+    match too_many_vertices rows cols with
+    | Some msg -> `Error (true, msg)
+    | None -> `Ok (rows, cols)
+  in
+  Term.(ret (const check $ rows_arg $ cols_arg))
+
 let seed_arg =
   Arg.(value & opt int 0 & info [ "seed" ] ~docv:"SEED" ~doc:"RNG seed.")
 
@@ -182,7 +197,7 @@ let route_cmd =
   let show =
     Arg.(value & flag & info [ "show" ] ~doc:"Print the matching layers.")
   in
-  let run rows cols seed engine config kind show trace metrics =
+  let run (rows, cols) seed engine config kind show trace metrics =
     with_observability ~trace ~metrics @@ fun () ->
     let grid = Grid.make ~rows ~cols in
     let pi = Generators.generate grid kind (Rng.create seed) in
@@ -208,17 +223,26 @@ let route_cmd =
   Cmd.v
     (Cmd.info "route" ~doc:"Route one permutation on a grid")
     Term.(
-      const run $ rows_arg $ cols_arg $ seed_arg $ strategy_arg $ config_arg
-      $ kind $ show $ trace_arg $ metrics_arg)
+      const run $ grid_arg $ seed_arg $ strategy_arg $ config_arg $ kind $ show
+      $ trace_arg $ metrics_arg)
 
 (* ------------------------------------------------------------------ sweep *)
 
 let sweep_cmd =
   let sizes =
-    Arg.(
-      value
-      & opt (list positive_int) [ 4; 8; 12; 16 ]
-      & info [ "sizes" ] ~docv:"N,..." ~doc:"Square grid side lengths.")
+    let check sides =
+      match List.find_map (fun side -> too_many_vertices side side) sides with
+      | Some msg -> `Error (true, msg)
+      | None -> `Ok sides
+    in
+    Term.(
+      ret
+        (const check
+        $ Arg.(
+            value
+            & opt (list positive_int) [ 4; 8; 12; 16 ]
+            & info [ "sizes" ] ~docv:"N,..." ~doc:"Square grid side lengths.")
+        ))
   in
   let seeds =
     Arg.(
@@ -288,19 +312,22 @@ let transpile_cmd =
       & opt (some string) None
       & info [ "o"; "output" ] ~docv:"OUT" ~doc:"Write the physical circuit here.")
   in
-  let run rows cols engine config input output trace metrics =
-    let grid = Grid.make ~rows ~cols in
+  let run (rows, cols) engine config input output trace metrics =
     match Qasm.load input with
     | Error msg ->
         Printf.eprintf "error: %s\n" msg;
         exit 1
     | Ok logical ->
-        if Circuit.num_qubits logical <> Grid.size grid then begin
+        let q = Circuit.num_qubits logical in
+        (* Checked before the grid is built, as the server checks a
+           request's grid against its permutation. *)
+        if rows > q / cols || rows * cols <> q then begin
           Printf.eprintf
             "error: circuit has %d qubits but the %dx%d grid has %d vertices\n"
-            (Circuit.num_qubits logical) rows cols (Grid.size grid);
+            q rows cols (rows * cols);
           exit 1
         end;
+        let grid = Grid.make ~rows ~cols in
         with_observability ~trace ~metrics @@ fun () ->
         let (result, seconds) =
           Timer.time (fun () ->
@@ -323,8 +350,8 @@ let transpile_cmd =
   Cmd.v
     (Cmd.info "transpile" ~doc:"Transpile a circuit file onto a grid")
     Term.(
-      const run $ rows_arg $ cols_arg $ strategy_arg $ config_arg $ input
-      $ output $ trace_arg $ metrics_arg)
+      const run $ grid_arg $ strategy_arg $ config_arg $ input $ output
+      $ trace_arg $ metrics_arg)
 
 (* -------------------------------------------------------------------- gen *)
 
@@ -340,7 +367,7 @@ let gen_cmd =
     Arg.(value & opt int 64 & info [ "gates" ] ~docv:"G"
            ~doc:"Gate count for random circuits.")
   in
-  let run rows cols seed which gates =
+  let run (rows, cols) seed which gates =
     let grid = Grid.make ~rows ~cols in
     let n = Grid.size grid in
     let circuit =
@@ -354,7 +381,7 @@ let gen_cmd =
   in
   Cmd.v
     (Cmd.info "gen" ~doc:"Emit a stock circuit in the QASM subset")
-    Term.(const run $ rows_arg $ cols_arg $ seed_arg $ which $ gates)
+    Term.(const run $ grid_arg $ seed_arg $ which $ gates)
 
 (* ------------------------------------------------------------------ stats *)
 
@@ -376,7 +403,7 @@ let stats_cmd =
              operational snapshot (health + plan cache + metrics) as \
              JSON.")
   in
-  let run rows cols seed kind socket =
+  let run (rows, cols) seed kind socket =
     match socket with
     | Some path -> (
         let request =
@@ -415,7 +442,7 @@ let stats_cmd =
        ~doc:
          "Describe a workload permutation, or snapshot a running server's \
           telemetry")
-    Term.(const run $ rows_arg $ cols_arg $ seed_arg $ kind $ socket)
+    Term.(const run $ grid_arg $ seed_arg $ kind $ socket)
 
 (* ---------------------------------------------------------------- engines *)
 
