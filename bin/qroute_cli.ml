@@ -235,14 +235,13 @@ let sweep_cmd =
       | Some msg -> `Error (true, msg)
       | None -> `Ok sides
     in
-    Term.(
-      ret
-        (const check
-        $ Arg.(
-            value
-            & opt (list positive_int) [ 4; 8; 12; 16 ]
-            & info [ "sizes" ] ~docv:"N,..." ~doc:"Square grid side lengths.")
-        ))
+    let sides =
+      Arg.(
+        value
+        & opt (list positive_int) [ 4; 8; 12; 16 ]
+        & info [ "sizes" ] ~docv:"N,..." ~doc:"Square grid side lengths.")
+    in
+    Term.(ret (const check $ sides))
   in
   let seeds =
     Arg.(

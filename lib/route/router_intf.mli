@@ -36,7 +36,7 @@ type t = {
 }
 
 exception Unsupported_input of { engine : string; reason : string }
-(** Raised by an engine's [route] when the input shape is outside the engine's
+(** Raised by an engine's [route] when the input shape is outside its
     capabilities (e.g. a grid-only engine on {!Graph_input}). *)
 
 val unsupported : engine:string -> reason:string -> 'a

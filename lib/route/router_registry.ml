@@ -59,17 +59,12 @@ let get name =
    find, or [best] itself, fails the request after it is admitted. *)
 let check_config config =
   match Router_config.check config with
-  | Error _ as e -> e
-  | Ok config -> (
-      let bad = function
-        | "best" -> Some "best: cannot race itself"
-        | name when find name = None ->
-            Some (Printf.sprintf "best: unknown engine %S" name)
-        | _ -> None
-      in
-      match Option.map (List.find_map bad) config.Router_config.best_of with
-      | Some (Some msg) -> Error msg
-      | _ -> Ok config)
+  | Ok { Router_config.best_of = Some names; _ } as checked -> (
+      match List.find_opt (fun n -> n = "best" || find n = None) names with
+      | Some name ->
+          Error (Printf.sprintf "best: %S is not an engine best can race" name)
+      | None -> checked)
+  | checked -> checked
 
 (* {2 Explicit generic-graph fallback} *)
 
