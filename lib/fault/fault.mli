@@ -21,8 +21,8 @@
 
     Disarmed (the default, and the state {!disarm} restores), every
     helper is a single load-and-branch on the global state — safe to
-    leave in hot paths; the [phases] benchmark must not be able to tell
-    the fault points are there.
+    leave in hot paths; the benchmark of record ([perfbench]) must not be
+    able to tell the fault points are there.
 
     Plan grammar (also produced by {!to_string}):
 
