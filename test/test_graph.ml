@@ -245,6 +245,26 @@ let test_grid_manhattan_matches_bfs () =
     done
   done
 
+(* Out-of-range vertices in either argument position raise, as [coord]
+   and [index] do. *)
+let test_grid_manhattan_out_of_range () =
+  let g = Grid.make ~rows:3 ~cols:4 in
+  let n = Grid.size g in
+  let raises name f =
+    match f () with
+    | (_ : int) -> Alcotest.failf "%s: no exception" name
+    | exception Invalid_argument _ -> ()
+  in
+  List.iter
+    (fun bad ->
+      raises (Printf.sprintf "manhattan %d 0" bad) (fun () ->
+          Grid.manhattan g bad 0);
+      raises (Printf.sprintf "manhattan 0 %d" bad) (fun () ->
+          Grid.manhattan g 0 bad);
+      raises (Printf.sprintf "manhattan %d %d" bad bad) (fun () ->
+          Grid.manhattan g bad bad))
+    [ -1; n ]
+
 let test_grid_transpose () =
   let g = Grid.make ~rows:2 ~cols:3 in
   let gt = Grid.transpose g in
@@ -482,6 +502,8 @@ let () =
           Alcotest.test_case "row major" `Quick test_grid_row_major;
           Alcotest.test_case "adjacency" `Quick test_grid_adjacency;
           Alcotest.test_case "manhattan = BFS" `Quick test_grid_manhattan_matches_bfs;
+          Alcotest.test_case "manhattan out of range" `Quick
+            test_grid_manhattan_out_of_range;
           Alcotest.test_case "transpose" `Quick test_grid_transpose;
           Alcotest.test_case "rows/cols" `Quick test_grid_lines;
           Alcotest.test_case "degenerate" `Quick test_grid_degenerate;
