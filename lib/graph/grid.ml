@@ -39,8 +39,10 @@ let row_of t v = fst (coord t v)
 let col_of t v = snd (coord t v)
 
 let manhattan t u v =
-  let ru, cu = coord t u and rv, cv = coord t v in
-  abs (ru - rv) + abs (cu - cv)
+  let n = size t in
+  if u < 0 || u >= n || v < 0 || v >= n then
+    invalid_arg "Grid.manhattan: out of bounds";
+  abs ((u / t.cols) - (v / t.cols)) + abs ((u mod t.cols) - (v mod t.cols))
 
 let transpose t = make ~rows:t.cols ~cols:t.rows
 

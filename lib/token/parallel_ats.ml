@@ -14,38 +14,16 @@ let c_fallbacks = Metrics.counter "ats_fallback_steps"
 let route_one ~seed g oracle pi =
   let n = Graph.num_vertices g in
   let dist u v = Distance.dist oracle u v in
-  let dest_at = Array.copy pi in
-  let layers = ref [] in
-  let do_swap u v =
-    let tmp = dest_at.(u) in
-    dest_at.(u) <- dest_at.(v);
-    dest_at.(v) <- tmp
-  in
-  let push_layer swaps =
-    List.iter (fun (u, v) -> do_swap u v) swaps;
-    layers := Array.of_list swaps :: !layers
-  in
   (* Edge order of the greedy harvest, perturbed per seed so ties don't
      always favour low-index corners. *)
-  let edge_array = Array.of_list (Graph.edges g) in
-  Rng.shuffle_in_place (Rng.create seed) edge_array;
-  let priority = Array.init n (fun v -> v) in
-  let roots = List.init n (fun v -> v) in
-  let used = Array.make n false in
-  let happy_layer () =
-    Array.fill used 0 n false;
-    let batch = ref [] in
-    Array.iter
-      (fun (u, v) ->
-        if (not used.(u)) && (not used.(v))
-           && Ats_core.is_happy dist dest_at u v
-        then begin
-          used.(u) <- true;
-          used.(v) <- true;
-          batch := (u, v) :: !batch
-        end)
-      edge_array;
-    !batch
+  let edges = Array.of_list (Graph.edges g) in
+  Rng.shuffle_in_place (Rng.create seed) edges;
+  let d = Ats_core.create g dist ~priority:(Array.init n Fun.id) ~edges pi in
+  let layers = ref [] in
+  let apply (u, v) = Ats_core.swap d u v in
+  let push_layer swaps =
+    List.iter apply swaps;
+    layers := Array.of_list swaps :: !layers
   in
   let total = Perm.total_distance dist pi in
   let cap = max (4 * n * n) ((8 * total) + 64) in
@@ -56,7 +34,7 @@ let route_one ~seed g oracle pi =
     Cancel.poll cancel;
     incr rounds;
     if !rounds > cap then failwith "Parallel_ats.route: safety cap exceeded";
-    match happy_layer () with
+    match Ats_core.happy_matching d with
     | _ :: _ as batch ->
         Metrics.incr c_happy_layers;
         push_layer batch
@@ -64,25 +42,18 @@ let route_one ~seed g oracle pi =
         (* Stuck: fall back to one serial ATS step to restore progress —
            a cycle chain (emitted as singleton layers; the final compaction
            merges what it can) or a single unhappy swap. *)
-        match Ats_core.find_cycle g dist dest_at priority roots with
+        match Ats_core.find_cycle d with
         | Some cycle ->
             Metrics.incr c_fallbacks;
-            let arr = Array.of_list cycle in
-            for k = Array.length arr - 2 downto 0 do
-              push_layer [ (arr.(k), arr.(k + 1)) ]
+            for k = Array.length cycle - 2 downto 0 do
+              push_layer [ (cycle.(k), cycle.(k + 1)) ]
             done
         | None -> (
-            let rec first_unplaced v =
-              if v >= n then None
-              else if dest_at.(v) <> v then Some v
-              else first_unplaced (v + 1)
-            in
-            match first_unplaced 0 with
+            match Ats_core.find_unhappy_arc d with
             | None -> finished := true
-            | Some v ->
+            | Some arc ->
                 Metrics.incr c_fallbacks;
-                let a, b = Ats_core.find_unhappy_arc g dist dest_at priority v in
-                push_layer [ (a, b) ]))
+                push_layer [ arc ]))
   done;
   let sched = Schedule.compact ~n (List.rev !layers) in
   assert (Schedule.realizes ~n sched pi);

@@ -12,15 +12,12 @@ let c_cycle = Metrics.counter "ats_cycle_swaps"
 let c_unhappy = Metrics.counter "ats_unhappy_swaps"
 let c_trials = Metrics.counter "ats_trials"
 
-let run_trial g dist pi priority roots cap =
-  let n = Graph.num_vertices g in
-  let dest_at = Array.copy pi in
+let run_trial g dist pi priority edges cap =
+  let d = Ats_core.create g dist ~priority ~edges pi in
   let swaps = ref [] in
   let swap_count = ref 0 in
   let do_swap u v =
-    let tmp = dest_at.(u) in
-    dest_at.(u) <- dest_at.(v);
-    dest_at.(v) <- tmp;
+    Ats_core.swap d u v;
     swaps := (u, v) :: !swaps;
     incr swap_count
   in
@@ -28,30 +25,19 @@ let run_trial g dist pi priority roots cap =
      2-cycles of D); batching them keeps the serial order friendly to ASAP
      re-layering.  Returns whether any swap was made. *)
   let happy_batch () =
-    let used = Array.make n false in
-    let batch = ref [] in
-    Graph.iter_edges g (fun u v ->
-        if (not used.(u)) && (not used.(v))
-           && Ats_core.is_happy dist dest_at u v
-        then begin
-          used.(u) <- true;
-          used.(v) <- true;
-          batch := (u, v) :: !batch
-        end);
-    List.iter (fun (u, v) -> do_swap u v) !batch;
-    Metrics.add c_happy (List.length !batch);
-    !batch <> []
+    let batch = Ats_core.happy_matching d in
+    List.iter (fun (u, v) -> do_swap u v) batch;
+    Metrics.add c_happy (List.length batch);
+    batch <> []
   in
   (* Far-end first along a cycle of D: every token on the cycle advances
      one arc using k−1 swaps. *)
-  let swap_chain vertices =
-    let arr = Array.of_list vertices in
-    Metrics.add c_cycle (Array.length arr - 1);
-    for k = Array.length arr - 2 downto 0 do
-      do_swap arr.(k) arr.(k + 1)
+  let swap_chain cycle =
+    Metrics.add c_cycle (Array.length cycle - 1);
+    for k = Array.length cycle - 2 downto 0 do
+      do_swap cycle.(k) cycle.(k + 1)
     done
   in
-  let first_unplaced () = List.find_opt (fun v -> dest_at.(v) <> v) roots in
   let cancel = Cancel.ambient () in
   let ok = ref true in
   let finished = ref false in
@@ -60,16 +46,15 @@ let run_trial g dist pi priority roots cap =
     if !swap_count > cap then ok := false
     else if happy_batch () then ()
     else
-      match Ats_core.find_cycle g dist dest_at priority roots with
+      match Ats_core.find_cycle d with
       | Some cycle -> swap_chain cycle
       | None -> (
-          match first_unplaced () with
+          match Ats_core.find_unhappy_arc d with
           | None -> finished := true
-          | Some v ->
+          | Some (a, b) ->
               (* Miltzow's unhappy swap: the single last arc of a maximal
                  path (swapping along the whole path would drag the placed
                  token back across it and void the approximation bound). *)
-              let a, b = Ats_core.find_unhappy_arc g dist dest_at priority v in
               Metrics.incr c_unhappy;
               do_swap a b)
   done;
@@ -86,22 +71,18 @@ let serial ?(trials = 1) ?(seed = 0) g oracle pi =
   let dist u v = Distance.dist oracle u v in
   let total = Perm.total_distance dist pi in
   let cap = max (4 * n * n) ((8 * total) + 64) in
-  let identity_order = List.init n (fun v -> v) in
+  let edges = Array.of_list (Graph.edges g) in
   let rng = Rng.create seed in
   let best = ref None in
   for trial = 0 to trials - 1 do
-    let priority, roots =
-      if trial = 0 then (Array.init n (fun v -> v), identity_order)
-      else begin
-        let p = Rng.permutation rng n in
-        (p, List.sort (fun a b -> compare p.(a) p.(b)) identity_order)
-      end
+    let priority =
+      if trial = 0 then Array.init n Fun.id else Rng.permutation rng n
     in
     Metrics.incr c_trials;
     match
       Trace.with_span "ats_trial"
         ~attrs:[ ("trial", Trace.Int trial); ("serial", Trace.Bool true) ]
-        (fun () -> run_trial g dist pi priority roots cap)
+        (fun () -> run_trial g dist pi priority edges cap)
     with
     | None -> ()
     | Some swaps -> (

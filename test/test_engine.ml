@@ -779,6 +779,29 @@ let test_kernel_minor_words () =
     true
     (words <= 1_939_105. /. 3.)
 
+(* The token-swapping engines' budget, measured the same way on the
+   benchmark's 12x12 shape.  While ATS rebuilt its swap digraph from
+   distances for every chain, this input allocated 14_260_588 minor words
+   per [ats] route and 3_916_421 per [ats-serial] route; the bounds are a
+   twentieth and a quarter of those. *)
+let test_ats_minor_words () =
+  with_clean_sinks @@ fun () ->
+  let grid = Grid.make ~rows:12 ~cols:12 in
+  let pi = Generators.generate grid Generators.Random (Rng.create 42) in
+  List.iter
+    (fun (name, parent_words, divisor) ->
+      let engine = Router_registry.get name in
+      ignore (Router_intf.route_grid engine grid pi);
+      let before = Gc.minor_words () in
+      ignore (Router_intf.route_grid engine grid pi);
+      let words = Gc.minor_words () -. before in
+      checkb
+        (Printf.sprintf "%s: %.0f minor words <= %.0f / %.0f" name words
+           parent_words divisor)
+        true
+        (words <= parent_words /. divisor))
+    [ ("ats", 14_260_588., 20.); ("ats-serial", 3_916_421., 4.) ]
+
 (* ------------------------------------------------------- transpile/sabre *)
 
 let test_transpile_with_engine () =
@@ -871,6 +894,7 @@ let () =
           Alcotest.test_case "ats whole-schedule and wire digests" `Quick
             test_golden_ats_digests;
           Alcotest.test_case "kernel minor words" `Quick test_kernel_minor_words;
+          Alcotest.test_case "ats minor words" `Quick test_ats_minor_words;
         ] );
       ( "transpile",
         [

@@ -1,4 +1,5 @@
-(* Tests for Qr_token: Token_swap, Parallel_ats, Exact, Parallelize. *)
+(* Tests for Qr_token: Token_swap, Parallel_ats, Ats_core, Exact,
+   Parallelize. *)
 
 module Graph = Qr_graph.Graph
 module Grid = Qr_graph.Grid
@@ -165,6 +166,281 @@ let test_parallel_depth_at_least_displacement () =
       (Schedule.depth s >= Perm.max_distance (fun u v -> Distance.dist oracle u v) pi)
   done
 
+(* ------------------------------------------------- list-based reference *)
+
+(* The token-swapping algorithms as first written, kept as the reference
+   for [Ats_core]'s flat digraph: D is rebuilt from distances on every
+   query, with a fresh neighbor list filtered and sorted per visited
+   vertex.  Only the argument checks, counters, spans and cancellation are
+   left out. *)
+module Reference = struct
+  let closer_neighbors g dist dest_at priority v =
+    let target = dest_at.(v) in
+    if target = v then []
+    else begin
+      let dv = dist v target in
+      let candidates =
+        Graph.fold_neighbors g v
+          (fun acc u -> if dist u target < dv then u :: acc else acc)
+          []
+      in
+      List.sort (fun a b -> compare priority.(a) priority.(b)) candidates
+    end
+
+  let is_happy dist dest_at u v =
+    let tu = dest_at.(u) and tv = dest_at.(v) in
+    dist v tu < dist u tu && dist u tv < dist v tv
+
+  let find_cycle g dist dest_at priority roots =
+    let n = Graph.num_vertices g in
+    let color = Array.make n 0 in
+    (* 0 white, 1 on the current DFS path, 2 done *)
+    let found = ref None in
+    let rec visit path v =
+      color.(v) <- 1;
+      let rec try_arcs = function
+        | [] -> ()
+        | u :: rest -> (
+            if !found = None then
+              match color.(u) with
+              | 0 -> (
+                  visit (v :: path) u;
+                  match !found with None -> try_arcs rest | Some _ -> ())
+              | 1 ->
+                  (* The suffix of the path from u's occurrence is the
+                     cycle. *)
+                  let rec collect acc = function
+                    | [] -> assert false
+                    | w :: ws ->
+                        if w = u then u :: acc else collect (w :: acc) ws
+                  in
+                  found := Some (collect [] (v :: path))
+              | _ -> try_arcs rest)
+      in
+      try_arcs (closer_neighbors g dist dest_at priority v);
+      if !found = None then color.(v) <- 2
+    in
+    List.iter
+      (fun v ->
+        if !found = None && color.(v) = 0 && dest_at.(v) <> v then visit [] v)
+      roots;
+    !found
+
+  let find_unhappy_arc g dist dest_at priority start =
+    let rec walk prev v =
+      match closer_neighbors g dist dest_at priority v with
+      | [] ->
+          assert (prev >= 0);
+          (prev, v)
+      | u :: _ -> walk v u
+    in
+    walk (-1) start
+
+  (* Token_swap's trial loop. *)
+  let run_trial g dist pi priority roots cap =
+    let n = Graph.num_vertices g in
+    let dest_at = Array.copy pi in
+    let swaps = ref [] in
+    let swap_count = ref 0 in
+    let do_swap u v =
+      let tmp = dest_at.(u) in
+      dest_at.(u) <- dest_at.(v);
+      dest_at.(v) <- tmp;
+      swaps := (u, v) :: !swaps;
+      incr swap_count
+    in
+    let happy_batch () =
+      let used = Array.make n false in
+      let batch = ref [] in
+      Graph.iter_edges g (fun u v ->
+          if (not used.(u)) && (not used.(v)) && is_happy dist dest_at u v
+          then begin
+            used.(u) <- true;
+            used.(v) <- true;
+            batch := (u, v) :: !batch
+          end);
+      List.iter (fun (u, v) -> do_swap u v) !batch;
+      !batch <> []
+    in
+    let swap_chain vertices =
+      let arr = Array.of_list vertices in
+      for k = Array.length arr - 2 downto 0 do
+        do_swap arr.(k) arr.(k + 1)
+      done
+    in
+    let first_unplaced () = List.find_opt (fun v -> dest_at.(v) <> v) roots in
+    let ok = ref true in
+    let finished = ref false in
+    while (not !finished) && !ok do
+      if !swap_count > cap then ok := false
+      else if happy_batch () then ()
+      else
+        match find_cycle g dist dest_at priority roots with
+        | Some cycle -> swap_chain cycle
+        | None -> (
+            match first_unplaced () with
+            | None -> finished := true
+            | Some v ->
+                let a, b = find_unhappy_arc g dist dest_at priority v in
+                do_swap a b)
+    done;
+    if !ok then Some (List.rev !swaps) else None
+
+  let serial ~trials ~seed g oracle pi =
+    let n = Graph.num_vertices g in
+    let dist u v = Distance.dist oracle u v in
+    let total = Perm.total_distance dist pi in
+    let cap = max (4 * n * n) ((8 * total) + 64) in
+    let identity_order = List.init n (fun v -> v) in
+    let rng = Rng.create seed in
+    let best = ref None in
+    for trial = 0 to trials - 1 do
+      let priority, roots =
+        if trial = 0 then (Array.init n (fun v -> v), identity_order)
+        else begin
+          let p = Rng.permutation rng n in
+          (p, List.sort (fun a b -> compare p.(a) p.(b)) identity_order)
+        end
+      in
+      match run_trial g dist pi priority roots cap with
+      | None -> ()
+      | Some swaps -> (
+          match !best with
+          | Some prev when List.length prev <= List.length swaps -> ()
+          | _ -> best := Some swaps)
+    done;
+    Option.get !best
+
+  (* Parallel_ats's trial loop. *)
+  let route_one ~seed g oracle pi =
+    let n = Graph.num_vertices g in
+    let dist u v = Distance.dist oracle u v in
+    let dest_at = Array.copy pi in
+    let layers = ref [] in
+    let do_swap u v =
+      let tmp = dest_at.(u) in
+      dest_at.(u) <- dest_at.(v);
+      dest_at.(v) <- tmp
+    in
+    let push_layer swaps =
+      List.iter (fun (u, v) -> do_swap u v) swaps;
+      layers := Array.of_list swaps :: !layers
+    in
+    let edge_array = Array.of_list (Graph.edges g) in
+    Rng.shuffle_in_place (Rng.create seed) edge_array;
+    let priority = Array.init n (fun v -> v) in
+    let roots = List.init n (fun v -> v) in
+    let used = Array.make n false in
+    let happy_layer () =
+      Array.fill used 0 n false;
+      let batch = ref [] in
+      Array.iter
+        (fun (u, v) ->
+          if (not used.(u)) && (not used.(v)) && is_happy dist dest_at u v
+          then begin
+            used.(u) <- true;
+            used.(v) <- true;
+            batch := (u, v) :: !batch
+          end)
+        edge_array;
+      !batch
+    in
+    let total = Perm.total_distance dist pi in
+    let cap = max (4 * n * n) ((8 * total) + 64) in
+    let rounds = ref 0 in
+    let finished = ref false in
+    while not !finished do
+      incr rounds;
+      if !rounds > cap then failwith "Reference.route: safety cap exceeded";
+      match happy_layer () with
+      | _ :: _ as batch -> push_layer batch
+      | [] -> (
+          match find_cycle g dist dest_at priority roots with
+          | Some cycle ->
+              let arr = Array.of_list cycle in
+              for k = Array.length arr - 2 downto 0 do
+                push_layer [ (arr.(k), arr.(k + 1)) ]
+              done
+          | None -> (
+              let rec first_unplaced v =
+                if v >= n then None
+                else if dest_at.(v) <> v then Some v
+                else first_unplaced (v + 1)
+              in
+              match first_unplaced 0 with
+              | None -> finished := true
+              | Some v ->
+                  let a, b = find_unhappy_arc g dist dest_at priority v in
+                  push_layer [ (a, b) ]))
+    done;
+    Schedule.compact ~n (List.rev !layers)
+
+  let route ~trials ~seed g oracle pi =
+    let rec best k champion =
+      if k >= trials then champion
+      else begin
+        let candidate = route_one ~seed:(seed + k) g oracle pi in
+        let champion =
+          if Schedule.depth candidate < Schedule.depth champion then candidate
+          else champion
+        in
+        best (k + 1) champion
+      end
+    in
+    best 1 (route_one ~seed g oracle pi)
+end
+
+(* A connected graph on [n] vertices: a random spanning tree plus up to
+   [n] random chords. *)
+let random_connected_graph rng n =
+  let seen = Hashtbl.create 64 in
+  let edges = ref [] in
+  let add u v =
+    let e = (min u v, max u v) in
+    if u <> v && not (Hashtbl.mem seen e) then begin
+      Hashtbl.add seen e ();
+      edges := e :: !edges
+    end
+  in
+  for v = 1 to n - 1 do
+    add (Rng.int rng v) v
+  done;
+  for _ = 1 to Rng.int rng (n + 1) do
+    add (Rng.int rng n) (Rng.int rng n)
+  done;
+  Graph.of_edges ~n !edges
+
+(* One instance per [kind]: a grid with its closed-form oracle, a random
+   connected graph with the BFS table, or a cycle with the lazy oracle. *)
+let differential_instance kind rng =
+  let g, oracle =
+    match kind with
+    | 0 ->
+        let rows = Rng.int_in rng 1 7 in
+        let cols = Rng.int_in rng 1 7 in
+        let grid = Grid.make ~rows ~cols in
+        (Grid.graph grid, Distance.of_grid grid)
+    | 1 ->
+        let g = random_connected_graph rng (Rng.int_in rng 2 24) in
+        (g, Distance.of_graph g)
+    | _ ->
+        let g = Graph.cycle (Rng.int_in rng 3 24) in
+        (g, Distance.of_graph_lazy g)
+  in
+  (g, oracle, Perm.check (Rng.permutation rng (Graph.num_vertices g)))
+
+let differential_property =
+  QCheck.Test.make ~name:"flat digraph = list-based reference" ~count:1200
+    QCheck.(
+      quad (int_range 0 2) (int_range 0 1_000_000) (int_range 1 5)
+        (int_range 0 1000))
+    (fun (kind, instance, trials, seed) ->
+      let g, oracle, pi = differential_instance kind (Rng.create instance) in
+      Token_swap.serial ~trials ~seed g oracle pi
+      = Reference.serial ~trials ~seed g oracle pi
+      && Parallel_ats.route ~trials ~seed g oracle pi
+         = Reference.route ~trials ~seed g oracle pi)
+
 (* ------------------------------------------------------------------ Exact *)
 
 let test_exact_identity () =
@@ -278,6 +554,7 @@ let () =
           Alcotest.test_case "depth lower bound" `Quick
             test_parallel_depth_at_least_displacement;
         ] );
+      ("ats_core", [ qc differential_property ]);
       ( "exact",
         [
           Alcotest.test_case "identity" `Quick test_exact_identity;
