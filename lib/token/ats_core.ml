@@ -7,7 +7,7 @@ type t = {
   first : int array;  (* row of v: slots first.(v) .. first.(v + 1) - 1 *)
   nbr : int array;  (* each row's neighbors in priority order *)
   closer : bool array;  (* per slot: is the arc in D *)
-  edges : (int * int) array;
+  edges : (int * int) array;  (* happy_matching's scan order *)
   uv : int array;  (* per harvest edge (u, v): slot of u → v *)
   vu : int array;  (* ... and of v → u *)
   used : bool array;  (* happy_matching scratch *)

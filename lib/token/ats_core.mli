@@ -10,9 +10,9 @@
     refreshes just those two rows; every flag always equals a fresh
     distance comparison on the current tokens.
 
-    [priority] perturbs arc and root order for randomized trials: ties go
-    to the neighbor, and searches start from the vertex, of smallest
-    priority.  The identity priority gives index order. *)
+    [priority] perturbs arc and root order for randomized trials: the
+    searches try arcs, and start from vertices, in increasing priority.
+    The identity priority gives index order. *)
 
 type t
 

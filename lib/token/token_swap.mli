@@ -11,10 +11,12 @@
       and perform the single "unhappy" swap on its last arc, advancing one
       token at the cost of displacing a placed token by one.
 
-    Each chain is found by a deterministic greedy walk (smallest-index
-    closer neighbor first), so results are reproducible.  A safety cap
-    bounds the swap count; the theoretical guarantee keeps it far from
-    binding. *)
+    Each chain is found by a deterministic greedy walk that takes closer
+    neighbors in the trial's priority order (index order in trial 0, a
+    seeded random order in later trials), so results are reproducible.
+    The digraph lives in one {!Ats_core.t} per trial, updated per swap.  A
+    safety cap bounds the swap count; the theoretical guarantee keeps it far
+    from binding. *)
 
 module Schedule = Qr_route.Schedule
 (** Re-export so callers need not also depend on [qr_route]. *)

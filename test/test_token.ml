@@ -430,7 +430,7 @@ let differential_instance kind rng =
   (g, oracle, Perm.check (Rng.permutation rng (Graph.num_vertices g)))
 
 let differential_property =
-  QCheck.Test.make ~name:"flat digraph = list-based reference" ~count:1200
+  QCheck.Test.make ~name:"flat digraph = list-based reference" ~count:2000
     QCheck.(
       quad (int_range 0 2) (int_range 0 1_000_000) (int_range 1 5)
         (int_range 0 1000))
