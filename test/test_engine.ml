@@ -789,7 +789,7 @@ let test_ats_minor_words () =
   let grid = Grid.make ~rows:12 ~cols:12 in
   let pi = Generators.generate grid Generators.Random (Rng.create 42) in
   List.iter
-    (fun (name, parent_words, divisor) ->
+    (fun (name, list_based_words, divisor) ->
       let engine = Router_registry.get name in
       ignore (Router_intf.route_grid engine grid pi);
       let before = Gc.minor_words () in
@@ -797,9 +797,9 @@ let test_ats_minor_words () =
       let words = Gc.minor_words () -. before in
       checkb
         (Printf.sprintf "%s: %.0f minor words <= %.0f / %.0f" name words
-           parent_words divisor)
+           list_based_words divisor)
         true
-        (words <= parent_words /. divisor))
+        (words <= list_based_words /. divisor))
     [ ("ats", 14_260_588., 20.); ("ats-serial", 3_916_421., 4.) ]
 
 (* ------------------------------------------------------- transpile/sabre *)
