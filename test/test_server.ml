@@ -858,6 +858,100 @@ let test_metrics_file_snapshot () =
     (List.mem "server_request_ms_bucket{le=\"+Inf\"} 1" lines);
   checkb "no torn tmp file left" true (not (Sys.file_exists (path ^ ".tmp")))
 
+(* ---------------------------------------------------------- reply bytes *)
+
+(* A reply with its [server_ms] field cut out: the envelope's last field
+   and the only bytes that differ between runs of the same corpus. *)
+let strip_server_ms reply =
+  let marker = {|,"server_ms":|} in
+  let m = String.length marker in
+  let rec last i =
+    if i < 0 then reply
+    else if String.sub reply i m = marker then String.sub reply 0 i ^ "}"
+    else last (i - 1)
+  in
+  last (String.length reply - m)
+
+(* Every registry engine on six shapes, each route twice (a miss, then a
+   hit), batches with cached, fresh and deadline-expired items, ids
+   that need escaping, a trace echo, the non-routing methods and the
+   error kinds a session answers itself. *)
+let reply_corpus () =
+  let perm_text rows cols =
+    let grid = Grid.make ~rows ~cols in
+    let pi =
+      Qr_perm.Generators.generate grid Qr_perm.Generators.Random
+        (Qr_util.Rng.create ((100 * rows) + cols))
+    in
+    "[" ^ String.concat "," (Array.to_list (Array.map string_of_int pi)) ^ "]"
+  in
+  let route ?(extra = "") id rows cols engine =
+    Printf.sprintf
+      {|{"id":%s,"method":"route","params":{"grid":{"rows":%d,"cols":%d},"perm":%s,"engine":"%s"}%s}|}
+      id rows cols (perm_text rows cols) engine extra
+  in
+  let next = ref 0 in
+  let fresh_id () =
+    incr next;
+    string_of_int !next
+  in
+  let routes =
+    List.concat_map
+      (fun (rows, cols) ->
+        List.concat_map
+          (fun engine ->
+            let miss = route (fresh_id ()) rows cols engine in
+            [ miss; route (fresh_id ()) rows cols engine ])
+          (Router_registry.names ()))
+      [ (1, 1); (1, 6); (6, 1); (4, 4); (5, 9); (16, 16) ]
+  in
+  let reversal n =
+    "[" ^ String.concat "," (List.init n (fun v -> string_of_int (n - 1 - v))) ^ "]"
+  in
+  let batch ?(extra = "") id rows cols engine perms =
+    Printf.sprintf
+      {|{"id":%s,"method":"route_batch","params":{"grid":{"rows":%d,"cols":%d},"perms":[%s],"engine":"%s"}%s}|}
+      id rows cols (String.concat "," perms) engine extra
+  in
+  routes
+  @ [
+      batch "900" 4 4 "local" [ perm_text 4 4; reversal 16; perm_text 4 4 ];
+      batch "901" 16 16 "best" [ reversal 256; perm_text 16 16 ];
+      batch ~extra:{|,"deadline_ms":0|} "902" 5 9 "best"
+        [ perm_text 5 9; reversal 45 ];
+      route {|"quote\"d"|} 1 6 "local";
+      route {|"back\\slash"|} 6 1 "naive";
+      route {|"\ud83d\ude00"|} 4 4 "snake";
+      route "\"\xf0\x9f\x98\x80\"" 5 9 "local";
+      route ~extra:(Printf.sprintf {|,"trace":"%s"|} tp_example) "903" 4 4
+        "best";
+      route ~extra:{|,"deadline_ms":0|} "904" 5 9 "ats";
+      {|{"id":905,"method":"engines"}|};
+      {|{"id":906,"method":"transpile","params":{"grid":{"rows":2,"cols":2},"circuit":"qubits 4\nh 0\ncx 0 3\ncx 1 2\n","engine":"local"}}|};
+      "not json";
+      {|{"id":907}|};
+      {|{"id":908,"method":"teleport"}|};
+      {|{"method":"route","params":{"grid":{"rows":2,"cols":2},"perm":[0,0,0,0]}}|};
+      {|{"id":909,"method":"route","params":{"grid":{"rows":2,"cols":2},"perm":[3,2,1,0],"engine":"warp"}}|};
+      {|{"id":910,"method":"route","params":{"grid":{"rows":3,"cols":2},"perm":[3,2,1,0]}}|};
+      batch "911" 1 1 "local" (List.init 65 (fun _ -> "[0]"));
+    ]
+
+(* One digest over the replies to [reply_corpus], recorded before
+   replies were written straight into a buffer: rendering must keep
+   every byte. *)
+let test_reply_bytes_digest () =
+  with_clean_sinks @@ fun () ->
+  let session = Session.create () in
+  let replies =
+    List.map
+      (fun line -> strip_server_ms (Session.handle_line session line))
+      (reply_corpus ())
+  in
+  checki "replies" 102 (List.length replies);
+  checks "reply-bytes digest" "dc4c4b3a3ea2051ff267421e118a9a01"
+    (Digest.to_hex (Digest.string (String.concat "\n" replies)))
+
 (* --------------------------------------------------------- serving loop *)
 
 let serve_script ?config lines =
@@ -995,6 +1089,8 @@ let () =
           Alcotest.test_case "health telemetry" `Quick
             test_session_health_telemetry;
           Alcotest.test_case "stats method" `Quick test_session_stats_method;
+          Alcotest.test_case "reply-bytes digest" `Quick
+            test_reply_bytes_digest;
         ] );
       ( "serve",
         [
