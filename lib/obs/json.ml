@@ -42,32 +42,25 @@ let float_to_buffer buf f =
   end
 
 (* [string_of_int] without its C [caml_format_int] call, which costs
-   several times the rest of an integer's rendering.  Digits are peeled
-   off the non-positive magnitude into [digits] from the right, so
-   [min_int] needs no special case; 20 bytes hold the sign and the 19
-   digits of [min_int]. *)
-let int_to_buffer buf digits i =
-  let pos = ref 20 and n = ref (if i < 0 then i else -i) in
-  while
-    decr pos;
-    Bytes.unsafe_set digits !pos (Char.unsafe_chr (48 - (!n mod 10)));
-    n := !n / 10;
-    !n <> 0
-  do
-    ()
-  done;
+   several times the rest of an integer's rendering, and without a
+   scratch string: the digits of the non-positive magnitude are written
+   most significant first, so [min_int] needs no special case. *)
+let rec add_digits buf n =
+  if n <= -10 then add_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 - (n mod 10)))
+
+let int_to_buffer buf i =
   if i < 0 then begin
-    decr pos;
-    Bytes.unsafe_set digits !pos '-'
-  end;
-  Buffer.add_subbytes buf digits !pos (20 - !pos)
+    Buffer.add_char buf '-';
+    add_digits buf i
+  end
+  else add_digits buf (-i)
 
 let to_buffer buf json =
-  let digits = Bytes.create 20 in
   let rec go = function
     | Null -> Buffer.add_string buf "null"
     | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-    | Int i -> int_to_buffer buf digits i
+    | Int i -> int_to_buffer buf i
     | Float f -> float_to_buffer buf f
     | String s -> escape_to buf s
     | List items ->

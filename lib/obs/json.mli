@@ -19,6 +19,11 @@ val to_buffer : Buffer.t -> t -> unit
 (** Append the compact rendering of a value.  Non-finite floats render as
     [null] (JSON has no NaN/infinity). *)
 
+val int_to_buffer : Buffer.t -> int -> unit
+(** Append [string_of_int i] without allocating.  The one integer writer:
+    {!to_buffer} renders [Int] through it, and so do the direct writers
+    that skip the tree ([Qr_route.Schedule.to_buffer]). *)
+
 val to_string : t -> string
 (** Compact (single-line) rendering. *)
 

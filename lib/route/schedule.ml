@@ -163,6 +163,34 @@ let to_json t =
       ("layers", Json.List (List.map layer_json t));
     ]
 
+(* [to_json]'s bytes without its tree: no allocation past the buffer's
+   own growth.  Top-level recursion, so no closure is built per call. *)
+let rec layers_to_buffer buf = function
+  | [] -> ()
+  | layer :: rest ->
+      Buffer.add_char buf '[';
+      for k = 0 to Array.length layer - 1 do
+        let u, v = Array.unsafe_get layer k in
+        if k > 0 then Buffer.add_char buf ',';
+        Buffer.add_char buf '[';
+        Json.int_to_buffer buf u;
+        Buffer.add_char buf ',';
+        Json.int_to_buffer buf v;
+        Buffer.add_char buf ']'
+      done;
+      Buffer.add_char buf ']';
+      (match rest with [] -> () | _ -> Buffer.add_char buf ',');
+      layers_to_buffer buf rest
+
+let to_buffer buf t =
+  Buffer.add_string buf {|{"depth":|};
+  Json.int_to_buffer buf (depth t);
+  Buffer.add_string buf {|,"size":|};
+  Json.int_to_buffer buf (size t);
+  Buffer.add_string buf {|,"layers":[|};
+  layers_to_buffer buf t;
+  Buffer.add_string buf "]}"
+
 let of_json json =
   let ( let* ) = Result.bind in
   let swap_of_json = function

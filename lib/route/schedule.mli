@@ -79,6 +79,12 @@ val to_json : t -> Qr_obs.Json.t
     payload of the routing service's wire protocol, also handy for bench
     artifacts.  Round-trips exactly through {!of_json}. *)
 
+val to_buffer : Buffer.t -> t -> unit
+(** Append exactly the bytes of [Json.to_string (to_json t)], written in
+    one pass with no tree and no allocation beyond the buffer's growth.
+    The routing service renders [route] and [route_batch] replies with it
+    (DESIGN.md §10). *)
+
 val of_json : Qr_obs.Json.t -> (t, string) result
 (** Parse {!to_json}'s shape.  Only ["layers"] is required; ["depth"] and
     ["size"], when present, must agree with the layers.  Swaps must be

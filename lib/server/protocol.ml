@@ -157,6 +157,25 @@ let response_meta ?trace ?server_ms fields =
 let ok_response ?trace ?server_ms ~id result =
   Json.Obj (response_meta ?trace ?server_ms [ ("id", id); ("result", result) ])
 
+(* [ok_response]'s bytes with the result written in place by
+   [write_result]; the field order is the tree's. *)
+let ok_response_to_buffer buf ?trace ?server_ms ~id write_result =
+  Buffer.add_string buf {|{"id":|};
+  Json.to_buffer buf id;
+  Buffer.add_string buf {|,"result":|};
+  write_result buf;
+  Option.iter
+    (fun t ->
+      Buffer.add_string buf {|,"trace":|};
+      Json.to_buffer buf (Json.String (Trace_context.to_traceparent t)))
+    trace;
+  Option.iter
+    (fun ms ->
+      Buffer.add_string buf {|,"server_ms":|};
+      Json.to_buffer buf (Json.Float ms))
+    server_ms;
+  Buffer.add_char buf '}'
+
 let error_to_json { code; message; retry_after_ms } =
   let fields =
     [
@@ -217,7 +236,7 @@ let grid_to_json grid =
 (* The size check reads two numbers, where [Grid.make] would build the
    whole coupling graph first; [rows > n / cols] is [rows * cols > n]
    without forming a product that may overflow. *)
-let grid_of_json ?vertices json =
+let grid_dims_of_json ?vertices json =
   match
     ( Option.bind (Json.member "rows" json) Json.get_int,
       Option.bind (Json.member "cols" json) Json.get_int )
@@ -232,8 +251,13 @@ let grid_of_json ?vertices json =
                  n)
         | None when rows > max_int / cols ->
             Error (Printf.sprintf "grid: %dx%d has too many vertices" rows cols)
-        | _ -> Ok (Grid.make ~rows ~cols))
+        | _ -> Ok (rows, cols))
   | _ -> Error "grid: expected {\"rows\": m, \"cols\": n}"
+
+let grid_of_json ?vertices json =
+  Result.map
+    (fun (rows, cols) -> Grid.make ~rows ~cols)
+    (grid_dims_of_json ?vertices json)
 
 let perm_to_json pi =
   Json.List (Array.to_list (Array.map (fun d -> Json.Int d) pi))

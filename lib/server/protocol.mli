@@ -97,6 +97,19 @@ val ok_response :
 (** [trace] echoes the request's context back as a [trace] field;
     [server_ms] reports server-side wall time for the request. *)
 
+val ok_response_to_buffer :
+  Buffer.t ->
+  ?trace:Trace_context.t ->
+  ?server_ms:float ->
+  id:Json.t ->
+  (Buffer.t -> unit) ->
+  unit
+(** Append the bytes of [Json.to_string (ok_response ?trace ?server_ms
+    ~id result)], with the result written in place by the given writer
+    instead of built as a tree.  {!Session} renders every success reply
+    this way; [ok_response] stays the reference the tests compare it
+    with. *)
+
 val error_to_json : error -> Json.t
 (** [{"code": ..., "message": ...}] — the payload [error_response] wraps;
     also the per-item error shape inside [route_batch] results. *)
@@ -121,12 +134,16 @@ val response_server_ms : Json.t -> float option
 val grid_to_json : Qr_graph.Grid.t -> Json.t
 (** [{"rows": m, "cols": n}]. *)
 
-val grid_of_json :
-  ?vertices:int -> Json.t -> (Qr_graph.Grid.t, string) result
-(** With [vertices], [rows × cols] must equal it.  That is checked on the
-    two numbers, overflow-safe, before the coupling graph is built, so an
+val grid_dims_of_json : ?vertices:int -> Json.t -> (int * int, string) result
+(** [(rows, cols)], both at least 1.  With [vertices], [rows × cols] must
+    equal it.  That is checked on the two numbers, overflow-safe, so an
     oversized grid costs nothing to reject.  Without it, only a grid
     whose vertex count overflows an [int] is rejected. *)
+
+val grid_of_json :
+  ?vertices:int -> Json.t -> (Qr_graph.Grid.t, string) result
+(** {!grid_dims_of_json}, then the grid: the coupling graph is built only
+    after the size check passes. *)
 
 val perm_to_json : Qr_perm.Perm.t -> Json.t
 (** The destination array as a JSON list. *)

@@ -90,8 +90,8 @@ let default_config =
   }
 
 (* What the access log reports about the request just handled; filled by
-   [handle_request], read back by [handle_line] once the response line
-   (and so its byte count) exists. *)
+   [respond], read back by [handle_line] once the response line (and so
+   its byte count) exists. *)
 type access = {
   a_meth : string;
   a_status : string;  (* "ok" or the wire error code *)
@@ -110,10 +110,16 @@ type t = {
   inflight_probe : unit -> int;
   pool : Worker_pool.t option;  (* fan route_batch items across workers *)
   worker : int option;  (* owning worker's index, for access logs *)
+  reply : Buffer.t;  (* every reply is rendered here, on this domain *)
+  mutable last_grid : Grid.t option;  (* reused while the shape repeats *)
   mutable served : int;
   mutable last_cached : bool option;
   mutable last_access : access option;
 }
+
+(* A reply longer than this gives its buffer back once it is sent, so
+   one large reply does not pin its memory in the session. *)
+let reply_release_bytes = 1 lsl 20
 
 let next_session_id = Atomic.make 0
 
@@ -137,6 +143,8 @@ let create ?(config = default_config) ?cache ?(inflight_probe = fun () -> 0)
     inflight_probe;
     pool;
     worker;
+    reply = Buffer.create 4096;
+    last_grid = None;
     served = 0;
     last_cached = None;
     last_access = None;
@@ -152,11 +160,19 @@ let ( let* ) = Result.bind
 
 (* [vertices] is how many vertices the request routes over: the perm's
    length or the circuit's qubit count.  The grid is built only when it
-   has exactly that many (DESIGN.md §14, "Input hardening"). *)
-let parse_grid ~vertices params =
+   has exactly that many (DESIGN.md §14, "Input hardening"), and only
+   when its shape differs from the last request's. *)
+let parse_grid t ~vertices params =
   match Json.member "grid" params with
   | None -> Error "missing grid"
-  | Some g -> P.grid_of_json ~vertices g
+  | Some g -> (
+      let* rows, cols = P.grid_dims_of_json ~vertices g in
+      match t.last_grid with
+      | Some grid when Grid.rows grid = rows && Grid.cols grid = cols -> Ok grid
+      | _ ->
+          let grid = Grid.make ~rows ~cols in
+          t.last_grid <- Some grid;
+          Ok grid)
 
 let perm_length = function
   | Json.List items -> Ok (List.length items)
@@ -182,7 +198,7 @@ let parse_config params =
 (* -------------------------------------------------------------- methods *)
 
 (* Internal control flow for dispatch outcomes that are not parameter
-   errors; handle_request maps them to their wire error codes. *)
+   errors; [respond] maps them to their wire error codes. *)
 exception Overloaded_batch of string
 exception Unknown_method of string
 
@@ -256,7 +272,7 @@ let do_route t deadline params =
     | Some j -> Ok j
   in
   let* vertices = perm_length perm in
-  let* grid = parse_grid ~vertices params in
+  let* grid = parse_grid t ~vertices params in
   let* pi = P.perm_of_json ~expect_size:(Grid.size grid) perm in
   let* engine = parse_engine params in
   let* config = parse_config params in
@@ -265,12 +281,14 @@ let do_route t deadline params =
   t.last_cached <- Some cached;
   Deadline.check deadline;
   Ok
-    (Json.Obj
-       [
-         ("engine", Json.String engine.Router_intf.name);
-         ("cached", Json.Bool cached);
-         ("schedule", Schedule.to_json sched);
-       ])
+    (fun buf ->
+      Buffer.add_string buf {|{"engine":|};
+      Json.to_buffer buf (Json.String engine.Router_intf.name);
+      Buffer.add_string buf
+        (if cached then {|,"cached":true,"schedule":|}
+         else {|,"cached":false,"schedule":|});
+      Schedule.to_buffer buf sched;
+      Buffer.add_char buf '}')
 
 let do_route_batch t deadline params =
   let* perm_jsons =
@@ -282,7 +300,7 @@ let do_route_batch t deadline params =
   in
   (* The first perm sizes the grid; [perm_of_json] checks the rest. *)
   let* vertices = perm_length (List.hd perm_jsons) in
-  let* grid = parse_grid ~vertices params in
+  let* grid = parse_grid t ~vertices params in
   let* engine = parse_engine params in
   let* config = parse_config params in
   let n = Grid.size grid in
@@ -344,24 +362,31 @@ let do_route_batch t deadline params =
       (fun n -> function Ok _ -> n + 1 | Error _ -> n)
       0 results
   in
+  (* Rendered later, by [handle_line_status] on the session's own
+     domain, after every item is back. *)
+  let items buf write =
+    List.iteri
+      (fun k item ->
+        if k > 0 then Buffer.add_char buf ',';
+        write item)
+      results
+  in
   Ok
-    (Json.Obj
-       [
-         ("engine", Json.String engine.Router_intf.name);
-         ( "schedules",
-           Json.List
-             (List.map
-                (function
-                  | Ok (s, _) -> Schedule.to_json s
-                  | Error err -> Json.Obj [ ("error", P.error_to_json err) ])
-                results) );
-         ( "cached",
-           Json.List
-             (List.map
-                (function Ok (_, c) -> Json.Bool c | Error _ -> Json.Null)
-                results) );
-         ("completed", Json.Int completed);
-       ])
+    (fun buf ->
+      Buffer.add_string buf {|{"engine":|};
+      Json.to_buffer buf (Json.String engine.Router_intf.name);
+      Buffer.add_string buf {|,"schedules":[|};
+      items buf (function
+        | Ok (s, _) -> Schedule.to_buffer buf s
+        | Error err ->
+            Json.to_buffer buf (Json.Obj [ ("error", P.error_to_json err) ]));
+      Buffer.add_string buf {|],"cached":[|};
+      items buf (function
+        | Ok (_, c) -> Buffer.add_string buf (if c then "true" else "false")
+        | Error _ -> Buffer.add_string buf "null");
+      Buffer.add_string buf {|],"completed":|};
+      Json.int_to_buffer buf completed;
+      Buffer.add_char buf '}')
 
 (* Transpilation manages its own per-run workspace inside
    [Transpile.run_grid]; the session's is not threaded through. *)
@@ -372,7 +397,7 @@ let do_transpile t deadline params =
     | Some _ -> Error "circuit: expected the circuit text as a string"
     | None -> Error "missing circuit"
   in
-  let* grid = parse_grid ~vertices:(Circuit.num_qubits logical) params in
+  let* grid = parse_grid t ~vertices:(Circuit.num_qubits logical) params in
   let* engine = parse_engine params in
   let* config = parse_config params in
   Deadline.check deadline;
@@ -436,17 +461,21 @@ let stats t =
       ("metrics", Metrics.to_json ());
     ]
 
+(* A method's result as a writer of its bytes: [route] and [route_batch]
+   write their schedules directly, the rest render a tree built here. *)
+let tree json buf = Json.to_buffer buf json
+
 let dispatch t deadline meth params =
   match meth with
   | "route" -> do_route t deadline params
   | "route_batch" -> do_route_batch t deadline params
-  | "transpile" -> do_transpile t deadline params
-  | "engines" -> Ok (P.engines_json ())
-  | "health" -> Ok (health t)
+  | "transpile" -> Result.map tree (do_transpile t deadline params)
+  | "engines" -> Ok (tree (P.engines_json ()))
+  | "health" -> Ok (tree (health t))
   | "metrics" ->
       refresh_process_gauges ();
-      Ok (Metrics.to_json ())
-  | "stats" -> Ok (stats t)
+      Ok (tree (Metrics.to_json ()))
+  | "stats" -> Ok (tree (stats t))
   | m ->
       raise
         (Unknown_method
@@ -455,7 +484,9 @@ let dispatch t deadline meth params =
 
 (* ------------------------------------------------------------- envelope *)
 
-let handle_request t (req : P.request) =
+(* Dispatch one request and render its reply into [t.reply].  [server_ms]
+   stops before the reply is rendered. *)
+let respond t (req : P.request) =
   t.served <- t.served + 1;
   Metrics.incr c_requests;
   let timer = Timer.start () in
@@ -470,7 +501,7 @@ let handle_request t (req : P.request) =
       Fault.point "session.dispatch" ~f:(fun () ->
           dispatch t deadline req.meth req.params)
     with
-    | Ok json -> Ok json
+    | Ok write -> Ok write
     | Error msg -> Error (P.error P.Invalid_params msg)
     | exception Deadline.Exceeded ->
         Error (P.error P.Deadline_exceeded "request deadline exceeded")
@@ -549,10 +580,13 @@ let handle_request t (req : P.request) =
         a_degraded = Router_registry.degradations () > degradations_before;
       };
   match result with
-  | Ok json -> P.ok_response ?trace:req.trace ~server_ms:ms ~id:req.id json
+  | Ok write ->
+      P.ok_response_to_buffer t.reply ?trace:req.trace ~server_ms:ms ~id:req.id
+        write
   | Error err ->
       Metrics.incr c_errors;
-      P.error_response ?trace:req.trace ~server_ms:ms ~id:req.id err
+      Json.to_buffer t.reply
+        (P.error_response ?trace:req.trace ~server_ms:ms ~id:req.id err)
 
 (* One line of access log per request line, at Info — the per-connection
    record operators grep/parse (DESIGN.md §12).  Guarded by [would_log]
@@ -609,23 +643,25 @@ let reject t ~meth err =
 
 let handle_line_status t line =
   t.last_access <- None;
-  let response =
-    match Json.of_string line with
-    | Error msg ->
-        P.error_response ~id:Json.Null
-          (reject t ~meth:"?" (P.error P.Parse_error msg))
-    | Ok json -> (
-        match P.request_of_json json with
-        | Error err ->
-            let meth =
-              match Json.member "method" json with
-              | Some (Json.String m) -> m
-              | _ -> "?"
-            in
-            P.error_response ~id:(P.request_id json) (reject t ~meth err)
-        | Ok req -> handle_request t req)
-  in
-  let rendered = Json.to_string response in
+  Buffer.clear t.reply;
+  (match Json.of_string line with
+  | Error msg ->
+      Json.to_buffer t.reply
+        (P.error_response ~id:Json.Null
+           (reject t ~meth:"?" (P.error P.Parse_error msg)))
+  | Ok json -> (
+      match P.request_of_json json with
+      | Error err ->
+          let meth =
+            match Json.member "method" json with
+            | Some (Json.String m) -> m
+            | _ -> "?"
+          in
+          Json.to_buffer t.reply
+            (P.error_response ~id:(P.request_id json) (reject t ~meth err))
+      | Ok req -> respond t req));
+  let rendered = Buffer.contents t.reply in
+  if Buffer.length t.reply > reply_release_bytes then Buffer.reset t.reply;
   log_access t ~bytes:(String.length rendered);
   let errored =
     match t.last_access with

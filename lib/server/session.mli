@@ -25,7 +25,9 @@
     cache outcome, degradation) through {!Qr_obs.Log}. *)
 
 type config = {
-  cache_capacity : int;  (** {!Plan_cache} bound (default 128). *)
+  cache_capacity : int;
+      (** {!Plan_cache} bound (default 128; 0 turns caching off, and a
+          negative capacity is refused). *)
   max_batch : int;
       (** Largest accepted [route_batch]; bigger batches get the
           [overloaded] error (default 64). *)
@@ -52,10 +54,12 @@ type config = {
           bound (default 1 MiB; enforced by {!Server}). *)
   max_outbox_bytes : int;
       (** Response bytes the server will queue for a connection whose
-          client is not reading them; past it the connection is closed
-          ([server_slow_client_closes]) — a stalled reader blocks only
-          itself, never the serving loop, and cannot hold unbounded
-          response memory (default 4 MiB; enforced by {!Server}'s
+          client is not reading them, behind the reply being written;
+          past it the connection is closed ([server_slow_client_closes])
+          — a stalled reader blocks only itself, never the serving loop,
+          and cannot hold unbounded response memory.  One reply larger
+          than the cap is still written when nothing queues ahead of it
+          (default 4 MiB, at least 1; enforced by {!Server}'s
           per-connection {!Write_queue}). *)
   hung_request_ms : int option;
       (** Watchdog budget ([--hung-request-ms]): a pool request running
@@ -118,11 +122,6 @@ val cache : t -> Plan_cache.t
 
 val requests_served : t -> int
 
-val handle_request : t -> Protocol.request -> Protocol.Json.t
-(** Dispatch one parsed request to its method handler; always returns a
-    response envelope (errors are encoded, never raised).  The envelope
-    echoes the request's trace context and carries [server_ms]. *)
-
 val stats : t -> Protocol.Json.t
 (** The [stats] method's result: health, plan-cache counters and the
     full metrics registry (process gauges refreshed) in one snapshot. *)
@@ -135,7 +134,17 @@ val refresh_process_gauges : unit -> unit
 
 val handle_line : t -> string -> string
 (** One request line to one response line (no trailing newline): parse,
-    validate, {!handle_request}, render. *)
+    validate, dispatch, render.  Errors are encoded in the reply, never
+    raised.  A reply to a parsed request echoes its trace context and
+    carries [server_ms], which stops before the reply is rendered.
+
+    The reply is rendered in one pass into a buffer the session reuses:
+    [route] and [route_batch] write their schedules straight into it
+    ({!Qr_route.Schedule.to_buffer}), and every other method renders its
+    result tree there.  After a reply over 1 MiB the buffer is released.
+    The session also keeps the grid of its last request and reuses it
+    while [rows] and [cols] repeat; the size check on the two numbers
+    still runs first (DESIGN.md §10, §14). *)
 
 val handle_line_status : t -> string -> string * bool
 (** {!handle_line} plus whether the response was an error — the signal

@@ -150,6 +150,37 @@ let json_roundtrip_exact =
            (Qr_obs.Json.of_string_exn (Qr_obs.Json.to_string doc))
          = s)
 
+(* The direct writer appends exactly the printed tree's bytes: no layers,
+   empty layers, and ids up to [max_int]. *)
+let to_buffer_matches_printed_tree =
+  let id =
+    QCheck.(
+      oneof [ small_nat; int_range 0 max_int; oneofl [ 0; 9; 10; max_int ] ])
+  in
+  QCheck.Test.make ~name:"to_buffer = printed to_json" ~count:500
+    QCheck.(small_list (small_list (pair id id)))
+    (fun raw ->
+      let s = List.map Array.of_list raw in
+      let buf = Buffer.create 16 in
+      Buffer.add_string buf "prefix";
+      Schedule.to_buffer buf s;
+      Buffer.contents buf
+      = "prefix" ^ Qr_obs.Json.to_string (Schedule.to_json s))
+
+(* Into a buffer already large enough, the writer allocates nothing: no
+   tree, no string per integer. *)
+let test_to_buffer_allocates_nothing () =
+  let sched =
+    List.init 40 (fun l -> Array.init 120 (fun i -> ((2 * i) + l, (2 * i) + 1)))
+  in
+  let buf = Buffer.create 16 in
+  Schedule.to_buffer buf sched;
+  Buffer.clear buf;
+  let before = Gc.minor_words () in
+  Schedule.to_buffer buf sched;
+  let words = Gc.minor_words () -. before in
+  checkb (Printf.sprintf "%.0f minor words = 0" words) true (words = 0.)
+
 let test_map_vertices () =
   let s = [ [| (0, 1) |] ] in
   let m = Schedule.map_vertices (fun v -> v + 2) s in
@@ -227,6 +258,9 @@ let () =
           Alcotest.test_case "json shape" `Quick test_json_shape;
           Alcotest.test_case "of_json validates" `Quick test_of_json_validates;
           qc json_roundtrip_exact;
+          qc to_buffer_matches_printed_tree;
+          Alcotest.test_case "to_buffer allocates nothing" `Quick
+            test_to_buffer_allocates_nothing;
           qc compact_idempotent;
           qc compact_layers_are_matchings;
           qc apply_of_inverse_composes_to_identity;

@@ -134,7 +134,28 @@ let test_response_envelopes () =
   | _ -> Alcotest.fail "expected overloaded error");
   (match P.response_result (Json.Obj [ ("id", Json.Int 1) ]) with
   | Error { P.code = P.Internal_error; _ } -> ()
-  | _ -> Alcotest.fail "malformed envelope decodes as internal_error")
+  | _ -> Alcotest.fail "malformed envelope decodes as internal_error");
+  (* The envelope writer gives the tree's bytes around any result. *)
+  let trace =
+    Result.get_ok
+      (Trace_context.of_traceparent
+         "00-0123456789abcdef0123456789abcdef-00f067aa0ba902b7-01")
+  in
+  let result = Json.Obj [ ("depth", Json.Int 3); ("x", Json.String "a\"b") ] in
+  List.iter
+    (fun (trace, server_ms, id) ->
+      let buf = Buffer.create 16 in
+      P.ok_response_to_buffer buf ?trace ?server_ms ~id (fun buf ->
+          Json.to_buffer buf result);
+      checks "writer = tree"
+        (Json.to_string (P.ok_response ?trace ?server_ms ~id result))
+        (Buffer.contents buf))
+    [
+      (None, None, Json.Null);
+      (Some trace, None, Json.Int (-7));
+      (None, Some 0.25, Json.String "\xf0\x9f\x98\x80\"");
+      (Some trace, Some 12., Json.Int max_int);
+    ]
 
 let test_grid_codec () =
   let grid = Grid.make ~rows:3 ~cols:5 in
@@ -952,6 +973,65 @@ let test_reply_bytes_digest () =
   checks "reply-bytes digest" "dc4c4b3a3ea2051ff267421e118a9a01"
     (Digest.to_hex (Digest.string (String.concat "\n" replies)))
 
+(* A route line for a Random permutation of the [rows] x [cols] grid. *)
+let random_route_line ?(engine = "best") rows cols seed =
+  let grid = Grid.make ~rows ~cols in
+  let pi =
+    Qr_perm.Generators.generate grid Qr_perm.Generators.Random
+      (Qr_util.Rng.create seed)
+  in
+  Printf.sprintf
+    {|{"id":1,"method":"route","params":{"grid":{"rows":%d,"cols":%d},"perm":[%s],"engine":"%s"}}|}
+    rows cols
+    (String.concat "," (Array.to_list (Array.map string_of_int pi)))
+    engine
+
+(* A 16x16 plan-cache hit allocated 65,396 minor words when its reply was
+   built as a [Json.t] tree, rendered, and the grid rebuilt per request.
+   The reply (20 KB) is one string on the major heap and not counted. *)
+let test_cache_hit_minor_words () =
+  with_clean_sinks @@ fun () ->
+  let line = random_route_line 16 16 42 in
+  let session = Session.create () in
+  ignore (Session.handle_line session line);
+  let before = Gc.minor_words () in
+  let reply = Session.handle_line session line in
+  let words = Gc.minor_words () -. before in
+  checkb "a hit" true (member_exn "cached" (result_of reply) = Json.Bool true);
+  checkb
+    (Printf.sprintf "%.0f minor words <= 65_396 / 4" words)
+    true
+    (words <= 65_396. /. 4.)
+
+(* The session reuses the last request's grid while the shape repeats:
+   every reply equals a fresh session's, and the size check still runs
+   before a reused grid is handed out. *)
+let test_grid_reuse_across_shapes () =
+  with_clean_sinks @@ fun () ->
+  let lines =
+    List.map
+      (fun (rows, cols, seed) -> random_route_line ~engine:"local" rows cols seed)
+      [ (4, 4, 1); (2, 8, 2); (4, 4, 3); (16, 1, 4) ]
+  in
+  let session = Session.create () in
+  List.iter
+    (fun line ->
+      checks "same reply as a fresh session"
+        (strip_server_ms (Session.handle_line (Session.create ()) line))
+        (strip_server_ms (Session.handle_line session line)))
+    lines;
+  let code line = error_code_of (Session.handle_line session line) in
+  checkb "good line first" true (code (random_route_line 4 4 5) = None);
+  checkb "same shape, 8 entries" true
+    (code
+       {|{"id":2,"method":"route","params":{"grid":{"rows":4,"cols":4},"perm":[1,0,3,2,5,4,7,6]}}|}
+    = Some P.Invalid_params);
+  checkb "same shape, batch of 2x2 perms" true
+    (code
+       {|{"id":3,"method":"route_batch","params":{"grid":{"rows":4,"cols":4},"perms":[[1,0,3,2]]}}|}
+    = Some P.Invalid_params);
+  checkb "still routes the shape" true (code (random_route_line 4 4 6) = None)
+
 (* --------------------------------------------------------- serving loop *)
 
 let serve_script ?config lines =
@@ -1091,6 +1171,10 @@ let () =
           Alcotest.test_case "stats method" `Quick test_session_stats_method;
           Alcotest.test_case "reply-bytes digest" `Quick
             test_reply_bytes_digest;
+          Alcotest.test_case "cache hit minor words" `Quick
+            test_cache_hit_minor_words;
+          Alcotest.test_case "grid reuse across shapes" `Quick
+            test_grid_reuse_across_shapes;
         ] );
       ( "serve",
         [
