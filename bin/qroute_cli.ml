@@ -76,15 +76,18 @@ let kind_conv =
   in
   Arg.conv (parse, fun fmt k -> Format.pp_print_string fmt (Generators.name k))
 
-(* Grid sides and seed counts: 0 or less is a usage error, not an
-   uncaught [Invalid_argument] from the library. *)
-let positive_int =
+(* Grid sides, seed counts and sizes: out of range is a usage error, not
+   an uncaught [Invalid_argument] from the library. *)
+let int_at_least floor what =
   let parse s =
     match int_of_string_opt s with
-    | Some k when k > 0 -> Ok k
-    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+    | Some k when k >= floor -> Ok k
+    | _ -> Error (`Msg (Printf.sprintf "expected %s, got %S" what s))
   in
   Arg.conv (parse, Format.pp_print_int)
+
+let positive_int = int_at_least 1 "a positive integer"
+let non_negative_int = int_at_least 0 "a non-negative integer"
 
 let rows_arg =
   Arg.(
@@ -549,7 +552,7 @@ let serve_cmd =
   in
   let cache_capacity =
     Arg.(
-      value & opt int Server_session.default_config.cache_capacity
+      value & opt non_negative_int Server_session.default_config.cache_capacity
       & info [ "cache-capacity" ] ~docv:"N"
           ~doc:"Plan-cache entries kept (LRU); 0 disables caching.")
   in
@@ -611,12 +614,14 @@ let serve_cmd =
   in
   let max_outbox_bytes =
     Arg.(
-      value & opt int Server_session.default_config.max_outbox_bytes
+      value & opt positive_int Server_session.default_config.max_outbox_bytes
       & info [ "max-outbox-bytes" ] ~docv:"N"
           ~doc:
             "Response bytes queued for a connection whose client is not \
-             reading; past it the connection is closed \
-             ($(b,server_slow_client_closes)).  A stalled reader only ever \
+             reading, behind the reply being written; past it the \
+             connection is closed ($(b,server_slow_client_closes)).  A \
+             reply larger than $(docv) is still written whole when \
+             nothing queues ahead of it.  A stalled reader only ever \
              blocks itself — the readiness loop keeps serving everyone \
              else.")
   in

@@ -610,24 +610,29 @@ let rec accept_burst listener ~on_fd =
       accept_burst listener ~on_fd
   | exception (Unix.Unix_error _ | Fault.Injected _) -> ()
 
-(* The supervisor's knobs are durations and a size; one below 1 is a
-   configuration error, reported before the socket is bound. *)
-let check_supervisor_knobs config =
+(* The supervisor's knobs are durations and a size, and the outbox cap a
+   size: one below 1 is a configuration error, and so is a negative
+   cache capacity (0 turns caching off).  Both are reported before the
+   socket is bound. *)
+let check_knobs config =
   List.iter
-    (fun (field, value) ->
+    (fun (field, floor, value) ->
       match value with
-      | Some v when v < 1 ->
-          failwith (Printf.sprintf "%s must be at least 1, got %d" field v)
+      | Some v when v < floor ->
+          failwith
+            (Printf.sprintf "%s must be at least %d, got %d" field floor v)
       | _ -> ())
     [
-      ("hung_request_ms", config.Session.hung_request_ms);
-      ("queue_delay_target_ms", config.Session.queue_delay_target_ms);
-      ("max_rss_mb", config.Session.max_rss_mb);
+      ("hung_request_ms", 1, config.Session.hung_request_ms);
+      ("queue_delay_target_ms", 1, config.Session.queue_delay_target_ms);
+      ("max_rss_mb", 1, config.Session.max_rss_mb);
+      ("max_outbox_bytes", 1, Some config.Session.max_outbox_bytes);
+      ("cache_capacity", 0, Some config.Session.cache_capacity);
     ]
 
 let run_socket ?(config = Session.default_config) ?metrics_file
     ?(workers = 1) ~path () =
-  check_supervisor_knobs config;
+  check_knobs config;
   let workers = max 1 workers in
   Metrics.enable ();
   Metrics.set g_workers (float_of_int workers);

@@ -22,10 +22,11 @@
     fd limit bounds their number ([poll(2)] has no FD_SETSIZE cap).
     Responses go through a per-connection bounded write queue
     ({!Write_queue}) flushed on writability: a client that stops
-    reading blocks {e only itself}, and once its outbox exceeds
-    [max_outbox_bytes] the connection is closed
-    ([server_slow_client_closes] metric) rather than letting the queue
-    grow without bound (DESIGN.md §15).  An idle server with no timers
+    reading blocks {e only itself}, and once the replies queued behind
+    the one being written would exceed [max_outbox_bytes] the connection
+    is closed ([server_slow_client_closes] metric) rather than letting
+    the queue grow without bound.  A reply larger than the cap is still
+    written whole when nothing queues ahead of it (DESIGN.md §15).  An idle server with no timers
     armed makes zero wakeups ([server_loop_wakeups] counter); the
     metrics-snapshot cadence and the supervisor's watchdog scan are
     event-loop timers, armed only when their feature is on.
@@ -107,7 +108,8 @@ val run_socket :
 (** Bind, listen and serve [path] until SIGINT/SIGTERM, then drain.  A
     stale socket file left by a crashed server is replaced; any other
     existing file is an error ([Failure]), and so is a
-    [hung_request_ms], [queue_delay_target_ms] or [max_rss_mb] below 1
+    [hung_request_ms], [queue_delay_target_ms], [max_rss_mb] or
+    [max_outbox_bytes] below 1 or a negative [cache_capacity]
     ([Failure] naming the field, raised before the socket is bound).
     The socket file is removed on exit.  Sessions report the pending
     queue's length as their [health] [inflight] count.  [metrics_file]

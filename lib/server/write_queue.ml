@@ -15,9 +15,12 @@ let pending_bytes t = t.bytes
 
 let is_empty t = t.bytes = 0
 
+(* An empty queue takes any line, so a reply larger than the cap is
+   written, not mistaken for a stalled reader; the cap bounds what
+   queues behind it. *)
 let enqueue t line =
   let chunk_len = String.length line + 1 in
-  if t.bytes + chunk_len > t.cap_bytes then `Overflow
+  if t.bytes > 0 && t.bytes + chunk_len > t.cap_bytes then `Overflow
   else begin
     Queue.add (line ^ "\n") t.chunks;
     t.bytes <- t.bytes + chunk_len;

@@ -9,7 +9,10 @@
     client's backlog grows {e its own} queue only — until the byte cap,
     at which point the server closes the connection
     ([server_slow_client_closes]) instead of holding response memory
-    hostage (DESIGN.md §15).
+    hostage (DESIGN.md §15).  The cap bounds the bytes queued {e behind}
+    the line being written: an empty queue accepts any line, so one
+    reply larger than the cap is written whole, not mistaken for a
+    stalled reader.
 
     Single-owner: the accept/event-loop domain.  Not thread-safe. *)
 
@@ -22,9 +25,10 @@ val create : ?fault:string -> cap_bytes:int -> Unix.file_descr -> t
     serving loops pass ["server.write"]). *)
 
 val enqueue : t -> string -> [ `Ok | `Overflow ]
-(** Append [line ^ "\n"].  [`Overflow] means accepting the line would
-    exceed the byte cap — the line is {e not} queued and the caller
-    should treat the connection as a slow client and close it.  The
+(** Append [line ^ "\n"].  An empty queue accepts any line.  Otherwise
+    [`Overflow] means accepting the line would exceed the byte cap — the
+    line is {e not} queued and the caller should treat the connection as
+    a slow client and close it.  The
     queue itself is not torn down; already-queued bytes may still be
     flushed if the caller prefers a best-effort goodbye. *)
 

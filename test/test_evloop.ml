@@ -159,6 +159,21 @@ let test_write_queue_cap () =
     (Write_queue.enqueue wq line = `Overflow);
   checki "refused line not queued" 82 (Write_queue.pending_bytes wq)
 
+(* An empty queue takes a line larger than the cap, so one large reply
+   is written instead of looking like a stalled reader; the cap still
+   refuses what would queue behind it. *)
+let test_write_queue_oversized_first_line () =
+  with_socketpair @@ fun a _b ->
+  Unix.set_nonblock a;
+  let wq = Write_queue.create ~cap_bytes:100 a in
+  let line = String.make 400 'x' in
+  checkb "empty queue takes an oversized line" true
+    (Write_queue.enqueue wq line = `Ok);
+  checki "whole line queued" 401 (Write_queue.pending_bytes wq);
+  checkb "a line behind it overflows" true
+    (Write_queue.enqueue wq "y" = `Overflow);
+  checki "refused line not queued" 401 (Write_queue.pending_bytes wq)
+
 let test_write_queue_peer_gone () =
   let a, b = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.set_nonblock a;
@@ -477,6 +492,23 @@ let test_parity_success_resets_budget () =
         (run_script ~config serving lines))
     servings
 
+(* One reply larger than [max_outbox_bytes] (an 8x8 reversal's schedule
+   is about 3.6 KB) is written on every path, not dropped with its
+   connection. *)
+let test_parity_reply_over_outbox_cap () =
+  with_test_deadline 60 @@ fun () ->
+  let config = { Session.default_config with Session.max_outbox_bytes = 1024 } in
+  let perm = String.concat "," (List.init 64 (fun v -> string_of_int (63 - v))) in
+  let line =
+    Printf.sprintf
+      {|{"id": 1, "method": "route", "params": {"grid": {"rows": 8, "cols": 8}, "perm": [%s]}}|}
+      perm
+  in
+  List.iter
+    (fun serving ->
+      check_replies serving (oks [ 1 ]) (run_script ~config serving [ line ]))
+    servings
+
 let test_shed_keeps_arrival_order () =
   (* Ten routes pipelined past an in-flight bound of 4.  A shed reply
      waits its turn: ids come back 1-10 on every path, each ok or
@@ -555,9 +587,9 @@ let test_brownout_at_every_worker_count () =
     [ 1; 2 ]
 
 let test_bad_supervisor_knobs_refused () =
-  (* A non-positive watchdog, admission or memory knob is a config
-     error at every worker count: [Failure] naming the field, raised
-     before the socket is bound. *)
+  (* A non-positive watchdog, admission, memory or outbox knob, or a
+     negative cache capacity, is a config error at every worker count:
+     [Failure] naming the field, raised before the socket is bound. *)
   with_test_deadline 30 @@ fun () ->
   let path =
     Filename.concat (Filename.get_temp_dir_name ())
@@ -581,6 +613,8 @@ let test_bad_supervisor_knobs_refused () =
       ("hung_request_ms", { d with Session.hung_request_ms = Some 0 });
       ("queue_delay_target_ms", { d with Session.queue_delay_target_ms = Some 0 });
       ("max_rss_mb", { d with Session.max_rss_mb = Some (-1) });
+      ("max_outbox_bytes", { d with Session.max_outbox_bytes = 0 });
+      ("cache_capacity", { d with Session.cache_capacity = -1 });
     ]
 
 (* ------------------------------------------------------------ idle server *)
@@ -725,6 +759,8 @@ let () =
         [
           Alcotest.test_case "round trip" `Quick test_write_queue_round_trip;
           Alcotest.test_case "byte cap" `Quick test_write_queue_cap;
+          Alcotest.test_case "oversized first line" `Quick
+            test_write_queue_oversized_first_line;
           Alcotest.test_case "peer gone" `Quick test_write_queue_peer_gone;
         ] );
       ( "backpressure",
@@ -754,6 +790,8 @@ let () =
             test_parity_unterminated_last_line;
           Alcotest.test_case "success resets the budget" `Slow
             test_parity_success_resets_budget;
+          Alcotest.test_case "reply over the outbox cap" `Slow
+            test_parity_reply_over_outbox_cap;
           Alcotest.test_case "shed keeps arrival order" `Slow
             test_shed_keeps_arrival_order;
           Alcotest.test_case "budget flushes read replies" `Slow
