@@ -612,7 +612,7 @@ let rec accept_burst listener ~on_fd =
 
 (* The supervisor's knobs are durations and a size, and the outbox cap a
    size: one below 1 is a configuration error, and so is a negative
-   cache capacity (0 turns caching off).  Both are reported before the
+   cache capacity (0 turns caching off).  All are reported before the
    socket is bound. *)
 let check_knobs config =
   List.iter

@@ -26,10 +26,11 @@
     the one being written would exceed [max_outbox_bytes] the connection
     is closed ([server_slow_client_closes] metric) rather than letting
     the queue grow without bound.  A reply larger than the cap is still
-    written whole when nothing queues ahead of it (DESIGN.md §15).  An idle server with no timers
-    armed makes zero wakeups ([server_loop_wakeups] counter); the
-    metrics-snapshot cadence and the supervisor's watchdog scan are
-    event-loop timers, armed only when their feature is on.
+    written whole when nothing queues ahead of it (DESIGN.md §15).  An
+    idle server with no timers armed makes zero wakeups
+    ([server_loop_wakeups] counter); the metrics-snapshot cadence and
+    the supervisor's watchdog scan are event-loop timers, armed only
+    when their feature is on.
 
     Robustness (DESIGN.md §11): every request runs under per-request
     exception isolation — a crashing handler produces an
