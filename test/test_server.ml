@@ -893,19 +893,21 @@ let strip_server_ms reply =
   in
   last (String.length reply - m)
 
+(* A Random permutation of the [rows] x [cols] grid as a JSON list. *)
+let random_perm_text rows cols seed =
+  let grid = Grid.make ~rows ~cols in
+  let pi =
+    Qr_perm.Generators.generate grid Qr_perm.Generators.Random
+      (Qr_util.Rng.create seed)
+  in
+  "[" ^ String.concat "," (Array.to_list (Array.map string_of_int pi)) ^ "]"
+
 (* Every registry engine on six shapes, each route twice (a miss, then a
    hit), batches with cached, fresh and deadline-expired items, ids
    that need escaping, a trace echo, the non-routing methods and the
    error kinds a session answers itself. *)
 let reply_corpus () =
-  let perm_text rows cols =
-    let grid = Grid.make ~rows ~cols in
-    let pi =
-      Qr_perm.Generators.generate grid Qr_perm.Generators.Random
-        (Qr_util.Rng.create ((100 * rows) + cols))
-    in
-    "[" ^ String.concat "," (Array.to_list (Array.map string_of_int pi)) ^ "]"
-  in
+  let perm_text rows cols = random_perm_text rows cols ((100 * rows) + cols) in
   let route ?(extra = "") id rows cols engine =
     Printf.sprintf
       {|{"id":%s,"method":"route","params":{"grid":{"rows":%d,"cols":%d},"perm":%s,"engine":"%s"}%s}|}
@@ -922,7 +924,8 @@ let reply_corpus () =
         List.concat_map
           (fun engine ->
             let miss = route (fresh_id ()) rows cols engine in
-            [ miss; route (fresh_id ()) rows cols engine ])
+            let hit = route (fresh_id ()) rows cols engine in
+            [ miss; hit ])
           (Router_registry.names ()))
       [ (1, 1); (1, 6); (6, 1); (4, 4); (5, 9); (16, 16) ]
   in
@@ -973,17 +976,11 @@ let test_reply_bytes_digest () =
   checks "reply-bytes digest" "dc4c4b3a3ea2051ff267421e118a9a01"
     (Digest.to_hex (Digest.string (String.concat "\n" replies)))
 
-(* A route line for a Random permutation of the [rows] x [cols] grid. *)
 let random_route_line ?(engine = "best") rows cols seed =
-  let grid = Grid.make ~rows ~cols in
-  let pi =
-    Qr_perm.Generators.generate grid Qr_perm.Generators.Random
-      (Qr_util.Rng.create seed)
-  in
   Printf.sprintf
-    {|{"id":1,"method":"route","params":{"grid":{"rows":%d,"cols":%d},"perm":[%s],"engine":"%s"}}|}
+    {|{"id":1,"method":"route","params":{"grid":{"rows":%d,"cols":%d},"perm":%s,"engine":"%s"}}|}
     rows cols
-    (String.concat "," (Array.to_list (Array.map string_of_int pi)))
+    (random_perm_text rows cols seed)
     engine
 
 (* A 16x16 plan-cache hit allocated 65,396 minor words when its reply was
