@@ -42,9 +42,9 @@ let float_to_buffer buf f =
   end
 
 (* [string_of_int] without its C [caml_format_int] call, which costs
-   several times the rest of an integer's rendering, and without a
-   scratch string: the digits of the non-positive magnitude are written
-   most significant first, so [min_int] needs no special case. *)
+   several times the rest of an integer's rendering, and without an
+   intermediate string: the digits of the non-positive magnitude are
+   written most significant first, so [min_int] needs no special case. *)
 let rec add_digits buf n =
   if n <= -10 then add_digits buf (n / 10);
   Buffer.add_char buf (Char.unsafe_chr (48 - (n mod 10)))
