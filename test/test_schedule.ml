@@ -100,6 +100,32 @@ let test_compact_preserves_permutation () =
     checki "same size" (Schedule.size s) (Schedule.size c)
   done
 
+(* Length of the longest chain of endpoint-sharing swaps in a serial swap
+   list: a lower bound on the depth of any order-preserving layering. *)
+let critical_path ~n swaps =
+  let longest_at = Array.make n 0 in
+  List.fold_left
+    (fun best (u, v) ->
+      let here = 1 + max longest_at.(u) longest_at.(v) in
+      longest_at.(u) <- here;
+      longest_at.(v) <- here;
+      max best here)
+    0 swaps
+
+let test_compact_reaches_critical_path () =
+  let rng = Rng.create 8 in
+  for _ = 1 to 50 do
+    let n = 8 in
+    let swaps =
+      List.init 20 (fun _ ->
+          let a = Rng.int rng n in
+          let b = (a + 1 + Rng.int rng (n - 1)) mod n in
+          (a, b))
+    in
+    checki "asap achieves critical path" (critical_path ~n swaps)
+      (Schedule.depth (Schedule.compact ~n (Schedule.of_swaps swaps)))
+  done
+
 let test_json_shape () =
   let s = [ [| (0, 1); (2, 3) |]; [| (1, 2) |] ] in
   Alcotest.check Alcotest.string "wire shape"
@@ -252,6 +278,8 @@ let () =
             test_compact_respects_conflicts;
           Alcotest.test_case "compact preserves" `Quick
             test_compact_preserves_permutation;
+          Alcotest.test_case "critical path" `Quick
+            test_compact_reaches_critical_path;
           Alcotest.test_case "map_vertices" `Quick test_map_vertices;
           Alcotest.test_case "map_vertices minor collections" `Quick
             test_map_vertices_minor_gcs;

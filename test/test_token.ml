@@ -1,5 +1,4 @@
-(* Tests for Qr_token: Token_swap, Parallel_ats, Ats_core, Exact,
-   Parallelize. *)
+(* Tests for Qr_token: Token_swap, Parallel_ats, Ats_core, Exact. *)
 
 module Graph = Qr_graph.Graph
 module Grid = Qr_graph.Grid
@@ -10,7 +9,6 @@ module Schedule = Qr_route.Schedule
 module Token_swap = Qr_token.Token_swap
 module Parallel_ats = Qr_token.Parallel_ats
 module Exact = Qr_token.Exact
-module Parallelize = Qr_token.Parallelize
 module Rng = Qr_util.Rng
 
 let checkb = Alcotest.check Alcotest.bool
@@ -494,39 +492,6 @@ let exact_vs_routers_property =
       let ats = Parallel_ats.route ~trials:1 g (Distance.of_grid grid) pi in
       Schedule.depth local >= optimal && Schedule.depth ats >= optimal)
 
-(* ------------------------------------------------------------ Parallelize *)
-
-let test_parallelize_schedule () =
-  let swaps = [ (0, 1); (2, 3); (1, 2) ] in
-  let s = Parallelize.schedule ~n:4 swaps in
-  checki "two layers" 2 (Schedule.depth s);
-  checki "all swaps" 3 (Schedule.size s)
-
-let test_parallelism_metric () =
-  let s = [ [| (0, 1); (2, 3) |]; [| (1, 2) |] ] in
-  Alcotest.check (Alcotest.float 1e-9) "avg" 1.5 (Parallelize.parallelism s);
-  Alcotest.check (Alcotest.float 1e-9) "empty" 0.
-    (Parallelize.parallelism Schedule.empty)
-
-let test_layer_sizes () =
-  let s = [ [| (0, 1); (2, 3) |]; [| (1, 2) |] ] in
-  Alcotest.check Alcotest.(array int) "sizes" [| 2; 1 |] (Parallelize.layer_sizes s)
-
-let test_critical_path_equals_asap_depth () =
-  let rng = Rng.create 8 in
-  for _ = 1 to 50 do
-    let n = 8 in
-    let swaps =
-      List.init 20 (fun _ ->
-          let a = Rng.int rng n in
-          let b = (a + 1 + Rng.int rng (n - 1)) mod n in
-          (a, b))
-    in
-    checki "asap achieves critical path"
-      (Parallelize.critical_path ~n swaps)
-      (Schedule.depth (Parallelize.schedule ~n swaps))
-  done
-
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "qr_token"
@@ -564,13 +529,5 @@ let () =
           Alcotest.test_case "rejects large" `Quick test_exact_rejects_large;
           Alcotest.test_case "matchings of path" `Quick test_matchings_of_path;
           qc exact_vs_routers_property;
-        ] );
-      ( "parallelize",
-        [
-          Alcotest.test_case "schedule" `Quick test_parallelize_schedule;
-          Alcotest.test_case "parallelism" `Quick test_parallelism_metric;
-          Alcotest.test_case "layer sizes" `Quick test_layer_sizes;
-          Alcotest.test_case "critical path" `Quick
-            test_critical_path_equals_asap_depth;
         ] );
     ]

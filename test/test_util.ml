@@ -1,9 +1,7 @@
-(* Unit and property tests for Qr_util: Rng, Stats, Heap, Dsu, Timer. *)
+(* Unit and property tests for Qr_util: Rng, Stats, Timer. *)
 
 module Rng = Qr_util.Rng
 module Stats = Qr_util.Stats
-module Heap = Qr_util.Heap
-module Dsu = Qr_util.Dsu
 module Timer = Qr_util.Timer
 
 let check = Alcotest.check
@@ -192,100 +190,6 @@ let test_stats_of_list () =
   checki "empty list" 0 (Array.length (Stats.of_list []));
   feq "composes with mean" 2.5 (Stats.mean (Stats.of_list [ 2.; 3. ]))
 
-(* ----------------------------------------------------------------- Heap *)
-
-let test_heap_ordering () =
-  let h = Heap.create () in
-  List.iter (fun k -> Heap.add h ~key:k k) [ 5; 3; 8; 1; 9; 2 ];
-  let drained = ref [] in
-  let rec drain () =
-    match Heap.pop_min h with
-    | None -> ()
-    | Some (k, _) ->
-        drained := k :: !drained;
-        drain ()
-  in
-  drain ();
-  check Alcotest.(list int) "sorted ascending" [ 1; 2; 3; 5; 8; 9 ]
-    (List.rev !drained)
-
-let test_heap_empty () =
-  let h : int Heap.t = Heap.create () in
-  checkb "empty" true (Heap.is_empty h);
-  checkb "pop none" true (Heap.pop_min h = None);
-  checkb "peek none" true (Heap.peek_min h = None)
-
-let test_heap_peek_does_not_remove () =
-  let h = Heap.create () in
-  Heap.add h ~key:4 "x";
-  checkb "peek" true (Heap.peek_min h = Some (4, "x"));
-  checki "still there" 1 (Heap.length h)
-
-let test_heap_duplicate_keys () =
-  let h = Heap.create () in
-  Heap.add h ~key:1 "a";
-  Heap.add h ~key:1 "b";
-  checki "both kept" 2 (Heap.length h);
-  let first = Heap.pop_min h and second = Heap.pop_min h in
-  checkb "both key 1" true
-    (match (first, second) with
-    | Some (1, _), Some (1, _) -> true
-    | _ -> false)
-
-let test_heap_of_list () =
-  let h = Heap.of_list [ (3, 'c'); (1, 'a'); (2, 'b') ] in
-  checkb "min is 1" true (Heap.pop_min h = Some (1, 'a'))
-
-let heap_sort_matches_list_sort =
-  QCheck.Test.make ~name:"heap drains in sorted key order" ~count:200
-    QCheck.(list (int_bound 1000))
-    (fun keys ->
-      let h = Heap.create () in
-      List.iter (fun k -> Heap.add h ~key:k k) keys;
-      let rec drain acc =
-        match Heap.pop_min h with
-        | None -> List.rev acc
-        | Some (k, _) -> drain (k :: acc)
-      in
-      drain [] = List.sort compare keys)
-
-(* ------------------------------------------------------------------ Dsu *)
-
-let test_dsu_initially_disjoint () =
-  let d = Dsu.create 5 in
-  checki "five sets" 5 (Dsu.count_sets d);
-  checkb "not same" false (Dsu.same d 0 4)
-
-let test_dsu_union_find () =
-  let d = Dsu.create 6 in
-  checkb "first union merges" true (Dsu.union d 0 1);
-  checkb "second union merges" true (Dsu.union d 1 2);
-  checkb "redundant union" false (Dsu.union d 0 2);
-  checkb "same component" true (Dsu.same d 0 2);
-  checki "component size" 3 (Dsu.size d 2);
-  checki "sets left" 4 (Dsu.count_sets d)
-
-let test_dsu_groups () =
-  let d = Dsu.create 4 in
-  ignore (Dsu.union d 0 3);
-  let groups = Dsu.groups d in
-  let nonempty = Array.to_list groups |> List.filter (fun g -> g <> []) in
-  checki "three groups" 3 (List.length nonempty);
-  checkb "0 and 3 together" true
-    (List.exists (fun g -> List.sort compare g = [ 0; 3 ]) nonempty)
-
-let dsu_union_count_invariant =
-  QCheck.Test.make ~name:"dsu: sets + successful unions = n" ~count:100
-    QCheck.(list (pair (int_bound 19) (int_bound 19)))
-    (fun pairs ->
-      let d = Dsu.create 20 in
-      let merges =
-        List.fold_left
-          (fun acc (a, b) -> if Dsu.union d a b then acc + 1 else acc)
-          0 pairs
-      in
-      Dsu.count_sets d + merges = 20)
-
 (* ---------------------------------------------------------------- Timer *)
 
 let test_timer_monotone () =
@@ -329,7 +233,6 @@ let test_timer_now_s_matches_ns () =
   checkb "same clock (within 1s)" true (dt >= 0. && dt < 1.)
 
 let () =
-  let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "qr_util"
     [
       ( "rng",
@@ -372,22 +275,6 @@ let () =
           Alcotest.test_case "empty rejected" `Quick test_stats_empty_rejected;
           Alcotest.test_case "of_ints" `Quick test_stats_of_ints;
           Alcotest.test_case "of_list" `Quick test_stats_of_list;
-        ] );
-      ( "heap",
-        [
-          Alcotest.test_case "ordering" `Quick test_heap_ordering;
-          Alcotest.test_case "empty" `Quick test_heap_empty;
-          Alcotest.test_case "peek" `Quick test_heap_peek_does_not_remove;
-          Alcotest.test_case "duplicates" `Quick test_heap_duplicate_keys;
-          Alcotest.test_case "of_list" `Quick test_heap_of_list;
-          qc heap_sort_matches_list_sort;
-        ] );
-      ( "dsu",
-        [
-          Alcotest.test_case "initially disjoint" `Quick test_dsu_initially_disjoint;
-          Alcotest.test_case "union/find" `Quick test_dsu_union_find;
-          Alcotest.test_case "groups" `Quick test_dsu_groups;
-          qc dsu_union_count_invariant;
         ] );
       ( "timer",
         [
