@@ -342,32 +342,6 @@ let ablation_compaction () =
         [ "local"; "naive" ])
     (Generators.paper_kinds grid)
 
-let ablation_decompose () =
-  header "Ablation D: regular-multigraph decomposition strategy (naive router)";
-  Printf.printf "%-8s %18s %18s\n" "grid" "extraction (s)" "euler-split (s)";
-  List.iter
-    (fun side ->
-      let grid = Grid.make ~rows:side ~cols:side in
-      let time strategy =
-        let times = Array.make seeds 0. in
-        for seed = 0 to seeds - 1 do
-          let pi =
-            Generators.generate grid Generators.Random (Rng.create (5000 + seed))
-          in
-          let sched, seconds =
-            Timer.time (fun () -> Grid_route.route_naive ~strategy grid pi)
-          in
-          assert (Schedule.realizes ~n:(Grid.size grid) sched pi);
-          times.(seed) <- seconds
-        done;
-        Stats.mean times
-      in
-      Printf.printf "%-8s %18.5f %18.5f\n"
-        (Printf.sprintf "%dx%d" side side)
-        (time Grid_route.Extraction)
-        (time Grid_route.Euler_split))
-    [ 8; 16; 24 ]
-
 let ablation_ats_trials () =
   header "Ablation E: randomized trials in parallel ATS";
   let side = 16 in
@@ -571,7 +545,9 @@ let ablation_rounds () =
           Printf.printf "%-13s %-8s %8d %8d %8d\n" (Generators.name kind)
             label r1 r2 r3)
         [ ("local", Local_grid_route.sigmas grid pi);
-          ("naive", Grid_route.naive_sigmas grid pi) ])
+          ( "naive",
+            Local_grid_route.sigmas ~discovery:Local_grid_route.Whole
+              ~assignment:Local_grid_route.Arbitrary grid pi ) ])
     (Generators.paper_kinds grid)
 
 let ablations () =
@@ -580,7 +556,6 @@ let ablations () =
   ablation_rounds ();
   ablation_transpose ();
   ablation_compaction ();
-  ablation_decompose ();
   ablation_ats_trials ();
   ablation_noise ();
   ablation_partial ()
@@ -597,7 +572,10 @@ let micro () =
     Generators.generate grid (Generators.Block_local 4) (Rng.create 1)
   in
   let cg = Column_graph.build grid pi_random in
-  let hk_edges = Column_graph.hk_edges cg in
+  let edges =
+    Array.init (Column_graph.num_edges cg) (fun e ->
+        (Column_graph.src_col cg e, Column_graph.dst_col cg e))
+  in
   let dests = Rng.permutation (Rng.create 2) 64 in
   let tests =
     [
@@ -613,12 +591,9 @@ let micro () =
       Test.make ~name:"fig4+5/ats/block"
         (Staged.stage (fun () -> Parallel_ats.route ~trials:1 g oracle pi_block));
       (* One per ablation. *)
-      Test.make ~name:"ablation/decompose-extraction"
+      Test.make ~name:"ablation/discover-whole"
         (Staged.stage (fun () ->
-             Decompose.by_extraction ~nl:16 ~nr:16 ~edges:hk_edges));
-      Test.make ~name:"ablation/decompose-euler"
-        (Staged.stage (fun () ->
-             Decompose.by_euler_split ~nl:16 ~nr:16 ~edges:hk_edges));
+             Local_grid_route.discover_matchings Local_grid_route.Whole cg));
       Test.make ~name:"ablation/mcbbm-assignment"
         (Staged.stage (fun () ->
              let matchings =
@@ -628,7 +603,7 @@ let micro () =
       (* Substrate primitives. *)
       Test.make ~name:"substrate/hopcroft-karp"
         (Staged.stage (fun () ->
-             Hopcroft_karp.solve ~nl:16 ~nr:16 ~edges:hk_edges));
+             Hopcroft_karp.solve ~nl:16 ~nr:16 ~edges));
       Test.make ~name:"substrate/odd-even-path-64"
         (Staged.stage (fun () -> Path_route.route dests));
     ]

@@ -1,8 +1,3 @@
-module Trace = Qr_obs.Trace
-module Metrics = Qr_obs.Metrics
-
-let c_matchings = Metrics.counter "matchings_extracted"
-
 let check_regular ~nl ~nr ~edges =
   if nl <> nr then invalid_arg "Decompose: sides must have equal size";
   if nl = 0 then 0
@@ -24,123 +19,6 @@ let check_regular ~nl ~nr ~edges =
       deg_r;
     d
   end
-
-(* Extract one perfect matching from the sub-multigraph given by the edge
-   indices [live]; return (matching, remaining indices). *)
-let extract_one hk ~nl ~nr ~edges live =
-  let sub = Array.of_list live in
-  let sub_edges = Array.map (fun k -> edges.(k)) sub in
-  let result = Hopcroft_karp.solve_in hk ~nl ~nr ~edges:sub_edges in
-  if result.size <> nl then
-    invalid_arg "Decompose: no perfect matching in regular graph (bug)";
-  let matching = Array.map (fun k -> sub.(k)) result.left_match in
-  Metrics.incr c_matchings;
-  let used = Hashtbl.create (2 * nl) in
-  Array.iter (fun k -> Hashtbl.replace used k ()) matching;
-  let remaining = List.filter (fun k -> not (Hashtbl.mem used k)) live in
-  (matching, remaining)
-
-let by_extraction_in hk ~nl ~nr ~edges =
-  Trace.with_span "decompose_extraction" @@ fun () ->
-  let d = check_regular ~nl ~nr ~edges in
-  let all = List.init (Array.length edges) (fun k -> k) in
-  let rec loop live remaining_degree acc =
-    if remaining_degree = 0 then List.rev acc
-    else begin
-      let matching, rest = extract_one hk ~nl ~nr ~edges live in
-      loop rest (remaining_degree - 1) (matching :: acc)
-    end
-  in
-  loop all d []
-
-let by_extraction ~nl ~nr ~edges = by_extraction_in None ~nl ~nr ~edges
-
-(* Split an even-regular edge set into two halves of equal degree by
-   alternating edges along Euler circuits.  Vertices: lefts are 0..nl-1,
-   rights are nl..nl+nr-1. *)
-let euler_split ~nl ~nr ~edges live =
-  let total = nl + nr in
-  let incidence = Array.make total [] in
-  List.iter
-    (fun k ->
-      let l, r = edges.(k) in
-      incidence.(l) <- (k, nl + r) :: incidence.(l);
-      incidence.(nl + r) <- (k, l) :: incidence.(nl + r))
-    live;
-  let cursor = Array.map (fun lst -> ref lst) incidence in
-  let used = Hashtbl.create (2 * List.length live) in
-  let half_a = ref [] and half_b = ref [] in
-  let rec next_unused v =
-    match !(cursor.(v)) with
-    | [] -> None
-    | (k, w) :: rest ->
-        cursor.(v) := rest;
-        if Hashtbl.mem used k then next_unused v else Some (k, w)
-  in
-  (* Hierholzer, iterative; the circuit's edges are emitted in reverse walk
-     order, which is still a circuit, so alternation stays consistent. *)
-  let walk_component start =
-    let stack = ref [ (start, -1) ] in
-    let circuit = ref [] in
-    while !stack <> [] do
-      match !stack with
-      | [] -> ()
-      | (v, via) :: below -> (
-          match next_unused v with
-          | Some (k, w) ->
-              Hashtbl.replace used k ();
-              stack := (w, k) :: !stack
-          | None ->
-              stack := below;
-              if via >= 0 then circuit := via :: !circuit)
-    done;
-    let side = ref true in
-    List.iter
-      (fun k ->
-        if !side then half_a := k :: !half_a else half_b := k :: !half_b;
-        side := not !side)
-      !circuit
-  in
-  List.iter
-    (fun k ->
-      let l, _ = edges.(k) in
-      if not (Hashtbl.mem used k) then walk_component l)
-    live;
-  (!half_a, !half_b)
-
-(* A 1-regular edge set *is* a perfect matching. *)
-let matching_of_one_regular ~nl ~edges live =
-  let matching = Array.make nl (-1) in
-  List.iter
-    (fun k ->
-      let l, _ = edges.(k) in
-      if matching.(l) <> -1 then
-        invalid_arg "Decompose: 1-regular set has duplicate left vertex";
-      matching.(l) <- k)
-    live;
-  Array.iter
-    (fun k -> if k = -1 then invalid_arg "Decompose: 1-regular set not perfect")
-    matching;
-  matching
-
-let by_euler_split_in hk ~nl ~nr ~edges =
-  Trace.with_span "decompose_euler_split" @@ fun () ->
-  let d = check_regular ~nl ~nr ~edges in
-  let rec split live remaining_degree =
-    if remaining_degree = 0 then []
-    else if remaining_degree = 1 then [ matching_of_one_regular ~nl ~edges live ]
-    else if remaining_degree mod 2 = 1 then begin
-      let matching, rest = extract_one hk ~nl ~nr ~edges live in
-      matching :: split rest (remaining_degree - 1)
-    end
-    else begin
-      let half_a, half_b = euler_split ~nl ~nr ~edges live in
-      split half_a (remaining_degree / 2) @ split half_b (remaining_degree / 2)
-    end
-  in
-  split (List.init (Array.length edges) (fun k -> k)) d
-
-let by_euler_split ~nl ~nr ~edges = by_euler_split_in None ~nl ~nr ~edges
 
 let validate ~nl ~nr ~edges matchings =
   let num_edges = Array.length edges in

@@ -1,44 +1,20 @@
-(** Decomposition of regular bipartite multigraphs into perfect matchings.
+(** Checks on decompositions of regular bipartite multigraphs into perfect
+    matchings.
 
     A [d]-regular bipartite multigraph is the disjoint union of [d] perfect
     matchings (König's edge-coloring theorem, via Hall).  The paper's
     GridRoute step relies on this for the column multigraph [G^[1,m]], which
-    is [m]-regular.  Two strategies are provided:
-
-    - {!by_extraction}: repeatedly run Hopcroft–Karp on the remaining edges
-      — O(d·E·√V), matching the paper's stated bound; and
-    - {!by_euler_split}: recursively halve even-regular graphs along Euler
-      circuits, falling back to one extraction per odd level —
-      O(E·log d) for the splits, asymptotically faster for large [d].
-
-    Both return the same kind of certificate and are cross-checked in the
-    test suite. *)
+    is [m]-regular.  The router extracts those matchings with one procedure,
+    the band drain of [Qr_route.Local_grid_route] (the whole multigraph is
+    its one-band case); this module is the checker a decomposition is held
+    to. *)
 
 val check_regular : nl:int -> nr:int -> edges:(int * int) array -> int
 (** Return the common degree [d].  @raise Invalid_argument when the
     multigraph is not regular or [nl <> nr]. *)
 
-val by_extraction : nl:int -> nr:int -> edges:(int * int) array -> int array list
-(** Decompose a regular multigraph.  Each returned array maps a left vertex
-    to the index (into [edges]) of its matched edge; the [d] arrays
-    partition the edge-index set.  @raise Invalid_argument if not regular. *)
-
-val by_extraction_in :
-  Hopcroft_karp.workspace option ->
-  nl:int -> nr:int -> edges:(int * int) array -> int array list
-(** {!by_extraction}, reusing Hopcroft–Karp scratch across the repeated
-    extractions (identical results either way). *)
-
-val by_euler_split : nl:int -> nr:int -> edges:(int * int) array -> int array list
-(** Same contract as {!by_extraction}, Euler-splitting strategy. *)
-
-val by_euler_split_in :
-  Hopcroft_karp.workspace option ->
-  nl:int -> nr:int -> edges:(int * int) array -> int array list
-(** Same contract as {!by_extraction_in}, Euler-splitting strategy. *)
-
 val validate :
   nl:int -> nr:int -> edges:(int * int) array -> int array list -> bool
-(** Check a decomposition: every matching perfect, edge indices disjoint and
-    jointly covering all edges.  Used by tests and by the router's debug
-    assertions. *)
+(** Check a decomposition: each returned array maps a left vertex to the
+    index (into [edges]) of its matched edge.  True when every matching is
+    perfect and the edge indices are disjoint and jointly cover all edges. *)

@@ -140,20 +140,14 @@ let max_matching ws ~nl ~nr ~ne ~src ~dst ~left_match ~right_match =
   done;
   !size
 
-let solve_in ws ~nl ~nr ~edges =
-  let ws = match ws with Some ws -> ws | None -> workspace () in
+let solve ~nl ~nr ~edges =
   let ne = Array.length edges in
-  let src = Array.make ne 0 and dst = Array.make ne 0 in
-  Array.iteri
-    (fun k (l, r) ->
-      src.(k) <- l;
-      dst.(k) <- r)
-    edges;
+  let src = Array.map fst edges and dst = Array.map snd edges in
   let left_match = Array.make nl (-1) and right_match = Array.make nr (-1) in
-  let size = max_matching ws ~nl ~nr ~ne ~src ~dst ~left_match ~right_match in
+  let size =
+    max_matching (workspace ()) ~nl ~nr ~ne ~src ~dst ~left_match ~right_match
+  in
   { size; left_match; right_match }
-
-let solve ~nl ~nr ~edges = solve_in None ~nl ~nr ~edges
 
 let is_perfect ~nl ~nr result = nl = nr && result.size = nl
 

@@ -1,10 +1,16 @@
 (** Hopcroft–Karp maximum matching on bipartite (multi)graphs.
 
-    Edges are given positionally: the [k]-th entry of [edges] is the pair
-    [(l, r)] with [l ∈ [0..nl)], [r ∈ [0..nr)].  Parallel edges are allowed
-    (the paper's column multigraph [G^[a,b]] has them); the matching then
-    selects a specific edge index, which is how the router recovers the
-    row labels attached to each edge.
+    Edges are given positionally: edge [k] joins left vertex [l ∈ [0..nl)]
+    to right vertex [r ∈ [0..nr)].  Parallel edges are allowed (the paper's
+    column multigraph [G^[a,b]] has them); the matching then selects a
+    specific edge index, which is how the router recovers the row labels
+    attached to each edge.
+
+    There is one core, {!max_matching}, on flat int arrays and reusable
+    scratch.  The router's band drain (every perfect-matching extraction,
+    [Qr_route.Local_grid_route]) and the MCBBM threshold solves
+    ({!Bottleneck.solve_complete}) call it directly; {!solve} is its form
+    for an [(l, r)] pair array.
 
     Runs in O(E·√V), the same complexity family as the Kao–Lam–Sung–Ting
     routine the paper cites (see DESIGN.md §4 on this substitution). *)
@@ -40,13 +46,6 @@ val max_matching :
 val solve : nl:int -> nr:int -> edges:(int * int) array -> result
 (** Maximum-cardinality matching.  Deterministic: ties are broken by edge
     order.  @raise Invalid_argument on out-of-range endpoints. *)
-
-val solve_in :
-  workspace option -> nl:int -> nr:int -> edges:(int * int) array -> result
-(** {!solve}, reusing the given workspace's scratch buffers: an adapter
-    that unzips [edges] for {!max_matching}.  The matching found is
-    identical; the returned arrays are fresh.  [solve_in None] is
-    {!solve}. *)
 
 val is_perfect : nl:int -> nr:int -> result -> bool
 (** Whether every vertex on both sides is matched (requires [nl = nr]). *)

@@ -80,7 +80,10 @@ module Supervisor = Qr_server.Supervisor
     ["best"], the same default as the wire's [engine] field:
     - ["local"]: Algorithm 1, LocalGridRoute over both orientations;
     - ["local1"]: Algorithm 2 only (no transpose trick);
-    - ["naive"]: Alon et al.'s GridRoute, arbitrary decomposition;
+    - ["naive"]: Alon et al.'s GridRoute, arbitrary decomposition and
+      row assignment ([local1] with [discovery=whole,assignment=arbitrary];
+      it ignores the configuration's discovery, assignment and
+      transpose);
     - ["ats"] / ["ats-serial"]: parallel / serial approximate token
       swapping, which also route arbitrary graphs
       ({!Router_registry.route_generic});

@@ -79,13 +79,6 @@ let src_row t e = t.src_row.(e)
 
 let dst_row t e = t.dst_row.(e)
 
-let hk_edges t =
-  let edges = Array.make (num_edges t) (0, 0) in
-  for e = 0 to num_edges t - 1 do
-    edges.(e) <- (t.src_col.(e), t.dst_col.(e))
-  done;
-  edges
-
 (* Edge ids are row-major source vertices, so the band's edges are one
    contiguous id range. *)
 let scan_band t ~live ~lo ~hi ~ids ~src ~dst =

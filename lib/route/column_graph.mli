@@ -4,7 +4,8 @@
     columns on both sides and one edge [j → j'] labelled [(i, i')] for every
     qubit with [π(i,j) = (i',j')].  It is [m]-regular, so it decomposes into
     [m] perfect matchings; restricting to source rows [a..b] gives the
-    banded subgraphs the locality-aware search scans.
+    banded subgraphs the locality-aware search scans ({!scan_band}); the
+    band of rows [0..m-1] is the whole multigraph.
 
     Edges are indexed by the source vertex's flat grid index, so the label
     arrays are total and O(1) to consult, and the edges of source row [r]
@@ -42,11 +43,6 @@ val dst_col : t -> int -> int
 val src_row : t -> int -> int
 
 val dst_row : t -> int -> int
-
-val hk_edges : t -> (int * int) array
-(** Endpoint pairs [(src_col, dst_col)] indexed by edge id, the form
-    {!Qr_bipartite.Hopcroft_karp.solve} and {!Qr_bipartite.Decompose}
-    consume. *)
 
 val scan_band :
   t -> live:bool array -> lo:int -> hi:int ->

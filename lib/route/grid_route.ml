@@ -1,12 +1,9 @@
 module Grid = Qr_graph.Grid
 module Perm = Qr_perm.Perm
-module Decompose = Qr_bipartite.Decompose
 module Trace = Qr_obs.Trace
 module Cancel = Qr_util.Cancel
 
 type sigmas = int array array
-
-type decompose_strategy = Extraction | Euler_split
 
 let sigmas_of_assignment cg ~matchings ~assigned_rows =
   let m = Column_graph.rows cg and n = Column_graph.cols cg in
@@ -233,23 +230,3 @@ let route_with_sigmas grid pi sigmas =
 let round_depths grid pi sigmas =
   let r = plan_rounds (Column_graph.build grid pi) sigmas in
   (r.phases.(0).depth, r.phases.(1).depth, r.phases.(2).depth)
-
-let naive_sigmas ?ws ?(strategy = Extraction) grid pi =
-  let cg =
-    Trace.with_span "column_graph_build" (fun () ->
-        Column_graph.build ?reuse:(Router_workspace.reusable_cg ws) grid pi)
-  in
-  Option.iter (fun w -> Router_workspace.remember_cg w cg) ws;
-  let hk = Router_workspace.hk ws in
-  let nl = Column_graph.cols cg in
-  let edges = Column_graph.hk_edges cg in
-  let matchings =
-    match strategy with
-    | Extraction -> Decompose.by_extraction_in hk ~nl ~nr:nl ~edges
-    | Euler_split -> Decompose.by_euler_split_in hk ~nl ~nr:nl ~edges
-  in
-  let assigned_rows = Array.init (Column_graph.rows cg) (fun k -> k) in
-  sigmas_of_assignment cg ~matchings ~assigned_rows
-
-let route_naive ?ws ?strategy grid pi =
-  route_with_sigmas grid pi (naive_sigmas ?ws ?strategy grid pi)

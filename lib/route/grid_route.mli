@@ -5,10 +5,13 @@
     [i] to row [σ_j(i)]; round 2 routes every row in parallel to destination
     columns; round 3 routes every column to destination rows.  Any family of
     [σ]s derived from a perfect-matching decomposition of the column
-    multigraph makes rounds 2–3 well-defined ({!sigmas_of_assignment}); the
-    naive algorithm uses an arbitrary decomposition with the arbitrary
-    assignment "k-th matching → row k", which is exactly the baseline the
-    paper's locality-aware selection improves on. *)
+    multigraph makes rounds 2–3 well-defined ({!sigmas_of_assignment}).
+    The decomposition and the row assignment come from
+    {!Local_grid_route}: the naive baseline of [1] is its whole-multigraph
+    discovery with the arbitrary assignment "k-th matching → row k"
+    ([Local_grid_route.route ~discovery:Whole ~assignment:Arbitrary], the
+    [naive] engine), which the paper's locality-aware choices improve
+    on. *)
 
 type sigmas = int array array
 (** [sigmas.(j).(i)] is the round-1 target row of the qubit starting at
@@ -62,17 +65,3 @@ val round_depths :
     the breakdown that shows where a sigma family spends its budget: a
     locality-aware choice empties rounds 1 and 3 on row-local
     permutations. *)
-
-type decompose_strategy = Extraction | Euler_split
-
-val naive_sigmas :
-  ?ws:Router_workspace.t ->
-  ?strategy:decompose_strategy -> Qr_graph.Grid.t -> Qr_perm.Perm.t -> sigmas
-(** Arbitrary decomposition, arbitrary row assignment (matching [k] → row
-    [k]) — the baseline of [1].  Default strategy: {!Extraction}.  [ws]
-    reuses planning buffers across calls (identical results). *)
-
-val route_naive :
-  ?ws:Router_workspace.t ->
-  ?strategy:decompose_strategy -> Qr_graph.Grid.t -> Qr_perm.Perm.t -> Schedule.t
-(** [route_with_sigmas] over {!naive_sigmas}. *)

@@ -1,5 +1,4 @@
 module Hopcroft_karp = Qr_bipartite.Hopcroft_karp
-module Decompose = Qr_bipartite.Decompose
 module Bottleneck = Qr_bipartite.Bottleneck
 module Trace = Qr_obs.Trace
 module Metrics = Qr_obs.Metrics
@@ -146,17 +145,13 @@ let discover_doubling ?hk ?(initial_width = 0) cg =
   (* Narrow-band matchings first: they carry the locality. *)
   Array.to_list s.found
 
-let discover_whole hk cg =
-  let n = Column_graph.cols cg in
-  Decompose.by_extraction_in hk ~nl:n ~nr:n ~edges:(Column_graph.hk_edges cg)
-
 let discover_matchings ?hk discovery cg =
   match discovery with
   | Doubling -> discover_doubling ?hk cg
   | Fixed_band h ->
       if h <= 0 then invalid_arg "Local_grid_route: band height must be positive";
       discover_doubling ?hk ~initial_width:(h - 1) cg
-  | Whole -> discover_whole hk cg
+  | Whole -> discover_doubling ?hk ~initial_width:(Column_graph.rows cg - 1) cg
 
 let assign_rows assignment cg matchings =
   let m = Column_graph.rows cg in

@@ -13,7 +13,8 @@
       minimizing the worst row-detour any matching's qubits must take.
 
     Both choices are independently switchable so the ablation benchmarks can
-    isolate their contributions. *)
+    isolate their contributions; with both off ({!Whole}, {!Arbitrary}) this
+    module computes the naive baseline. *)
 
 type discovery =
   | Doubling  (** The paper's banded doubling search (w = 0, 1, 2, 4, …). *)
@@ -21,7 +22,12 @@ type discovery =
       (** Start from bands of the given height instead of single rows, then
           double as usual — for ablating the window schedule.  Height must
           be positive. *)
-  | Whole  (** Extract from the whole multigraph (locality-blind). *)
+  | Whole
+      (** Extract from the whole multigraph (locality-blind): one band
+          covering every row, drained like any other band.  It stays the
+          single band [[0, m−1]] whatever window schedule {!Doubling}
+          follows.  With {!Arbitrary} assignment this is the naive
+          GridRoute baseline (the [naive] engine). *)
 
 type assignment =
   | Mcbbm  (** Bottleneck assignment by the Δ metric. *)
@@ -39,9 +45,13 @@ val discover_matchings :
   ?hk:Qr_bipartite.Hopcroft_karp.workspace ->
   discovery -> Column_graph.t -> int array list
 (** Decompose the column multigraph into [m] perfect matchings (edge-id
-    arrays indexed by column), banded or not.  The result always partitions
-    the edge set ({!Qr_bipartite.Decompose.validate} holds).  [hk] reuses
-    matching scratch across the band windows (identical results). *)
+    arrays indexed by column), in discovery order.  Every discovery runs
+    the same band drain: take a band's live edges in ascending id order
+    ({!Column_graph.scan_band}), extract perfect matchings with
+    {!Qr_bipartite.Hopcroft_karp.max_matching} until none remains, and
+    kill each matching's edges.  The result always partitions the edge set
+    ({!Qr_bipartite.Decompose.validate} holds).  [hk] reuses matching
+    scratch across the band windows (identical results). *)
 
 val assign_rows : assignment -> Column_graph.t -> int array list -> int array
 (** Row assigned to each matching, in list order. *)

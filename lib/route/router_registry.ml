@@ -274,7 +274,8 @@ let naive =
     route =
       (fun ws _config input ->
         let grid, pi = Router_intf.require_grid ~engine:"naive" input in
-        Grid_route.route_naive ?ws grid pi);
+        Local_grid_route.route ?ws ~discovery:Whole ~assignment:Arbitrary grid
+          pi);
   }
 
 let snake =

@@ -122,15 +122,6 @@ let test_hall_violator_found () =
 
 (* -------------------------------------------------------------- Decompose *)
 
-let random_regular_multigraph rng n d =
-  (* Union of d random perfect matchings = d-regular bipartite multigraph. *)
-  let edges = ref [] in
-  for _ = 1 to d do
-    let p = Rng.permutation rng n in
-    Array.iteri (fun l r -> edges := (l, r) :: !edges) p
-  done;
-  Array.of_list !edges
-
 let test_check_regular () =
   let edges = [| (0, 0); (0, 1); (1, 0); (1, 1) |] in
   checki "2-regular" 2 (Decompose.check_regular ~nl:2 ~nr:2 ~edges)
@@ -139,34 +130,6 @@ let test_check_regular_rejects () =
   Alcotest.check_raises "irregular" (Invalid_argument "Decompose: not regular")
     (fun () ->
       ignore (Decompose.check_regular ~nl:2 ~nr:2 ~edges:[| (0, 0); (0, 1) |]))
-
-let test_decompose_extraction_valid () =
-  let rng = Rng.create 3 in
-  for trial = 0 to 14 do
-    let n = 2 + (trial mod 5) and d = 1 + (trial mod 4) in
-    let edges = random_regular_multigraph rng n d in
-    let ms = Decompose.by_extraction ~nl:n ~nr:n ~edges in
-    checki "d matchings" d (List.length ms);
-    checkb "valid partition" true (Decompose.validate ~nl:n ~nr:n ~edges ms)
-  done
-
-let test_decompose_euler_valid () =
-  let rng = Rng.create 4 in
-  for trial = 0 to 14 do
-    let n = 2 + (trial mod 5) and d = 1 + (trial mod 6) in
-    let edges = random_regular_multigraph rng n d in
-    let ms = Decompose.by_euler_split ~nl:n ~nr:n ~edges in
-    checki "d matchings" d (List.length ms);
-    checkb "valid partition" true (Decompose.validate ~nl:n ~nr:n ~edges ms)
-  done
-
-let test_decompose_parallel_heavy () =
-  (* All d edges between the same pair: d copies of a 1-vertex matching
-     per side — the extreme multigraph case. *)
-  let edges = Array.init 4 (fun _ -> (0, 0)) in
-  let ms = Decompose.by_extraction ~nl:1 ~nr:1 ~edges in
-  checki "4 matchings" 4 (List.length ms);
-  checkb "valid" true (Decompose.validate ~nl:1 ~nr:1 ~edges ms)
 
 let test_validate_catches_overlap () =
   let edges = [| (0, 0); (0, 1); (1, 0); (1, 1) |] in
@@ -179,19 +142,6 @@ let test_validate_catches_incomplete () =
   let edges = [| (0, 0); (0, 1); (1, 0); (1, 1) |] in
   let m = [| 0; 3 |] in
   checkb "not all edges covered" false (Decompose.validate ~nl:2 ~nr:2 ~edges [ m ])
-
-let decompose_strategies_agree_on_validity =
-  QCheck.Test.make ~name:"extraction and euler-split both valid" ~count:100
-    QCheck.(triple (int_range 1 6) (int_range 1 6) (int_range 0 10000))
-    (fun (n, d, seed) ->
-      let rng = Rng.create seed in
-      let edges = random_regular_multigraph rng n d in
-      let a = Decompose.by_extraction ~nl:n ~nr:n ~edges in
-      let b = Decompose.by_euler_split ~nl:n ~nr:n ~edges in
-      Decompose.validate ~nl:n ~nr:n ~edges a
-      && Decompose.validate ~nl:n ~nr:n ~edges b
-      && List.length a = d
-      && List.length b = d)
 
 (* -------------------------------------------------------------- Bottleneck *)
 
@@ -405,15 +355,10 @@ let () =
           Alcotest.test_case "check_regular" `Quick test_check_regular;
           Alcotest.test_case "check_regular rejects" `Quick
             test_check_regular_rejects;
-          Alcotest.test_case "extraction valid" `Quick
-            test_decompose_extraction_valid;
-          Alcotest.test_case "euler valid" `Quick test_decompose_euler_valid;
-          Alcotest.test_case "parallel heavy" `Quick test_decompose_parallel_heavy;
           Alcotest.test_case "validate catches overlap" `Quick
             test_validate_catches_overlap;
           Alcotest.test_case "validate catches incomplete" `Quick
             test_validate_catches_incomplete;
-          qc decompose_strategies_agree_on_validity;
         ] );
       ( "bottleneck",
         [

@@ -7,11 +7,20 @@ module Schedule = Qr_route.Schedule
 module Column_graph = Qr_route.Column_graph
 module Grid_route = Qr_route.Grid_route
 module Path_route = Qr_route.Path_route
+module Local = Qr_route.Local_grid_route
+module Router_intf = Qr_route.Router_intf
+module Router_registry = Qr_route.Router_registry
 module Decompose = Qr_bipartite.Decompose
 module Rng = Qr_util.Rng
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
+
+(* The column graph's edges as (source column, destination column)
+   pairs, indexed by edge id: the form Decompose checks. *)
+let column_edges cg =
+  Array.init (Column_graph.num_edges cg) (fun e ->
+      (Column_graph.src_col cg e, Column_graph.dst_col cg e))
 
 (* ------------------------------------------------------------ Column_graph *)
 
@@ -43,7 +52,7 @@ let test_column_graph_regular () =
       let pi = Perm.check (Rng.permutation rng (m * n)) in
       let cg = Column_graph.build grid pi in
       checki "degree m" m
-        (Decompose.check_regular ~nl:n ~nr:n ~edges:(Column_graph.hk_edges cg)))
+        (Decompose.check_regular ~nl:n ~nr:n ~edges:(column_edges cg)))
     [ (2, 3); (4, 4); (5, 2); (1, 6) ]
 
 let test_edges_in_band () =
@@ -74,6 +83,14 @@ let kinds g =
   Generators.paper_kinds g
   @ [ Generators.Identity; Generators.Reversal; Generators.Mirror_rows ]
 
+(* The naive baseline as every caller reaches it: the registry's engine. *)
+let naive_route grid pi =
+  Router_intf.route_grid (Router_registry.get "naive") grid pi
+
+(* The naive sigmas: whole-multigraph discovery, matching k to row k. *)
+let whole_sigmas grid pi =
+  Local.sigmas ~discovery:Local.Whole ~assignment:Local.Arbitrary grid pi
+
 let test_naive_routes_everything () =
   let rng = Rng.create 2 in
   List.iter
@@ -82,22 +99,15 @@ let test_naive_routes_everything () =
       List.iter
         (fun kind ->
           let pi = Generators.generate grid kind rng in
-          let s = Grid_route.route_naive grid pi in
+          let s = naive_route grid pi in
           checkb "valid" true (Schedule.is_valid (Grid.graph grid) s);
           checkb "realizes" true (Schedule.realizes ~n:(m * n) s pi))
         (kinds grid))
     grids
 
-let test_naive_euler_strategy () =
-  let rng = Rng.create 3 in
-  let grid = Grid.make ~rows:4 ~cols:5 in
-  let pi = Perm.check (Rng.permutation rng 20) in
-  let s = Grid_route.route_naive ~strategy:Grid_route.Euler_split grid pi in
-  checkb "euler-based also correct" true (Schedule.realizes ~n:20 s pi)
-
 let test_identity_routes_empty () =
   let grid = Grid.make ~rows:4 ~cols:4 in
-  let s = Grid_route.route_naive grid (Perm.identity 16) in
+  let s = naive_route grid (Perm.identity 16) in
   checki "identity costs nothing" 0 (Schedule.depth s)
 
 let test_check_sigmas_detects_bad () =
@@ -129,9 +139,7 @@ let test_sigmas_of_assignment_valid () =
   let grid = Grid.make ~rows:3 ~cols:4 in
   let pi = Perm.check (Rng.permutation rng 12) in
   let cg = Column_graph.build grid pi in
-  let matchings =
-    Decompose.by_extraction ~nl:4 ~nr:4 ~edges:(Column_graph.hk_edges cg)
-  in
+  let matchings = Local.discover_matchings Local.Whole cg in
   (* Hall guarantees 3 matchings (m = 3). *)
   checki "m matchings" 3 (List.length matchings);
   let assigned = [| 2; 0; 1 |] in
@@ -144,9 +152,7 @@ let test_sigmas_of_assignment_rejects_bad_rows () =
   let grid = Grid.make ~rows:2 ~cols:2 in
   let pi = Perm.identity 4 in
   let cg = Column_graph.build grid pi in
-  let matchings =
-    Decompose.by_extraction ~nl:2 ~nr:2 ~edges:(Column_graph.hk_edges cg)
-  in
+  let matchings = Local.discover_matchings Local.Whole cg in
   Alcotest.check_raises "row assignment must be a permutation"
     (Invalid_argument "Grid_route.sigmas_of_assignment: bad row assignment")
     (fun () ->
@@ -161,7 +167,7 @@ let test_depth_bound_three_phases () =
       let grid = Grid.make ~rows:m ~cols:n in
       for _ = 1 to 5 do
         let pi = Perm.check (Rng.permutation rng (m * n)) in
-        let s = Grid_route.route_naive grid pi in
+        let s = naive_route grid pi in
         checkb "<= 2m + n" true (Schedule.depth s <= (2 * m) + n)
       done)
     [ (3, 3); (4, 6); (6, 4); (2, 8) ]
@@ -171,7 +177,7 @@ let test_round_depths_sum () =
   let grid = Grid.make ~rows:5 ~cols:6 in
   for _ = 1 to 5 do
     let pi = Perm.check (Rng.permutation rng 30) in
-    let sigmas = Grid_route.naive_sigmas grid pi in
+    let sigmas = whole_sigmas grid pi in
     let r1, r2, r3 = Grid_route.round_depths grid pi sigmas in
     checki "rounds sum to total depth" (r1 + r2 + r3)
       (Schedule.depth (Grid_route.route_with_sigmas grid pi sigmas));
@@ -185,7 +191,7 @@ let test_round_depths_row_local () =
   let pi =
     Qr_perm.Grid_perm.of_coord_map grid (fun (r, c) -> (r, (c + 1) mod 6))
   in
-  let sigmas = Qr_route.Local_grid_route.sigmas grid pi in
+  let sigmas = Local.sigmas grid pi in
   let r1, r2, r3 = Grid_route.round_depths grid pi sigmas in
   checki "round 1 empty" 0 r1;
   checkb "round 2 does the work" true (r2 > 0);
@@ -199,7 +205,7 @@ let naive_route_property =
       let grid = Grid.make ~rows:m ~cols:n in
       let rng = Rng.create seed in
       let pi = Perm.check (Rng.permutation rng (m * n)) in
-      let s = Grid_route.route_naive grid pi in
+      let s = naive_route grid pi in
       Schedule.is_valid (Grid.graph grid) s
       && Schedule.realizes ~n:(m * n) s pi
       && Schedule.depth s <= (2 * m) + n)
@@ -250,7 +256,7 @@ let rounds_match_reference =
       List.for_all
         (fun sigmas ->
           Grid_route.route_with_sigmas grid pi sigmas = reference_rounds grid pi sigmas)
-        [ Grid_route.naive_sigmas grid pi; Qr_route.Local_grid_route.sigmas grid pi ])
+        [ whole_sigmas grid pi; Local.sigmas grid pi ])
 
 let () =
   let qc = QCheck_alcotest.to_alcotest in
@@ -266,7 +272,6 @@ let () =
       ( "grid_route",
         [
           Alcotest.test_case "routes everything" `Quick test_naive_routes_everything;
-          Alcotest.test_case "euler strategy" `Quick test_naive_euler_strategy;
           Alcotest.test_case "identity free" `Quick test_identity_routes_empty;
           Alcotest.test_case "check_sigmas" `Quick test_check_sigmas_detects_bad;
           Alcotest.test_case "sigmas_of_assignment" `Quick

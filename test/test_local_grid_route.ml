@@ -53,22 +53,31 @@ let test_best_orientation_no_worse () =
       (Schedule.depth best <= Schedule.depth direct)
   done
 
-let test_discovery_partitions_edges () =
-  let rng = Rng.create 4 in
-  List.iter
-    (fun (m, n) ->
+(* The column graph's edges as (source column, destination column)
+   pairs, indexed by edge id: the form Decompose.validate checks. *)
+let column_edges cg =
+  Array.init (Column_graph.num_edges cg) (fun e ->
+      (Column_graph.src_col cg e, Column_graph.dst_col cg e))
+
+(* Every discovery is the one band drain, so each must split the
+   m-regular column multigraph into m perfect matchings.  Every d-regular
+   bipartite multigraph on n vertices a side is the column graph of some
+   d x n permutation, so random shapes cover them all; cols = 1 is the
+   all-parallel-edges case. *)
+let discovery_partitions_edges =
+  QCheck.Test.make ~name:"discovery partitions" ~count:300
+    QCheck.(
+      quad (int_range 1 8) (int_range 1 8) (int_range 1 9) (int_range 0 100000))
+    (fun (m, n, h, seed) ->
       let grid = Grid.make ~rows:m ~cols:n in
-      let pi = Perm.check (Rng.permutation rng (m * n)) in
+      let pi = Perm.check (Rng.permutation (Rng.create seed) (m * n)) in
       let cg = Column_graph.build grid pi in
-      List.iter
-        (fun strategy ->
-          let matchings = Local.discover_matchings strategy cg in
-          checki "m matchings" m (List.length matchings);
-          checkb "partition of edges" true
-            (Decompose.validate ~nl:n ~nr:n
-               ~edges:(Column_graph.hk_edges cg) matchings))
-        [ Local.Doubling; Local.Whole ])
-    [ (2, 2); (4, 4); (3, 6); (6, 3); (1, 5) ]
+      List.for_all
+        (fun discovery ->
+          let matchings = Local.discover_matchings discovery cg in
+          List.length matchings = m
+          && Decompose.validate ~nl:n ~nr:n ~edges:(column_edges cg) matchings)
+        [ Local.Doubling; Local.Whole; Local.Fixed_band h ])
 
 let test_doubling_finds_row_local_at_w0 () =
   (* For a permutation whose every row maps to itself with distinct
@@ -150,7 +159,11 @@ let test_block_local_beats_or_ties_naive_usually () =
   for _ = 1 to 5 do
     let pi = Generators.generate grid (Generators.Block_local 2) rng in
     let local = Local.route_best_orientation grid pi in
-    let naive = Grid_route.route_naive grid pi in
+    let naive =
+      Qr_route.Router_intf.route_grid
+        (Qr_route.Router_registry.get "naive")
+        grid pi
+    in
     let best = min (Schedule.depth local) (Schedule.depth naive) in
     checkb "combined strategy no worse than naive" true
       (best <= Schedule.depth naive)
@@ -269,8 +282,6 @@ let () =
             test_best_orientation_correct;
           Alcotest.test_case "best orientation no worse" `Quick
             test_best_orientation_no_worse;
-          Alcotest.test_case "discovery partitions" `Quick
-            test_discovery_partitions_edges;
           Alcotest.test_case "w=0 bands for row-local" `Quick
             test_doubling_finds_row_local_at_w0;
           Alcotest.test_case "delta metric" `Quick test_delta_metric;
@@ -283,6 +294,7 @@ let () =
           Alcotest.test_case "block-local vs naive" `Quick
             test_block_local_beats_or_ties_naive_usually;
           Alcotest.test_case "ablation switches" `Quick test_ablation_switches_work;
+          qc discovery_partitions_edges;
           qc local_route_property;
           qc best_orientation_property;
           qc deltas_match_delta;

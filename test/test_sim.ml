@@ -236,7 +236,11 @@ let test_permsim_travel_at_least_displacement () =
   let oracle = Distance.of_grid grid in
   for _ = 1 to 10 do
     let pi = Perm.check (Rng.permutation rng 16) in
-    let s = Qr_route.Grid_route.route_naive grid pi in
+    let s =
+      Qr_route.Router_intf.route_grid
+        (Qr_route.Router_registry.get "naive")
+        grid pi
+    in
     let travel = Permsim.max_token_travel oracle ~n:16 s in
     let disp = Perm.max_distance (fun u v -> Distance.dist oracle u v) pi in
     checkb "travel >= displacement" true (travel >= disp)

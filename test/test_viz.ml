@@ -145,8 +145,11 @@ let test_fixed_band_partitions () =
     Local_grid_route.discover_matchings (Local_grid_route.Fixed_band 3) cg
   in
   checki "m matchings" 6 (List.length matchings);
-  checkb "valid partition" true
-    (Decompose.validate ~nl:5 ~nr:5 ~edges:(Column_graph.hk_edges cg) matchings)
+  let edges =
+    Array.init (Column_graph.num_edges cg) (fun e ->
+        (Column_graph.src_col cg e, Column_graph.dst_col cg e))
+  in
+  checkb "valid partition" true (Decompose.validate ~nl:5 ~nr:5 ~edges matchings)
 
 let test_fixed_band_one_equals_doubling_start () =
   (* Band height 1 = the paper's doubling schedule from w = 0: identical
