@@ -216,43 +216,6 @@ let answer ?(guard = fun f -> f ()) session line =
       Metrics.incr c_crashed;
       (Session.crashed_response_line line exn, `Errored)
 
-(* Move filled slots into the write queue in slot order; stop at the
-   first slot not filled yet.  The error budget is counted here, in
-   arrival order, the one place it is counted.  A tripped budget sets
-   [eof]: nothing more is read, but every reply to a line already read
-   still flushes.  A dead connection keeps consuming its slots (so
-   [inflight] reaches 0 and it can close) without queuing bytes.  A
-   queue overflow is the slow-client verdict: drop the connection
-   rather than buffer without bound. *)
-let flush_outbox config conn =
-  let rec go () =
-    Mutex.lock conn.mutex;
-    let next = Hashtbl.find_opt conn.outbox conn.next_write in
-    Hashtbl.remove conn.outbox conn.next_write;
-    Mutex.unlock conn.mutex;
-    match next with
-    | None -> ()
-    | Some (line, standing) ->
-        conn.inflight <- conn.inflight - 1;
-        conn.next_write <- conn.next_write + 1;
-        if (not conn.dead) && Write_queue.enqueue conn.wq line = `Overflow
-        then begin
-          Metrics.incr c_slow_closes;
-          conn.dead <- true
-        end;
-        (match standing with
-        | `Errored ->
-            conn.errors <- conn.errors + 1;
-            if conn.errors = config.Session.error_budget then begin
-              Metrics.incr c_budget_closes;
-              conn.eof <- true
-            end
-        | `Ok -> conn.errors <- 0
-        | `Shed -> ());
-        go ()
-  in
-  go ()
-
 let set_interest loop conn ?readable ?writable () =
   Option.iter
     (fun h -> Event_loop.set_interest loop h ?readable ?writable ())
@@ -270,6 +233,53 @@ let flush_conn loop conn =
     | `Idle -> set_interest loop conn ~writable:false ()
     | `Pending -> set_interest loop conn ~writable:true ()
     | `Closed | (exception Fault.Injected _) -> conn.dead <- true
+
+(* Move filled slots into the write queue in slot order; stop at the
+   first slot not filled yet.  The error budget is counted here, in
+   arrival order, the one place it is counted.  A tripped budget sets
+   [eof]: nothing more is read, but every reply to a line already read
+   still flushes.  A dead connection keeps consuming its slots (so
+   [inflight] reaches 0 and it can close) without queuing bytes.  A
+   reply that overflows the queue first flushes it, since the bytes
+   ahead may be replies moved earlier in this same cycle; only a second
+   overflow is the slow-client verdict: drop the connection rather than
+   buffer without bound. *)
+let flush_outbox loop config conn =
+  let enqueue line =
+    let refused () =
+      (not conn.dead) && Write_queue.enqueue conn.wq line = `Overflow
+    in
+    if refused () then begin
+      flush_conn loop conn;
+      if refused () then begin
+        Metrics.incr c_slow_closes;
+        conn.dead <- true
+      end
+    end
+  in
+  let rec go () =
+    Mutex.lock conn.mutex;
+    let next = Hashtbl.find_opt conn.outbox conn.next_write in
+    Hashtbl.remove conn.outbox conn.next_write;
+    Mutex.unlock conn.mutex;
+    match next with
+    | None -> ()
+    | Some (line, standing) ->
+        conn.inflight <- conn.inflight - 1;
+        conn.next_write <- conn.next_write + 1;
+        enqueue line;
+        (match standing with
+        | `Errored ->
+            conn.errors <- conn.errors + 1;
+            if conn.errors = config.Session.error_budget then begin
+              Metrics.incr c_budget_closes;
+              conn.eof <- true
+            end
+        | `Ok -> conn.errors <- 0
+        | `Shed -> ());
+        go ()
+  in
+  go ()
 
 (* Pull whatever is readable off a connection.  [Would_block] is the
    normal end of a readiness-sized burst on a nonblocking fd — park
@@ -505,7 +515,7 @@ let on_cycle p () =
   p.conns <-
     List.filter
       (fun conn ->
-        flush_outbox p.config conn;
+        flush_outbox p.loop p.config conn;
         flush_conn p.loop conn;
         if conn.eof then set_interest p.loop conn ~readable:false ();
         if

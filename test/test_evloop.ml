@@ -494,19 +494,24 @@ let test_parity_success_resets_budget () =
 
 (* One reply larger than [max_outbox_bytes] (an 8x8 reversal's schedule
    is about 3.6 KB) is written on every path, not dropped with its
-   connection. *)
+   connection; so are five such replies to lines pipelined in one write,
+   which reach the write queue in the same cycle and together pass the
+   cap. *)
 let test_parity_reply_over_outbox_cap () =
   with_test_deadline 60 @@ fun () ->
   let config = { Session.default_config with Session.max_outbox_bytes = 1024 } in
   let perm = String.concat "," (List.init 64 (fun v -> string_of_int (63 - v))) in
-  let line =
+  let line id =
     Printf.sprintf
-      {|{"id": 1, "method": "route", "params": {"grid": {"rows": 8, "cols": 8}, "perm": [%s]}}|}
-      perm
+      {|{"id": %d, "method": "route", "params": {"grid": {"rows": 8, "cols": 8}, "perm": [%s]}}|}
+      id perm
   in
+  let five = List.init 5 succ in
   List.iter
     (fun serving ->
-      check_replies serving (oks [ 1 ]) (run_script ~config serving [ line ]))
+      check_replies serving (oks [ 1 ]) (run_script ~config serving [ line 1 ]);
+      check_replies serving (oks five)
+        (run_script ~config serving (List.map line five)))
     servings
 
 let test_shed_keeps_arrival_order () =
