@@ -36,10 +36,8 @@ let () =
   print_newline ();
   let cylinder = Product.make (Graph.cycle 6) (Graph.path 5) in
   let path_router g pi =
-    List.map Array.of_list (Path_route.route_min_parity pi)
-    |> fun layers ->
     assert (Graph.num_vertices g = Array.length pi);
-    layers
+    Schedule.of_layers (List.map Array.of_list (Path_route.route_min_parity pi))
   in
   let cycle_router g pi =
     Parallel_ats.route ~trials:1 g (Distance.of_graph g) pi

@@ -70,10 +70,7 @@ let map_qubits f t =
 
 let of_schedule ~num_qubits sched =
   let gate_list =
-    List.concat_map
-      (fun layer ->
-        List.map (fun (u, v) -> Gate.Two (Gate.SWAP, u, v)) (Array.to_list layer))
-      sched
+    List.map (fun (u, v) -> Gate.Two (Gate.SWAP, u, v)) (Qr_route.Schedule.swaps sched)
   in
   create ~num_qubits gate_list
 

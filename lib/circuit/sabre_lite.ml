@@ -243,11 +243,9 @@ let run_grid ?config ?initial ?unwind ?unwind_config grid circuit =
         Qr_route.Router_intf.route_grid ?config:unwind_config engine grid rho
       in
       let swap_gates =
-        List.concat_map
-          (fun layer ->
-            Array.to_list layer
-            |> List.map (fun (u, v) -> Gate.Two (Gate.SWAP, u, v)))
-          sched
+        List.map
+          (fun (u, v) -> Gate.Two (Gate.SWAP, u, v))
+          (Qr_route.Schedule.swaps sched)
       in
       let n = Circuit.num_qubits result.Transpile.physical in
       let final = Layout.apply_schedule result.Transpile.final sched in

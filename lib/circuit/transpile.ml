@@ -55,12 +55,7 @@ let run ?initial ?on_route ?(extension = Nearest) ~graph ~dist ~router circuit =
   let routed_slices = ref 0 in
   let emit gate = out := Gate.map_qubits (fun q -> Layout.phys !layout q) gate :: !out in
   let emit_schedule sched =
-    List.iter
-      (fun layer ->
-        Array.iter
-          (fun (u, v) -> out := Gate.Two (Gate.SWAP, u, v) :: !out)
-          layer)
-      sched;
+    Schedule.iter (fun u v -> out := Gate.Two (Gate.SWAP, u, v) :: !out) sched;
     swap_layers := !swap_layers + Schedule.depth sched;
     layout := Layout.apply_schedule !layout sched
   in

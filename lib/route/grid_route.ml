@@ -169,21 +169,17 @@ let plan_rounds cg sigmas =
   done;
   { rows = m; cols = n; phases = [| round1; round2; round3 |] }
 
-(* Replay every line from its chosen parity, writing each swap straight
-   into its exactly sized merged layer.  Layers are filled from the end,
-   so a layer lists lines, and positions within a line, in descending
-   order.  Position p of a line is output vertex
-   line * vertex_line + p * vertex_pos. *)
-let emit_phase ph ~vertex_line ~vertex_pos tokens =
-  let layers = Array.make ph.depth [||] in
-  for t = 0 to ph.depth - 1 do
-    layers.(t) <- Array.make ph.sizes.(t) (0, 0)
-  done;
-  let fill = Array.sub ph.sizes 0 ph.depth in
+(* Replay every line from its chosen parity, writing each swap's two
+   endpoints straight into its merged layer's slots of [ends].  Layers
+   are filled from the end ([fill.(t)] is one past layer [t]'s next free
+   swap), so a layer lists lines, and positions within a line, in
+   descending order.  The phase's layers start at [first].  Position p of
+   a line is output vertex line * vertex_line + p * vertex_pos. *)
+let emit_phase ph ~first ~vertex_line ~vertex_pos tokens ends fill =
   for line = 0 to ph.lines - 1 do
     let base = line * vertex_line in
     Array.blit ph.dests (line * ph.len) tokens 0 ph.len;
-    let t = ref 0 and idle = ref 0 and start = ref ph.parity.(line) in
+    let t = ref first and idle = ref 0 and start = ref ph.parity.(line) in
     while !idle < 2 do
       let p = ref !start and swapped = ref false in
       while !p + 1 < ph.len do
@@ -193,7 +189,8 @@ let emit_phase ph ~vertex_line ~vertex_pos tokens =
           tokens.(!p + 1) <- a;
           let u = base + (!p * vertex_pos) and i = fill.(!t) - 1 in
           fill.(!t) <- i;
-          layers.(!t).(i) <- (u, u + vertex_pos);
+          ends.(2 * i) <- u;
+          ends.((2 * i) + 1) <- u + vertex_pos;
           swapped := true
         end;
         p := !p + 2
@@ -205,9 +202,7 @@ let emit_phase ph ~vertex_line ~vertex_pos tokens =
       else incr idle;
       start := 1 - !start
     done
-  done;
-  Array.iter (fun left -> assert (left = 0)) fill;
-  Array.to_list layers
+  done
 
 let emit ?(transposed = false) r =
   Trace.with_span "schedule_emit" @@ fun () ->
@@ -215,14 +210,32 @@ let emit ?(transposed = false) r =
   let rs, cs = if transposed then (1, r.rows) else (r.cols, 1) in
   let cancel = Cancel.ambient () in
   let tokens = Array.make (max r.rows r.cols) 0 in
-  let phase k ~vertex_line ~vertex_pos =
+  (* The planned layer sizes give every layer's offsets up front, so the
+     endpoints go into one exactly sized array. *)
+  let depth = depth r in
+  let starts = Array.make (depth + 1) 0 in
+  let k = ref 0 in
+  Array.iter
+    (fun ph ->
+      for t = 0 to ph.depth - 1 do
+        starts.(!k + 1) <- starts.(!k) + ph.sizes.(t);
+        incr k
+      done)
+    r.phases;
+  let ends = Array.make (2 * starts.(depth)) 0 in
+  let fill = Array.sub starts 1 depth in
+  let phase k ~first ~vertex_line ~vertex_pos =
     Cancel.poll cancel;
-    emit_phase r.phases.(k) ~vertex_line ~vertex_pos tokens
+    emit_phase r.phases.(k) ~first ~vertex_line ~vertex_pos tokens ends fill
   in
-  let round1 = phase 0 ~vertex_line:cs ~vertex_pos:rs in
-  let round2 = phase 1 ~vertex_line:rs ~vertex_pos:cs in
-  let round3 = phase 2 ~vertex_line:cs ~vertex_pos:rs in
-  Schedule.concat round1 (Schedule.concat round2 round3)
+  let depth1 = r.phases.(0).depth in
+  phase 0 ~first:0 ~vertex_line:cs ~vertex_pos:rs;
+  phase 1 ~first:depth1 ~vertex_line:rs ~vertex_pos:cs;
+  phase 2 ~first:(depth1 + r.phases.(1).depth) ~vertex_line:cs ~vertex_pos:rs;
+  (* Every layer is filled exactly: its fill pointer is back at its
+     start. *)
+  Array.iteri (fun t left -> assert (left = starts.(t))) fill;
+  Schedule.of_flat ~ends ~starts
 
 let route_with_sigmas grid pi sigmas =
   emit (plan_rounds (Column_graph.build grid pi) sigmas)

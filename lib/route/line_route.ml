@@ -19,11 +19,11 @@ let route grid pi =
   let dests = Array.init n (fun k -> position_in_snake.(pi.(order.(k)))) in
   let layers = Path_route.route_min_parity (Perm.check dests) in
   let sched =
-    List.map
-      (fun layer ->
-        Array.of_list
-          (List.map (fun (a, b) -> (order.(a), order.(b))) layer))
-      layers
+    Schedule.of_layers
+      (List.map
+         (fun layer ->
+           Array.of_list (List.map (fun (a, b) -> (order.(a), order.(b))) layer))
+         layers)
   in
   assert (Schedule.realizes ~n sched pi);
   sched

@@ -36,6 +36,7 @@ let assign_mcbbm cg g1 matchings =
   (Bottleneck.solve_complete ~weights).left_match
 
 let merge_copies lines ~lift =
+  let lines = List.map (fun (copy, sched) -> (copy, Schedule.layers sched)) lines in
   let rec peel lines acc =
     let layer = ref [] in
     let rest =
@@ -50,21 +51,18 @@ let merge_copies lines ~lift =
               if tail = [] then None else Some (copy, tail))
         lines
     in
-    if !layer = [] then List.rev acc
+    if !layer = [] then Schedule.of_layers (List.rev acc)
     else peel rest (Array.of_list !layer :: acc)
   in
   peel lines []
 
-let apply_layers token_at layers =
-  List.iter
-    (fun layer ->
-      Array.iter
-        (fun (u, v) ->
-          let tmp = token_at.(u) in
-          token_at.(u) <- token_at.(v);
-          token_at.(v) <- tmp)
-        layer)
-    layers
+let apply_layers token_at sched =
+  Schedule.iter
+    (fun u v ->
+      let tmp = token_at.(u) in
+      token_at.(u) <- token_at.(v);
+      token_at.(v) <- tmp)
+    sched
 
 let route ?(locality = true) ~route1 ~route2 product pi =
   let g1 = Product.left product and g2 = Product.right product in

@@ -1,17 +1,83 @@
 module Graph = Qr_graph.Graph
 module Perm = Qr_perm.Perm
+module Json = Qr_obs.Json
 
 type layer = (int * int) array
 
-type t = layer list
+(* Swap [i] is [ends.(2i)]-[ends.(2i+1)]; layer [k] holds swaps
+   [starts.(k)] to [starts.(k+1) - 1].  Both arrays are exactly sized and
+   nothing else is stored, so equal schedules are structurally equal. *)
+type t = { ends : int array; starts : int array }
 
-let empty : t = []
+let empty = { ends = [||]; starts = [| 0 |] }
 
-let depth t = List.length t
+let depth t = Array.length t.starts - 1
 
-let size t = List.fold_left (fun acc layer -> acc + Array.length layer) 0 t
+let size t = Array.length t.ends / 2
 
-let concat a b = a @ b
+let of_flat ~ends ~starts =
+  let d = Array.length starts - 1 in
+  let bad () = invalid_arg "Schedule.of_flat: bad layer offsets" in
+  if d < 0 || starts.(0) <> 0 || Array.length ends <> 2 * starts.(d) then bad ();
+  for k = 0 to d - 1 do
+    if starts.(k + 1) < starts.(k) then bad ()
+  done;
+  { ends; starts }
+
+(* Seeded with the static pair and filled afterwards (DESIGN.md, "Kernel
+   allocation"). *)
+let layer t k =
+  let first = t.starts.(k) in
+  let out = Array.make (t.starts.(k + 1) - first) (0, 0) in
+  for i = 0 to Array.length out - 1 do
+    let e = 2 * (first + i) in
+    out.(i) <- (t.ends.(e), t.ends.(e + 1))
+  done;
+  out
+
+let layers t = List.init (depth t) (layer t)
+
+let of_layers ls =
+  let d = List.length ls in
+  let starts = Array.make (d + 1) 0 in
+  List.iteri (fun k l -> starts.(k + 1) <- starts.(k) + Array.length l) ls;
+  let ends = Array.make (2 * starts.(d)) 0 in
+  List.iteri
+    (fun k l ->
+      Array.iteri
+        (fun i (u, v) ->
+          let e = 2 * (starts.(k) + i) in
+          ends.(e) <- u;
+          ends.(e + 1) <- v)
+        l)
+    ls;
+  { ends; starts }
+
+let iter f t =
+  for i = 0 to size t - 1 do
+    f t.ends.(2 * i) t.ends.((2 * i) + 1)
+  done
+
+let swaps t = List.init (size t) (fun i -> (t.ends.(2 * i), t.ends.((2 * i) + 1)))
+
+let of_swaps swap_list =
+  let ends = Array.make (2 * List.length swap_list) 0 in
+  List.iteri
+    (fun i (u, v) ->
+      ends.(2 * i) <- u;
+      ends.((2 * i) + 1) <- v)
+    swap_list;
+  { ends; starts = Array.init (List.length swap_list + 1) Fun.id }
+
+let concat a b =
+  let da = depth a and sa = size a in
+  {
+    ends = Array.append a.ends b.ends;
+    starts =
+      Array.init
+        (da + depth b + 1)
+        (fun k -> if k <= da then a.starts.(k) else sa + b.starts.(k - da));
+  }
 
 let layer_is_matching ~n layer =
   let used = Array.make n false in
@@ -26,225 +92,259 @@ let layer_is_matching ~n layer =
        true))
     layer
 
+(* Claim [u] and [v] for layer [k]: [stamp.(x)] is the last layer that used
+   vertex [x], so one array checks every layer's disjointness.  False when
+   either endpoint is out of range, they coincide, or layer [k] has
+   already used one of them. *)
+let claim ~n stamp k u v =
+  u >= 0 && u < n && v >= 0 && v < n && u <> v
+  && stamp.(u) <> k
+  && stamp.(v) <> k
+  &&
+  (stamp.(u) <- k;
+   stamp.(v) <- k;
+   true)
+
 let is_valid g t =
   let n = Graph.num_vertices g in
-  List.for_all
-    (fun layer ->
-      layer_is_matching ~n layer
-      && Array.for_all (fun (u, v) -> Graph.mem_edge g u v) layer)
-    t
-
-let apply ~n t =
-  (* position_of.(token) tracks where each token currently sits. *)
-  let position_of = Array.init n (fun v -> v) in
-  let token_at = Array.init n (fun v -> v) in
-  let do_swap (u, v) =
-    if u < 0 || u >= n || v < 0 || v >= n then
-      invalid_arg "Schedule.apply: vertex out of range";
-    let a = token_at.(u) and b = token_at.(v) in
-    token_at.(u) <- b;
-    token_at.(v) <- a;
-    position_of.(a) <- v;
-    position_of.(b) <- u
+  let stamp = Array.make n (-1) in
+  let rec from k i =
+    k = depth t
+    || if i = t.starts.(k + 1) then from (k + 1) i
+       else
+         let u = t.ends.(2 * i) and v = t.ends.((2 * i) + 1) in
+         claim ~n stamp k u v && Graph.mem_edge g u v && from k (i + 1)
   in
-  List.iter
-    (fun layer ->
-      if not (layer_is_matching ~n layer) then
+  from 0 0
+
+(* The token at each vertex after running [t] from the identity. *)
+let run ~n t =
+  let token_at = Array.init n Fun.id and stamp = Array.make n (-1) in
+  for k = 0 to depth t - 1 do
+    for i = t.starts.(k) to t.starts.(k + 1) - 1 do
+      let u = t.ends.(2 * i) and v = t.ends.((2 * i) + 1) in
+      if not (claim ~n stamp k u v) then
         invalid_arg "Schedule.apply: layer is not a matching";
-      Array.iter do_swap layer)
-    t;
-  Perm.check position_of
+      let a = token_at.(u) in
+      token_at.(u) <- token_at.(v);
+      token_at.(v) <- a
+    done
+  done;
+  token_at
 
-let realizes ~n t p = Perm.equal (apply ~n t) p
+let apply ~n t = Perm.inverse (run ~n t)
 
-let inverse t = List.rev t
-
-let of_swaps swap_list = List.map (fun sw -> [| sw |]) swap_list
-
-let swaps t =
-  List.concat_map (fun layer -> Array.to_list layer) t
-
-let compact ~n t =
-  let last_layer = Array.make n 0 in
-  (* layers.(d) collects swaps assigned to layer d+1 (reversed). *)
-  let buckets : (int * int) list array ref = ref (Array.make 8 []) in
-  let ensure d =
-    if d >= Array.length !buckets then begin
-      let fresh = Array.make (max (d + 1) (2 * Array.length !buckets)) [] in
-      Array.blit !buckets 0 fresh 0 (Array.length !buckets);
-      buckets := fresh
-    end
+(* [p] is the realized permutation iff the token ending at [p.(v)] is [v]
+   for every [v]: that makes [p] injective, so no inverse is built. *)
+let realizes ~n t p =
+  let token_at = run ~n t in
+  let rec from v =
+    v = n
+    ||
+    let x = p.(v) in
+    x >= 0 && x < n && token_at.(x) = v && from (v + 1)
   in
-  let max_depth = ref 0 in
-  List.iter
-    (fun (u, v) ->
-      let d = max last_layer.(u) last_layer.(v) in
-      ensure d;
-      !buckets.(d) <- (u, v) :: !buckets.(d);
-      last_layer.(u) <- d + 1;
-      last_layer.(v) <- d + 1;
-      if d + 1 > !max_depth then max_depth := d + 1)
-    (swaps t);
-  List.init !max_depth (fun d -> Array.of_list (List.rev !buckets.(d)))
+  Array.length p = n && from 0
 
-(* Each layer starts from the static pair: [Array.map] would seed an array
-   longer than Max_young_wosize with a freshly allocated pair, which makes
-   the runtime empty the minor heap once per layer. *)
-let map_vertices f t =
-  List.map
-    (fun layer ->
-      let mapped = Array.make (Array.length layer) (0, 0) in
-      Array.iteri (fun i (u, v) -> mapped.(i) <- (f u, f v)) layer;
-      mapped)
-    t
+let inverse t =
+  let d = depth t in
+  let ends = Array.make (Array.length t.ends) 0 in
+  let starts = Array.make (d + 1) 0 in
+  for k = 0 to d - 1 do
+    let src = d - 1 - k in
+    let len = t.starts.(src + 1) - t.starts.(src) in
+    Array.blit t.ends (2 * t.starts.(src)) ends (2 * starts.(k)) (2 * len);
+    starts.(k + 1) <- starts.(k) + len
+  done;
+  { ends; starts }
+
+(* Two passes: the first gives every swap its layer (one after the last
+   layer that touched either endpoint), the second writes the swaps into
+   exactly sized layers in their original order. *)
+let compact ~n t =
+  let sz = size t in
+  let last_layer = Array.make n 0 and layer_of = Array.make sz 0 in
+  let d = ref 0 in
+  for i = 0 to sz - 1 do
+    let u = t.ends.(2 * i) and v = t.ends.((2 * i) + 1) in
+    let l = max last_layer.(u) last_layer.(v) in
+    layer_of.(i) <- l;
+    last_layer.(u) <- l + 1;
+    last_layer.(v) <- l + 1;
+    if l + 1 > !d then d := l + 1
+  done;
+  let starts = Array.make (!d + 1) 0 in
+  Array.iter (fun l -> starts.(l + 1) <- starts.(l + 1) + 1) layer_of;
+  for k = 1 to !d do
+    starts.(k) <- starts.(k) + starts.(k - 1)
+  done;
+  let fill = Array.sub starts 0 !d and ends = Array.make (2 * sz) 0 in
+  for i = 0 to sz - 1 do
+    let l = layer_of.(i) in
+    let j = fill.(l) in
+    fill.(l) <- j + 1;
+    ends.(2 * j) <- t.ends.(2 * i);
+    ends.((2 * j) + 1) <- t.ends.((2 * i) + 1)
+  done;
+  { ends; starts }
+
+let map_vertices f t = { t with ends = Array.map f t.ends }
+
+(* Append layer [k]'s swaps, [sep] between two and [u sep_pair v] each. *)
+let layer_to_buffer buf t k ~open_swap ~mid ~close_swap ~sep =
+  for i = t.starts.(k) to t.starts.(k + 1) - 1 do
+    if i > t.starts.(k) then Buffer.add_char buf sep;
+    Buffer.add_string buf open_swap;
+    Json.int_to_buffer buf t.ends.(2 * i);
+    Buffer.add_char buf mid;
+    Json.int_to_buffer buf t.ends.((2 * i) + 1);
+    Buffer.add_string buf close_swap
+  done
 
 let to_string t =
-  let layer_line layer =
-    Array.to_list layer
-    |> List.map (fun (u, v) -> Printf.sprintf "%d-%d" u v)
-    |> String.concat " "
-  in
-  String.concat "\n" (List.map layer_line t)
+  let buf = Buffer.create (12 * size t) in
+  for k = 0 to depth t - 1 do
+    if k > 0 then Buffer.add_char buf '\n';
+    layer_to_buffer buf t k ~open_swap:"" ~mid:'-' ~close_swap:"" ~sep:' '
+  done;
+  Buffer.contents buf
+
+(* A growable int array for the text parser, cut to exact size at the
+   end. *)
+type ints = { mutable data : int array; mutable len : int }
+
+let push b x =
+  if b.len = Array.length b.data then begin
+    let grown = Array.make (2 * b.len) 0 in
+    Array.blit b.data 0 grown 0 b.len;
+    b.data <- grown
+  end;
+  b.data.(b.len) <- x;
+  b.len <- b.len + 1
+
+let contents b = Array.sub b.data 0 b.len
 
 let of_string text =
-  let parse_swap lineno token =
+  let ends = { data = Array.make 16 0; len = 0 } in
+  let starts = { data = Array.make 16 0; len = 1 } in
+  let push_swap token =
     match String.split_on_char '-' token with
     | [ u; v ] -> (
         match (int_of_string_opt u, int_of_string_opt v) with
-        | Some u, Some v when u >= 0 && v >= 0 && u <> v -> Ok (u, v)
-        | _ -> Error (Printf.sprintf "line %d: bad swap %S" lineno token))
-    | _ -> Error (Printf.sprintf "line %d: bad swap %S" lineno token)
+        | Some u, Some v when u >= 0 && v >= 0 && u <> v ->
+            push ends u;
+            push ends v;
+            true
+        | _ -> false)
+    | _ -> false
   in
-  let parse_line lineno line =
-    let tokens =
-      String.split_on_char ' ' (String.trim line)
-      |> List.filter (fun s -> s <> "")
-    in
-    List.fold_left
-      (fun acc token ->
-        match acc with
-        | Error _ as e -> e
-        | Ok swaps -> (
-            match parse_swap lineno token with
-            | Ok swap -> Ok (swap :: swaps)
-            | Error _ as e -> e))
-      (Ok []) tokens
-    |> Result.map (fun swaps -> Array.of_list (List.rev swaps))
+  let rec lines lineno = function
+    | [] -> Ok { ends = contents ends; starts = contents starts }
+    | line :: rest ->
+        let rec tokens = function
+          | [] ->
+              push starts (ends.len / 2);
+              lines (lineno + 1) rest
+          | "" :: more -> tokens more
+          | token :: more ->
+              if push_swap token then tokens more
+              else Error (Printf.sprintf "line %d: bad swap %S" lineno token)
+        in
+        tokens (String.split_on_char ' ' (String.trim line))
   in
-  if String.trim text = "" then Ok []
-  else begin
-    let lines = String.split_on_char '\n' text in
-    let rec go lineno acc = function
-      | [] -> Ok (List.rev acc)
-      | line :: rest -> (
-          match parse_line lineno line with
-          | Ok layer -> go (lineno + 1) (layer :: acc) rest
-          | Error _ as e -> e)
-    in
-    go 1 [] lines
-  end
+  if String.trim text = "" then Ok empty
+  else lines 1 (String.split_on_char '\n' text)
 
 let of_string_exn text =
   match of_string text with
   | Ok t -> t
   | Error msg -> invalid_arg ("Schedule.of_string: " ^ msg)
 
-module Json = Qr_obs.Json
-
 let to_json t =
-  let swap_json (u, v) = Json.List [ Json.Int u; Json.Int v ] in
-  let layer_json layer =
-    Json.List (List.map swap_json (Array.to_list layer))
+  let swap_json i = Json.List [ Json.Int t.ends.(2 * i); Json.Int t.ends.((2 * i) + 1) ] in
+  let layer_json k =
+    Json.List (List.init (t.starts.(k + 1) - t.starts.(k)) (fun i -> swap_json (t.starts.(k) + i)))
   in
   Json.Obj
     [
       ("depth", Json.Int (depth t));
       ("size", Json.Int (size t));
-      ("layers", Json.List (List.map layer_json t));
+      ("layers", Json.List (List.init (depth t) layer_json));
     ]
 
 (* [to_json]'s bytes without its tree: no allocation past the buffer's
-   own growth.  Top-level recursion, so no closure is built per call. *)
-let rec layers_to_buffer buf = function
-  | [] -> ()
-  | layer :: rest ->
-      Buffer.add_char buf '[';
-      for k = 0 to Array.length layer - 1 do
-        let u, v = Array.unsafe_get layer k in
-        if k > 0 then Buffer.add_char buf ',';
-        Buffer.add_char buf '[';
-        Json.int_to_buffer buf u;
-        Buffer.add_char buf ',';
-        Json.int_to_buffer buf v;
-        Buffer.add_char buf ']'
-      done;
-      Buffer.add_char buf ']';
-      (match rest with [] -> () | _ -> Buffer.add_char buf ',');
-      layers_to_buffer buf rest
-
+   own growth. *)
 let to_buffer buf t =
   Buffer.add_string buf {|{"depth":|};
   Json.int_to_buffer buf (depth t);
   Buffer.add_string buf {|,"size":|};
   Json.int_to_buffer buf (size t);
   Buffer.add_string buf {|,"layers":[|};
-  layers_to_buffer buf t;
+  for k = 0 to depth t - 1 do
+    if k > 0 then Buffer.add_char buf ',';
+    Buffer.add_char buf '[';
+    layer_to_buffer buf t k ~open_swap:"[" ~mid:',' ~close_swap:"]" ~sep:',';
+    Buffer.add_char buf ']'
+  done;
   Buffer.add_string buf "]}"
 
+(* Two passes over the layers: the first sizes the arrays (a malformed
+   layer counts as empty), the second fills them and reports the first
+   malformed layer or swap in document order. *)
 let of_json json =
   let ( let* ) = Result.bind in
-  let swap_of_json = function
-    | Json.List [ Json.Int u; Json.Int v ] when u >= 0 && v >= 0 && u <> v ->
-        Ok (u, v)
-    | j -> Error (Printf.sprintf "bad swap %s" (Json.to_string j))
-  in
-  let layer_of_json = function
-    | Json.List swaps ->
-        let* swaps =
-          List.fold_left
-            (fun acc j ->
-              let* acc = acc in
-              let* sw = swap_of_json j in
-              Ok (sw :: acc))
-            (Ok []) swaps
-        in
-        Ok (Array.of_list (List.rev swaps))
-    | j -> Error (Printf.sprintf "bad layer %s" (Json.to_string j))
-  in
-  let* layers =
+  let* layer_jsons =
     match Json.member "layers" json with
-    | Some (Json.List layers) ->
-        List.fold_left
-          (fun acc j ->
-            let* acc = acc in
-            let* layer = layer_of_json j in
-            Ok (layer :: acc))
-          (Ok []) layers
-        |> Result.map List.rev
+    | Some (Json.List layers) -> Ok layers
     | Some j ->
         Error (Printf.sprintf "layers: expected a list, got %s"
                  (Json.to_string j))
     | None -> Error "missing field layers"
   in
+  let d = List.length layer_jsons in
+  let starts = Array.make (d + 1) 0 in
+  List.iteri
+    (fun k j ->
+      let len = match j with Json.List swaps -> List.length swaps | _ -> 0 in
+      starts.(k + 1) <- starts.(k) + len)
+    layer_jsons;
+  let ends = Array.make (2 * starts.(d)) 0 in
+  let rec fill_swaps i = function
+    | [] -> Ok ()
+    | Json.List [ Json.Int u; Json.Int v ] :: rest when u >= 0 && v >= 0 && u <> v ->
+        ends.(2 * i) <- u;
+        ends.((2 * i) + 1) <- v;
+        fill_swaps (i + 1) rest
+    | j :: _ -> Error (Printf.sprintf "bad swap %s" (Json.to_string j))
+  in
+  let rec fill_layers k = function
+    | [] -> Ok ()
+    | Json.List swaps :: rest ->
+        let* () = fill_swaps starts.(k) swaps in
+        fill_layers (k + 1) rest
+    | j :: _ -> Error (Printf.sprintf "bad layer %s" (Json.to_string j))
+  in
+  let* () = fill_layers 0 layer_jsons in
+  let t = { ends; starts } in
   (* depth/size are redundant but, when present, must agree — a cheap
      integrity check on hand-written or relayed documents. *)
   let* () =
     match Json.member "depth" json with
     | None -> Ok ()
-    | Some (Json.Int d) when d = depth layers -> Ok ()
+    | Some (Json.Int d) when d = depth t -> Ok ()
     | Some j ->
         Error (Printf.sprintf "depth %s disagrees with %d layers"
-                 (Json.to_string j) (depth layers))
+                 (Json.to_string j) (depth t))
   in
   let* () =
     match Json.member "size" json with
     | None -> Ok ()
-    | Some (Json.Int s) when s = size layers -> Ok ()
+    | Some (Json.Int s) when s = size t -> Ok ()
     | Some j ->
         Error (Printf.sprintf "size %s disagrees with %d swaps"
-                 (Json.to_string j) (size layers))
+                 (Json.to_string j) (size t))
   in
-  Ok layers
+  Ok t
 
 let of_json_exn json =
   match of_json json with
@@ -253,10 +353,11 @@ let of_json_exn json =
 
 let pp fmt t =
   Format.fprintf fmt "@[<v>";
-  List.iteri
-    (fun i layer ->
-      Format.fprintf fmt "layer %d:" i;
-      Array.iter (fun (u, v) -> Format.fprintf fmt " (%d %d)" u v) layer;
-      Format.fprintf fmt "@,")
-    t;
+  for k = 0 to depth t - 1 do
+    Format.fprintf fmt "layer %d:" k;
+    for i = t.starts.(k) to t.starts.(k + 1) - 1 do
+      Format.fprintf fmt " (%d %d)" t.ends.(2 * i) t.ends.((2 * i) + 1)
+    done;
+    Format.fprintf fmt "@,"
+  done;
   Format.fprintf fmt "@]"

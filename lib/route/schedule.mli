@@ -5,21 +5,50 @@
     coupling graph.  The schedule's {e depth} (layer count) is the quantity
     the paper minimizes — each layer adds one SWAP-round to the physical
     circuit — and its {e size} is the total SWAP count, the serial
-    token-swapping objective. *)
+    token-swapping objective.
+
+    A schedule is stored flat: one exactly sized [int array] holding the
+    two endpoints of every swap, layer after layer, and one [int array] of
+    layer offsets.  No swap is a boxed pair, so a schedule is two blocks
+    however many swaps it holds, and a large one is allocated straight on
+    the major heap (DESIGN.md, "Kernel allocation").  Nothing else is
+    stored, so two schedules with the same layers are structurally equal
+    and polymorphic [=] compares them.  {!layers} and {!of_layers} convert
+    to and from the list of pair arrays for code that reads or writes one
+    layer at a time. *)
 
 type layer = (int * int) array
-(** Disjoint swap pairs; order within a layer is irrelevant. *)
+(** Disjoint swap pairs; order within a layer is irrelevant to the
+    permutation but kept by every function here. *)
 
-type t = layer list
+type t
 (** Layers in execution order. *)
 
 val empty : t
 
 val depth : t -> int
-(** Number of layers. *)
+(** Number of layers, in O(1). *)
 
 val size : t -> int
-(** Total number of swaps. *)
+(** Total number of swaps, in O(1). *)
+
+val layers : t -> layer list
+(** The layers as pair arrays, in execution order. *)
+
+val of_layers : layer list -> t
+(** The inverse of {!layers}: [of_layers (layers s) = s].  Layers may be
+    empty; nothing is checked ({!is_valid}, {!apply}). *)
+
+val of_flat : ends:int array -> starts:int array -> t
+(** A schedule over arrays written in place, as the routing kernel writes
+    them: swap [i] is [ends.(2i)]–[ends.(2i+1)], and layer [k] holds swaps
+    [starts.(k)] to [starts.(k+1) - 1].  The schedule takes both arrays
+    over; the caller must not write to them afterwards.
+    @raise Invalid_argument unless [starts] rises from [0] to
+    [Array.length ends / 2] without falling. *)
+
+val iter : (int -> int -> unit) -> t -> unit
+(** [iter f t] calls [f u v] on every swap, in execution order. *)
 
 val concat : t -> t -> t
 (** Sequential composition: run the first schedule, then the second. *)
@@ -29,7 +58,8 @@ val layer_is_matching : n:int -> layer -> bool
 
 val is_valid : Qr_graph.Graph.t -> t -> bool
 (** Every layer is a matching of the graph: endpoints disjoint, every pair
-    an edge. *)
+    an edge.  Like {!apply} and {!realizes}, it allocates O(n) words, not
+    one array per layer. *)
 
 val apply : n:int -> t -> Qr_perm.Perm.t
 (** The permutation the schedule realizes on [n] vertices: token starting at
@@ -37,7 +67,8 @@ val apply : n:int -> t -> Qr_perm.Perm.t
     reuses a vertex or indexes out of range. *)
 
 val realizes : n:int -> t -> Qr_perm.Perm.t -> bool
-(** [realizes ~n t p] iff [apply ~n t = p]. *)
+(** [realizes ~n t p] iff [apply ~n t = p], without building the realized
+    permutation.  @raise Invalid_argument as {!apply} does. *)
 
 val inverse : t -> t
 (** Reversed layer order; realizes the inverse permutation (swaps are

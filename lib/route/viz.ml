@@ -73,17 +73,14 @@ let schedule_ascii grid sched =
         (fun step layer ->
           Buffer.add_string buffer (Printf.sprintf "layer %d:\n" step);
           Buffer.add_string buffer (layer_ascii grid layer))
-        sched)
+        (Schedule.layers sched))
 
 let occupancy_ascii grid sched =
   let counts = Array.make (Grid.size grid) 0 in
-  List.iter
-    (fun layer ->
-      Array.iter
-        (fun (u, v) ->
-          counts.(u) <- counts.(u) + 1;
-          counts.(v) <- counts.(v) + 1)
-        layer)
+  Schedule.iter
+    (fun u v ->
+      counts.(u) <- counts.(u) + 1;
+      counts.(v) <- counts.(v) + 1)
     sched;
   lattice grid
     ~vertex:(fun r c ->
@@ -110,7 +107,7 @@ let schedule_dot grid sched =
           if not (Hashtbl.mem first_use key) then
             Hashtbl.replace first_use key step)
         layer)
-    sched;
+    (Schedule.layers sched);
   let palette = [| "red"; "orange"; "gold"; "green"; "blue"; "purple" |] in
   buffer_build (fun buffer ->
       Buffer.add_string buffer "graph schedule {\n  node [shape=point];\n";

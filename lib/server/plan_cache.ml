@@ -103,9 +103,10 @@ let push_front t e =
    nonempty schedule (wrong permutation), or invent a swap for an empty
    one.  The stored entry itself is never mutated, so evicting and
    replanning heals the poisoned key. *)
-let corrupt_schedule = function
-  | [] -> [ [| (0, 1) |] ]
-  | _ :: rest -> rest
+let corrupt_schedule s =
+  match Schedule.layers s with
+  | [] -> Schedule.of_layers [ [| (0, 1) |] ]
+  | _ :: rest -> Schedule.of_layers rest
 
 let find t k =
   Fault.point "cache.find" ~f:(fun () -> ());

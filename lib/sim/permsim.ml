@@ -17,7 +17,7 @@ let trace ~n sched =
           token_at.(v) <- tmp)
         layer;
       snapshots := Array.copy token_at :: !snapshots)
-    sched;
+    (Schedule.layers sched);
   List.rev !snapshots
 
 let final ~n sched =
@@ -31,18 +31,15 @@ let max_token_travel oracle ~n sched =
   let travelled = Array.make n 0 in
   let position_of = Array.init n (fun v -> v) in
   let token_at = Array.init n (fun v -> v) in
-  List.iter
-    (fun layer ->
-      Array.iter
-        (fun (u, v) ->
-          let a = token_at.(u) and b = token_at.(v) in
-          travelled.(a) <- travelled.(a) + Distance.dist oracle u v;
-          travelled.(b) <- travelled.(b) + Distance.dist oracle u v;
-          token_at.(u) <- b;
-          token_at.(v) <- a;
-          position_of.(a) <- v;
-          position_of.(b) <- u)
-        layer)
+  Schedule.iter
+    (fun u v ->
+      let a = token_at.(u) and b = token_at.(v) in
+      travelled.(a) <- travelled.(a) + Distance.dist oracle u v;
+      travelled.(b) <- travelled.(b) + Distance.dist oracle u v;
+      token_at.(u) <- b;
+      token_at.(v) <- a;
+      position_of.(a) <- v;
+      position_of.(b) <- u)
     sched;
   Array.fold_left max 0 travelled
 

@@ -55,7 +55,7 @@ let route_one ~seed g oracle pi =
                 Metrics.incr c_fallbacks;
                 push_layer [ arc ]))
   done;
-  let sched = Schedule.compact ~n (List.rev !layers) in
+  let sched = Schedule.compact ~n (Schedule.of_layers (List.rev !layers)) in
   assert (Schedule.realizes ~n sched pi);
   sched
 

@@ -102,7 +102,7 @@ let test_circuit_concat_mismatch () =
       ignore (Circuit.concat a b))
 
 let test_circuit_of_schedule () =
-  let s = [ [| (0, 1); (2, 3) |]; [| (1, 2) |] ] in
+  let s = Schedule.of_layers [ [| (0, 1); (2, 3) |]; [| (1, 2) |] ] in
   let c = Circuit.of_schedule ~num_qubits:4 s in
   checki "three swaps" 3 (Circuit.swap_count c);
   checki "depth 2" 2 (Circuit.depth c)
@@ -184,7 +184,7 @@ let test_layout_inverse_consistency () =
 let test_layout_apply_schedule () =
   let l = Layout.identity 3 in
   (* Swap physical 0 and 1: logical 0 is now on physical 1. *)
-  let l' = Layout.apply_schedule l [ [| (0, 1) |] ] in
+  let l' = Layout.apply_schedule l (Schedule.of_layers [ [| (0, 1) |] ]) in
   checki "moved" 1 (Layout.phys l' 0);
   checki "moved" 0 (Layout.phys l' 1);
   checki "fixed" 2 (Layout.phys l' 2)
@@ -250,12 +250,13 @@ let test_permutation_circuit_realizes () =
     let c = Library.permutation_circuit pi in
     (* Interpret the SWAP gates as a schedule and check it realizes pi. *)
     let sched =
-      List.map
-        (fun g ->
-          match g with
-          | Gate.Two (Gate.SWAP, a, b) -> [| (a, b) |]
-          | _ -> Alcotest.fail "only swaps expected")
-        (Circuit.gates c)
+      Schedule.of_layers
+        (List.map
+           (fun g ->
+             match g with
+             | Gate.Two (Gate.SWAP, a, b) -> [| (a, b) |]
+             | _ -> Alcotest.fail "only swaps expected")
+           (Circuit.gates c))
     in
     checkb "realizes" true (Schedule.realizes ~n sched pi)
   done

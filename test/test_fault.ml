@@ -338,7 +338,8 @@ let () =
             supports_partial = false;
           };
         route =
-          (fun _ _ input -> [ [| (0, Router_intf.input_size input - 1) |] ]);
+          (fun _ _ input ->
+            Schedule.of_layers [ [| (0, Router_intf.input_size input - 1) |] ]);
       }
   with Invalid_argument _ -> ()
 
@@ -350,10 +351,10 @@ let test_validate () =
   let good = Router_intf.route_grid (Router_registry.get "local") grid3 rev9 in
   checkb "good schedule validates" true
     (Router_registry.validate input good = Ok ());
-  (match Router_registry.validate input [ [| (0, 8) |] ] with
+  (match Router_registry.validate input (Schedule.of_layers [ [| (0, 8) |] ]) with
   | Error reason -> checkb "invalid layer reported" true (reason <> "")
   | Ok () -> Alcotest.fail "non-adjacent swap must not validate");
-  match Router_registry.validate input [] with
+  match Router_registry.validate input Schedule.empty with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "empty schedule does not realize a reversal"
 

@@ -255,7 +255,8 @@ let rounds_match_reference =
       let pi = Perm.check (Rng.permutation (Rng.create seed) (m * n)) in
       List.for_all
         (fun sigmas ->
-          Grid_route.route_with_sigmas grid pi sigmas = reference_rounds grid pi sigmas)
+          Grid_route.route_with_sigmas grid pi sigmas
+          = Schedule.of_layers (reference_rounds grid pi sigmas))
         [ whole_sigmas grid pi; Local.sigmas grid pi ])
 
 let () =

@@ -133,7 +133,7 @@ let optimize_idempotent =
 (* --------------------------------------------------- Schedule serialization *)
 
 let test_schedule_roundtrip () =
-  let s = [ [| (0, 1); (2, 3) |]; [| (1, 2) |] ] in
+  let s = Schedule.of_layers [ [| (0, 1); (2, 3) |]; [| (1, 2) |] ] in
   (match Schedule.of_string (Schedule.to_string s) with
   | Ok parsed ->
       checkb "roundtrip" true

@@ -159,7 +159,7 @@ let test_plan_cache_hammer () =
       ~config:Router_config.default
   in
   let keys = Array.init key_space key_of in
-  let sched_of j = [ [| (j, j + 1) |] ] in
+  let sched_of j = Qr_route.Schedule.of_layers [ [| (j, j + 1) |] ] in
   let domains = 4 and iterations = 500 in
   let results =
     join_all

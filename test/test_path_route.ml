@@ -9,7 +9,7 @@ let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 
 (* Local layers of (p, p+1) pairs -> Schedule on [0..k-1]. *)
-let to_schedule layers = List.map Array.of_list layers
+let to_schedule layers = Schedule.of_layers (List.map Array.of_list layers)
 
 let realizes dests layers =
   let k = Array.length dests in

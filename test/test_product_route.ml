@@ -16,7 +16,7 @@ let checki = Alcotest.check Alcotest.int
 (* Factor router for paths: odd-even transposition. *)
 let path_router g pi =
   assert (Graph.num_vertices g = Array.length pi);
-  List.map Array.of_list (Path_route.route_min_parity pi)
+  Schedule.of_layers (List.map Array.of_list (Path_route.route_min_parity pi))
 
 (* Generic factor router for non-path factors: parallel token swapping. *)
 let ats_router g pi =

@@ -17,23 +17,23 @@ let base_instance () =
 
 let test_detects_dropped_layer () =
   let grid, pi, sched = base_instance () in
-  match sched with
+  match Schedule.layers sched with
   | [] -> Alcotest.fail "expected a nonempty schedule"
   | _ :: corrupted ->
       checkb "dropped layer caught" false
-        (Schedule.realizes ~n:(Grid.size grid) corrupted pi)
+        (Schedule.realizes ~n:(Grid.size grid) (Schedule.of_layers corrupted) pi)
 
 let test_detects_duplicated_layer () =
   let grid, pi, sched = base_instance () in
-  match sched with
-  | first :: _ ->
+  match Schedule.layers sched with
+  | first :: _ as layers ->
       checkb "duplicated layer caught" false
-        (Schedule.realizes ~n:(Grid.size grid) (first :: sched) pi)
+        (Schedule.realizes ~n:(Grid.size grid) (Schedule.of_layers (first :: layers)) pi)
   | [] -> Alcotest.fail "expected a nonempty schedule"
 
 let test_detects_reordered_layers () =
   let grid, pi, sched = base_instance () in
-  let reversed = List.rev sched in
+  let reversed = Schedule.of_layers (List.rev (Schedule.layers sched)) in
   (* Either the reversed schedule fails to realize pi, or pi happens to be
      an involution-like case — rule that out by checking against the
      inverse too: reversal realizes the inverse, which differs from pi
@@ -44,7 +44,7 @@ let test_detects_reordered_layers () =
 
 let test_detects_non_matching_layer () =
   let grid, _, _ = base_instance () in
-  let bad = [ [| (0, 1); (1, 2) |] ] in
+  let bad = Schedule.of_layers [ [| (0, 1); (1, 2) |] ] in
   checkb "vertex reuse rejected" false
     (Schedule.is_valid (Grid.graph grid) bad)
 
@@ -52,7 +52,7 @@ let test_detects_non_edge_swap () =
   let grid, _, _ = base_instance () in
   (* (0, 5) is a diagonal on a 4x4 grid: not a coupling edge. *)
   checkb "non-edge rejected" false
-    (Schedule.is_valid (Grid.graph grid) [ [| (0, 5) |] ])
+    (Schedule.is_valid (Grid.graph grid) (Schedule.of_layers [ [| (0, 5) |] ]))
 
 let test_detects_corrupted_sigmas () =
   (* Sigmas built for one permutation, used with another: either the

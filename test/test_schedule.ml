@@ -16,19 +16,19 @@ let test_empty () =
     (Schedule.realizes ~n:4 Schedule.empty (Perm.identity 4))
 
 let test_depth_size () =
-  let s = [ [| (0, 1); (2, 3) |]; [| (1, 2) |] ] in
+  let s = Schedule.of_layers [ [| (0, 1); (2, 3) |]; [| (1, 2) |] ] in
   checki "depth" 2 (Schedule.depth s);
   checki "size" 3 (Schedule.size s)
 
 let test_apply_single_swap () =
-  let s = [ [| (0, 1) |] ] in
+  let s = Schedule.of_layers [ [| (0, 1) |] ] in
   Alcotest.check
     Alcotest.(array int)
     "transposition" [| 1; 0; 2 |] (Schedule.apply ~n:3 s)
 
 let test_apply_sequencing () =
   (* (0,1) then (1,2): token 0 -> 1 -> 2; token 1 -> 0; token 2 -> 1. *)
-  let s = [ [| (0, 1) |]; [| (1, 2) |] ] in
+  let s = Schedule.of_layers [ [| (0, 1) |]; [| (1, 2) |] ] in
   Alcotest.check
     Alcotest.(array int)
     "three-cycle" [| 2; 0; 1 |] (Schedule.apply ~n:3 s)
@@ -36,7 +36,7 @@ let test_apply_sequencing () =
 let test_apply_rejects_overlap () =
   Alcotest.check_raises "overlapping layer"
     (Invalid_argument "Schedule.apply: layer is not a matching") (fun () ->
-      ignore (Schedule.apply ~n:3 [ [| (0, 1); (1, 2) |] ]))
+      ignore (Schedule.apply ~n:3 (Schedule.of_layers [ [| (0, 1); (1, 2) |] ])))
 
 let test_layer_is_matching () =
   checkb "ok" true (Schedule.layer_is_matching ~n:4 [| (0, 1); (2, 3) |]);
@@ -46,8 +46,8 @@ let test_layer_is_matching () =
 
 let test_is_valid_checks_edges () =
   let g = Graph.path 4 in
-  checkb "path edges ok" true (Schedule.is_valid g [ [| (0, 1); (2, 3) |] ]);
-  checkb "chord rejected" false (Schedule.is_valid g [ [| (0, 2) |] ])
+  checkb "path edges ok" true (Schedule.is_valid g (Schedule.of_layers [ [| (0, 1); (2, 3) |] ]));
+  checkb "chord rejected" false (Schedule.is_valid g (Schedule.of_layers [ [| (0, 2) |] ]))
 
 let test_inverse_realizes_inverse () =
   let rng = Rng.create 1 in
@@ -67,7 +67,7 @@ let test_of_swaps_and_swaps_roundtrip () =
     "roundtrip" swaps (Schedule.swaps s)
 
 let test_concat () =
-  let a = [ [| (0, 1) |] ] and b = [ [| (2, 3) |] ] in
+  let a = Schedule.of_layers [ [| (0, 1) |] ] and b = Schedule.of_layers [ [| (2, 3) |] ] in
   let s = Schedule.concat a b in
   checki "depth adds" 2 (Schedule.depth s)
 
@@ -127,7 +127,7 @@ let test_compact_reaches_critical_path () =
   done
 
 let test_json_shape () =
-  let s = [ [| (0, 1); (2, 3) |]; [| (1, 2) |] ] in
+  let s = Schedule.of_layers [ [| (0, 1); (2, 3) |]; [| (1, 2) |] ] in
   Alcotest.check Alcotest.string "wire shape"
     {|{"depth":2,"size":3,"layers":[[[0,1],[2,3]],[[1,2]]]}|}
     (Qr_obs.Json.to_string (Schedule.to_json s));
@@ -155,7 +155,7 @@ let test_of_json_validates () =
   (* depth/size optional; an empty layer is a valid (wasteful) layer. *)
   checkb "layers alone suffice" true
     (Schedule.of_json (parse {|{"layers": [[], [[0,1]]]}|})
-    = Ok [ [||]; [| (0, 1) |] ])
+    = Ok (Schedule.of_layers [ [||]; [| (0, 1) |] ]))
 
 let json_roundtrip_exact =
   QCheck.Test.make
@@ -164,10 +164,11 @@ let json_roundtrip_exact =
     QCheck.(small_list (small_list (pair (int_bound 7) (int_bound 7))))
     (fun raw ->
       let s =
-        List.map
-          (fun layer ->
-            Array.of_list (List.filter (fun (a, b) -> a <> b) layer))
-          raw
+        Schedule.of_layers
+          (List.map
+             (fun layer ->
+               Array.of_list (List.filter (fun (a, b) -> a <> b) layer))
+             raw)
       in
       let doc = Schedule.to_json s in
       (* Structural round-trip, and byte-level through print/parse. *)
@@ -186,7 +187,7 @@ let to_buffer_matches_printed_tree =
   QCheck.Test.make ~name:"to_buffer = printed to_json" ~count:500
     QCheck.(small_list (small_list (pair id id)))
     (fun raw ->
-      let s = List.map Array.of_list raw in
+      let s = Schedule.of_layers (List.map Array.of_list raw) in
       let buf = Buffer.create 16 in
       Buffer.add_string buf "prefix";
       Schedule.to_buffer buf s;
@@ -197,7 +198,8 @@ let to_buffer_matches_printed_tree =
    tree, no string per integer. *)
 let test_to_buffer_allocates_nothing () =
   let sched =
-    List.init 40 (fun l -> Array.init 120 (fun i -> ((2 * i) + l, (2 * i) + 1)))
+    Schedule.of_layers
+      (List.init 40 (fun l -> Array.init 120 (fun i -> ((2 * i) + l, (2 * i) + 1))))
   in
   let buf = Buffer.create 16 in
   Schedule.to_buffer buf sched;
@@ -208,7 +210,7 @@ let test_to_buffer_allocates_nothing () =
   checkb (Printf.sprintf "%.0f minor words = 0" words) true (words = 0.)
 
 let test_map_vertices () =
-  let s = [ [| (0, 1) |] ] in
+  let s = Schedule.of_layers [ [| (0, 1) |] ] in
   let m = Schedule.map_vertices (fun v -> v + 2) s in
   Alcotest.check
     Alcotest.(array int)
@@ -219,7 +221,8 @@ let test_map_vertices () =
    layer (41 collections per call here before the fix). *)
 let test_map_vertices_minor_gcs () =
   let sched =
-    List.init 40 (fun l -> Array.init 512 (fun i -> ((2 * i) + l, (2 * i) + 1)))
+    Schedule.of_layers
+      (List.init 40 (fun l -> Array.init 512 (fun i -> ((2 * i) + l, (2 * i) + 1))))
   in
   for _ = 1 to 20 do
     let before = (Gc.quick_stat ()).Gc.minor_collections in
@@ -244,7 +247,7 @@ let compact_layers_are_matchings =
     (fun pairs ->
       let swaps = List.filter (fun (a, b) -> a <> b) pairs in
       let c = Schedule.compact ~n:8 (Schedule.of_swaps swaps) in
-      List.for_all (fun layer -> Schedule.layer_is_matching ~n:8 layer) c)
+      List.for_all (fun layer -> Schedule.layer_is_matching ~n:8 layer) (Schedule.layers c))
 
 let apply_of_inverse_composes_to_identity =
   QCheck.Test.make ~name:"schedule then inverse = identity" ~count:100

@@ -255,8 +255,8 @@ let test_engines_json () =
 
 (* ----------------------------------------------------------- plan cache *)
 
-let sched_a = [ [| (0, 1) |] ]
-let sched_b = [ [| (2, 3) |]; [| (0, 1) |] ]
+let sched_a = Schedule.of_layers [ [| (0, 1) |] ]
+let sched_b = Schedule.of_layers [ [| (2, 3) |]; [| (0, 1) |] ]
 
 let key_for ?(engine = "local") ?(config = Router_config.default) seed =
   let grid = Grid.make ~rows:2 ~cols:2 in

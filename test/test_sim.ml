@@ -204,11 +204,11 @@ let test_gates_preserve_norm () =
 (* --------------------------------------------------------------- Permsim *)
 
 let test_permsim_trace_length () =
-  let s = [ [| (0, 1) |]; [| (1, 2) |] ] in
+  let s = Schedule.of_layers [ [| (0, 1) |]; [| (1, 2) |] ] in
   checki "depth+1 snapshots" 3 (List.length (Permsim.trace ~n:3 s))
 
 let test_permsim_final () =
-  let s = [ [| (0, 1) |] ] in
+  let s = Schedule.of_layers [ [| (0, 1) |] ] in
   Alcotest.check Alcotest.(array int) "tokens swapped" [| 1; 0; 2 |]
     (Permsim.final ~n:3 s)
 
@@ -227,7 +227,7 @@ let test_permsim_max_travel () =
   let grid = Grid.make ~rows:1 ~cols:3 in
   let oracle = Distance.of_grid grid in
   (* Token 0 moves two steps right: travel 2. *)
-  let s = [ [| (0, 1) |]; [| (1, 2) |] ] in
+  let s = Schedule.of_layers [ [| (0, 1) |]; [| (1, 2) |] ] in
   checki "travel" 2 (Permsim.max_token_travel oracle ~n:3 s)
 
 let test_permsim_travel_at_least_displacement () =

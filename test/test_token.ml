@@ -371,7 +371,7 @@ module Reference = struct
                   let a, b = find_unhappy_arc g dist dest_at priority v in
                   push_layer [ (a, b) ]))
     done;
-    Schedule.compact ~n (List.rev !layers)
+    Schedule.compact ~n (Schedule.of_layers (List.rev !layers))
 
   let route ~trials ~seed g oracle pi =
     let rec best k champion =

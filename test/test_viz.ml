@@ -35,14 +35,14 @@ let test_layer_ascii_draws_swaps () =
 
 let test_schedule_ascii_counts_layers () =
   let grid = Grid.make ~rows:2 ~cols:2 in
-  let sched = [ [| (0, 1) |]; [| (1, 3) |] ] in
+  let sched = Schedule.of_layers [ [| (0, 1) |]; [| (1, 3) |] ] in
   let text = Viz.schedule_ascii grid sched in
   checkb "layer 0" true (contains text "layer 0:");
   checkb "layer 1" true (contains text "layer 1:")
 
 let test_occupancy_counts () =
   let grid = Grid.make ~rows:1 ~cols:3 in
-  let sched = [ [| (0, 1) |]; [| (1, 2) |] ] in
+  let sched = Schedule.of_layers [ [| (0, 1) |]; [| (1, 2) |] ] in
   let text = Viz.occupancy_ascii grid sched in
   (* vertex 1 participates twice, 0 and 2 once. *)
   checkb "pattern" true (contains text "1   2   1")
@@ -55,7 +55,7 @@ let test_graph_dot_wellformed () =
 
 let test_schedule_dot_colors_used_edges () =
   let grid = Grid.make ~rows:2 ~cols:2 in
-  let sched = [ [| (0, 1) |] ] in
+  let sched = Schedule.of_layers [ [| (0, 1) |] ] in
   let text = Viz.schedule_dot grid sched in
   checkb "used edge colored" true (contains text "0 -- 1 [color=red");
   checkb "unused edge gray" true (contains text "color=gray80")
