@@ -20,6 +20,7 @@ type t = {
   name : string;
   capabilities : capabilities;
   route : Router_workspace.t option -> Router_config.t -> input -> Schedule.t;
+  normalize : Router_config.t -> Router_config.t;
 }
 
 exception Unsupported_input of { engine : string; reason : string }
@@ -65,6 +66,7 @@ let c_swap_layers = Metrics.counter "swap_layers"
 let c_swaps_total = Metrics.counter "swaps_total"
 
 let route ?ws ?(config = Router_config.default) engine input =
+  let config = engine.normalize config in
   Trace.with_span "route"
     ~attrs:[ ("strategy", Trace.String engine.name) ]
   @@ fun () ->

@@ -33,6 +33,13 @@ type t = {
   route : Router_workspace.t option -> Router_config.t -> input -> Schedule.t;
       (** The engine itself, with no span, counters or compaction; callers
           go through {!route} or {!run}. *)
+  normalize : Router_config.t -> Router_config.t;
+      (** The configuration the engine routes with: the fields it reads
+          kept, the ones it pins (say [naive]'s whole-multigraph discovery)
+          set to what it uses, every other field at its default.  Routing
+          with [normalize c] gives the same schedule as routing with [c];
+          {!route}'s span reports it and the routing service's plan cache
+          keys on it. *)
 }
 
 exception Unsupported_input of { engine : string; reason : string }
@@ -57,7 +64,8 @@ val run : ?ws:Router_workspace.t -> t -> Router_config.t -> input -> Schedule.t
 
 val route :
   ?ws:Router_workspace.t -> ?config:Router_config.t -> t -> input -> Schedule.t
-(** The observable routing call: {!run} wrapped in the [route] span
+(** The observable routing call: {!run} with the engine's [normalize]d
+    configuration, wrapped in the [route] span
     (engine name and configuration as attributes) with the
     [route_calls]/[swap_layers]/[swaps_total] counters recorded from the
     returned schedule.  Every engine returns a valid schedule realizing the

@@ -241,6 +241,16 @@ let grid_caps ~transpose =
     supports_partial = true;
   }
 
+(* What an engine without the transpose race reads of a configuration:
+   the compaction post-pass ({!Router_intf.run}) alone.  Each engine's
+   [normalize] starts here and keeps or pins the fields it also reads. *)
+let compaction_only c =
+  {
+    Router_config.default with
+    transpose = false;
+    compaction = c.Router_config.compaction;
+  }
+
 let local =
   {
     Router_intf.name = "local";
@@ -254,6 +264,14 @@ let local =
           Local_grid_route.route_best_orientation ?ws ~discovery ~assignment
             grid pi
         else Local_grid_route.route ?ws ~discovery ~assignment grid pi);
+    normalize =
+      (fun c ->
+        {
+          (compaction_only c) with
+          discovery = c.discovery;
+          assignment = c.assignment;
+          transpose = c.transpose;
+        });
   }
 
 let local1 =
@@ -265,6 +283,9 @@ let local1 =
         let grid, pi = Router_intf.require_grid ~engine:"local1" input in
         Local_grid_route.route ?ws ~discovery:config.Router_config.discovery
           ~assignment:config.Router_config.assignment grid pi);
+    normalize =
+      (fun c ->
+        { (compaction_only c) with discovery = c.discovery; assignment = c.assignment });
   }
 
 let naive =
@@ -276,6 +297,8 @@ let naive =
         let grid, pi = Router_intf.require_grid ~engine:"naive" input in
         Local_grid_route.route ?ws ~discovery:Whole ~assignment:Arbitrary grid
           pi);
+    normalize =
+      (fun c -> { (compaction_only c) with discovery = Whole; assignment = Arbitrary });
   }
 
 let snake =
@@ -286,6 +309,7 @@ let snake =
       (fun _ws _config input ->
         let grid, pi = Router_intf.require_grid ~engine:"snake" input in
         Line_route.route grid pi);
+    normalize = compaction_only;
   }
 
 let default_contenders = [ "local"; "naive" ]
@@ -341,6 +365,8 @@ let best =
             Trace.add_attr "winner"
               (Trace.String winner.Router_intf.name);
             sched);
+    (* Contenders read any field, so the configuration stays as given. *)
+    normalize = Fun.id;
   }
 
 let () = List.iter register [ local; local1; naive; snake; best ]

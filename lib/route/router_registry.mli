@@ -55,6 +55,12 @@ val route_generic :
     engine is not registered (link the [qroute] umbrella or call
     [Qr_token.Engines.register ()]). *)
 
+val compaction_only : Router_config.t -> Router_config.t
+(** The configuration an engine without the transpose race reads when it
+    reads nothing else: [compaction] kept, [transpose] off, every other
+    field at its default.  The base of each registered engine's
+    [normalize]. *)
+
 val note_fallback : from:string -> to_:string -> unit
 (** Record a capability fallback: bump [router_fallbacks] and warn on
     stderr once per [from] name.  Exposed for engines that implement their

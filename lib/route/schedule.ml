@@ -96,7 +96,7 @@ let layer_is_matching ~n layer =
    vertex [x], so one array checks every layer's disjointness.  False when
    either endpoint is out of range, they coincide, or layer [k] has
    already used one of them. *)
-let claim ~n stamp k u v =
+let claim ~n (stamp : int array) k u v =
   u >= 0 && u < n && v >= 0 && v < n && u <> v
   && stamp.(u) <> k
   && stamp.(v) <> k

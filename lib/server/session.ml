@@ -228,8 +228,12 @@ let effective_engine t engine =
    both).  In verify mode every hit is re-checked against the routing
    invariant; a hit that no longer verifies (bit rot, a chaos plan's
    [cache.find=corrupt], a poisoned entry) is evicted and replanned —
-   the self-healing path ([plan_cache_invalid]). *)
+   the self-healing path ([plan_cache_invalid]).
+
+   The key holds the configuration the engine routes with, so requests
+   that differ only in fields the engine does not read share one entry. *)
 let routed t grid pi engine config =
+  let config = engine.Router_intf.normalize config in
   let key =
     Plan_cache.key ~grid ~pi ~engine:engine.Router_intf.name ~config
   in

@@ -25,6 +25,13 @@ let ats =
         let graph, dist, pi = graph_of_input input in
         Parallel_ats.route ~trials:config.Router_config.ats_trials
           ~seed:config.Router_config.seed graph dist pi);
+    normalize =
+      (fun c ->
+        {
+          (Router_registry.compaction_only c) with
+          ats_trials = c.Router_config.ats_trials;
+          seed = c.Router_config.seed;
+        });
   }
 
 (* [trials] deliberately stays at [Token_swap.schedule]'s own default: the
@@ -39,6 +46,9 @@ let ats_serial =
       (fun _ws config input ->
         let graph, dist, pi = graph_of_input input in
         Token_swap.schedule ~seed:config.Router_config.seed graph dist pi);
+    normalize =
+      (fun c ->
+        { (Router_registry.compaction_only c) with seed = c.Router_config.seed });
   }
 
 (* Compare-and-set so concurrent [register] calls race safely: exactly

@@ -114,6 +114,25 @@ let config_roundtrip =
       | Ok parsed -> Router_config.equal config parsed
       | Error msg -> QCheck.Test.fail_reportf "no parse: %s" msg)
 
+(* An engine's normalized configuration drops or pins only fields the
+   engine never reads, so it routes every input to the same schedule.
+   Compared through [run], which routes with the configuration as given. *)
+let normalize_keeps_schedules =
+  QCheck.Test.make ~name:"every engine routes c and its normalization alike"
+    ~count:100
+    QCheck.(
+      pair config_arbitrary
+        (triple (int_range 1 5) (int_range 1 5) (int_range 0 10_000)))
+    (fun (config, (m, n, seed)) ->
+      let grid = Grid.make ~rows:m ~cols:n in
+      let pi = Perm.check (Rng.permutation (Rng.create seed) (m * n)) in
+      let input = Router_intf.Grid_input (grid, pi) in
+      List.for_all
+        (fun engine ->
+          Router_intf.run engine config input
+          = Router_intf.run engine (engine.Router_intf.normalize config) input)
+        (Router_registry.all ()))
+
 let test_config_defaults_and_partial () =
   checkb "empty string is default" true
     (Router_config.of_string "" = Ok Router_config.default);
@@ -759,25 +778,40 @@ let test_golden_ats_digests () =
         ats_digest_shapes digests)
     golden_ats_digests
 
-(* The allocation-lean kernel's budget: one route of a fixed 32x32 random
-   permutation.  Minor words are deterministic per input.  Before the
-   kernel worked on flat int arrays this input allocated 1_939_105 minor
-   words per route (and forced about 170 minor collections); the bound is
-   a third of that. *)
+(* The allocation-lean kernel's budget: one route of fixed 32x32
+   permutations.  Minor words are deterministic per input.  Before the
+   kernel worked on flat int arrays the random input allocated 1_939_105
+   minor words per route (and forced about 170 minor collections); while
+   schedules were lists of boxed pairs it allocated 85_274, and the three
+   structured inputs 43_812, 47_683 and 54_280.  Written as one flat
+   array of endpoints, the schedule no longer counts as minor words: the
+   random bound is a third of the boxed-pair count, the structured ones
+   0.6 of theirs. *)
 let test_kernel_minor_words () =
   with_clean_sinks @@ fun () ->
   let grid = Grid.make ~rows:32 ~cols:32 in
-  let pi = Generators.generate grid Generators.Random (Rng.create 42) in
   let engine = Router_registry.get "local" in
-  ignore (Router_intf.route_grid engine grid pi);
-  let before = Gc.minor_words () in
-  let sched = Router_intf.route_grid engine grid pi in
-  let words = Gc.minor_words () -. before in
-  checki "depth" 85 (Schedule.depth sched);
-  checkb
-    (Printf.sprintf "%.0f minor words <= 1_939_105 / 3" words)
-    true
-    (words <= 1_939_105. /. 3.)
+  List.iter
+    (fun (kind, depth, boxed_pair_words, fraction) ->
+      let pi =
+        Generators.generate grid (Option.get (Generators.of_name kind)) (Rng.create 42)
+      in
+      ignore (Router_intf.route_grid engine grid pi);
+      let before = Gc.minor_words () in
+      let sched = Router_intf.route_grid engine grid pi in
+      let words = Gc.minor_words () -. before in
+      Option.iter (checki (kind ^ " depth") (Schedule.depth sched)) depth;
+      checkb
+        (Printf.sprintf "%s: %.0f minor words <= %.0f" kind words
+           (boxed_pair_words *. fraction))
+        true
+        (words <= boxed_pair_words *. fraction))
+    [
+      ("random", Some 85, 85_274., 1. /. 3.);
+      ("block:8", None, 43_812., 0.6);
+      ("overlap:8x0", None, 47_683., 0.6);
+      ("skinny:32", None, 54_280., 0.6);
+    ]
 
 (* The token-swapping engines' budget, measured the same way on the
    benchmark's 12x12 shape.  While ATS rebuilt its swap digraph from
@@ -852,6 +886,7 @@ let () =
       ( "config",
         [
           qc config_roundtrip;
+          qc normalize_keeps_schedules;
           Alcotest.test_case "defaults and partial parse" `Quick
             test_config_defaults_and_partial;
           Alcotest.test_case "parse errors" `Quick test_config_parse_errors;

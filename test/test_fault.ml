@@ -340,6 +340,7 @@ let () =
         route =
           (fun _ _ input ->
             Schedule.of_layers [ [| (0, Router_intf.input_size input - 1) |] ]);
+        normalize = Fun.id;
       }
   with Invalid_argument _ -> ()
 

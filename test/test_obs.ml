@@ -772,6 +772,35 @@ let test_every_engine_traced () =
         ])
     (Qroute.Router_registry.all ())
 
+(* The [route] span reports the configuration the engine routes with: a
+   [naive] route under the default configuration is the whole-multigraph
+   drain with the arbitrary assignment on one orientation, as its own
+   [band_search] span says. *)
+let test_naive_route_span_config () =
+  with_clean_sinks @@ fun () ->
+  let grid = Qroute.Grid.make ~rows:4 ~cols:4 in
+  let pi = Qroute.Rng.permutation (Qroute.Rng.create 7) (Qroute.Grid.size grid) in
+  let _, spans =
+    Trace.run (fun () ->
+        Qroute.Router_intf.route_grid (Qroute.Router_registry.get "naive") grid pi)
+  in
+  let attr span key =
+    match List.find_opt (fun (s : Trace.span) -> s.name = span) spans with
+    | Some s -> List.assoc_opt key s.attrs
+    | None -> Alcotest.failf "no %s span" span
+  in
+  List.iter
+    (fun (key, want) ->
+      checkb ("route " ^ key) true (attr "route" key = Some want))
+    [
+      ("strategy", Trace.String "naive");
+      ("discovery", Trace.String "whole");
+      ("assignment", Trace.String "arbitrary");
+      ("transpose", Trace.Bool false);
+    ];
+  checkb "band_search agrees" true
+    (attr "band_search" "discovery" = Some (Trace.String "whole"))
+
 let () =
   Alcotest.run "qr_obs"
     [
@@ -847,5 +876,7 @@ let () =
             test_routed_counters_consistent;
           Alcotest.test_case "every engine traced" `Quick
             test_every_engine_traced;
+          Alcotest.test_case "naive route span config" `Quick
+            test_naive_route_span_config;
         ] );
     ]

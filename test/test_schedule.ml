@@ -9,6 +9,174 @@ module Rng = Qr_util.Rng
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 
+(* The list-based schedule the flat one replaced: a list of pair arrays,
+   each layer checked with its own flag array.  The flat functions must
+   agree with it on every input, invalid ones included. *)
+module Reference = struct
+  module Json = Qr_obs.Json
+
+  type t = (int * int) array list
+
+  let layer_is_matching ~n layer =
+    let used = Array.make n false in
+    Array.for_all
+      (fun (u, v) ->
+        u >= 0 && u < n && v >= 0 && v < n && u <> v
+        && (not used.(u))
+        && (not used.(v))
+        &&
+        (used.(u) <- true;
+         used.(v) <- true;
+         true))
+      layer
+
+  let is_valid g (t : t) =
+    let n = Graph.num_vertices g in
+    List.for_all
+      (fun layer ->
+        layer_is_matching ~n layer
+        && Array.for_all (fun (u, v) -> Graph.mem_edge g u v) layer)
+      t
+
+  let apply ~n (t : t) =
+    let position_of = Array.init n (fun v -> v) in
+    let token_at = Array.init n (fun v -> v) in
+    let do_swap (u, v) =
+      let a = token_at.(u) and b = token_at.(v) in
+      token_at.(u) <- b;
+      token_at.(v) <- a;
+      position_of.(a) <- v;
+      position_of.(b) <- u
+    in
+    List.iter
+      (fun layer ->
+        if not (layer_is_matching ~n layer) then
+          invalid_arg "Schedule.apply: layer is not a matching";
+        Array.iter do_swap layer)
+      t;
+    Perm.check position_of
+
+  let realizes ~n t p = Perm.equal (apply ~n t) p
+
+  let compact ~n (t : t) : t =
+    let last_layer = Array.make n 0 in
+    let buckets = Hashtbl.create 8 in
+    let max_depth = ref 0 in
+    List.iter
+      (fun (u, v) ->
+        let d = max last_layer.(u) last_layer.(v) in
+        Hashtbl.replace buckets d
+          ((u, v) :: Option.value ~default:[] (Hashtbl.find_opt buckets d));
+        last_layer.(u) <- d + 1;
+        last_layer.(v) <- d + 1;
+        if d + 1 > !max_depth then max_depth := d + 1)
+      (List.concat_map Array.to_list t);
+    List.init !max_depth (fun d ->
+        Array.of_list (List.rev (Option.value ~default:[] (Hashtbl.find_opt buckets d))))
+
+  let map_vertices f (t : t) : t =
+    List.map (Array.map (fun (u, v) -> (f u, f v))) t
+
+  let to_string (t : t) =
+    let layer_line layer =
+      Array.to_list layer
+      |> List.map (fun (u, v) -> Printf.sprintf "%d-%d" u v)
+      |> String.concat " "
+    in
+    String.concat "\n" (List.map layer_line t)
+
+  let of_string text : (t, string) result =
+    let parse_swap lineno token =
+      match String.split_on_char '-' token with
+      | [ u; v ] -> (
+          match (int_of_string_opt u, int_of_string_opt v) with
+          | Some u, Some v when u >= 0 && v >= 0 && u <> v -> Ok (u, v)
+          | _ -> Error (Printf.sprintf "line %d: bad swap %S" lineno token))
+      | _ -> Error (Printf.sprintf "line %d: bad swap %S" lineno token)
+    in
+    let parse_line lineno line =
+      String.split_on_char ' ' (String.trim line)
+      |> List.filter (fun s -> s <> "")
+      |> List.fold_left
+           (fun acc token ->
+             Result.bind acc (fun swaps ->
+                 Result.map (fun sw -> sw :: swaps) (parse_swap lineno token)))
+           (Ok [])
+      |> Result.map (fun swaps -> Array.of_list (List.rev swaps))
+    in
+    if String.trim text = "" then Ok []
+    else
+      let rec go lineno acc = function
+        | [] -> Ok (List.rev acc)
+        | line :: rest ->
+            Result.bind (parse_line lineno line) (fun layer ->
+                go (lineno + 1) (layer :: acc) rest)
+      in
+      go 1 [] (String.split_on_char '\n' text)
+
+  let to_json (t : t) =
+    let swap_json (u, v) = Json.List [ Json.Int u; Json.Int v ] in
+    Json.Obj
+      [
+        ("depth", Json.Int (List.length t));
+        ("size", Json.Int (List.fold_left (fun a l -> a + Array.length l) 0 t));
+        ( "layers",
+          Json.List
+            (List.map (fun l -> Json.List (List.map swap_json (Array.to_list l))) t)
+        );
+      ]
+
+  let of_json json : (t, string) result =
+    let ( let* ) = Result.bind in
+    let swap_of_json = function
+      | Json.List [ Json.Int u; Json.Int v ] when u >= 0 && v >= 0 && u <> v ->
+          Ok (u, v)
+      | j -> Error (Printf.sprintf "bad swap %s" (Json.to_string j))
+    in
+    let all f items =
+      List.fold_left
+        (fun acc j ->
+          let* acc = acc in
+          let* x = f j in
+          Ok (x :: acc))
+        (Ok []) items
+      |> Result.map List.rev
+    in
+    let layer_of_json = function
+      | Json.List swaps -> Result.map Array.of_list (all swap_of_json swaps)
+      | j -> Error (Printf.sprintf "bad layer %s" (Json.to_string j))
+    in
+    let* layers =
+      match Json.member "layers" json with
+      | Some (Json.List layers) -> all layer_of_json layers
+      | Some j ->
+          Error
+            (Printf.sprintf "layers: expected a list, got %s" (Json.to_string j))
+      | None -> Error "missing field layers"
+    in
+    let depth = List.length layers in
+    let size = List.fold_left (fun a l -> a + Array.length l) 0 layers in
+    let* () =
+      match Json.member "depth" json with
+      | None -> Ok ()
+      | Some (Json.Int d) when d = depth -> Ok ()
+      | Some j ->
+          Error
+            (Printf.sprintf "depth %s disagrees with %d layers" (Json.to_string j)
+               depth)
+    in
+    let* () =
+      match Json.member "size" json with
+      | None -> Ok ()
+      | Some (Json.Int s) when s = size -> Ok ()
+      | Some j ->
+          Error
+            (Printf.sprintf "size %s disagrees with %d swaps" (Json.to_string j)
+               size)
+    in
+    Ok layers
+end
+
 let test_empty () =
   checki "depth" 0 (Schedule.depth Schedule.empty);
   checki "size" 0 (Schedule.size Schedule.empty);
@@ -258,6 +426,99 @@ let apply_of_inverse_composes_to_identity =
       let round_trip = Schedule.concat s (Schedule.inverse s) in
       Perm.is_identity (Schedule.apply ~n:6 round_trip))
 
+(* Swap lists on a small grid, invalid ones included: endpoints one past
+   either end of the range, loops, vertices reused within a layer, empty
+   layers.  Also texts from the parser's alphabet. *)
+let reference_case =
+  let open QCheck.Gen in
+  let* rows = int_range 1 3 and* cols = int_range 1 3 in
+  let n = rows * cols in
+  let layer = list_size (int_range 0 4) (pair (int_range (-1) n) (int_range (-1) n)) in
+  let layers = list_size (int_range 0 6) (map Array.of_list layer) in
+  let* a = layers and* b = layers in
+  let* text =
+    string_size ~gen:(oneofl [ '0'; '1'; '7'; '-'; ' '; '\n'; 'x' ]) (int_range 0 16)
+  in
+  return (rows, cols, a, b, text)
+
+let print_case (rows, cols, a, b, text) =
+  Printf.sprintf "%dx%d a=%S b=%S text=%S" rows cols (Reference.to_string a)
+    (Reference.to_string b) text
+
+(* [f]'s result, or the exception it raised. *)
+let outcome f = try Ok (f ()) with e -> Error (Printexc.to_string e)
+
+let flat_agrees_with_reference =
+  QCheck.Test.make ~name:"flat schedule = list-based reference" ~count:1000
+    (QCheck.make ~print:print_case reference_case)
+    (fun (rows, cols, a, b, text) ->
+      let module Json = Qr_obs.Json in
+      let n = rows * cols and g = Grid.graph (Grid.make ~rows ~cols) in
+      let s = Schedule.of_layers a and s2 = Schedule.of_layers b in
+      let flat_result r = Result.map Schedule.of_layers r in
+      let relabel v = ((v * 7) + 3) mod 11 in
+      let agree name x y = x = y || QCheck.Test.fail_reportf "%s differs" name in
+      let via_text t = Schedule.of_string (Schedule.to_string t) in
+      agree "layers" (Schedule.layers s) a
+      && agree "of_layers (layers s)" (Schedule.of_layers (Schedule.layers s)) s
+      && agree "depth" (Schedule.depth s) (List.length a)
+      && agree "size" (Schedule.size s) (List.length (List.concat_map Array.to_list a))
+      && agree "apply"
+           (outcome (fun () -> Schedule.apply ~n s))
+           (outcome (fun () -> Reference.apply ~n a))
+      && agree "realizes the identity"
+           (outcome (fun () -> Schedule.realizes ~n s (Perm.identity n)))
+           (outcome (fun () -> Reference.realizes ~n a (Perm.identity n)))
+      && (match outcome (fun () -> Reference.apply ~n a) with
+         | Ok p ->
+             agree "realizes its permutation" (Schedule.realizes ~n s p) true
+             && agree "realizes a shorter array"
+                  (Schedule.realizes ~n s (Array.sub p 0 (n - 1))) false
+         | Error _ -> true)
+      && agree "is_valid" (Schedule.is_valid g s) (Reference.is_valid g a)
+      && agree "compact"
+           (outcome (fun () -> Schedule.compact ~n s))
+           (outcome (fun () -> Schedule.of_layers (Reference.compact ~n a)))
+      && agree "map_vertices"
+           (Schedule.map_vertices relabel s)
+           (Schedule.of_layers (Reference.map_vertices relabel a))
+      && agree "concat" (Schedule.concat s s2) (Schedule.of_layers (a @ b))
+      && agree "inverse" (Schedule.inverse s) (Schedule.of_layers (List.rev a))
+      && agree "to_string" (Schedule.to_string s) (Reference.to_string a)
+      && agree "text round trip" (via_text s)
+           (flat_result (Reference.of_string (Reference.to_string a)))
+      && agree "of_string" (Schedule.of_string text)
+           (flat_result (Reference.of_string text))
+      && agree "to_json"
+           (Json.to_string (Schedule.to_json s))
+           (Json.to_string (Reference.to_json a))
+      && agree "json round trip"
+           (Schedule.of_json (Json.of_string_exn (Json.to_string (Schedule.to_json s))))
+           (flat_result (Reference.of_json (Reference.to_json a))))
+
+(* The verifier checks disjointness with one stamp per vertex, not a
+   fresh flag array per layer: on the 85-layer 32x32 schedule the
+   list-based [realizes] allocated 90_657 words per call. *)
+let test_realizes_allocates_o_n () =
+  let grid = Grid.make ~rows:32 ~cols:32 in
+  let n = Grid.size grid in
+  let pi =
+    Qr_perm.Generators.generate grid Qr_perm.Generators.Random (Rng.create 42)
+  in
+  let s = Qr_route.Local_grid_route.route_best_orientation grid pi in
+  checki "depth" 85 (Schedule.depth s);
+  let words () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let before = words () in
+  checkb "realizes" true (Schedule.realizes ~n s pi);
+  let allocated = words () -. before in
+  checkb
+    (Printf.sprintf "%.0f words <= 4n = %d" allocated (4 * n))
+    true
+    (allocated <= float_of_int (4 * n))
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "schedule"
@@ -295,5 +556,8 @@ let () =
           qc compact_idempotent;
           qc compact_layers_are_matchings;
           qc apply_of_inverse_composes_to_identity;
+          qc flat_agrees_with_reference;
+          Alcotest.test_case "realizes allocates O(n) words" `Quick
+            test_realizes_allocates_o_n;
         ] );
     ]

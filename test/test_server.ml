@@ -459,6 +459,38 @@ let test_session_repeated_route_hits_cache () =
   checks "identical schedule bytes" sched1 sched2;
   checki "served" 2 (Session.requests_served session)
 
+(* [naive] reads no discovery, assignment or transpose field, so three
+   requests that differ only there are one plan: one miss, two hits, one
+   entry, one schedule. *)
+let test_session_normalized_cache_key () =
+  let session = Session.create () in
+  let line id config =
+    Printf.sprintf
+      {|{"id": %d, "method": "route", "params": {"grid": {"rows": 4, "cols": 4}, "perm": [15,14,13,12,11,10,9,8,7,6,5,4,3,2,1,0], "engine": "naive"%s}}|}
+      id config
+  in
+  let replies =
+    List.map
+      (fun (id, config) -> result_of (Session.handle_line session (line id config)))
+      [
+        (1, "");
+        (2, {|, "config": {"discovery": "whole"}|});
+        (3, {|, "config": {"assignment": "arbitrary"}|});
+      ]
+  in
+  checkb "one miss, then two hits" true
+    (List.map (member_exn "cached") replies
+    = [ Json.Bool false; Json.Bool true; Json.Bool true ]);
+  (match List.map (fun r -> Json.to_string (member_exn "schedule" r)) replies with
+  | [ a; b; c ] ->
+      checks "second schedule" a b;
+      checks "third schedule" a c
+  | _ -> Alcotest.fail "three replies expected");
+  let cache = Session.cache session in
+  checki "misses" 1 (Plan_cache.misses cache);
+  checki "hits" 2 (Plan_cache.hits cache);
+  checki "entries" 1 (Plan_cache.length cache)
+
 let test_session_zero_deadline () =
   (* Acceptance: a 0 ms deadline returns the deadline_exceeded envelope. *)
   let session = Session.create () in
@@ -1144,6 +1176,8 @@ let () =
         [
           Alcotest.test_case "repeat hits cache" `Quick
             test_session_repeated_route_hits_cache;
+          Alcotest.test_case "key ignores fields the engine never reads" `Quick
+            test_session_normalized_cache_key;
           Alcotest.test_case "0ms deadline" `Quick test_session_zero_deadline;
           Alcotest.test_case "error envelopes" `Quick
             test_session_error_envelopes;
