@@ -53,7 +53,8 @@ val depth : rounds -> int
 (** Depth of the schedule {!emit} would write. *)
 
 val emit : ?transposed:bool -> rounds -> Schedule.t
-(** Write the planned schedule, each layer into an exactly sized array.
+(** Write the planned schedule: every swap's two endpoints into one
+    exactly sized int array, layer by layer ({!Schedule.of_flat}).
     With [~transposed:true] the rounds were planned on the transposed
     instance ({!Column_graph.build_transposed}) and vertex ids are lifted
     back to the original grid as each swap is written, as

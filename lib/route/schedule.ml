@@ -190,22 +190,16 @@ let compact ~n t =
 
 let map_vertices f t = { t with ends = Array.map f t.ends }
 
-(* Append layer [k]'s swaps, [sep] between two and [u sep_pair v] each. *)
-let layer_to_buffer buf t k ~open_swap ~mid ~close_swap ~sep =
-  for i = t.starts.(k) to t.starts.(k + 1) - 1 do
-    if i > t.starts.(k) then Buffer.add_char buf sep;
-    Buffer.add_string buf open_swap;
-    Json.int_to_buffer buf t.ends.(2 * i);
-    Buffer.add_char buf mid;
-    Json.int_to_buffer buf t.ends.((2 * i) + 1);
-    Buffer.add_string buf close_swap
-  done
-
 let to_string t =
   let buf = Buffer.create (12 * size t) in
   for k = 0 to depth t - 1 do
     if k > 0 then Buffer.add_char buf '\n';
-    layer_to_buffer buf t k ~open_swap:"" ~mid:'-' ~close_swap:"" ~sep:' '
+    for i = t.starts.(k) to t.starts.(k + 1) - 1 do
+      if i > t.starts.(k) then Buffer.add_char buf ' ';
+      Json.int_to_buffer buf t.ends.(2 * i);
+      Buffer.add_char buf '-';
+      Json.int_to_buffer buf t.ends.((2 * i) + 1)
+    done
   done;
   Buffer.contents buf
 
@@ -283,7 +277,14 @@ let to_buffer buf t =
   for k = 0 to depth t - 1 do
     if k > 0 then Buffer.add_char buf ',';
     Buffer.add_char buf '[';
-    layer_to_buffer buf t k ~open_swap:"[" ~mid:',' ~close_swap:"]" ~sep:',';
+    for i = t.starts.(k) to t.starts.(k + 1) - 1 do
+      if i > t.starts.(k) then Buffer.add_char buf ',';
+      Buffer.add_char buf '[';
+      Json.int_to_buffer buf t.ends.(2 * i);
+      Buffer.add_char buf ',';
+      Json.int_to_buffer buf t.ends.((2 * i) + 1);
+      Buffer.add_char buf ']'
+    done;
     Buffer.add_char buf ']'
   done;
   Buffer.add_string buf "]}"
