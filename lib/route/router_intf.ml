@@ -66,12 +66,13 @@ let c_swap_layers = Metrics.counter "swap_layers"
 let c_swaps_total = Metrics.counter "swaps_total"
 
 let route ?ws ?(config = Router_config.default) engine input =
-  let config = engine.normalize config in
   Trace.with_span "route"
     ~attrs:[ ("strategy", Trace.String engine.name) ]
   @@ fun () ->
   if Trace.enabled () then
-    List.iter (fun (k, v) -> Trace.add_attr k v) (Router_config.to_attrs config);
+    List.iter
+      (fun (k, v) -> Trace.add_attr k v)
+      (Router_config.to_attrs (engine.normalize config));
   (* Make the request's cancellation token ambient for the planning hot
      loops.  The workspace token wins when attached (the serving layer
      sets it per request); otherwise whatever token is already ambient

@@ -64,9 +64,9 @@ val run : ?ws:Router_workspace.t -> t -> Router_config.t -> input -> Schedule.t
 
 val route :
   ?ws:Router_workspace.t -> ?config:Router_config.t -> t -> input -> Schedule.t
-(** The observable routing call: {!run} with the engine's [normalize]d
-    configuration, wrapped in the [route] span
-    (engine name and configuration as attributes) with the
+(** The observable routing call: {!run} wrapped in the [route] span
+    (engine name and the engine's [normalize]d configuration as
+    attributes) with the
     [route_calls]/[swap_layers]/[swaps_total] counters recorded from the
     returned schedule.  Every engine returns a valid schedule realizing the
     input permutation.  @raise Unsupported_input outside the engine's

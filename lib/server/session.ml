@@ -233,9 +233,9 @@ let effective_engine t engine =
    The key holds the configuration the engine routes with, so requests
    that differ only in fields the engine does not read share one entry. *)
 let routed t grid pi engine config =
-  let config = engine.Router_intf.normalize config in
   let key =
-    Plan_cache.key ~grid ~pi ~engine:engine.Router_intf.name ~config
+    Plan_cache.key ~grid ~pi ~engine:engine.Router_intf.name
+      ~config:(engine.Router_intf.normalize config)
   in
   let plan () =
     Router_intf.route ~ws:t.ws ~config (effective_engine t engine)
