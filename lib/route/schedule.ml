@@ -203,51 +203,40 @@ let to_string t =
   done;
   Buffer.contents buf
 
-(* A growable int array for the text parser, cut to exact size at the
-   end. *)
-type ints = { mutable data : int array; mutable len : int }
-
-let push b x =
-  if b.len = Array.length b.data then begin
-    let grown = Array.make (2 * b.len) 0 in
-    Array.blit b.data 0 grown 0 b.len;
-    b.data <- grown
-  end;
-  b.data.(b.len) <- x;
-  b.len <- b.len + 1
-
-let contents b = Array.sub b.data 0 b.len
-
+(* Two passes, as in [of_json]: the first splits the text into lines of
+   tokens and sizes the arrays, the second parses the swaps into them and
+   reports the first bad token. *)
 let of_string text =
-  let ends = { data = Array.make 16 0; len = 0 } in
-  let starts = { data = Array.make 16 0; len = 1 } in
-  let push_swap token =
+  let swap_of_token token =
     match String.split_on_char '-' token with
     | [ u; v ] -> (
         match (int_of_string_opt u, int_of_string_opt v) with
-        | Some u, Some v when u >= 0 && v >= 0 && u <> v ->
-            push ends u;
-            push ends v;
-            true
-        | _ -> false)
-    | _ -> false
+        | Some u, Some v when u >= 0 && v >= 0 && u <> v -> Some (u, v)
+        | _ -> None)
+    | _ -> None
   in
-  let rec lines lineno = function
-    | [] -> Ok { ends = contents ends; starts = contents starts }
-    | line :: rest ->
-        let rec tokens = function
-          | [] ->
-              push starts (ends.len / 2);
-              lines (lineno + 1) rest
-          | "" :: more -> tokens more
-          | token :: more ->
-              if push_swap token then tokens more
-              else Error (Printf.sprintf "line %d: bad swap %S" lineno token)
-        in
-        tokens (String.split_on_char ' ' (String.trim line))
+  let lines =
+    List.map
+      (fun line ->
+        List.filter (fun s -> s <> "") (String.split_on_char ' ' (String.trim line)))
+      (String.split_on_char '\n' text)
   in
-  if String.trim text = "" then Ok empty
-  else lines 1 (String.split_on_char '\n' text)
+  let d = List.length lines in
+  let starts = Array.make (d + 1) 0 in
+  List.iteri (fun k tokens -> starts.(k + 1) <- starts.(k) + List.length tokens) lines;
+  let ends = Array.make (2 * starts.(d)) 0 in
+  let rec fill lineno i = function
+    | [] -> Ok { ends; starts }
+    | [] :: rest -> fill (lineno + 1) i rest
+    | (token :: more) :: rest -> (
+        match swap_of_token token with
+        | Some (u, v) ->
+            ends.(2 * i) <- u;
+            ends.((2 * i) + 1) <- v;
+            fill lineno (i + 1) (more :: rest)
+        | None -> Error (Printf.sprintf "line %d: bad swap %S" lineno token))
+  in
+  if String.trim text = "" then Ok empty else fill 1 0 lines
 
 let of_string_exn text =
   match of_string text with

@@ -9,9 +9,9 @@
 
     A schedule is stored flat: one exactly sized [int array] holding the
     two endpoints of every swap, layer after layer, and one [int array] of
-    layer offsets.  No swap is a boxed pair, so a schedule is two blocks
-    however many swaps it holds, and a large one is allocated straight on
-    the major heap (DESIGN.md, "Kernel allocation").  Nothing else is
+    layer offsets.  No swap is a boxed pair, so a schedule is a record of
+    two arrays however many swaps it holds, and a large one is allocated
+    straight on the major heap (DESIGN.md, "Kernel allocation").  Nothing else is
     stored, so two schedules with the same layers are structurally equal
     and polymorphic [=] compares them.  {!layers} and {!of_layers} convert
     to and from the list of pair arrays for code that reads or writes one
