@@ -8,8 +8,11 @@
     (8 little-endian bytes per entry), the engine's registry name and the
     configuration's canonical text form.  The fixed-width fields come
     first and the engine name is length-prefixed, so two keys are equal
-    exactly when all of their parts are.  Cached schedules are returned
-    as-is, so a hit is byte-identical to the original response.
+    exactly when all of their parts are.  The routing service passes the
+    engine's normalized configuration ([Router_intf.t]'s [normalize]), so
+    requests that differ only in fields the engine never reads share one
+    key.  Cached schedules are returned as-is, so a hit is
+    byte-identical to the original response.
 
     Hits, misses and evictions are counted both per cache (the accessors
     below, for [health] reports and tests) and in the global
