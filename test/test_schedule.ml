@@ -384,9 +384,9 @@ let test_map_vertices () =
     Alcotest.(array int)
     "shifted" [| 0; 1; 3; 2 |] (Schedule.apply ~n:4 m)
 
-(* Layers longer than Max_young_wosize (256 words) must not be seeded
-   with a fresh pair: the runtime would empty the minor heap once per
-   layer (41 collections per call here before the fix). *)
+(* Relabelling a schedule with layers longer than Max_young_wosize (256
+   words) must not empty the minor heap once per layer, as seeding each
+   layer with a fresh pair did (41 collections per call here). *)
 let test_map_vertices_minor_gcs () =
   let sched =
     Schedule.of_layers
