@@ -2,8 +2,8 @@
    metrics under contention, per-domain trace buffers, once-only logging
    across domains, the locked plan cache hammered from several domains,
    the worker pool's ordering/shedding/shutdown contracts, pool-mode
-   route_batch equivalence, and the determinism of per-domain fault
-   streams.  Everything here must hold on a single-core box too — the
+   route_batch equivalence and request scope, and the determinism of
+   per-domain fault streams.  Everything here must hold on a single-core box too — the
    schedulers just interleave more coarsely. *)
 
 module Json = Qr_obs.Json
@@ -11,6 +11,7 @@ module Metrics = Qr_obs.Metrics
 module Trace = Qr_obs.Trace
 module Log = Qr_obs.Log
 module Fault = Qr_fault.Fault
+module Cancel = Qr_util.Cancel
 module Rng = Qr_util.Rng
 module Grid = Qr_graph.Grid
 module Perm = Qr_perm.Perm
@@ -341,6 +342,85 @@ let test_route_batch_pool_equals_serial () =
         (Json.to_string (member field pooled)))
     [ "engine"; "schedules"; "cached"; "completed" ]
 
+(* What the probe engine saw of one route_batch item: the domain it ran
+   on, whether the ambient cancel token was the request's, and the trace
+   id in force. *)
+type sighting = { domain : int; token : bool; trace : string option }
+
+let probe_token = ref Cancel.none
+let sightings = ref []
+let sightings_mutex = Mutex.create ()
+
+let domains_seen () =
+  Mutex.lock sightings_mutex;
+  let n =
+    List.length (List.sort_uniq compare (List.map (fun s -> s.domain) !sightings))
+  in
+  Mutex.unlock sightings_mutex;
+  n
+
+(* Routes like [local], after recording its sighting and holding the item
+   (up to 10 s) until a second domain has entered, so at least one item of
+   a pooled batch runs off the session's domain. *)
+let () =
+  let local = Qr_route.Router_registry.get "local" in
+  try
+    Qr_route.Router_registry.register
+      {
+        local with
+        Qr_route.Router_intf.name = "scope-probe";
+        route =
+          (fun ws config input ->
+            let s =
+              {
+                domain = (Domain.self () :> int);
+                token = Cancel.ambient () == !probe_token;
+                trace = Trace.trace_id ();
+              }
+            in
+            Mutex.lock sightings_mutex;
+            sightings := s :: !sightings;
+            Mutex.unlock sightings_mutex;
+            let rec hold tries =
+              if domains_seen () < 2 && tries > 0 then begin
+                Unix.sleepf 0.001;
+                hold (tries - 1)
+              end
+            in
+            hold 10_000;
+            local.Qr_route.Router_intf.route ws config input);
+      }
+  with Invalid_argument _ -> ()
+
+let test_batch_items_carry_request_scope () =
+  let tid = "0123456789abcdef0123456789abcdef" in
+  let line =
+    Printf.sprintf
+      {|{"id": 1, "method": "route_batch", "params": {"grid": {"rows": 3, "cols": 3}, "perms": [[8,7,6,5,4,3,2,1,0], [1,0,3,2,5,4,7,6,8], [2,0,1,5,3,4,8,6,7], [0,1,2,3,4,5,6,8,7]], "engine": "scope-probe"}, "trace": "00-%s-00f067aa0ba902b7-01"}|}
+      tid
+  in
+  let token = Cancel.create () in
+  probe_token := token;
+  sightings := [];
+  let pool = Worker_pool.create ~workers:2 () in
+  let response =
+    Fun.protect ~finally:(fun () -> Worker_pool.shutdown pool) @@ fun () ->
+    Cancel.with_ambient token (fun () ->
+        Session.handle_line (Session.create ~pool ()) line)
+  in
+  (match P.response_result (Json.of_string_exn response) with
+  | Ok _ -> ()
+  | Error err -> Alcotest.failf "error response: %s" err.P.message);
+  let seen = !sightings in
+  checki "one sighting per item" 4 (List.length seen);
+  let here = (Domain.self () :> int) in
+  checkb "an item ran off the session's domain" true
+    (List.exists (fun s -> s.domain <> here) seen);
+  checkb "every item saw the request's token" true
+    (List.for_all (fun s -> s.token) seen);
+  checkb "every item saw the request's trace id" true
+    (List.for_all (fun s -> s.trace = Some tid) seen)
+
 (* -------------------------------------------------------- fault streams *)
 
 let qc = QCheck_alcotest.to_alcotest
@@ -411,6 +491,8 @@ let () =
         [
           Alcotest.test_case "route_batch pool = serial" `Quick
             test_route_batch_pool_equals_serial;
+          Alcotest.test_case "batch items carry the request scope" `Quick
+            test_batch_items_carry_request_scope;
         ] );
       ( "fault_streams",
         [

@@ -3,6 +3,7 @@
 module Grid = Qr_graph.Grid
 module Perm = Qr_perm.Perm
 module Grid_perm = Qr_perm.Grid_perm
+module Partial_perm = Qr_perm.Partial_perm
 module Generators = Qr_perm.Generators
 module Rng = Qr_util.Rng
 
@@ -141,6 +142,33 @@ let extend_partial_always_permutation =
       in
       let p = Perm.extend_partial ~n pairs in
       Perm.is_permutation p && List.for_all (fun (s, d) -> p.(s) = d) pairs)
+
+(* [Perm.extend_partial] and [Partial_perm.extend] complete a partial
+   bijection the same way: [Stay] without a distance, [Greedy_nearest]
+   with one, metric or not. *)
+let extend_partial_is_partial_perm =
+  QCheck.Test.make ~name:"extend_partial = Partial_perm.extend" ~count:2000
+    QCheck.(triple (int_range 1 12) (int_range 0 2) (int_range 0 100_000))
+    (fun (n, metric, seed) ->
+      let rng = Rng.create seed in
+      let k = Rng.int rng (n + 1) in
+      let pairs =
+        List.combine (Rng.sample_distinct rng k n) (Rng.sample_distinct rng k n)
+      in
+      let grid = Grid.make ~rows:3 ~cols:4 in
+      let dist =
+        match metric with
+        | 0 -> None
+        | 1 -> Some (fun u v -> Grid.manhattan grid u v)
+        | _ -> Some (fun u v -> ((u * 7) + (v * 3)) mod 5)
+      in
+      let policy =
+        match dist with
+        | None -> Partial_perm.Stay
+        | Some d -> Partial_perm.Greedy_nearest d
+      in
+      Perm.extend_partial ?dist ~n pairs
+      = Partial_perm.extend policy (Partial_perm.make ~n pairs))
 
 (* ------------------------------------------------------------ Grid_perm *)
 
@@ -352,6 +380,7 @@ let () =
           Alcotest.test_case "extend nearest" `Quick test_extend_partial_nearest;
           Alcotest.test_case "pp" `Quick test_pp;
           qc extend_partial_always_permutation;
+          qc extend_partial_is_partial_perm;
         ] );
       ( "grid_perm",
         [
