@@ -65,7 +65,6 @@ module Server_session = Qr_server.Session
 module Server_protocol = Qr_server.Protocol
 module Server_client = Qr_server.Client
 module Plan_cache = Qr_server.Plan_cache
-module Deadline = Qr_server.Deadline
 module Io_util = Qr_server.Io_util
 module Worker_pool = Qr_server.Worker_pool
 module Cancel = Qr_util.Cancel

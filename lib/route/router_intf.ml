@@ -4,7 +4,6 @@ module Distance = Qr_graph.Distance
 module Perm = Qr_perm.Perm
 module Trace = Qr_obs.Trace
 module Metrics = Qr_obs.Metrics
-module Cancel = Qr_util.Cancel
 
 type input =
   | Grid_input of Grid.t * Perm.t
@@ -73,15 +72,7 @@ let route ?ws ?(config = Router_config.default) engine input =
     List.iter
       (fun (k, v) -> Trace.add_attr k v)
       (Router_config.to_attrs (engine.normalize config));
-  (* Make the request's cancellation token ambient for the planning hot
-     loops.  The workspace token wins when attached (the serving layer
-     sets it per request); otherwise whatever token is already ambient
-     on this domain stays in force. *)
-  let token = Router_workspace.cancel ws in
-  let sched =
-    if token == Cancel.none then run ?ws engine config input
-    else Cancel.with_ambient token (fun () -> run ?ws engine config input)
-  in
+  let sched = run ?ws engine config input in
   if Metrics.enabled () then begin
     Metrics.incr c_route_calls;
     Metrics.add c_swap_layers (Schedule.depth sched);

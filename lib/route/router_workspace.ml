@@ -1,5 +1,4 @@
 module Hopcroft_karp = Qr_bipartite.Hopcroft_karp
-module Cancel = Qr_util.Cancel
 
 (* Domain-safety (DESIGN.md §13): a workspace is owned by the domain
    that created it.  The scratch buffers inside are freely mutated by
@@ -11,7 +10,6 @@ type t = {
   owner : int;  (* (Domain.self () :> int) at creation *)
   mutable cg : Column_graph.t option;
   hk : Hopcroft_karp.workspace;
-  mutable cancel : Cancel.t;  (* current request's token; Cancel.none idle *)
 }
 
 let owned t = (Domain.self () :> int) = t.owner
@@ -21,7 +19,6 @@ let create () =
     owner = (Domain.self () :> int);
     cg = None;
     hk = Hopcroft_karp.workspace ();
-    cancel = Cancel.none;
   }
 
 let remember_cg t cg = if owned t then t.cg <- Some cg
@@ -33,13 +30,3 @@ let reusable_cg = function
 let hk = function
   | Some t when owned t -> Some t.hk
   | Some _ | None -> None
-
-(* Cancellation deliberately skips the ownership check: a route_batch
-   item fanned to another domain still shares the request's workspace
-   reference, and the token itself is domain-safe (the kill flag is
-   atomic; the poll stride is a benign race).  Losing cancellation
-   off-domain would mean losing exactly the requests the pool fans
-   out. *)
-let set_cancel t c = t.cancel <- c
-
-let cancel = function Some t -> t.cancel | None -> Cancel.none

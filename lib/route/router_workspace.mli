@@ -5,7 +5,9 @@
     Hopcroft–Karp scratch — so a batched entry point
     ({!Router_intf.route_many}) or a transpiler issuing one routing call
     per slice can amortize them.  Workspaces are purely an allocation
-    optimization: results are bit-identical with or without one.
+    optimization: results are bit-identical with or without one.  A
+    workspace holds scratch only; a request's cancellation token reaches
+    the planning loops as the domain's ambient {!Qr_util.Cancel.t}.
 
     {b Domain safety} (DESIGN.md §13): a workspace is strictly owned by
     the domain that called {!create} — one workspace per worker, never
@@ -29,23 +31,3 @@ val reusable_cg : t option -> Column_graph.t option
 
 val hk : t option -> Qr_bipartite.Hopcroft_karp.workspace option
 (** The Hopcroft–Karp scratch, if a workspace is present. *)
-
-(** {2 Cooperative cancellation}
-
-    The serving layer attaches the in-flight request's
-    {!Qr_util.Cancel.t} to the workspace; {!Router_intf.route} installs
-    it as the ambient token for the duration of the call so the planning
-    hot loops observe deadlines and supervisor kills.  Unlike the
-    scratch-buffer accessors, these deliberately skip the ownership
-    check: a batch item fanned out to another pool domain shares the
-    originating request's workspace reference, and the token itself is
-    domain-safe (the kill flag is atomic, the poll stride a benign
-    race).  Degrading off-domain would drop cancellation for exactly
-    the requests the pool parallelizes. *)
-
-val set_cancel : t -> Qr_util.Cancel.t -> unit
-(** Attach the current request's token ({!Qr_util.Cancel.none} to
-    detach when the request settles). *)
-
-val cancel : t option -> Qr_util.Cancel.t
-(** The attached token, or {!Qr_util.Cancel.none} without a workspace. *)

@@ -10,7 +10,8 @@
     where [id] is an integer or string echoed back verbatim (missing ids
     echo as [null]), [method] names the operation, [params] is an optional
     object and [deadline_ms] an optional per-request time budget on the
-    monotonic clock (see {!Deadline}).  Responses are either
+    monotonic clock (see {!Qr_util.Cancel.set_budget_ms}).  Responses are
+    either
 
     {v
     {"id": 7, "result": {...}}

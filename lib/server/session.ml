@@ -197,6 +197,16 @@ let parse_config params =
 
 (* -------------------------------------------------------------- methods *)
 
+(* Run [f] in a request's scope on the calling domain: [cancel] as the
+   ambient token the routing hot loops poll, and [trace_id] stamped on
+   every span.  [respond] enters it on the session's domain, and every
+   [route_batch] item fanned to a pool domain enters it again there. *)
+let in_scope ~cancel ~trace_id f =
+  Cancel.with_ambient cancel (fun () ->
+      let prev = Trace.trace_id () in
+      Trace.set_trace_id trace_id;
+      Fun.protect ~finally:(fun () -> Trace.set_trace_id prev) f)
+
 (* Internal control flow for dispatch outcomes that are not parameter
    errors; [respond] maps them to their wire error codes. *)
 exception Overloaded_batch of string
@@ -269,7 +279,7 @@ let routed t grid pi engine config =
           Plan_cache.remove t.cache key;
           compute ())
 
-let do_route t deadline params =
+let do_route t cancel params =
   let* perm =
     match Json.member "perm" params with
     | None -> Error "missing perm"
@@ -280,10 +290,10 @@ let do_route t deadline params =
   let* pi = P.perm_of_json ~expect_size:(Grid.size grid) perm in
   let* engine = parse_engine params in
   let* config = parse_config params in
-  Deadline.check deadline;
+  Cancel.check cancel;
   let sched, cached = routed t grid pi engine config in
   t.last_cached <- Some cached;
-  Deadline.check deadline;
+  Cancel.check cancel;
   Ok
     (fun buf ->
       Buffer.add_string buf {|{"engine":|};
@@ -294,7 +304,7 @@ let do_route t deadline params =
       Schedule.to_buffer buf sched;
       Buffer.add_char buf '}')
 
-let do_route_batch t deadline params =
+let do_route_batch t cancel params =
   let* perm_jsons =
     match Json.member "perms" params with
     | Some (Json.List []) -> Error "perms: expected at least one permutation"
@@ -333,12 +343,10 @@ let do_route_batch t deadline params =
      all-or-nothing failure for work already done. *)
   let item pi =
     match
-      Deadline.check deadline;
+      Cancel.check cancel;
       routed t grid pi engine config
     with
     | result -> Ok result
-    | exception Deadline.Exceeded ->
-        Error (P.error P.Deadline_exceeded "request deadline exceeded")
     | exception Cancel.Cancelled Cancel.Deadline ->
         Error (P.error P.Deadline_exceeded "request deadline exceeded")
   in
@@ -346,18 +354,13 @@ let do_route_batch t deadline params =
     match t.pool with
     | Some pool when batch > 1 ->
         (* Fan the items across the worker pool.  Each item closure
-           carries this request's trace id onto whichever domain runs
-           it, so the whole batch's spans stay stamped; non-deadline
-           exceptions propagate out of [map_tasks] exactly as they
-           would from the serial loop. *)
-        let tid = Trace.trace_id () in
+           enters this request's scope on whichever domain runs it, so
+           the routing loops poll the request's token and the whole
+           batch's spans stay stamped; other exceptions propagate out of
+           [map_tasks] exactly as they would from the serial loop. *)
+        let trace_id = Trace.trace_id () in
         Worker_pool.map_tasks pool
-          (fun pi ->
-            let prev = Trace.trace_id () in
-            Trace.set_trace_id tid;
-            Fun.protect
-              ~finally:(fun () -> Trace.set_trace_id prev)
-              (fun () -> item pi))
+          (fun pi -> in_scope ~cancel ~trace_id (fun () -> item pi))
           perms
     | _ -> List.map item perms
   in
@@ -394,7 +397,7 @@ let do_route_batch t deadline params =
 
 (* Transpilation manages its own per-run workspace inside
    [Transpile.run_grid]; the session's is not threaded through. *)
-let do_transpile t deadline params =
+let do_transpile t cancel params =
   let* logical =
     match Json.member "circuit" params with
     | Some (Json.String text) -> Qasm.parse text
@@ -404,11 +407,11 @@ let do_transpile t deadline params =
   let* grid = parse_grid t ~vertices:(Circuit.num_qubits logical) params in
   let* engine = parse_engine params in
   let* config = parse_config params in
-  Deadline.check deadline;
+  Cancel.check cancel;
   let result =
     Transpile.run_grid ~engine:(effective_engine t engine) ~config grid logical
   in
-  Deadline.check deadline;
+  Cancel.check cancel;
   Ok
     (Json.Obj
        [
@@ -469,11 +472,11 @@ let stats t =
    write their schedules directly, the rest render a tree built here. *)
 let tree json buf = Json.to_buffer buf json
 
-let dispatch t deadline meth params =
+let dispatch t cancel meth params =
   match meth with
-  | "route" -> do_route t deadline params
-  | "route_batch" -> do_route_batch t deadline params
-  | "transpile" -> Result.map tree (do_transpile t deadline params)
+  | "route" -> do_route t cancel params
+  | "route_batch" -> do_route_batch t cancel params
+  | "transpile" -> Result.map tree (do_transpile t cancel params)
   | "engines" -> Ok (tree (P.engines_json ()))
   | "health" -> Ok (tree (health t))
   | "metrics" ->
@@ -494,7 +497,16 @@ let respond t (req : P.request) =
   t.served <- t.served + 1;
   Metrics.incr c_requests;
   let timer = Timer.start () in
-  let deadline = Deadline.of_budget_ms req.deadline_ms in
+  (* Cooperative cancellation: the pool's job wrapper installs an
+     ambient token (the watchdog holds its other end) — reuse it so a
+     supervisor kill reaches this request; off-pool, a fresh private
+     token.  The token also carries the request's deadline, so the phase
+     boundaries and the routing hot loops check one instant. *)
+  let cancel =
+    let ambient = Cancel.ambient () in
+    if ambient == Cancel.none then Cancel.create () else ambient
+  in
+  Option.iter (Cancel.set_budget_ms cancel) req.deadline_ms;
   t.last_cached <- None;
   let degradations_before = Router_registry.degradations () in
   let run () =
@@ -503,12 +515,10 @@ let respond t (req : P.request) =
     @@ fun () ->
     match
       Fault.point "session.dispatch" ~f:(fun () ->
-          dispatch t deadline req.meth req.params)
+          dispatch t cancel req.meth req.params)
     with
     | Ok write -> Ok write
     | Error msg -> Error (P.error P.Invalid_params msg)
-    | exception Deadline.Exceeded ->
-        Error (P.error P.Deadline_exceeded "request deadline exceeded")
     | exception Cancel.Cancelled Cancel.Deadline ->
         Error (P.error P.Deadline_exceeded "request deadline exceeded")
     | exception Cancel.Cancelled Cancel.Killed ->
@@ -538,36 +548,16 @@ let respond t (req : P.request) =
           (P.error P.Internal_error
              ("unexpected exception: " ^ Printexc.to_string exn))
   in
-  (* Cooperative cancellation: the pool's job wrapper installs an
-     ambient token (the watchdog holds its other end) — reuse it so a
-     supervisor kill reaches this request; off-pool, a fresh private
-     token.  The request's deadline is pushed into the token and the
-     workspace carries it into the routing hot loops (including batch
-     items fanned to other domains). *)
-  let cancel =
-    let ambient = Cancel.ambient () in
-    if ambient == Cancel.none then Cancel.create () else ambient
-  in
-  (match Deadline.absolute_ns deadline with
-  | Some _ as at -> Cancel.set_deadline_ns cancel at
-  | None -> ());
-  Router_workspace.set_cancel t.ws cancel;
   (* Adopt the caller's trace context for the duration of the request:
      every span opened below serve_request — engine phases, cache
      lookups, the degraded_to attribute — carries the caller's trace_id
      in the exported trace. *)
-  let result =
-    Fun.protect
-      ~finally:(fun () -> Router_workspace.set_cancel t.ws Cancel.none)
-      (fun () ->
-        Cancel.with_ambient cancel (fun () ->
-            match req.trace with
-            | None -> run ()
-            | Some tc ->
-                let prev = Trace.trace_id () in
-                Trace.set_trace_id (Some tc.Trace_context.trace_id);
-                Fun.protect ~finally:(fun () -> Trace.set_trace_id prev) run))
+  let trace_id =
+    match req.trace with
+    | None -> Trace.trace_id ()
+    | Some tc -> Some tc.Trace_context.trace_id
   in
+  let result = in_scope ~cancel ~trace_id run in
   let ms = Timer.elapsed_s timer *. 1000. in
   Metrics.observe h_request_ms ms;
   let status =

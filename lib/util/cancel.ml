@@ -37,18 +37,31 @@ let make () =
     countdown = 0;
   }
 
-(* The shared never-cancelled token.  [kill]/[set_deadline_ns] refuse to
+(* The shared never-cancelled token.  [kill]/[set_budget_ms] refuse to
    touch it, so a stray call can never poison every un-tokened caller. *)
 let none = make ()
 
-let create ?deadline_ns () =
-  let t = make () in
-  (match deadline_ns with Some at -> t.deadline_ns <- at | None -> ());
-  t
+let create () = make ()
 
-let set_deadline_ns t at =
-  if t != none then
-    t.deadline_ns <- (match at with Some ns -> ns | None -> Int64.max_int)
+(* Saturating arithmetic: a budget like [max_int] ms clamps to the far
+   future, which is no deadline at all, instead of wrapping past the
+   monotonic clock into the past (which would expire the request at
+   once).  A budget of 0 ms or less is the instant of the call, so the
+   first check fires. *)
+let set_budget_ms t ms =
+  if t != none then begin
+    let ms = Int64.of_int (max 0 ms) in
+    let budget_ns =
+      if Int64.compare ms (Int64.div Int64.max_int 1_000_000L) > 0 then
+        Int64.max_int
+      else Int64.mul ms 1_000_000L
+    in
+    let now = Timer.now_ns () in
+    t.deadline_ns <-
+      (if Int64.compare budget_ns (Int64.sub Int64.max_int now) > 0 then
+         Int64.max_int
+       else Int64.add now budget_ns)
+  end
 
 let kill t = if t != none then Atomic.set t.killed true
 
@@ -83,14 +96,12 @@ let poll t =
 (* The per-domain current token.  Threading a token through every
    routing signature would churn the whole engine API; instead the
    request layer installs the token for the duration of the call and the
-   hot loops fetch it once at entry.  Worker pools re-install the token
-   inside fanned-out closures, so a batch item polls its request's token
-   on whichever domain runs it. *)
+   hot loops fetch it once at entry.  A request fanned across domains
+   installs its token again inside each fanned-out closure, so a batch
+   item polls its request's token on whichever domain runs it. *)
 let ambient_key : t Domain.DLS.key = Domain.DLS.new_key (fun () -> none)
 
 let ambient () = Domain.DLS.get ambient_key
-
-let set_ambient t = Domain.DLS.set ambient_key t
 
 let with_ambient t f =
   let prev = Domain.DLS.get ambient_key in

@@ -2,11 +2,13 @@
 
     A token carries an absolute monotonic-clock deadline (see
     {!Qr_util.Timer}) and an atomic kill flag a supervisor can set from
-    another domain.  Long-running planning loops — band-search sweeps,
-    Hopcroft–Karp phases, token-swapping rounds — call {!poll} at
-    bounded intervals; an expired or killed token aborts the plan
-    mid-loop with {!Cancelled} instead of burning the domain until the
-    phase boundary.
+    another domain.  It is the one place a served request's time budget
+    lives: the serving layer sets it with {!set_budget_ms} and checks it
+    with {!check} between phases.  Long-running planning loops —
+    band-search sweeps, Hopcroft–Karp phases, token-swapping rounds —
+    call {!poll} at bounded intervals; an expired or killed token aborts
+    the plan mid-loop with {!Cancelled} instead of burning the domain
+    until the phase boundary.
 
     Cost discipline: {!poll} on {!none} (the default) is one physical
     equality test and a branch, safe in the innermost loops.  On a live
@@ -16,9 +18,10 @@
     worker from a wedged one.
 
     Tokens reach the loops {e ambiently}: the request layer installs the
-    current request's token with {!with_ambient} and the loops fetch it
-    once at entry with {!ambient} — no signature churn through the
-    engine stack.  Results are bit-identical with or without a live
+    current request's token with {!with_ambient} — on its own domain, and
+    again inside every closure it fans out to another domain — and the
+    loops fetch it once at entry with {!ambient}, with no signature churn
+    through the engine stack.  Results are bit-identical with or without a live
     token (the checkpoints only ever raise), which the QCheck identity
     property in [test_supervision] pins down. *)
 
@@ -31,16 +34,17 @@ exception Cancelled of reason
 type t
 
 val none : t
-(** The shared never-cancelled token; {!kill} and {!set_deadline_ns}
+(** The shared never-cancelled token; {!kill} and {!set_budget_ms}
     refuse to touch it. *)
 
-val create : ?deadline_ns:int64 -> unit -> t
-(** A fresh token, optionally expiring at an absolute monotonic
-    instant. *)
+val create : unit -> t
+(** A fresh token with no deadline. *)
 
-val set_deadline_ns : t -> int64 option -> unit
-(** Set or clear the deadline (owner-domain only; [None] clears).  No-op
-    on {!none}. *)
+val set_budget_ms : t -> int -> unit
+(** [set_budget_ms t ms] makes [t] expire [ms] milliseconds from now, on
+    the monotonic clock (owner-domain only).  A budget [<= 0] is already
+    expired; a budget too large for the clock saturates to no deadline
+    instead of wrapping into the past.  No-op on {!none}. *)
 
 val kill : t -> unit
 (** Ask the owner to abort at its next {!poll}/{!check}.  Safe from any
@@ -66,8 +70,6 @@ val poll : t -> unit
     One current token per domain, default {!none}. *)
 
 val ambient : unit -> t
-
-val set_ambient : t -> unit
 
 val with_ambient : t -> (unit -> 'a) -> 'a
 (** Install [t] as the calling domain's ambient token for the duration

@@ -14,7 +14,6 @@ module Router_config = Qr_route.Router_config
 module Router_registry = Qr_route.Router_registry
 module P = Qr_server.Protocol
 module Plan_cache = Qr_server.Plan_cache
-module Deadline = Qr_server.Deadline
 module Session = Qr_server.Session
 module Server = Qr_server.Server
 
@@ -405,34 +404,6 @@ let test_cache_metrics_counters () =
   checki "global hits" 1 (counter "plan_cache_hits");
   checki "global misses" 1 (counter "plan_cache_misses");
   checki "global evictions" 1 (counter "plan_cache_evictions")
-
-(* ------------------------------------------------------------ deadlines *)
-
-let test_deadline_none () =
-  checkb "never expires" true (not (Deadline.expired Deadline.none));
-  Deadline.check Deadline.none;
-  checkb "no remaining bound" true (Deadline.remaining_ms Deadline.none = None);
-  checkb "of_budget None" true (not (Deadline.expired (Deadline.of_budget_ms None)))
-
-let test_deadline_zero_budget () =
-  let d = Deadline.after_ms 0 in
-  checkb "0 ms is already expired" true (Deadline.expired d);
-  checkb "check raises" true
-    (try
-       Deadline.check d;
-       false
-     with Deadline.Exceeded -> true);
-  checkb "remaining clamps at 0" true (Deadline.remaining_ms d = Some 0);
-  checkb "negative budget clamps" true (Deadline.expired (Deadline.after_ms (-5)));
-  checkb "of_budget Some 0" true (Deadline.expired (Deadline.of_budget_ms (Some 0)))
-
-let test_deadline_future () =
-  let d = Deadline.after_ms 60_000 in
-  checkb "not yet expired" true (not (Deadline.expired d));
-  Deadline.check d;
-  match Deadline.remaining_ms d with
-  | Some ms -> checkb "remaining within budget" true (ms > 0 && ms <= 60_000)
-  | None -> Alcotest.fail "finite deadline must report remaining time"
 
 (* -------------------------------------------------------------- session *)
 
@@ -1165,12 +1136,6 @@ let () =
             test_cache_clear_keeps_counters;
           Alcotest.test_case "metrics counters" `Quick
             test_cache_metrics_counters;
-        ] );
-      ( "deadline",
-        [
-          Alcotest.test_case "none" `Quick test_deadline_none;
-          Alcotest.test_case "zero budget" `Quick test_deadline_zero_budget;
-          Alcotest.test_case "future budget" `Quick test_deadline_future;
         ] );
       ( "session",
         [

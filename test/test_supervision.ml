@@ -22,7 +22,6 @@ module Breaker = Qr_route.Breaker
 module Fault = Qr_fault.Fault
 module Io_util = Qr_server.Io_util
 module P = Qr_server.Protocol
-module Deadline = Qr_server.Deadline
 module Plan_cache = Qr_server.Plan_cache
 module Supervisor = Qr_server.Supervisor
 module Session = Qr_server.Session
@@ -61,19 +60,34 @@ let member_exn name doc =
 
 (* -------------------------------------------------------------- deadline *)
 
+(* A request's time budget lives on its cancel token; [Cancel.check] is
+   the check the session runs between phases. *)
+let budget_expired ?(token = Cancel.create ()) ms =
+  Cancel.set_budget_ms token ms;
+  match Cancel.check token with
+  | () -> false
+  | exception Cancel.Cancelled Cancel.Deadline -> true
+
+let test_deadline_none () =
+  checkb "a fresh token never expires" true
+    (match Cancel.check (Cancel.create ()) with
+    | () -> true
+    | exception Cancel.Cancelled _ -> false);
+  checkb "none ignores a budget" false (budget_expired ~token:Cancel.none 0)
+
+let test_deadline_zero_budget () =
+  checkb "0 ms is already expired" true (budget_expired 0);
+  checkb "negative budget expired" true (budget_expired (-5))
+
+let test_deadline_future () =
+  checkb "not yet expired" false (budget_expired 60_000)
+
 let test_deadline_saturates () =
   (* A huge budget must saturate at the far future, not wrap past the
      monotonic clock into the instantly-expired past. *)
-  let d = Deadline.after_ms max_int in
-  checkb "huge budget not expired" false (Deadline.expired d);
-  checkb "huge budget has an instant" true (Deadline.absolute_ns d <> None);
-  let d2 = Deadline.after_ms (max_int / 1_000) in
-  checkb "near-overflow budget not expired" false (Deadline.expired d2);
-  checkb "zero budget expired" true (Deadline.expired (Deadline.after_ms 0));
-  checkb "negative budget expired" true
-    (Deadline.expired (Deadline.after_ms (-5)));
-  checkb "none never expires" false (Deadline.expired Deadline.none);
-  checkb "none has no instant" true (Deadline.absolute_ns Deadline.none = None)
+  checkb "huge budget not expired" false (budget_expired max_int);
+  checkb "near-overflow budget not expired" false
+    (budget_expired (max_int / 1_000))
 
 (* ---------------------------------------------------------- cancel token *)
 
@@ -93,7 +107,8 @@ let test_cancel_kill_and_deadline () =
   | () -> Alcotest.fail "killed token never fired"
   | exception Cancel.Cancelled Cancel.Killed -> ());
   (* An expired deadline aborts within one clock-check stride. *)
-  let t2 = Cancel.create ~deadline_ns:(Timer.now_ns ()) () in
+  let t2 = Cancel.create () in
+  Cancel.set_budget_ms t2 0;
   (match
      for _ = 1 to 1_000 do
        Cancel.poll t2
@@ -594,7 +609,12 @@ let () =
   Alcotest.run "supervision"
     [
       ( "deadline",
-        [ Alcotest.test_case "after_ms saturates" `Quick test_deadline_saturates ] );
+        [
+          Alcotest.test_case "none" `Quick test_deadline_none;
+          Alcotest.test_case "zero budget" `Quick test_deadline_zero_budget;
+          Alcotest.test_case "future budget" `Quick test_deadline_future;
+          Alcotest.test_case "budget saturates" `Quick test_deadline_saturates;
+        ] );
       ( "cancel",
         [
           Alcotest.test_case "kill and deadline fire" `Quick
