@@ -3,6 +3,7 @@ module Grid = Qr_graph.Grid
 module Bfs = Qr_graph.Bfs
 module Distance = Qr_graph.Distance
 module Perm = Qr_perm.Perm
+module Partial_perm = Qr_perm.Partial_perm
 module Schedule = Qr_route.Schedule
 module Trace = Qr_obs.Trace
 module Metrics = Qr_obs.Metrics
@@ -79,20 +80,21 @@ let run ?initial ?on_route ?(extension = Nearest) ~graph ~dist ~router circuit =
                 claimed.(ma) <- true;
                 claimed.(mb) <- true;
                 (* Sources may coincide with other gates' targets; that is
-                   fine — extend_partial only needs injectivity per side. *)
+                   fine — a partial bijection needs injectivity per side
+                   only. *)
                 targets := (pa, ma) :: (pb, mb) :: !targets;
                 still_blocked := gate :: !still_blocked
             | None -> still_blocked := gate :: !still_blocked)
         | _ -> assert false)
       blocked;
     let metric u v = Distance.dist dist u v in
-    let rho =
+    let policy =
       match extension with
-      | Nearest -> Perm.extend_partial ~dist:metric ~n (List.rev !targets)
-      | Min_total ->
-          Qr_perm.Partial_perm.extend
-            (Qr_perm.Partial_perm.Min_total metric)
-            (Qr_perm.Partial_perm.make ~n (List.rev !targets))
+      | Nearest -> Partial_perm.Greedy_nearest metric
+      | Min_total -> Partial_perm.Min_total metric
+    in
+    let rho =
+      Partial_perm.extend policy (Partial_perm.make ~n (List.rev !targets))
     in
     Metrics.incr c_router_calls;
     let sched = Trace.with_span "transpile_route" (fun () -> router rho) in

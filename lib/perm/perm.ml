@@ -118,50 +118,6 @@ let max_distance dist p =
   Array.iteri (fun i dst -> acc := max !acc (dist i dst)) p;
   !acc
 
-let extend_partial ?dist ~n pairs =
-  let p = Array.make n (-1) in
-  let taken = Array.make n false in
-  let bind src dst =
-    if src < 0 || src >= n || dst < 0 || dst >= n then
-      invalid_arg "Perm.extend_partial: value out of range";
-    if p.(src) <> -1 then invalid_arg "Perm.extend_partial: duplicate source";
-    if taken.(dst) then invalid_arg "Perm.extend_partial: duplicate destination";
-    p.(src) <- dst;
-    taken.(dst) <- true
-  in
-  List.iter (fun (src, dst) -> bind src dst) pairs;
-  (* Pass 1: unconstrained sources stay put when their slot is free. *)
-  for i = 0 to n - 1 do
-    if p.(i) = -1 && not taken.(i) then begin
-      p.(i) <- i;
-      taken.(i) <- true
-    end
-  done;
-  let free_sources = ref [] and free_dests = ref [] in
-  for i = n - 1 downto 0 do
-    if p.(i) = -1 then free_sources := i :: !free_sources;
-    if not taken.(i) then free_dests := i :: !free_dests
-  done;
-  (match dist with
-  | None ->
-      List.iter2 (fun src dst -> p.(src) <- dst) !free_sources !free_dests
-  | Some dist ->
-      (* Greedy nearest-first over all (source, destination) candidates. *)
-      let candidates =
-        List.concat_map
-          (fun src -> List.map (fun dst -> (dist src dst, src, dst)) !free_dests)
-          !free_sources
-      in
-      let sorted = List.sort compare candidates in
-      List.iter
-        (fun (_, src, dst) ->
-          if p.(src) = -1 && not taken.(dst) then begin
-            p.(src) <- dst;
-            taken.(dst) <- true
-          end)
-        sorted);
-  check p
-
 let pp fmt p =
   match cycles p with
   | [] -> Format.pp_print_string fmt "id"

@@ -67,15 +67,6 @@ val total_distance : (int -> int -> int) -> t -> int
 val max_distance : (int -> int -> int) -> t -> int
 (** [max_i dist i p.(i)], a depth lower bound for any routing schedule. *)
 
-val extend_partial :
-  ?dist:(int -> int -> int) -> n:int -> (int * int) list -> t
-(** [extend_partial ~n pairs] extends the partial bijection given by
-    [(src, dst)] pairs to a full permutation.  Unconstrained sources keep
-    their position when it is free; the remainder are assigned to leftover
-    destinations — nearest-first when [dist] is supplied (greedy on sorted
-    candidate pairs), in index order otherwise.  @raise Invalid_argument on
-    duplicate sources/destinations or out-of-range values. *)
-
 val pp : Format.formatter -> t -> unit
 (** Cycle-notation rendering, e.g. ["(0 3 1)(2 4)"]; ["id"] for identity. *)
 

@@ -2,6 +2,7 @@
 
 module Grid = Qr_graph.Grid
 module Perm = Qr_perm.Perm
+module Partial_perm = Qr_perm.Partial_perm
 module Generators = Qr_perm.Generators
 module Schedule = Qr_route.Schedule
 module Column_graph = Qr_route.Column_graph
@@ -35,7 +36,10 @@ let test_column_graph_shape () =
 let test_column_graph_labels () =
   let grid = Grid.make ~rows:2 ~cols:2 in
   (* Send (0,0) -> (1,1). *)
-  let pi = Perm.extend_partial ~n:4 [ (Grid.index grid 0 0, Grid.index grid 1 1) ] in
+  let pi =
+    Partial_perm.extend Partial_perm.Stay
+      (Partial_perm.make ~n:4 [ (Grid.index grid 0 0, Grid.index grid 1 1) ])
+  in
   let cg = Column_graph.build grid pi in
   let e = Grid.index grid 0 0 in
   checki "src col" 0 (Column_graph.src_col cg e);

@@ -1,4 +1,5 @@
-(* Tests for Qr_perm: Perm, Grid_perm, Generators. *)
+(* Tests for Qr_perm: Perm, Partial_perm's extension, Grid_perm,
+   Generators.  The rest of Partial_perm is tested in test_extensions. *)
 
 module Grid = Qr_graph.Grid
 module Perm = Qr_perm.Perm
@@ -88,32 +89,30 @@ let test_total_and_max_distance () =
   checki "total" 4 (Perm.total_distance dist p);
   checki "max" 2 (Perm.max_distance dist p)
 
-let test_extend_partial_identity_bias () =
-  let p = Perm.extend_partial ~n:5 [ (0, 3) ] in
+let test_extend_identity_bias () =
+  let p =
+    Partial_perm.extend Partial_perm.Stay (Partial_perm.make ~n:5 [ (0, 3) ])
+  in
   checki "constrained" 3 p.(0);
   checki "free stays" 1 p.(1);
   checki "free stays" 2 p.(2);
   checki "free stays" 4 p.(4);
   checki "displaced" 0 p.(3)
 
-let test_extend_partial_full_spec () =
-  let p = Perm.extend_partial ~n:3 [ (0, 1); (1, 2); (2, 0) ] in
+let test_extend_full_spec () =
+  let p =
+    Partial_perm.extend Partial_perm.Stay
+      (Partial_perm.make ~n:3 [ (0, 1); (1, 2); (2, 0) ])
+  in
   check_arr "exact" [| 1; 2; 0 |] p
 
-let test_extend_partial_rejects_dup_source () =
-  Alcotest.check_raises "dup src"
-    (Invalid_argument "Perm.extend_partial: duplicate source") (fun () ->
-      ignore (Perm.extend_partial ~n:3 [ (0, 1); (0, 2) ]))
-
-let test_extend_partial_rejects_dup_dest () =
-  Alcotest.check_raises "dup dst"
-    (Invalid_argument "Perm.extend_partial: duplicate destination") (fun () ->
-      ignore (Perm.extend_partial ~n:3 [ (0, 1); (2, 1) ]))
-
-let test_extend_partial_nearest () =
+let test_extend_nearest () =
   let grid = Grid.make ~rows:1 ~cols:5 in
   let dist u v = Grid.manhattan grid u v in
-  let p = Perm.extend_partial ~dist ~n:5 [ (0, 1) ] in
+  let p =
+    Partial_perm.extend (Partial_perm.Greedy_nearest dist)
+      (Partial_perm.make ~n:5 [ (0, 1) ])
+  in
   checki "nearest slot" 0 p.(1)
 
 let test_pp () =
@@ -121,54 +120,6 @@ let test_pp () =
     (Perm.to_string (Perm.transposition 2 0 1));
   Alcotest.check Alcotest.string "identity" "id"
     (Perm.to_string (Perm.identity 3))
-
-let extend_partial_always_permutation =
-  QCheck.Test.make ~name:"extend_partial yields a permutation" ~count:300
-    QCheck.(
-      pair (int_range 1 12) (small_list (pair (int_bound 11) (int_bound 11))))
-    (fun (n, raw_pairs) ->
-      let seen_src = Hashtbl.create 8 and seen_dst = Hashtbl.create 8 in
-      let pairs =
-        List.filter_map
-          (fun (s, d) ->
-            let s = s mod n and d = d mod n in
-            if Hashtbl.mem seen_src s || Hashtbl.mem seen_dst d then None
-            else begin
-              Hashtbl.replace seen_src s ();
-              Hashtbl.replace seen_dst d ();
-              Some (s, d)
-            end)
-          raw_pairs
-      in
-      let p = Perm.extend_partial ~n pairs in
-      Perm.is_permutation p && List.for_all (fun (s, d) -> p.(s) = d) pairs)
-
-(* [Perm.extend_partial] and [Partial_perm.extend] complete a partial
-   bijection the same way: [Stay] without a distance, [Greedy_nearest]
-   with one, metric or not. *)
-let extend_partial_is_partial_perm =
-  QCheck.Test.make ~name:"extend_partial = Partial_perm.extend" ~count:2000
-    QCheck.(triple (int_range 1 12) (int_range 0 2) (int_range 0 100_000))
-    (fun (n, metric, seed) ->
-      let rng = Rng.create seed in
-      let k = Rng.int rng (n + 1) in
-      let pairs =
-        List.combine (Rng.sample_distinct rng k n) (Rng.sample_distinct rng k n)
-      in
-      let grid = Grid.make ~rows:3 ~cols:4 in
-      let dist =
-        match metric with
-        | 0 -> None
-        | 1 -> Some (fun u v -> Grid.manhattan grid u v)
-        | _ -> Some (fun u v -> ((u * 7) + (v * 3)) mod 5)
-      in
-      let policy =
-        match dist with
-        | None -> Partial_perm.Stay
-        | Some d -> Partial_perm.Greedy_nearest d
-      in
-      Perm.extend_partial ?dist ~n pairs
-      = Partial_perm.extend policy (Partial_perm.make ~n pairs))
 
 (* ------------------------------------------------------------ Grid_perm *)
 
@@ -370,17 +321,10 @@ let () =
           Alcotest.test_case "parity" `Quick test_parity;
           Alcotest.test_case "distances" `Quick test_total_and_max_distance;
           Alcotest.test_case "extend identity bias" `Quick
-            test_extend_partial_identity_bias;
-          Alcotest.test_case "extend full spec" `Quick
-            test_extend_partial_full_spec;
-          Alcotest.test_case "extend dup src" `Quick
-            test_extend_partial_rejects_dup_source;
-          Alcotest.test_case "extend dup dst" `Quick
-            test_extend_partial_rejects_dup_dest;
-          Alcotest.test_case "extend nearest" `Quick test_extend_partial_nearest;
+            test_extend_identity_bias;
+          Alcotest.test_case "extend full spec" `Quick test_extend_full_spec;
+          Alcotest.test_case "extend nearest" `Quick test_extend_nearest;
           Alcotest.test_case "pp" `Quick test_pp;
-          qc extend_partial_always_permutation;
-          qc extend_partial_is_partial_perm;
         ] );
       ( "grid_perm",
         [
