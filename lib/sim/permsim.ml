@@ -29,7 +29,6 @@ let realized ~n sched = Perm.inverse (Perm.check (final ~n sched))
 
 let max_token_travel oracle ~n sched =
   let travelled = Array.make n 0 in
-  let position_of = Array.init n (fun v -> v) in
   let token_at = Array.init n (fun v -> v) in
   Schedule.iter
     (fun u v ->
@@ -37,9 +36,7 @@ let max_token_travel oracle ~n sched =
       travelled.(a) <- travelled.(a) + Distance.dist oracle u v;
       travelled.(b) <- travelled.(b) + Distance.dist oracle u v;
       token_at.(u) <- b;
-      token_at.(v) <- a;
-      position_of.(a) <- v;
-      position_of.(b) <- u)
+      token_at.(v) <- a)
     sched;
   Array.fold_left max 0 travelled
 
