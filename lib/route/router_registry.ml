@@ -314,6 +314,39 @@ let snake =
 
 let default_contenders = [ "local"; "naive" ]
 
+(* [best] routes with what its contenders read: a field keeps the
+   request's value when some contender's normalization keeps it, and
+   goes to its default otherwise.  A graph input that no contender can
+   route falls back to [ats], so when every contender is grid-only
+   [ats]'s view counts too.  [compaction] stays, because [best] runs its
+   own post-pass, and the contender list stays in its order, because ties
+   go to the earlier contender; the default list named explicitly is the
+   default. *)
+let normalize_best (c : Router_config.t) =
+  let names = Option.value c.best_of ~default:default_contenders in
+  let contenders =
+    List.filter_map find (List.filter (fun n -> n <> "best") names)
+  in
+  let contenders =
+    if List.for_all (fun e -> e.Router_intf.capabilities.grid_only) contenders
+    then contenders @ Option.to_list (find generic_fallback)
+    else contenders
+  in
+  let views = List.map (fun e -> e.Router_intf.normalize c) contenders in
+  let pick field =
+    if List.exists (fun v -> field v = field c) views then field c
+    else field Router_config.default
+  in
+  {
+    Router_config.discovery = pick (fun v -> v.Router_config.discovery);
+    assignment = pick (fun v -> v.Router_config.assignment);
+    transpose = pick (fun v -> v.Router_config.transpose);
+    compaction = c.compaction;
+    ats_trials = pick (fun v -> v.Router_config.ats_trials);
+    seed = pick (fun v -> v.Router_config.seed);
+    best_of = (if names = default_contenders then None else c.best_of);
+  }
+
 (* Race the configured contenders through the uncounted [run] path and
    keep the shallowest schedule; ties go to the earlier contender, which
    with the default (local before naive) reproduces the paper's
@@ -365,8 +398,7 @@ let best =
             Trace.add_attr "winner"
               (Trace.String winner.Router_intf.name);
             sched);
-    (* Contenders read any field, so the configuration stays as given. *)
-    normalize = Fun.id;
+    normalize = normalize_best;
   }
 
 let () = List.iter register [ local; local1; naive; snake; best ]

@@ -75,13 +75,16 @@ let config_gen =
         map (fun h -> Local_grid_route.Fixed_band h) (int_range 1 6);
       ]
   in
+  (* [best] may race any non-empty sublist of the other engines, in any
+     order. *)
   let best_of =
+    let others = [ "local"; "local1"; "naive"; "snake"; "ats"; "ats-serial" ] in
     oneof
       [
         return None;
-        map (fun k -> Some (List.filteri (fun i _ -> i <= k)
-                              [ "local"; "naive"; "snake" ]))
-          (int_range 0 2);
+        (let* order = shuffle_l others in
+         let* k = int_range 1 (List.length others) in
+         return (Some (List.filteri (fun i _ -> i < k) order)));
       ]
   in
   let* discovery = discovery in
@@ -119,7 +122,7 @@ let config_roundtrip =
    Compared through [run], which routes with the configuration as given. *)
 let normalize_keeps_schedules =
   QCheck.Test.make ~name:"every engine routes c and its normalization alike"
-    ~count:100
+    ~count:400
     QCheck.(
       pair config_arbitrary
         (triple (int_range 1 5) (int_range 1 5) (int_range 0 10_000)))

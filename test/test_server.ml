@@ -462,6 +462,38 @@ let test_session_normalized_cache_key () =
   checki "hits" 2 (Plan_cache.hits cache);
   checki "entries" 1 (Plan_cache.length cache)
 
+(* [best] keys on what its contenders read: the default contenders named
+   explicitly are the default, and [snake] reads no discovery. *)
+let test_session_best_cache_key () =
+  let session = Session.create () in
+  let line id config =
+    Printf.sprintf
+      {|{"id": %d, "method": "route", "params": {"grid": {"rows": 4, "cols": 4}, "perm": [15,14,13,12,11,10,9,8,7,6,5,4,3,2,1,0], "engine": "best"%s}}|}
+      id config
+  in
+  let replies =
+    List.map
+      (fun (id, config) -> result_of (Session.handle_line session (line id config)))
+      [
+        (1, "");
+        (2, {|, "config": {"best": ["local", "naive"]}|});
+        (3, {|, "config": {"best": ["snake"], "discovery": "whole"}|});
+        (4, {|, "config": {"best": ["snake"]}|});
+      ]
+  in
+  checkb "miss, hit, miss, hit" true
+    (List.map (member_exn "cached") replies
+    = [ Json.Bool false; Json.Bool true; Json.Bool false; Json.Bool true ]);
+  (match List.map (fun r -> Json.to_string (member_exn "schedule" r)) replies with
+  | [ a; b; c; d ] ->
+      checks "default contenders named" a b;
+      checks "snake without discovery" c d
+  | _ -> Alcotest.fail "four replies expected");
+  let cache = Session.cache session in
+  checki "misses" 2 (Plan_cache.misses cache);
+  checki "hits" 2 (Plan_cache.hits cache);
+  checki "entries" 2 (Plan_cache.length cache)
+
 let test_session_zero_deadline () =
   (* Acceptance: a 0 ms deadline returns the deadline_exceeded envelope. *)
   let session = Session.create () in
@@ -1143,6 +1175,8 @@ let () =
             test_session_repeated_route_hits_cache;
           Alcotest.test_case "key ignores fields the engine never reads" `Quick
             test_session_normalized_cache_key;
+          Alcotest.test_case "best keys on what its contenders read" `Quick
+            test_session_best_cache_key;
           Alcotest.test_case "0ms deadline" `Quick test_session_zero_deadline;
           Alcotest.test_case "error envelopes" `Quick
             test_session_error_envelopes;
