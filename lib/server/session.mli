@@ -138,6 +138,15 @@ val handle_line : t -> string -> string
     raised.  A reply to a parsed request echoes its trace context and
     carries [server_ms], which stops before the reply is rendered.
 
+    The request runs under one {!Qr_util.Cancel.t}: the ambient token
+    when the caller installed one (the pool's job wrapper does, and the
+    watchdog holds its other end), a fresh one otherwise.  Its
+    [deadline_ms] budget is set on that token
+    ({!Qr_util.Cancel.set_budget_ms}) and checked between phases, and
+    the token is ambient for the whole request, including each
+    [route_batch] item fanned out to a pool domain, so the routing loops
+    poll it wherever they run.
+
     The reply is rendered in one pass into a buffer the session reuses:
     [route] and [route_batch] write their schedules straight into it
     ({!Qr_route.Schedule.to_buffer}), and every other method renders its

@@ -29,7 +29,7 @@ type t = {
    progress-word bump the watchdog uses as a heartbeat — is strided. *)
 let stride = 64
 
-let make () =
+let create () =
   {
     deadline_ns = Int64.max_int;
     killed = Atomic.make false;
@@ -39,9 +39,7 @@ let make () =
 
 (* The shared never-cancelled token.  [kill]/[set_budget_ms] refuse to
    touch it, so a stray call can never poison every un-tokened caller. *)
-let none = make ()
-
-let create () = make ()
+let none = create ()
 
 (* Saturating arithmetic: a budget like [max_int] ms clamps to the far
    future, which is no deadline at all, instead of wrapping past the

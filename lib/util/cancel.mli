@@ -21,9 +21,9 @@
     current request's token with {!with_ambient} — on its own domain, and
     again inside every closure it fans out to another domain — and the
     loops fetch it once at entry with {!ambient}, with no signature churn
-    through the engine stack.  Results are bit-identical with or without a live
-    token (the checkpoints only ever raise), which the QCheck identity
-    property in [test_supervision] pins down. *)
+    through the engine stack.  Results are bit-identical with or without
+    a live token (the checkpoints only ever raise), which the QCheck
+    identity property in [test_supervision] pins down. *)
 
 type reason =
   | Deadline  (** The token's deadline passed. *)

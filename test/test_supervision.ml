@@ -11,7 +11,6 @@ module Json = Qr_obs.Json
 module Metrics = Qr_obs.Metrics
 module Log = Qr_obs.Log
 module Rng = Qr_util.Rng
-module Timer = Qr_util.Timer
 module Cancel = Qr_util.Cancel
 module Grid = Qr_graph.Grid
 module Perm = Qr_perm.Perm
@@ -69,10 +68,8 @@ let budget_expired ?(token = Cancel.create ()) ms =
   | exception Cancel.Cancelled Cancel.Deadline -> true
 
 let test_deadline_none () =
-  checkb "a fresh token never expires" true
-    (match Cancel.check (Cancel.create ()) with
-    | () -> true
-    | exception Cancel.Cancelled _ -> false);
+  (* A fresh token has no deadline; [check] on it must not raise. *)
+  Cancel.check (Cancel.create ());
   checkb "none ignores a budget" false (budget_expired ~token:Cancel.none 0)
 
 let test_deadline_zero_budget () =
