@@ -1,4 +1,7 @@
 module Graph = Qr_graph.Graph
+module Perm = Qr_perm.Perm
+module Metrics = Qr_obs.Metrics
+module Cancel = Qr_util.Cancel
 
 type t = {
   dist : int -> int -> int;
@@ -83,6 +86,7 @@ let create g dist ~priority ~edges pi =
   done;
   t
 
+(* Swap the tokens on two adjacent vertices and refresh their rows. *)
 let swap t u v =
   let tmp = t.dest_at.(u) in
   t.dest_at.(u) <- t.dest_at.(v);
@@ -90,6 +94,9 @@ let swap t u v =
   refresh t u;
   refresh t v
 
+(* A maximal vertex-disjoint set of happy swaps, the edges whose two arcs
+   are both in D (swapping strictly helps both tokens), picked greedily in
+   [edges] order; the last pick comes first.  Nothing is swapped. *)
 let happy_matching t =
   Array.fill t.used 0 (Array.length t.used) false;
   let batch = ref [] in
@@ -145,6 +152,9 @@ let rec find_cycle_from t k =
       match dfs t root with None -> find_cycle_from t (k + 1) | cycle -> cycle
     else find_cycle_from t (k + 1)
 
+(* A directed cycle of D, vertices in arc order, found by a DFS from each
+   unplaced vertex in priority order, arcs tried in priority order; [None]
+   when D is acyclic. *)
 let find_cycle t =
   Array.fill t.mark 0 (Array.length t.mark) white;
   find_cycle_from t 0
@@ -167,5 +177,67 @@ let rec first_unplaced t k =
     let v = t.order.(k) in
     if t.dest_at.(v) <> v then v else first_unplaced t (k + 1)
 
+(* The last arc of the maximal D-path that starts at the first unplaced
+   vertex in priority order and always takes the first arc in priority
+   order; its endpoint carries a placed token.  [None] when every token is
+   placed.  Requires D acyclic, otherwise it may not terminate. *)
 let find_unhappy_arc t =
   match first_unplaced t 0 with -1 -> None | v -> Some (walk t (-1) v)
+
+let c_trials = Metrics.counter "ats_trials"
+let c_happy = Metrics.counter "ats_happy_swaps"
+let c_cycle = Metrics.counter "ats_cycle_swaps"
+let c_unhappy = Metrics.counter "ats_unhappy_swaps"
+
+let swap_cap ~caller ~trials g dist pi =
+  let n = Graph.num_vertices g in
+  let fail msg = invalid_arg (caller ^ ": " ^ msg) in
+  if Array.length pi <> n then fail "size mismatch";
+  if not (Perm.is_permutation pi) then fail "not a permutation";
+  if not (Graph.is_connected g) then fail "graph must be connected";
+  if trials < 1 then fail "trials must be positive";
+  max (4 * n * n) ((8 * Perm.total_distance dist pi) + 64)
+
+let run t ~cap =
+  Metrics.incr c_trials;
+  let cancel = Cancel.ambient () in
+  let swaps = ref [] and count = ref 0 in
+  let push ((u, v) as s) =
+    swap t u v;
+    swaps := s :: !swaps;
+    incr count
+  in
+  let rec loop () =
+    Cancel.poll cancel;
+    if !count > cap then None
+    else
+      match happy_matching t with
+      | _ :: _ as batch ->
+          (* Batching the 2-cycles of D keeps the order friendly to ASAP
+             re-layering. *)
+          Metrics.add c_happy (List.length batch);
+          List.iter push batch;
+          loop ()
+      | [] -> (
+          match find_cycle t with
+          | Some cycle ->
+              (* Far end first: every token on the cycle advances one arc
+                 using k−1 swaps. *)
+              Metrics.add c_cycle (Array.length cycle - 1);
+              for k = Array.length cycle - 2 downto 0 do
+                push (cycle.(k), cycle.(k + 1))
+              done;
+              loop ()
+          | None -> (
+              match find_unhappy_arc t with
+              | None -> Some (List.rev !swaps)
+              | Some arc ->
+                  (* Miltzow's unhappy swap: the single last arc of a
+                     maximal path (swapping along the whole path would drag
+                     the placed token back across it and void the
+                     approximation bound). *)
+                  Metrics.incr c_unhappy;
+                  push arc;
+                  loop ()))
+  in
+  loop ()

@@ -1,12 +1,12 @@
 (** Shared internals of the token-swapping algorithms: the swap digraph D
-    and its chain searches.
+    and the trial loop that drives it.
 
     One value serves one trial.  It holds the destination of the token on
     each vertex and D itself, in flat arrays: each vertex's row lists its
     neighbors in the trial's priority order, and each slot of a row carries
     a flag telling whether that neighbor is strictly closer to the
     destination of the token on the row's vertex, i.e. whether D has that
-    arc.  Placed tokens have no arcs.  A swap moves two tokens, so {!swap}
+    arc.  Placed tokens have no arcs.  A swap moves two tokens, so it
     refreshes just those two rows; every flag always equals a fresh
     distance comparison on the current tokens.
 
@@ -22,25 +22,34 @@ val create :
 (** [create g dist ~priority ~edges pi] is D for the tokens of [pi] on [g]
     (the token on [v] is bound for [pi.(v)]), with [dist] the graph's
     distance.  [priority] must be a permutation of the vertices; [edges],
-    the order in which {!happy_matching} scans, must hold edges of [g].
-    [pi] is copied.  O(V + E·Δ) time for maximum degree Δ.
+    the order in which {!run} harvests happy swaps, must hold edges of
+    [g].  [pi] is copied.  O(V + E·Δ) time for maximum degree Δ.
     @raise Invalid_argument if an element of [edges] is not an edge. *)
 
-val swap : t -> int -> int -> unit
-(** Swap the tokens on two adjacent vertices and refresh their rows. *)
+val swap_cap :
+  caller:string -> trials:int -> Qr_graph.Graph.t -> (int -> int -> int) ->
+  Qr_perm.Perm.t -> int
+(** [swap_cap ~caller ~trials g dist pi] checks the arguments of an ATS
+    entry point and gives the safety cap of one trial on [pi]:
+    max(4n², 8·Σd + 64) swaps for Σd the total distance of [pi] under
+    [dist].  The 4-approximation guarantee keeps honest runs far below it.
+    @raise Invalid_argument ["<caller>: ..."] on a size mismatch, a
+    non-permutation, a disconnected graph or [trials < 1]. *)
 
-val happy_matching : t -> (int * int) list
-(** A maximal vertex-disjoint set of happy swaps, the edges whose two arcs
-    are both in D (swapping strictly helps both tokens), picked greedily in
-    [edges] order; the last pick comes first.  Nothing is swapped. *)
+val run : t -> cap:int -> (int * int) list option
+(** One ATS trial on D: the swaps in execution order, or [None] once more
+    than [cap] swaps have been made.  Each step, in order of preference:
 
-val find_cycle : t -> int array option
-(** A directed cycle of D, vertices in arc order, found by a DFS from each
-    unplaced vertex in priority order, arcs tried in priority order; [None]
-    when D is acyclic.  The DFS reuses the value's scratch arrays. *)
+    - a maximal vertex-disjoint set of happy swaps (the 2-cycles of D, both
+      tokens strictly closer), picked greedily in [edges] order;
+    - a cycle of D, found by a DFS from each unplaced vertex in priority
+      order and swapped far end first, so its k tokens each advance one
+      arc with k−1 swaps;
+    - the single unhappy swap on the last arc of the maximal D-path from
+      the first unplaced vertex, which advances one token and displaces a
+      placed one.
 
-val find_unhappy_arc : t -> (int * int) option
-(** The last arc of the maximal D-path that starts at the first unplaced
-    vertex in priority order and always takes the first arc in priority
-    order; its endpoint carries a placed token.  [None] when every token is
-    placed.  Requires D acyclic, otherwise it may not terminate. *)
+    Counts the trial and its swaps of each kind in the [ats_trials],
+    [ats_happy_swaps], [ats_cycle_swaps] and [ats_unhappy_swaps]
+    counters, and polls the ambient {!Qr_util.Cancel} token every step.
+    The value is spent afterwards. *)

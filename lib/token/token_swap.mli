@@ -11,12 +11,15 @@
       and perform the single "unhappy" swap on its last arc, advancing one
       token at the cost of displacing a placed token by one.
 
-    Each chain is found by a deterministic greedy walk that takes closer
-    neighbors in the trial's priority order (index order in trial 0, a
-    seeded random order in later trials), so results are reproducible.
-    The digraph lives in one {!Ats_core.t} per trial, updated per swap.  A
-    safety cap bounds the swap count; the theoretical guarantee keeps it far
-    from binding. *)
+    Before either, every step swaps a maximal batch of happy 2-cycles,
+    which keeps the order friendly to ASAP re-layering.  That loop is
+    {!Ats_core.run}, shared with {!Parallel_ats}; this module adds the
+    restarts and the pick.  Each chain is found by a deterministic greedy
+    walk that takes closer neighbors in the trial's priority order (index
+    order in trial 0, a seeded random order in later trials), so results
+    are reproducible.  A safety cap ({!Ats_core.swap_cap}) bounds each
+    trial's swap count; the theoretical guarantee keeps it far from
+    binding. *)
 
 module Schedule = Qr_route.Schedule
 (** Re-export so callers need not also depend on [qr_route]. *)
@@ -28,12 +31,16 @@ val serial :
 (** The swap sequence, in execution order.  Applying the swaps realizes the
     permutation (checked by an internal assertion).  [trials] (default 1)
     reruns the algorithm with randomized vertex priorities — mirroring the
-    reference implementation's retries — and keeps the shortest sequence;
-    trial 0 is always the deterministic identity-priority run, and [seed]
-    (default 0) fixes the rest.
-    @raise Invalid_argument on size mismatch or a disconnected graph.
-    @raise Failure if every trial exceeds the safety cap (max(4n², 8·Σd)
-    swaps — the 4-approximation guarantee keeps honest runs far below). *)
+    reference implementation's retries — and keeps the shortest sequence,
+    the earliest trial on a tie.  Trial 0 is always the deterministic
+    identity-priority run and draws nothing from the RNG; [seed]
+    (default 0) fixes the priorities of the rest, so with one trial it is
+    never read.
+    @raise Invalid_argument on size mismatch, a non-permutation, a
+    disconnected graph or [trials < 1].
+    @raise Failure if every trial exceeds the safety cap (max(4n², 8·Σd
+    + 64) swaps — the 4-approximation guarantee keeps honest runs far
+    below). *)
 
 val schedule :
   ?trials:int ->
