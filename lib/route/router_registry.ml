@@ -314,15 +314,17 @@ let snake =
 
 let default_contenders = [ "local"; "naive" ]
 
-(* [best] routes with what its contenders read: a field keeps the
-   request's value when some contender's normalization keeps it, and
-   goes to its default otherwise.  A graph input that no contender can
-   route falls back to [ats], so when every contender is grid-only
-   [ats]'s view counts too.  [compaction] stays, because [best] runs its
-   own post-pass, and the contender list stays in its order, because ties
-   go to the earlier contender; the default list named explicitly is the
-   default. *)
+(* [best] routes with what its contenders read: a field away from its
+   default keeps the request's value when resetting it to the default
+   changes some contender's normalization, and goes to its default
+   otherwise, so a value every contender pins or ignores splits no plans.
+   A graph input that no contender can route falls back to [ats], so
+   when every contender is grid-only [ats]'s view counts too.
+   [compaction] stays, because [best] runs its own post-pass, and the
+   contender list stays in its order, because ties go to the earlier
+   contender; the default list named explicitly is the default. *)
 let normalize_best (c : Router_config.t) =
+  let d = Router_config.default in
   let names = Option.value c.best_of ~default:default_contenders in
   let contenders =
     List.filter_map find (List.filter (fun n -> n <> "best") names)
@@ -332,18 +334,26 @@ let normalize_best (c : Router_config.t) =
     then contenders @ Option.to_list (find generic_fallback)
     else contenders
   in
-  let views = List.map (fun e -> e.Router_intf.normalize c) contenders in
-  let pick field =
-    if List.exists (fun v -> field v = field c) views then field c
-    else field Router_config.default
+  let views = lazy (List.map (fun e -> e.Router_intf.normalize c) contenders) in
+  let pick value default reset =
+    if
+      value = default
+      || List.exists2
+           (fun e view -> e.Router_intf.normalize reset <> view)
+           contenders (Lazy.force views)
+    then value
+    else default
   in
   {
-    Router_config.discovery = pick (fun v -> v.Router_config.discovery);
-    assignment = pick (fun v -> v.Router_config.assignment);
-    transpose = pick (fun v -> v.Router_config.transpose);
+    Router_config.discovery =
+      pick c.discovery d.discovery { c with discovery = d.discovery };
+    assignment =
+      pick c.assignment d.assignment { c with assignment = d.assignment };
+    transpose = pick c.transpose d.transpose { c with transpose = d.transpose };
     compaction = c.compaction;
-    ats_trials = pick (fun v -> v.Router_config.ats_trials);
-    seed = pick (fun v -> v.Router_config.seed);
+    ats_trials =
+      pick c.ats_trials d.ats_trials { c with ats_trials = d.ats_trials };
+    seed = pick c.seed d.seed { c with seed = d.seed };
     best_of = (if names = default_contenders then None else c.best_of);
   }
 

@@ -37,18 +37,17 @@ let ats =
 (* [trials] deliberately stays at [Token_swap.schedule]'s own default: the
    [trials] knob parameterizes the parallel engine's restart race, while
    the serial ablation is the single deterministic run the paper
-   compares against. *)
+   compares against.  That run uses the identity priority and draws
+   nothing from the RNG, so [seed] is not read either. *)
 let ats_serial =
   {
     Router_intf.name = "ats-serial";
     capabilities = generic_caps;
     route =
-      (fun _ws config input ->
+      (fun _ws _config input ->
         let graph, dist, pi = graph_of_input input in
-        Token_swap.schedule ~seed:config.Router_config.seed graph dist pi);
-    normalize =
-      (fun c ->
-        { (Router_registry.compaction_only c) with seed = c.Router_config.seed });
+        Token_swap.schedule graph dist pi);
+    normalize = Router_registry.compaction_only;
   }
 
 (* Compare-and-set so concurrent [register] calls race safely: exactly

@@ -3,8 +3,9 @@
     [ats] (depth-oriented parallel ATS, {!Parallel_ats.route}) and
     [ats-serial] ({!Token_swap.schedule}, the serial order re-layered) —
     the generic-graph engines every coupling graph can use, and the
-    fallback target for grid-only engines.  They read [ats_trials]
-    (parallel only) and [seed] from the configuration. *)
+    fallback target for grid-only engines.  [ats] reads [ats_trials] and
+    [seed] from the configuration; [ats-serial] runs one identity-priority
+    trial and reads neither. *)
 
 val ats : Qr_route.Router_intf.t
 

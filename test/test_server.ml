@@ -430,26 +430,28 @@ let test_session_repeated_route_hits_cache () =
   checks "identical schedule bytes" sched1 sched2;
   checki "served" 2 (Session.requests_served session)
 
-(* [naive] reads no discovery, assignment or transpose field, so three
-   requests that differ only there are one plan: one miss, two hits, one
-   entry, one schedule. *)
-let test_session_normalized_cache_key () =
+(* Route a 4x4 reversal with [engine] once per config (a JSON fragment
+   spliced into [params]) through a fresh session; the replies' results
+   and the session's plan cache. *)
+let route_reversals engine configs =
   let session = Session.create () in
   let line id config =
     Printf.sprintf
-      {|{"id": %d, "method": "route", "params": {"grid": {"rows": 4, "cols": 4}, "perm": [15,14,13,12,11,10,9,8,7,6,5,4,3,2,1,0], "engine": "naive"%s}}|}
-      id config
+      {|{"id": %d, "method": "route", "params": {"grid": {"rows": 4, "cols": 4}, "perm": [15,14,13,12,11,10,9,8,7,6,5,4,3,2,1,0], "engine": "%s"%s}}|}
+      id engine config
   in
   let replies =
-    List.map
-      (fun (id, config) -> result_of (Session.handle_line session (line id config)))
-      [
-        (1, "");
-        (2, {|, "config": {"discovery": "whole"}|});
-        (3, {|, "config": {"assignment": "arbitrary"}|});
-      ]
+    List.mapi
+      (fun i config -> result_of (Session.handle_line session (line (i + 1) config)))
+      configs
   in
-  checkb "one miss, then two hits" true
+  (replies, Session.cache session)
+
+(* Three requests that differ only in fields [engine] does not read are
+   one plan: one miss, two hits, one entry, one schedule. *)
+let check_one_plan engine configs =
+  let replies, cache = route_reversals engine configs in
+  checkb (engine ^ ": one miss, then two hits") true
     (List.map (member_exn "cached") replies
     = [ Json.Bool false; Json.Bool true; Json.Bool true ]);
   (match List.map (fun r -> Json.to_string (member_exn "schedule" r)) replies with
@@ -457,28 +459,40 @@ let test_session_normalized_cache_key () =
       checks "second schedule" a b;
       checks "third schedule" a c
   | _ -> Alcotest.fail "three replies expected");
-  let cache = Session.cache session in
   checki "misses" 1 (Plan_cache.misses cache);
   checki "hits" 2 (Plan_cache.hits cache);
   checki "entries" 1 (Plan_cache.length cache)
 
+(* [naive] reads no discovery, assignment or transpose field. *)
+let test_session_normalized_cache_key () =
+  check_one_plan "naive"
+    [
+      "";
+      {|, "config": {"discovery": "whole"}|};
+      {|, "config": {"assignment": "arbitrary"}|};
+    ]
+
+(* [ats-serial] runs one identity-priority trial, which draws nothing from
+   the RNG, so its seed is not read. *)
+let test_session_ats_serial_cache_key () =
+  check_one_plan "ats-serial"
+    [
+      {|, "config": {"seed": 0}|};
+      {|, "config": {"seed": 7}|};
+      {|, "config": {"seed": 12345}|};
+    ]
+
 (* [best] keys on what its contenders read: the default contenders named
-   explicitly are the default, and [snake] reads no discovery. *)
+   explicitly are the default, [snake] reads no discovery, and a value
+   [naive] pins is not read either. *)
 let test_session_best_cache_key () =
-  let session = Session.create () in
-  let line id config =
-    Printf.sprintf
-      {|{"id": %d, "method": "route", "params": {"grid": {"rows": 4, "cols": 4}, "perm": [15,14,13,12,11,10,9,8,7,6,5,4,3,2,1,0], "engine": "best"%s}}|}
-      id config
-  in
-  let replies =
-    List.map
-      (fun (id, config) -> result_of (Session.handle_line session (line id config)))
+  let replies, cache =
+    route_reversals "best"
       [
-        (1, "");
-        (2, {|, "config": {"best": ["local", "naive"]}|});
-        (3, {|, "config": {"best": ["snake"], "discovery": "whole"}|});
-        (4, {|, "config": {"best": ["snake"]}|});
+        "";
+        {|, "config": {"best": ["local", "naive"]}|};
+        {|, "config": {"best": ["snake"], "discovery": "whole"}|};
+        {|, "config": {"best": ["snake"]}|};
       ]
   in
   checkb "miss, hit, miss, hit" true
@@ -489,10 +503,15 @@ let test_session_best_cache_key () =
       checks "default contenders named" a b;
       checks "snake without discovery" c d
   | _ -> Alcotest.fail "four replies expected");
-  let cache = Session.cache session in
   checki "misses" 2 (Plan_cache.misses cache);
   checki "hits" 2 (Plan_cache.hits cache);
-  checki "entries" 2 (Plan_cache.length cache)
+  checki "entries" 2 (Plan_cache.length cache);
+  check_one_plan "best"
+    [
+      {|, "config": {"best": ["naive"]}|};
+      {|, "config": {"best": ["naive"], "transpose": false}|};
+      {|, "config": {"best": ["naive"], "discovery": "whole"}|};
+    ]
 
 let test_session_zero_deadline () =
   (* Acceptance: a 0 ms deadline returns the deadline_exceeded envelope. *)
@@ -1177,6 +1196,8 @@ let () =
             test_session_normalized_cache_key;
           Alcotest.test_case "best keys on what its contenders read" `Quick
             test_session_best_cache_key;
+          Alcotest.test_case "ats-serial ignores the seed" `Quick
+            test_session_ats_serial_cache_key;
           Alcotest.test_case "0ms deadline" `Quick test_session_zero_deadline;
           Alcotest.test_case "error envelopes" `Quick
             test_session_error_envelopes;
