@@ -500,13 +500,13 @@ let respond t (req : P.request) =
   (* Cooperative cancellation: the pool's job wrapper installs an
      ambient token (the watchdog holds its other end) — reuse it so a
      supervisor kill reaches this request; off-pool, a fresh private
-     token.  The token also carries the request's deadline, so the phase
-     boundaries and the routing hot loops check one instant. *)
+     token.  The token also carries the request's deadline while the
+     request runs, so the phase boundaries and the routing hot loops
+     check one instant. *)
   let cancel =
     let ambient = Cancel.ambient () in
     if ambient == Cancel.none then Cancel.create () else ambient
   in
-  Option.iter (Cancel.set_budget_ms cancel) req.deadline_ms;
   t.last_cached <- None;
   let degradations_before = Router_registry.degradations () in
   let run () =
@@ -557,7 +557,12 @@ let respond t (req : P.request) =
     | None -> Trace.trace_id ()
     | Some tc -> Some tc.Trace_context.trace_id
   in
-  let result = in_scope ~cancel ~trace_id run in
+  let scoped () = in_scope ~cancel ~trace_id run in
+  let result =
+    match req.deadline_ms with
+    | None -> scoped ()
+    | Some ms -> Cancel.with_budget_ms cancel ms scoped
+  in
   let ms = Timer.elapsed_s timer *. 1000. in
   Metrics.observe h_request_ms ms;
   let status =

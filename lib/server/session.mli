@@ -141,8 +141,8 @@ val handle_line : t -> string -> string
     The request runs under one {!Qr_util.Cancel.t}: the ambient token
     when the caller installed one (the pool's job wrapper does, and the
     watchdog holds its other end), a fresh one otherwise.  Its
-    [deadline_ms] budget is set on that token
-    ({!Qr_util.Cancel.set_budget_ms}) and checked between phases, and
+    [deadline_ms] budget is set on that token for the request's duration
+    ({!Qr_util.Cancel.with_budget_ms}) and checked between phases, and
     the token is ambient for the whole request, including each
     [route_batch] item fanned out to a pool domain, so the routing loops
     poll it wherever they run.

@@ -61,6 +61,11 @@ let set_budget_ms t ms =
        else Int64.add now budget_ns)
   end
 
+let with_budget_ms t ms f =
+  let prev = t.deadline_ns in
+  set_budget_ms t ms;
+  Fun.protect ~finally:(fun () -> if t != none then t.deadline_ns <- prev) f
+
 let kill t = if t != none then Atomic.set t.killed true
 
 let killed t = Atomic.get t.killed

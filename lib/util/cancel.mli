@@ -3,8 +3,8 @@
     A token carries an absolute monotonic-clock deadline (see
     {!Qr_util.Timer}) and an atomic kill flag a supervisor can set from
     another domain.  It is the one place a served request's time budget
-    lives: the serving layer sets it with {!set_budget_ms} and checks it
-    with {!check} between phases.  Long-running planning loops —
+    lives: the serving layer sets it for the request's duration with
+    {!with_budget_ms} and checks it with {!check} between phases.  Long-running planning loops —
     band-search sweeps, Hopcroft–Karp phases, token-swapping rounds —
     call {!poll} at bounded intervals; an expired or killed token aborts
     the plan mid-loop with {!Cancelled} instead of burning the domain
@@ -45,6 +45,12 @@ val set_budget_ms : t -> int -> unit
     the monotonic clock (owner-domain only).  A budget [<= 0] is already
     expired; a budget too large for the clock saturates to no deadline
     instead of wrapping into the past.  No-op on {!none}. *)
+
+val with_budget_ms : t -> int -> (unit -> 'a) -> 'a
+(** [with_budget_ms t ms f] runs [f] with the budget of {!set_budget_ms}
+    on [t], then gives [t] back its previous deadline, even on exceptions:
+    a request's budget ends with the request, so a token its caller
+    reuses does not inherit it. *)
 
 val kill : t -> unit
 (** Ask the owner to abort at its next {!poll}/{!check}.  Safe from any

@@ -86,6 +86,34 @@ let test_deadline_saturates () =
   checkb "near-overflow budget not expired" false
     (budget_expired (max_int / 1_000))
 
+(* A request's budget ends with the request: four lines through one
+   session under one caller-installed token, only the first with a 0 ms
+   budget, and only the first runs out of time. *)
+let test_deadline_ends_with_request () =
+  let session = Session.create () in
+  let line id =
+    let budget = if id = 1 then {|, "deadline_ms": 0|} else "" in
+    Printf.sprintf
+      {|{"id": %d, "method": "route", "params": {"grid": {"rows": 3, "cols": 3}, "perm": %s}%s}|}
+      id
+      (Json.to_string (P.perm_to_json rev9))
+      budget
+  in
+  let expired =
+    Cancel.with_ambient (Cancel.create ()) (fun () ->
+        List.map
+          (fun id ->
+            match
+              P.response_result
+                (Json.of_string_exn (Session.handle_line session (line id)))
+            with
+            | Error { P.code = P.Deadline_exceeded; _ } -> true
+            | _ -> false)
+          [ 1; 2; 3; 4 ])
+  in
+  checkb "only the first line runs out of time" true
+    (expired = [ true; false; false; false ])
+
 (* ---------------------------------------------------------- cancel token *)
 
 let test_cancel_kill_and_deadline () =
@@ -611,6 +639,8 @@ let () =
           Alcotest.test_case "zero budget" `Quick test_deadline_zero_budget;
           Alcotest.test_case "future budget" `Quick test_deadline_future;
           Alcotest.test_case "budget saturates" `Quick test_deadline_saturates;
+          Alcotest.test_case "budget ends with the request" `Quick
+            test_deadline_ends_with_request;
         ] );
       ( "cancel",
         [
