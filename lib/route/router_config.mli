@@ -68,9 +68,8 @@ val to_attrs : t -> (string * Qr_obs.Trace.value) list
 (** The configuration as span attributes, attached to the [route] span when
     tracing is enabled. *)
 
-(**/**)
-
-val discovery_to_string : Local_grid_route.discovery -> string
-
-val discovery_of_string :
-  string -> (Local_grid_route.discovery, string) result
+val apply_pair : t -> string -> string -> (t, string) result
+(** [apply_pair c key value] sets one [key=value] pair of the text form
+    on [c], parsing [value] as {!of_string} does; unknown keys and
+    malformed values are errors that name the key.  {!check} is not
+    applied. *)

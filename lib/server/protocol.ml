@@ -287,28 +287,37 @@ let perm_of_json ?expect_size json =
               if Perm.is_permutation arr then Ok arr
               else Error "perm: not a permutation of 0..n-1"))
 
-let config_to_json (c : Router_config.t) =
-  let base =
-    [
-      ( "discovery",
-        Json.String (Router_config.discovery_to_string c.discovery) );
-      ( "assignment",
-        Json.String
-          (match c.assignment with
-          | Qr_route.Local_grid_route.Mcbbm -> "mcbbm"
-          | Qr_route.Local_grid_route.Arbitrary -> "arbitrary") );
-      ("transpose", Json.Bool c.transpose);
-      ("compaction", Json.Bool c.compaction);
-      ("trials", Json.Int c.ats_trials);
-      ("seed", Json.Int c.seed);
-    ]
+(* The object form's values, written in the text form: each key's JSON
+   type is checked here, and the text form's own code parses the value.
+   The text form joins [best]'s names with '+', so a name holding one
+   cannot be written.  An unknown key passes as "", for [apply_pair] to
+   refuse. *)
+let config_value_text key value =
+  let expect what = function
+    | Some text -> Ok text
+    | None -> Error (Printf.sprintf "%s: expected %s" key what)
   in
-  match c.best_of with
-  | None -> Json.Obj base
-  | Some names ->
-      Json.Obj
-        (base
-        @ [ ("best", Json.List (List.map (fun n -> Json.String n) names)) ])
+  let engine_name j =
+    match Json.get_string j with
+    | Some s when s <> "" && not (String.contains s '+') -> Some s
+    | _ -> None
+  in
+  match key with
+  | "discovery" | "assignment" -> expect "a string" (Json.get_string value)
+  | "transpose" | "compaction" ->
+      expect "a boolean" (Option.map string_of_bool (Json.get_bool value))
+  | "trials" | "seed" ->
+      expect "an integer" (Option.map string_of_int (Json.get_int value))
+  | "best" ->
+      expect "a non-empty list of engine names"
+        (match Json.get_list value with
+        | Some (_ :: _ as items) ->
+            let names = List.filter_map engine_name items in
+            if List.compare_lengths names items = 0 then
+              Some (String.concat "+" names)
+            else None
+        | _ -> None)
+  | _ -> Ok ""
 
 let config_of_json json =
   let ( let* ) = Result.bind in
@@ -319,63 +328,8 @@ let config_of_json json =
         List.fold_left
           (fun acc (key, value) ->
             let* c = acc in
-            let bad what = Error (Printf.sprintf "%s: expected %s" key what) in
-            match key with
-            | "discovery" -> (
-                match Json.get_string value with
-                | Some s -> (
-                    let* d = Router_config.discovery_of_string s in
-                    Ok { c with Router_config.discovery = d })
-                | None -> bad "a string")
-            | "assignment" -> (
-                match Json.get_string value with
-                | Some "mcbbm" ->
-                    Ok
-                      {
-                        c with
-                        Router_config.assignment = Qr_route.Local_grid_route.Mcbbm;
-                      }
-                | Some "arbitrary" ->
-                    Ok
-                      {
-                        c with
-                        Router_config.assignment =
-                          Qr_route.Local_grid_route.Arbitrary;
-                      }
-                | _ -> bad "\"mcbbm\" or \"arbitrary\"")
-            | "transpose" -> (
-                match Json.get_bool value with
-                | Some b -> Ok { c with Router_config.transpose = b }
-                | None -> bad "a boolean")
-            | "compaction" -> (
-                match Json.get_bool value with
-                | Some b -> Ok { c with Router_config.compaction = b }
-                | None -> bad "a boolean")
-            | "trials" -> (
-                match Json.get_int value with
-                | Some v -> Ok { c with Router_config.ats_trials = v }
-                | None -> bad "an integer")
-            | "seed" -> (
-                match Json.get_int value with
-                | Some v -> Ok { c with Router_config.seed = v }
-                | None -> bad "an integer")
-            | "best" -> (
-                match Json.get_list value with
-                | Some items -> (
-                    let names =
-                      List.fold_left
-                        (fun acc j ->
-                          match (acc, Json.get_string j) with
-                          | Some acc, Some s when s <> "" -> Some (s :: acc)
-                          | _ -> None)
-                        (Some []) items
-                    in
-                    match names with
-                    | Some (_ :: _ as rev) ->
-                        Ok { c with Router_config.best_of = Some (List.rev rev) }
-                    | _ -> bad "a non-empty list of engine names")
-                | None -> bad "a non-empty list of engine names")
-            | _ -> Error (Printf.sprintf "unknown key %S" key))
+            let* text = config_value_text key value in
+            Router_config.apply_pair c key text)
           (Ok Router_config.default) fields
     | _ -> Error "expected an object or a key=value string"
   in

@@ -153,14 +153,16 @@ val perm_of_json : ?expect_size:int -> Json.t -> (Qr_perm.Perm.t, string) result
 (** A list of ints that is a bijection on [0..n-1]; with [expect_size] the
     length must also match (the grid's vertex count). *)
 
-val config_to_json : Qr_route.Router_config.t -> Json.t
-(** One field per knob: [{"discovery": "doubling", "assignment": "mcbbm",
-    "transpose": true, "compaction": false, "trials": 4, "seed": 0}] plus
-    ["best"] (a name list) when contenders are explicitly set. *)
-
 val config_of_json : Json.t -> (Qr_route.Router_config.t, string) result
-(** Accepts the object form (any subset of keys over the defaults, exactly
-    like the text form) or a [String] holding the canonical text form. *)
+(** Accepts the object form or a [String] holding the canonical text form.
+    The object form takes any subset of the text form's keys over the
+    defaults, [{"discovery": "doubling", "assignment": "mcbbm",
+    "transpose": true, "compaction": false, "trials": 4, "seed": 0,
+    "best": ["local", "naive"]}]: strings, booleans, integers and a
+    non-empty list of engine names.  Each value is written in the text
+    form and parsed by {!Qr_route.Router_config.apply_pair}, so both forms
+    give the same errors for a bad value; an engine name holding ['+'],
+    which the text form cannot write, is refused. *)
 
 val engines_json : unit -> Json.t
 (** [{"engines": [{"name": ..., "inputs": "grid"|"any", "transpose": bool,

@@ -196,9 +196,13 @@ let test_perm_codec () =
   checkb "non-list" true (bad {|{"perm": [0,1]}|})
 
 let test_config_codec () =
-  (* Default config round-trips through the object form. *)
-  (match P.config_of_json (P.config_to_json Router_config.default) with
-  | Ok c -> checkb "default round-trip" true (c = Router_config.default)
+  (* Every key at its default, in the object form, is the default. *)
+  (match
+     P.config_of_json
+       (Json.of_string_exn
+          {|{"discovery": "doubling", "assignment": "mcbbm", "transpose": true, "compaction": false, "trials": 4, "seed": 0}|})
+   with
+  | Ok c -> checkb "defaults" true (c = Router_config.default)
   | Error msg -> Alcotest.failf "default rejected: %s" msg);
   (* A subset of keys patches the defaults, exactly like the text form. *)
   (match P.config_of_json (Json.of_string_exn {|{"transpose": false}|}) with
@@ -217,9 +221,29 @@ let test_config_codec () =
   | Error msg -> Alcotest.failf "string form rejected: %s" msg);
   checkb "unknown key" true
     (Result.is_error (P.config_of_json (Json.of_string_exn {|{"warp": 9}|})));
-  checkb "bad value type" true
-    (Result.is_error
-       (P.config_of_json (Json.of_string_exn {|{"trials": "many"}|})))
+  (* A value of the wrong JSON type names the type expected; a value of
+     the right type gets the text form's message. *)
+  let error text =
+    match P.config_of_json (Json.of_string_exn text) with
+    | Ok _ -> Alcotest.failf "%s accepted" text
+    | Error msg -> msg
+  in
+  checks "bad value type" "config: trials: expected an integer"
+    (error {|{"trials": "many"}|});
+  checks "bad boolean" "config: transpose: expected a boolean"
+    (error {|{"transpose": "off"}|});
+  checks "bad string" "config: discovery: expected a string"
+    (error {|{"discovery": 3}|});
+  checks "bad assignment"
+    {|config: assignment: "hungarian" (expected mcbbm or arbitrary)|}
+    (error {|{"assignment": "hungarian"}|});
+  checks "empty best" "config: best: expected a non-empty list of engine names"
+    (error {|{"best": []}|});
+  checks "best name holding '+'"
+    "config: best: expected a non-empty list of engine names"
+    (error {|{"best": ["local+naive"]}|});
+  checks "best list" "config: best: \"nosuch\" is not an engine best can race"
+    (error {|{"best": ["local", "nosuch"]}|})
 
 let test_engines_json () =
   let doc = P.engines_json () in
