@@ -97,5 +97,3 @@ let rec run circuit =
   let optimized = one_pass circuit in
   if Circuit.size optimized < Circuit.size circuit then run optimized
   else optimized
-
-let cancelled_gates circuit = Circuit.size circuit - Circuit.size (run circuit)

@@ -19,6 +19,3 @@
 val run : Circuit.t -> Circuit.t
 (** Optimize to a fixed point.  The result has the same qubit count and
     acts identically on every state. *)
-
-val cancelled_gates : Circuit.t -> int
-(** Convenience: [size before − size after]. *)

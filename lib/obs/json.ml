@@ -306,7 +306,6 @@ let get_string = function String s -> Some s | _ -> None
 let get_int = function Int i -> Some i | _ -> None
 let get_bool = function Bool b -> Some b | _ -> None
 let get_list = function List items -> Some items | _ -> None
-let get_obj = function Obj fields -> Some fields | _ -> None
 
 let get_float = function
   | Float f -> Some f

@@ -53,7 +53,6 @@ val get_int : t -> int option
 val get_bool : t -> bool option
 val get_float : t -> float option
 val get_list : t -> t list option
-val get_obj : t -> (string * t) list option
 
 val equal : t -> t -> bool
 (** Structural equality; object fields compare order-sensitively and

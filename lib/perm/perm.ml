@@ -45,11 +45,6 @@ let transposition n i j =
   p.(j) <- i;
   p
 
-let apply_swap p i j =
-  let tmp = p.(i) in
-  p.(i) <- p.(j);
-  p.(j) <- tmp
-
 let of_cycles n cycle_list =
   let p = identity n in
   let seen = Array.make n false in
@@ -88,8 +83,6 @@ let cycles p =
     end
   done;
   List.rev !acc
-
-let cycle_count p = List.length (cycles p)
 
 let fixpoints p =
   let acc = ref [] in

@@ -32,11 +32,6 @@ val compose : t -> t -> t
 val transposition : int -> int -> int -> t
 (** [transposition n i j] swaps [i] and [j], fixing everything else. *)
 
-val apply_swap : t -> int -> int -> unit
-(** In-place helper for simulators: exchange the destinations stored at two
-    positions.  This is the only mutating operation exposed, for the inner
-    loops that track token positions. *)
-
 val of_cycles : int -> int list list -> t
 (** [of_cycles n cycles] builds the permutation whose cycle decomposition is
     [cycles]; elements not mentioned are fixed.  Each cycle
@@ -46,9 +41,6 @@ val of_cycles : int -> int list list -> t
 val cycles : t -> int list list
 (** Cycle decomposition, fixed points omitted.  Canonical form: every cycle
     starts at its smallest element; cycles sorted by that element. *)
-
-val cycle_count : t -> int
-(** Number of non-trivial cycles. *)
 
 val fixpoints : t -> int list
 (** Positions [i] with [p.(i) = i], ascending. *)

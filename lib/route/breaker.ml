@@ -5,11 +5,6 @@ module Timer = Qr_util.Timer
 
 type state = Closed | Open | Half_open
 
-let state_name = function
-  | Closed -> "closed"
-  | Open -> "open"
-  | Half_open -> "half_open"
-
 (* Gauge encoding: 0 closed, 1 open, 2 half-open. *)
 let state_gauge_value = function Closed -> 0. | Open -> 1. | Half_open -> 2.
 

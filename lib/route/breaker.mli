@@ -33,9 +33,6 @@ type t
 
 type state = Closed | Open | Half_open
 
-val state_name : state -> string
-(** ["closed" | "open" | "half_open"]. *)
-
 type config = {
   window : int;  (** Rolling outcome window size. *)
   threshold : int;  (** Failures within the window that trip open. *)

@@ -23,7 +23,6 @@ type t = {
      superseded zombie and exits its loop instead of taking new work. *)
   epochs : int Atomic.t array;
   mutable zombies : unit Domain.t list;  (* replaced domains, joined at shutdown *)
-  mutable restarts : int;
 }
 
 let index_key : int option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
@@ -154,7 +153,6 @@ let create ?(queue_bound = 32) ?(notify = fun () -> ()) ~workers () =
       domains = [||];
       epochs = Array.init workers (fun _ -> Atomic.make 0);
       zombies = [];
-      restarts = 0;
     }
   in
   t.domains <-
@@ -230,7 +228,6 @@ let replace t k =
     let epoch = 1 + Atomic.get t.epochs.(k) in
     Atomic.set t.epochs.(k) epoch;
     t.zombies <- t.domains.(k) :: t.zombies;
-    t.restarts <- t.restarts + 1;
     Metrics.incr c_restarts;
     (* Wake a zombie parked in Condition.wait so it notices the epoch. *)
     Condition.broadcast t.nonempty;
@@ -241,12 +238,6 @@ let replace t k =
           Fault.set_domain_index (k + 1);
           worker_loop t k epoch)
   end
-
-let restarts t =
-  Mutex.lock t.mutex;
-  let n = t.restarts in
-  Mutex.unlock t.mutex;
-  n
 
 let shutdown t =
   Mutex.lock t.mutex;

@@ -74,9 +74,6 @@ val replace : t -> int -> unit
     [server_worker_restarts].  Main domain only; no-op while stopping.
     @raise Invalid_argument on a bad index. *)
 
-val restarts : t -> int
-(** Domains respawned by {!replace} (metrics-independent tally). *)
-
 val shutdown : t -> unit
 (** Stop accepting, let the workers drain both queues, join them.
     Idempotent.  Call only after the submitting loop has stopped. *)
