@@ -86,7 +86,6 @@ let create g dist ~priority ~edges pi =
   done;
   t
 
-(* Swap the tokens on two adjacent vertices and refresh their rows. *)
 let swap t u v =
   let tmp = t.dest_at.(u) in
   t.dest_at.(u) <- t.dest_at.(v);
@@ -94,9 +93,7 @@ let swap t u v =
   refresh t u;
   refresh t v
 
-(* A maximal vertex-disjoint set of happy swaps, the edges whose two arcs
-   are both in D (swapping strictly helps both tokens), picked greedily in
-   [edges] order; the last pick comes first.  Nothing is swapped. *)
+(* The greedy pick in [edges] order, last pick first. *)
 let happy_matching t =
   Array.fill t.used 0 (Array.length t.used) false;
   let batch = ref [] in
@@ -152,9 +149,6 @@ let rec find_cycle_from t k =
       match dfs t root with None -> find_cycle_from t (k + 1) | cycle -> cycle
     else find_cycle_from t (k + 1)
 
-(* A directed cycle of D, vertices in arc order, found by a DFS from each
-   unplaced vertex in priority order, arcs tried in priority order; [None]
-   when D is acyclic. *)
 let find_cycle t =
   Array.fill t.mark 0 (Array.length t.mark) white;
   find_cycle_from t 0
@@ -177,10 +171,8 @@ let rec first_unplaced t k =
     let v = t.order.(k) in
     if t.dest_at.(v) <> v then v else first_unplaced t (k + 1)
 
-(* The last arc of the maximal D-path that starts at the first unplaced
-   vertex in priority order and always takes the first arc in priority
-   order; its endpoint carries a placed token.  [None] when every token is
-   placed.  Requires D acyclic, otherwise it may not terminate. *)
+(* [None] when every token is placed.  Requires D acyclic, otherwise the
+   walk may not terminate. *)
 let find_unhappy_arc t =
   match first_unplaced t 0 with -1 -> None | v -> Some (walk t (-1) v)
 
