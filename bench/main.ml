@@ -563,7 +563,7 @@ let ablations () =
 (* ------------------------------------------------------------------ micro *)
 
 let micro () =
-  header "Bechamel micro-benchmarks (fixed 16x16 instances)";
+  header "Bechamel micro-benchmarks (fixed instances, 16x16 unless named)";
   let open Bechamel in
   let grid = Grid.make ~rows:16 ~cols:16 in
   let g = Grid.graph grid and oracle = Distance.of_grid grid in
@@ -577,6 +577,17 @@ let micro () =
         (Column_graph.src_col cg e, Column_graph.dst_col cg e))
   in
   let dests = Rng.permutation (Rng.create 2) 64 in
+  let lines =
+    let rng = Rng.create 3 in
+    Array.init 256 (fun _ -> Rng.permutation rng 64)
+  in
+  let next_line = ref 0 in
+  let tokens = Array.make 64 0 and counts = Array.make 65 0 in
+  let grid32 = Grid.make ~rows:32 ~cols:32 in
+  let cg32 =
+    Column_graph.build grid32
+      (Generators.generate grid32 Generators.Random (Rng.create 1))
+  in
   let tests =
     [
       (* One Test.make per figure series. *)
@@ -606,6 +617,21 @@ let micro () =
              Hopcroft_karp.solve ~nl:16 ~nr:16 ~edges));
       Test.make ~name:"substrate/odd-even-path-64"
         (Staged.stage (fun () -> Path_route.route dests));
+      (* The counted rounds GridRoute plans with, both parities, on a
+         different line each run: one line repeated trains the branch
+         predictor on its compare outcomes. *)
+      Test.make ~name:"substrate/count-layers-64"
+        (Staged.stage (fun () ->
+             let line = lines.(!next_line land 255) in
+             incr next_line;
+             Array.blit line 0 tokens 0 64;
+             ignore (Path_route.count_layers tokens 64 0 counts);
+             Array.blit line 0 tokens 0 64;
+             ignore (Path_route.count_layers tokens 64 1 counts)));
+      (* Kernel phases at the benchmark's 32x32 size. *)
+      Test.make ~name:"kernel/band-drain-32x32"
+        (Staged.stage (fun () ->
+             Local_grid_route.discover_matchings Local_grid_route.Doubling cg32));
     ]
   in
   let cfg =

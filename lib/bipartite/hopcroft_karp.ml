@@ -124,20 +124,24 @@ let max_matching ws ~nl ~nr ~ne ~src ~dst ~left_match ~right_match =
   ws.queue <- grown ws.queue nl;
   Array.fill left_match 0 nl (-1);
   Array.fill right_match 0 nr (-1);
-  let size = ref 0 in
-  while
-    Cancel.poll cancel;
-    bfs ws ~nl ~src ~dst ~left_match ~right_match
-  do
-    Metrics.incr c_phases;
+  (* The first phase starts from the empty matching, where the BFS would
+     put every left vertex on layer 0 and find a path iff an edge
+     exists. *)
+  Cancel.poll cancel;
+  Array.fill ws.dist 0 nl 0;
+  let found = ref (ne > 0) and size = ref 0 and phases = ref 0 in
+  while !found do
+    incr phases;
     for l = 0 to nl - 1 do
       if left_match.(l) = -1 && augment ws ~src ~dst ~left_match ~right_match l
-      then begin
-        incr size;
-        Metrics.incr c_augmentations
-      end
-    done
+      then incr size
+    done;
+    Cancel.poll cancel;
+    found := bfs ws ~nl ~src ~dst ~left_match ~right_match
   done;
+  (* Once per call, not per update: the counters are shared atomics. *)
+  Metrics.add c_phases !phases;
+  Metrics.add c_augmentations !size;
   !size
 
 let solve ~nl ~nr ~edges =

@@ -72,20 +72,31 @@ type rounds = { rows : int; cols : int; phases : phase array }
 let depth r = Array.fold_left (fun acc ph -> acc + ph.depth) 0 r.phases
 
 (* Choose each line's parity as Path_route.route_min_parity does (odd only
-   when strictly shallower), from counted rather than recorded rounds. *)
+   when strictly shallower), from counted rather than recorded rounds.  A
+   non-empty round moves a token one position, so no parity takes fewer
+   than [reach], the farthest any token travels: when the even parity
+   meets that bound the odd one cannot beat it and is not counted. *)
 let plan_phase ph ~tokens ~even ~odd =
   for line = 0 to ph.lines - 1 do
     let off = line * ph.len in
-    Array.blit ph.dests off tokens 0 ph.len;
+    let reach = ref 0 in
+    for p = 0 to ph.len - 1 do
+      let dest = ph.dests.(off + p) in
+      tokens.(p) <- dest;
+      if abs (dest - p) > !reach then reach := abs (dest - p)
+    done;
     let depth_even = Path_route.count_layers tokens ph.len 0 even in
-    Array.blit ph.dests off tokens 0 ph.len;
-    let depth_odd = Path_route.count_layers tokens ph.len 1 odd in
     let depth, counts =
-      if depth_odd < depth_even then begin
-        ph.parity.(line) <- 1;
-        (depth_odd, odd)
+      if depth_even = !reach then (depth_even, even)
+      else begin
+        Array.blit ph.dests off tokens 0 ph.len;
+        let depth_odd = Path_route.count_layers tokens ph.len 1 odd in
+        if depth_odd < depth_even then begin
+          ph.parity.(line) <- 1;
+          (depth_odd, odd)
+        end
+        else (depth_even, even)
       end
-      else (depth_even, even)
     in
     for t = 0 to depth - 1 do
       ph.sizes.(t) <- ph.sizes.(t) + counts.(t)

@@ -78,22 +78,26 @@ let covers_columns s ne =
   Array.for_all (fun bits -> bits = 3) s.sides
 
 (* Extract perfect matchings from the live edges with source row in
-   [lo..hi] until none remains; kill the edges of each matching found. *)
+   [lo..hi] until none remains; kill the edges of each matching found.
+   The band is scanned once: after an extraction only the matching's
+   edges have died, so dropping them in place, in order, leaves exactly
+   what a rescan would. *)
 let drain_band s ~lo ~hi =
   let n = Column_graph.cols s.cg in
   let cancel = Cancel.ambient () in
+  let ne =
+    ref
+      (Column_graph.scan_band s.cg ~live:s.live ~lo ~hi ~ids:s.ids ~src:s.src
+         ~dst:s.dst)
+  in
   let continue_ = ref true in
   while !continue_ do
     Cancel.poll cancel;
-    let ne =
-      Column_graph.scan_band s.cg ~live:s.live ~lo ~hi ~ids:s.ids ~src:s.src
-        ~dst:s.dst
-    in
     if
-      ne < n
-      || (not (covers_columns s ne))
-      || Hopcroft_karp.max_matching s.hk ~nl:n ~nr:n ~ne ~src:s.src ~dst:s.dst
-           ~left_match:s.left_match ~right_match:s.right_match
+      !ne < n
+      || (not (covers_columns s !ne))
+      || Hopcroft_karp.max_matching s.hk ~nl:n ~nr:n ~ne:!ne ~src:s.src
+           ~dst:s.dst ~left_match:s.left_match ~right_match:s.right_match
          < n
     then continue_ := false
     else begin
@@ -103,6 +107,17 @@ let drain_band s ~lo ~hi =
         matching.(l) <- e;
         s.live.(e) <- false
       done;
+      let kept = ref 0 in
+      for k = 0 to !ne - 1 do
+        let e = s.ids.(k) in
+        if s.live.(e) then begin
+          s.ids.(!kept) <- e;
+          s.src.(!kept) <- s.src.(k);
+          s.dst.(!kept) <- s.dst.(k);
+          incr kept
+        end
+      done;
+      ne := !kept;
       Metrics.incr c_matchings;
       Metrics.observe h_band_width (float_of_int (hi - lo + 1));
       s.found.(s.count) <- matching;

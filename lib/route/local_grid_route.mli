@@ -47,9 +47,10 @@ val discover_matchings :
 (** Decompose the column multigraph into [m] perfect matchings (edge-id
     arrays indexed by column), in discovery order.  Every discovery runs
     the same band drain: take a band's live edges in ascending id order
-    ({!Column_graph.scan_band}), extract perfect matchings with
-    {!Qr_bipartite.Hopcroft_karp.max_matching} until none remains, and
-    kill each matching's edges.  The result always partitions the edge set
+    ({!Column_graph.scan_band}, once per band), extract perfect matchings
+    with {!Qr_bipartite.Hopcroft_karp.max_matching} until none remains,
+    and kill each matching's edges, dropping them from the band in
+    place.  The result always partitions the edge set
     ({!Qr_bipartite.Decompose.validate} holds).  [hk] reuses matching
     scratch across the band windows (identical results). *)
 

@@ -47,7 +47,9 @@ let route_min_parity dests =
 (* The same rounds as [route_from_parity], counted instead of recorded.
    Two idle rounds in a row (one even, one odd) mean every adjacent pair
    is in order, which replaces the O(k) sortedness scan per round; the
-   extra idle rounds are dropped as empty rounds are. *)
+   extra idle rounds are dropped as empty rounds are.  The
+   compare-exchange has no branch: [mask] is -1 when the pair is out of
+   order and 0 otherwise, so [d land mask] is the amount to move. *)
 let count_layers tokens k parity counts =
   let depth = ref 0 and idle = ref 0 and start = ref parity and rounds = ref 0 in
   while !idle < 2 do
@@ -55,11 +57,11 @@ let count_layers tokens k parity counts =
     let swaps = ref 0 and p = ref !start in
     while !p + 1 < k do
       let a = tokens.(!p) and b = tokens.(!p + 1) in
-      if a > b then begin
-        tokens.(!p) <- b;
-        tokens.(!p + 1) <- a;
-        incr swaps
-      end;
+      let d = b - a in
+      let mask = d asr (Sys.int_size - 1) in
+      tokens.(!p) <- a + (d land mask);
+      tokens.(!p + 1) <- b - (d land mask);
+      swaps := !swaps - mask;
       p := !p + 2
     done;
     if !swaps = 0 then incr idle

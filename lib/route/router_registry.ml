@@ -2,7 +2,6 @@ module Trace = Qr_obs.Trace
 module Metrics = Qr_obs.Metrics
 module Log = Qr_obs.Log
 module Json = Qr_obs.Json
-module Grid = Qr_graph.Grid
 module Fault = Qr_fault.Fault
 
 let table : (string, Router_intf.t) Hashtbl.t = Hashtbl.create 16
@@ -119,12 +118,12 @@ let () =
 let validate input sched =
   let n = Router_intf.input_size input in
   let pi = Router_intf.input_perm input in
-  let graph =
+  let valid =
     match input with
-    | Router_intf.Grid_input (grid, _) -> Grid.graph grid
-    | Router_intf.Graph_input (g, _, _) -> g
+    | Router_intf.Grid_input (grid, _) -> Schedule.is_valid_grid grid sched
+    | Router_intf.Graph_input (g, _, _) -> Schedule.is_valid g sched
   in
-  if not (Schedule.is_valid graph sched) then
+  if not valid then
     Error "a layer is not a matching of the coupling graph"
   else if not (Schedule.realizes ~n sched pi) then
     Error "the schedule does not realize the requested permutation"

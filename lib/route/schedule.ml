@@ -1,4 +1,5 @@
 module Graph = Qr_graph.Graph
+module Grid = Qr_graph.Grid
 module Perm = Qr_perm.Perm
 module Json = Qr_obs.Json
 
@@ -105,17 +106,30 @@ let claim ~n (stamp : int array) k u v =
    stamp.(v) <- k;
    true)
 
-let is_valid g t =
-  let n = Graph.num_vertices g in
+(* [adjacent] sees only endpoints [claim] has accepted: in range and
+   distinct. *)
+let valid_with ~n adjacent t =
   let stamp = Array.make n (-1) in
   let rec from k i =
     k = depth t
     || if i = t.starts.(k + 1) then from (k + 1) i
        else
          let u = t.ends.(2 * i) and v = t.ends.((2 * i) + 1) in
-         claim ~n stamp k u v && Graph.mem_edge g u v && from k (i + 1)
+         claim ~n stamp k u v && adjacent u v && from k (i + 1)
   in
   from 0 0
+
+let is_valid g t = valid_with ~n:(Graph.num_vertices g) (Graph.mem_edge g) t
+
+(* Grid neighbours by coordinates: a column apart, or one apart within a
+   row. *)
+let is_valid_grid grid t =
+  let cols = Grid.cols grid in
+  valid_with ~n:(Grid.size grid)
+    (fun u v ->
+      let d = abs (u - v) in
+      d = cols || (d = 1 && u / cols = v / cols))
+    t
 
 (* The token at each vertex after running [t] from the identity. *)
 let run ~n t =

@@ -61,6 +61,11 @@ val is_valid : Qr_graph.Graph.t -> t -> bool
     an edge.  Like {!apply} and {!realizes}, it allocates O(n) words, not
     one array per layer. *)
 
+val is_valid_grid : Qr_graph.Grid.t -> t -> bool
+(** [is_valid (Grid.graph grid)], with adjacency read off the coordinates
+    (a column apart, or one apart within a row) instead of looked up in
+    the graph. *)
+
 val apply : n:int -> t -> Qr_perm.Perm.t
 (** The permutation the schedule realizes on [n] vertices: token starting at
     [v] ends at [(apply ~n t).(v)].  @raise Invalid_argument if a layer

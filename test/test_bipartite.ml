@@ -332,6 +332,104 @@ let max_matching_reuses_workspace =
           && right_match = reference.right_match)
         [ 3 * n; n; 0; 2 * n ])
 
+(* Hopcroft–Karp as first written, as a reference: every phase,
+   the first included, starts with the layered BFS from the free left
+   vertices.  Adjacency lists each left vertex's edges in input order. *)
+module Reference_hk = struct
+  let max_matching ~nl ~nr ~ne ~src ~dst =
+    let offsets = Array.make (nl + 1) 0 in
+    for k = 0 to ne - 1 do
+      offsets.(src.(k) + 1) <- offsets.(src.(k) + 1) + 1
+    done;
+    for l = 0 to nl - 1 do
+      offsets.(l + 1) <- offsets.(l + 1) + offsets.(l)
+    done;
+    let cursor = Array.sub offsets 0 nl and store = Array.make ne 0 in
+    for k = 0 to ne - 1 do
+      let l = src.(k) in
+      store.(cursor.(l)) <- k;
+      cursor.(l) <- cursor.(l) + 1
+    done;
+    let left_match = Array.make nl (-1) and right_match = Array.make nr (-1) in
+    let dist = Array.make nl max_int and queue = Array.make nl 0 in
+    let bfs () =
+      let tail = ref 0 in
+      for l = 0 to nl - 1 do
+        if left_match.(l) = -1 then begin
+          dist.(l) <- 0;
+          queue.(!tail) <- l;
+          incr tail
+        end
+        else dist.(l) <- max_int
+      done;
+      let head = ref 0 and found = ref false in
+      while !head < !tail do
+        let l = queue.(!head) in
+        incr head;
+        for k = offsets.(l) to offsets.(l + 1) - 1 do
+          match right_match.(dst.(store.(k))) with
+          | -1 -> found := true
+          | e ->
+              let l' = src.(e) in
+              if dist.(l') = max_int then begin
+                dist.(l') <- dist.(l) + 1;
+                queue.(!tail) <- l';
+                incr tail
+              end
+        done
+      done;
+      !found
+    in
+    let rec augment l =
+      let k = ref offsets.(l) and done_ = ref false in
+      while (not !done_) && !k < offsets.(l + 1) do
+        let e = store.(!k) in
+        let r = dst.(e) in
+        let advance =
+          match right_match.(r) with
+          | -1 -> true
+          | e' -> dist.(src.(e')) = dist.(l) + 1 && augment src.(e')
+        in
+        if advance then begin
+          left_match.(l) <- e;
+          right_match.(r) <- e;
+          done_ := true
+        end
+        else incr k
+      done;
+      if not !done_ then dist.(l) <- max_int;
+      !done_
+    in
+    let size = ref 0 in
+    while bfs () do
+      for l = 0 to nl - 1 do
+        if left_match.(l) = -1 && augment l then incr size
+      done
+    done;
+    (!size, left_match, right_match)
+end
+
+(* The core against the reference on random edge lists: empty ones,
+   unequal sides, isolated vertices and repeated edges, all through one
+   workspace and into caller arrays holding stale values. *)
+let max_matching_matches_reference =
+  let ws = HK.workspace () in
+  QCheck.Test.make ~name:"max_matching = reference Hopcroft-Karp" ~count:500
+    QCheck.(
+      quad (int_range 0 7) (int_range 0 7) (int_range 0 24) (int_range 0 100000))
+    (fun (nl, nr, ne, seed) ->
+      let rng = Rng.create seed in
+      let ne = if nl = 0 || nr = 0 then 0 else ne in
+      let edges = Array.init ne (fun _ -> (Rng.int rng nl, Rng.int rng nr)) in
+      (* Repeat a few edges, so parallel edges are common. *)
+      for k = 1 to ne - 1 do
+        if Rng.int rng 4 = 0 then edges.(k) <- edges.(Rng.int rng k)
+      done;
+      let src = Array.map fst edges and dst = Array.map snd edges in
+      let left_match = Array.make nl 7 and right_match = Array.make nr 7 in
+      let size = HK.max_matching ws ~nl ~nr ~ne ~src ~dst ~left_match ~right_match in
+      (size, left_match, right_match) = Reference_hk.max_matching ~nl ~nr ~ne ~src ~dst)
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "qr_bipartite"
@@ -349,6 +447,7 @@ let () =
           Alcotest.test_case "hall found" `Quick test_hall_violator_found;
           qc hk_matches_brute_force;
           qc max_matching_reuses_workspace;
+          qc max_matching_matches_reference;
         ] );
       ( "decompose",
         [

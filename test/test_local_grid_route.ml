@@ -8,6 +8,7 @@ module Column_graph = Qr_route.Column_graph
 module Grid_route = Qr_route.Grid_route
 module Local = Qr_route.Local_grid_route
 module Decompose = Qr_bipartite.Decompose
+module HK = Qr_bipartite.Hopcroft_karp
 module Rng = Qr_util.Rng
 
 let checkb = Alcotest.check Alcotest.bool
@@ -78,6 +79,78 @@ let discovery_partitions_edges =
           List.length matchings = m
           && Decompose.validate ~nl:n ~nr:n ~edges:(column_edges cg) matchings)
         [ Local.Doubling; Local.Whole; Local.Fixed_band h ])
+
+(* The band drain as first written, as a reference: the windows of
+   Local.discover_matchings (width h - 1 first, 0 for Doubling and m - 1
+   for Whole, then doubling), each drained by rescanning it through
+   Column_graph.scan_band after every extraction.  It leaves out the
+   column-coverage check, which only skips solves that cannot return a
+   perfect matching. *)
+let reference_matchings discovery cg =
+  let m = Column_graph.rows cg and n = Column_graph.cols cg in
+  let size = Column_graph.num_edges cg in
+  let live = Array.make size true and ids = Array.make size 0 in
+  let src = Array.make size 0 and dst = Array.make size 0 in
+  let left_match = Array.make n (-1) and right_match = Array.make n (-1) in
+  let hk = HK.workspace () and found = ref [] and count = ref 0 in
+  let rec drain ~lo ~hi =
+    let ne = Column_graph.scan_band cg ~live ~lo ~hi ~ids ~src ~dst in
+    if
+      ne >= n
+      && HK.max_matching hk ~nl:n ~nr:n ~ne ~src ~dst ~left_match ~right_match = n
+    then begin
+      let matching = Array.map (fun k -> ids.(k)) left_match in
+      Array.iter (fun e -> live.(e) <- false) matching;
+      found := matching :: !found;
+      incr count;
+      drain ~lo ~hi
+    end
+  in
+  let w =
+    ref
+      (match discovery with
+      | Local.Doubling -> 0
+      | Local.Fixed_band h -> h - 1
+      | Local.Whole -> m - 1)
+  in
+  while !count < m do
+    let r0 = ref 0 in
+    while !r0 < m && !count < m do
+      drain ~lo:!r0 ~hi:(min (!r0 + !w) (m - 1));
+      r0 := !r0 + !w + 1
+    done;
+    w := if !w = 0 then 1 else 2 * !w
+  done;
+  List.rev !found
+
+(* Matchings and their order feed the row assignment, so a drain that
+   loses either changes schedules; this names the discovery and the
+   permutation kind that broke. *)
+let drain_matches_reference =
+  QCheck.Test.make ~name:"discover_matchings = rescanning reference drain"
+    ~count:300
+    QCheck.(
+      quad (int_range 1 10) (int_range 1 10) (pair (int_range 0 4) (int_range 1 11))
+        (int_range 0 100000))
+    (fun (m, n, (kind, h), seed) ->
+      let grid = Grid.make ~rows:m ~cols:n in
+      let rng = Rng.create seed in
+      let kind_name, pi =
+        if kind = 0 then ("random", Perm.check (Rng.permutation rng (m * n)))
+        else
+          let k = List.nth (Generators.paper_kinds grid) (kind - 1) in
+          (Generators.name k, Generators.generate grid k rng)
+      in
+      let cg = Column_graph.build grid pi in
+      List.for_all
+        (fun (name, discovery) ->
+          Local.discover_matchings discovery cg = reference_matchings discovery cg
+          || QCheck.Test.fail_reportf "%s differs on %dx%d %s" name m n kind_name)
+        [
+          ("doubling", Local.Doubling);
+          (Printf.sprintf "fixed_band:%d" h, Local.Fixed_band h);
+          ("whole", Local.Whole);
+        ])
 
 let test_doubling_finds_row_local_at_w0 () =
   (* For a permutation whose every row maps to itself with distinct
@@ -295,6 +368,7 @@ let () =
             test_block_local_beats_or_ties_naive_usually;
           Alcotest.test_case "ablation switches" `Quick test_ablation_switches_work;
           qc discovery_partitions_edges;
+          qc drain_matches_reference;
           qc local_route_property;
           qc best_orientation_property;
           qc deltas_match_delta;

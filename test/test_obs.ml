@@ -739,6 +739,25 @@ let test_routed_counters_consistent () =
     (fun name -> checkb (name ^ " counted") true (counter name > 0))
     [ "band_search_iterations"; "hk_calls"; "odd_even_rounds" ]
 
+(* Hopcroft-Karp adds each counter once per call; the totals are those
+   recorded when every phase and augmentation bumped its counter, on one
+   fixed 8x8 [local] route. *)
+let test_hk_counters_pinned () =
+  with_clean_sinks @@ fun () ->
+  Metrics.reset ();
+  Metrics.enable ();
+  let grid = Qroute.Grid.make ~rows:8 ~cols:8 in
+  let pi = Qroute.Rng.permutation (Qroute.Rng.create 8) (Qroute.Grid.size grid) in
+  let sched = Qroute.route ~engine:"local" grid pi in
+  Metrics.disable ();
+  checki "depth" 19 (Qroute.Schedule.depth sched);
+  List.iter
+    (fun (name, want) ->
+      match Metrics.find_counter name with
+      | Some c -> checki name want (Metrics.value c)
+      | None -> Alcotest.failf "counter %s not registered" name)
+    [ ("hk_calls", 21); ("hk_phases", 33); ("hk_augmentations", 165) ]
+
 let test_every_engine_traced () =
   (* Every registered engine routes with both sinks on, and both exports
      print and parse back to the same document. *)
@@ -874,6 +893,7 @@ let () =
         [
           Alcotest.test_case "instrumented route" `Quick
             test_routed_counters_consistent;
+          Alcotest.test_case "hk counters pinned" `Quick test_hk_counters_pinned;
           Alcotest.test_case "every engine traced" `Quick
             test_every_engine_traced;
           Alcotest.test_case "naive route span config" `Quick

@@ -496,6 +496,52 @@ let flat_agrees_with_reference =
            (Schedule.of_json (Json.of_string_exn (Json.to_string (Schedule.to_json s))))
            (flat_result (Reference.of_json (Reference.to_json a))))
 
+(* Swap lists on grids from 1x1 to 6x6 that a coordinate adjacency test
+   could misjudge: grid edges either way round, steps right or down off
+   the grid or across a row's end, the row-wrap pair (cols - 1, cols),
+   negative and out-of-range endpoints, self-swaps, and a swap repeated
+   within its layer. *)
+let grid_validity_case =
+  let open QCheck.Gen in
+  let* rows = int_range 1 6 and* cols = int_range 1 6 in
+  let n = rows * cols in
+  let vertex = int_range (-2) (n + 1) in
+  let step =
+    let* v = int_range 0 (n - 1) and* down = bool and* flip = bool in
+    let w = if down then v + cols else v + 1 in
+    return (if flip then (w, v) else (v, w))
+  in
+  let swap =
+    frequency
+      [
+        (8, step);
+        (1, return (cols - 1, cols));
+        (1, map (fun v -> (v, v)) vertex);
+        (2, pair vertex vertex);
+      ]
+  in
+  let layer =
+    let* swaps = list_size (int_range 0 4) swap and* repeat = int_range 0 5 in
+    return
+      (Array.of_list
+         (match swaps with s :: _ when repeat = 0 -> swaps @ [ s ] | _ -> swaps))
+  in
+  let* layers = list_size (int_range 0 4) layer in
+  return (rows, cols, layers)
+
+let grid_validity_agrees =
+  QCheck.Test.make ~name:"is_valid_grid = list-based reference" ~count:2000
+    (QCheck.make
+       ~print:(fun (rows, cols, a) ->
+         Printf.sprintf "%dx%d %S" rows cols (Reference.to_string a))
+       grid_validity_case)
+    (fun (rows, cols, a) ->
+      let grid = Grid.make ~rows ~cols in
+      let s = Schedule.of_layers a in
+      let want = Reference.is_valid (Grid.graph grid) a in
+      Schedule.is_valid_grid grid s = want
+      && Schedule.is_valid (Grid.graph grid) s = want)
+
 (* The verifier checks disjointness with one stamp per vertex, not a
    fresh flag array per layer: on the 85-layer 32x32 schedule the
    list-based [realizes] allocated 90_657 words per call. *)
@@ -557,6 +603,7 @@ let () =
           qc compact_layers_are_matchings;
           qc apply_of_inverse_composes_to_identity;
           qc flat_agrees_with_reference;
+          qc grid_validity_agrees;
           Alcotest.test_case "realizes allocates O(n) words" `Quick
             test_realizes_allocates_o_n;
         ] );
