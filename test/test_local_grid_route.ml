@@ -368,11 +368,11 @@ let () =
             test_block_local_beats_or_ties_naive_usually;
           Alcotest.test_case "ablation switches" `Quick test_ablation_switches_work;
           qc discovery_partitions_edges;
-          qc drain_matches_reference;
           qc local_route_property;
           qc best_orientation_property;
           qc deltas_match_delta;
           qc transposed_column_graph;
           qc best_orientation_matches_reference;
+          qc drain_matches_reference;
         ] );
     ]
