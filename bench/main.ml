@@ -39,21 +39,33 @@ let default_sides = [ 4; 8; 12; 16; 20; 24 ]
 
 let seeds = 5
 
+(* Figure 5's timed calls per seed, after one untimed call. *)
+let timed_calls = 3
+
 (* One measured cell of the sweep: mean depth and mean seconds over seeds,
-   with the correctness of each schedule asserted. *)
-let measure ?on_sample grid kind engine =
+   with the correctness of each schedule asserted.  Each seed's
+   permutation is routed once untimed, so first-touch allocation and cold
+   caches stay out of the figure, and its seconds are the fastest of
+   [timed_calls] more calls.  With [timed_calls = 0] (Figure 4, which
+   reports depth) the untimed call's seconds stand. *)
+let measure ?on_sample ~timed_calls grid kind engine =
   let depths = Array.make seeds 0. in
   let times = Array.make seeds 0. in
   for seed = 0 to seeds - 1 do
     let pi = Generators.generate grid kind (Rng.create (1000 + seed)) in
-    let sched, seconds =
+    let sched, first =
       Timer.time (fun () -> Router_intf.route_grid engine grid pi)
     in
     assert (Schedule.realizes ~n:(Grid.size grid) sched pi);
+    let seconds = ref (if timed_calls = 0 then first else infinity) in
+    for _ = 1 to timed_calls do
+      let _, s = Timer.time (fun () -> Router_intf.route_grid engine grid pi) in
+      seconds := Float.min !seconds s
+    done;
     depths.(seed) <- float_of_int (Schedule.depth sched);
-    times.(seed) <- seconds;
+    times.(seed) <- !seconds;
     match on_sample with
-    | Some f -> f seed (Schedule.depth sched) (Schedule.size sched) seconds
+    | Some f -> f seed (Schedule.depth sched) (Schedule.size sched) !seconds
     | None -> ()
   done;
   (Stats.mean depths, Stats.mean times)
@@ -102,7 +114,7 @@ let record_csv side kind engine seed depth swaps seconds =
 (* The sweep's engine set and column headers come from the registry, so a
    newly registered engine shows up in Figures 4 and 5 with no harness
    change. *)
-let sweep sides pick render unit_label ~with_bound =
+let sweep sides pick render unit_label ~with_bound ~timed_calls =
   let engines = Router_registry.all () in
   Printf.printf "%-6s %-13s" "grid" "workload";
   List.iter
@@ -125,7 +137,7 @@ let sweep sides pick render unit_label ~with_bound =
                   (measure
                      ~on_sample:(fun seed depth swaps seconds ->
                        record_csv side kind engine seed depth swaps seconds)
-                     grid kind engine)
+                     ~timed_calls grid kind engine)
               in
               Printf.printf " %12s" (render cell))
             engines;
@@ -142,7 +154,7 @@ let fig4 sides =
   sweep sides fst
     (fun x -> Printf.sprintf "%.2f" x)
     "depth in matchings/SWAP layers; bound = displacement/cut lower bound"
-    ~with_bound:true;
+    ~with_bound:true ~timed_calls:0;
   write_csv "fig4" !csv_rows
 
 let fig5 sides =
@@ -151,7 +163,9 @@ let fig5 sides =
   sweep sides
     (fun (_, t) -> t)
     (fun x -> Printf.sprintf "%.6f" x)
-    "seconds per routing call" ~with_bound:false;
+    (Printf.sprintf "seconds per routing call, fastest of %d after one untimed"
+       timed_calls)
+    ~with_bound:false ~timed_calls;
   write_csv "fig5" !csv_rows
 
 (* ------------------------------------------------------------- parallel *)
@@ -583,6 +597,9 @@ let micro () =
   in
   let next_line = ref 0 in
   let tokens = Array.make 64 0 and counts = Array.make 65 0 in
+  let best_random = route ~engine:"best" grid pi_random in
+  let reply = Buffer.create 16 in
+  Schedule.to_buffer reply best_random;
   let grid32 = Grid.make ~rows:32 ~cols:32 in
   let cg32 =
     Column_graph.build grid32
@@ -628,6 +645,12 @@ let micro () =
              ignore (Path_route.count_layers tokens 64 0 counts);
              Array.blit line 0 tokens 0 64;
              ignore (Path_route.count_layers tokens 64 1 counts)));
+      (* A plan-cache hit's reply: one 16x16 best schedule written into
+         a cleared buffer already grown to its text's length. *)
+      Test.make ~name:"serve/schedule-to-buffer-16x16"
+        (Staged.stage (fun () ->
+             Buffer.clear reply;
+             Schedule.to_buffer reply best_random));
       (* Kernel phases at the benchmark's 32x32 size. *)
       Test.make ~name:"kernel/band-drain-32x32"
         (Staged.stage (fun () ->

@@ -41,26 +41,80 @@ let float_to_buffer buf f =
       Buffer.add_string buf ".0"
   end
 
+(* The longest [string_of_int]: [min_int]'s sign and digits. *)
+let max_int_bytes = String.length (string_of_int min_int)
+
+let max_digits = max_int_bytes - 1
+
 (* [string_of_int] without its C [caml_format_int] call, which costs
    several times the rest of an integer's rendering, and without an
-   intermediate string: the digits of the non-positive magnitude are
-   written most significant first, so [min_int] needs no special case. *)
-let rec add_digits buf n =
-  if n <= -10 then add_digits buf (n / 10);
-  Buffer.add_char buf (Char.unsafe_chr (48 - (n mod 10)))
+   intermediate string.  The digits are those of the non-positive
+   magnitude [m], so [min_int] needs no special case.  Up to three digits
+   (every vertex id of a grid up to 31x32) are written by digit count,
+   with one division per digit after the first; a longer [m] is counted
+   against -10^4, -10^5, ... and written least significant first from the
+   end.  Writing every length through that loop made the 16x16 reply
+   writer about 40 % slower. *)
+let[@inline] digit d = Char.unsafe_chr (48 - d)
 
-let int_to_buffer buf i =
-  if i < 0 then begin
-    Buffer.add_char buf '-';
-    add_digits buf i
+let rec digit_count m bound len =
+  if len = max_digits || m > bound then len
+  else digit_count m (bound * 10) (len + 1)
+
+let rec write_digits b last m =
+  let q = m / 10 in
+  Bytes.set b last (digit (m - (10 * q)));
+  if q <> 0 then write_digits b (last - 1) q
+
+let write_int b pos i =
+  let m = if i < 0 then i else -i in
+  let pos =
+    if i < 0 then begin
+      Bytes.set b pos '-';
+      pos + 1
+    end
+    else pos
+  in
+  if m > -10 then begin
+    Bytes.set b pos (digit m);
+    pos + 1
   end
-  else add_digits buf (-i)
+  else if m > -100 then begin
+    let q = m / 10 in
+    Bytes.set b pos (digit q);
+    Bytes.set b (pos + 1) (digit (m - (10 * q)));
+    pos + 2
+  end
+  else if m > -1000 then begin
+    let q = m / 10 in
+    let qq = q / 10 in
+    Bytes.set b pos (digit qq);
+    Bytes.set b (pos + 1) (digit (q - (10 * qq)));
+    Bytes.set b (pos + 2) (digit (m - (10 * q)));
+    pos + 3
+  end
+  else begin
+    let stop = pos + digit_count m (-10_000) 4 in
+    write_digits b (stop - 1) m;
+    stop
+  end
 
+(* Per domain, so concurrent writers never share it. *)
+let int_scratch = Domain.DLS.new_key (fun () -> Bytes.create max_int_bytes)
+
+let add_int buf scratch i =
+  Buffer.add_subbytes buf scratch 0 (write_int scratch 0 i)
+
+let int_to_buffer buf i = add_int buf (Domain.DLS.get int_scratch) i
+
+(* The scratch is looked up once per value, not once per [Int]: a lookup
+   per integer made printing a 256-entry permutation about 20 % slower. *)
 let to_buffer buf json =
+  let scratch = Domain.DLS.get int_scratch in
   let rec go = function
     | Null -> Buffer.add_string buf "null"
     | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-    | Int i -> int_to_buffer buf i
+    | Int i -> add_int buf scratch i
     | Float f -> float_to_buffer buf f
     | String s -> escape_to buf s
     | List items ->

@@ -19,10 +19,20 @@ val to_buffer : Buffer.t -> t -> unit
 (** Append the compact rendering of a value.  Non-finite floats render as
     [null] (JSON has no NaN/infinity). *)
 
+val max_int_bytes : int
+(** The length of the longest [string_of_int], [min_int]'s: the room
+    {!write_int} needs. *)
+
+val write_int : Bytes.t -> int -> int -> int
+(** [write_int b pos i] writes [string_of_int i] into [b] from [pos] and
+    returns the position after it, allocating nothing.  The one digit
+    routine: {!int_to_buffer} and the staged writers that skip the tree
+    ([Qr_route.Schedule.to_buffer]) both write through it.
+    @raise Invalid_argument if [b] has no room for it. *)
+
 val int_to_buffer : Buffer.t -> int -> unit
-(** Append [string_of_int i] without allocating.  The one integer writer:
-    {!to_buffer} renders [Int] through it, and so do the direct writers
-    that skip the tree ([Qr_route.Schedule.to_buffer]). *)
+(** Append [string_of_int i] without allocating, through {!write_int} and
+    a per-domain scratch.  {!to_buffer} renders [Int] through it. *)
 
 val to_string : t -> string
 (** Compact (single-line) rendering. *)

@@ -269,27 +269,67 @@ let to_json t =
       ("layers", Json.List (List.init (depth t) layer_json));
     ]
 
-(* [to_json]'s bytes without its tree: no allocation past the buffer's
-   own growth. *)
+(* [to_json]'s bytes without its tree.  The layers are staged in a
+   per-domain chunk, so concurrent writers never share it, and each full
+   chunk reaches the buffer with one [Buffer.add_subbytes]: appending the
+   text byte by byte cost about 3.5 ns a byte. *)
+let chunk_bytes = 4096
+
+(* The most one step stages: a layer's opening [,[], its first swap
+   [[u,v]] and the bracket that closes it.  A later swap, its separator
+   and that bracket take one byte less. *)
+let step_bytes = 2 + (3 + (2 * Json.max_int_bytes)) + 1
+
+let chunk = Domain.DLS.new_key (fun () -> Bytes.create chunk_bytes)
+
+(* The position to stage the next step at: [pos], or 0 after flushing a
+   chunk without room for one more step. *)
+let[@inline] reserve buf chunk pos =
+  if pos <= chunk_bytes - step_bytes then pos
+  else begin
+    Buffer.add_subbytes buf chunk 0 pos;
+    0
+  end
+
+let[@inline] stage_swap chunk pos u v =
+  Bytes.set chunk pos '[';
+  let pos = Json.write_int chunk (pos + 1) u in
+  Bytes.set chunk pos ',';
+  let pos = Json.write_int chunk (pos + 1) v in
+  Bytes.set chunk pos ']';
+  pos + 1
+
 let to_buffer buf t =
   Buffer.add_string buf {|{"depth":|};
   Json.int_to_buffer buf (depth t);
   Buffer.add_string buf {|,"size":|};
   Json.int_to_buffer buf (size t);
   Buffer.add_string buf {|,"layers":[|};
+  let chunk = Domain.DLS.get chunk in
+  let pos = ref 0 in
   for k = 0 to depth t - 1 do
-    if k > 0 then Buffer.add_char buf ',';
-    Buffer.add_char buf '[';
-    for i = t.starts.(k) to t.starts.(k + 1) - 1 do
-      if i > t.starts.(k) then Buffer.add_char buf ',';
-      Buffer.add_char buf '[';
-      Json.int_to_buffer buf t.ends.(2 * i);
-      Buffer.add_char buf ',';
-      Json.int_to_buffer buf t.ends.((2 * i) + 1);
-      Buffer.add_char buf ']'
-    done;
-    Buffer.add_char buf ']'
+    pos := reserve buf chunk !pos;
+    if k > 0 then begin
+      Bytes.set chunk !pos ',';
+      incr pos
+    end;
+    Bytes.set chunk !pos '[';
+    incr pos;
+    let first = t.starts.(k) and last = t.starts.(k + 1) - 1 in
+    (* The first swap is staged before the loop, so the loop writes each
+       separator without a test. *)
+    if first <= last then begin
+      pos := stage_swap chunk !pos t.ends.(2 * first) t.ends.((2 * first) + 1);
+      for i = first + 1 to last do
+        pos := reserve buf chunk !pos;
+        Bytes.set chunk !pos ',';
+        pos := stage_swap chunk (!pos + 1) t.ends.(2 * i) t.ends.((2 * i) + 1)
+      done
+    end;
+    Bytes.set chunk !pos ']';
+    incr pos
   done;
+  Buffer.add_subbytes buf chunk 0 !pos;
   Buffer.add_string buf "]}"
 
 (* Two passes over the layers: the first sizes the arrays (a malformed

@@ -262,30 +262,30 @@ let grid_of_json ?vertices json =
 let perm_to_json pi =
   Json.List (Array.to_list (Array.map (fun d -> Json.Int d) pi))
 
+(* One pass: the entries go straight into the array, and a non-integer
+   entry is reported before a size mismatch. *)
 let perm_of_json ?expect_size json =
-  match Json.get_list json with
-  | None -> Error "perm: expected a list of integers"
-  | Some items -> (
-      let ints =
-        List.fold_left
-          (fun acc j ->
-            match (acc, Json.get_int j) with
-            | Some acc, Some i -> Some (i :: acc)
-            | _ -> None)
-          (Some []) items
+  match json with
+  | Json.List items -> (
+      let arr = Array.make (List.length items) 0 in
+      let rec fill k = function
+        | [] -> true
+        | Json.Int i :: rest ->
+            arr.(k) <- i;
+            fill (k + 1) rest
+        | _ -> false
       in
-      match ints with
-      | None -> Error "perm: expected a list of integers"
-      | Some rev -> (
-          let arr = Array.of_list (List.rev rev) in
-          match expect_size with
-          | Some n when Array.length arr <> n ->
-              Error
-                (Printf.sprintf "perm: expected %d entries, got %d" n
-                   (Array.length arr))
-          | _ ->
-              if Perm.is_permutation arr then Ok arr
-              else Error "perm: not a permutation of 0..n-1"))
+      if not (fill 0 items) then Error "perm: expected a list of integers"
+      else
+        match expect_size with
+        | Some n when Array.length arr <> n ->
+            Error
+              (Printf.sprintf "perm: expected %d entries, got %d" n
+                 (Array.length arr))
+        | _ ->
+            if Perm.is_permutation arr then Ok arr
+            else Error "perm: not a permutation of 0..n-1")
+  | _ -> Error "perm: expected a list of integers"
 
 (* The object form's values, written in the text form: each key's JSON
    type is checked here, and the text form's own code parses the value.

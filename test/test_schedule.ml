@@ -345,22 +345,63 @@ let json_roundtrip_exact =
            (Qr_obs.Json.of_string_exn (Qr_obs.Json.to_string doc))
          = s)
 
-(* The direct writer appends exactly the printed tree's bytes: no layers,
-   empty layers, and ids up to [max_int]. *)
+(* Ids of every digit count and both signs, 0, [max_int] and [min_int]:
+   the shapes the writer's digit routine and its chunk room must cover. *)
+let id_gen =
+  let rec pow10 k = if k = 0 then 1 else 10 * pow10 (k - 1) in
+  let max_digits = String.length (string_of_int max_int) in
+  QCheck.Gen.(
+    frequency
+      [
+        (3, small_nat);
+        ( 3,
+          let* digits = int_range 1 max_digits in
+          let* x =
+            int_range
+              (if digits = 1 then 0 else pow10 (digits - 1))
+              (if digits = max_digits then max_int else pow10 digits - 1)
+          in
+          map (fun negative -> if negative then -x else x) bool );
+        (1, oneofl [ 0; max_int; min_int; min_int + 1; -1 ]);
+      ])
+
+(* The bytes after the shared prefix, for a failure message that does
+   not print a megabyte. *)
+let first_difference a b =
+  let n = min (String.length a) (String.length b) in
+  let rec from i = if i < n && a.[i] = b.[i] then from (i + 1) else i in
+  let i = from 0 in
+  let window s = String.sub s i (min 40 (String.length s - i)) in
+  Printf.sprintf "byte %d of %d/%d: %S, expected %S" i (String.length a)
+    (String.length b) (window a) (window b)
+
+(* The direct writer appends exactly the printed tree's bytes, after
+   whatever the buffer already holds: no layers, empty layers, and
+   schedules up to 40 layers of 600 swaps, whose text spans many staging
+   chunks. *)
 let to_buffer_matches_printed_tree =
-  let id =
-    QCheck.(
-      oneof [ small_nat; int_range 0 max_int; oneofl [ 0; 9; 10; max_int ] ])
+  let layers =
+    QCheck.Gen.(
+      list_size (int_bound 40)
+        (array_size
+           (frequency [ (1, int_bound 3); (2, int_bound 600) ])
+           (pair id_gen id_gen)))
   in
-  QCheck.Test.make ~name:"to_buffer = printed to_json" ~count:500
-    QCheck.(small_list (small_list (pair id id)))
-    (fun raw ->
-      let s = Schedule.of_layers (List.map Array.of_list raw) in
+  let print ls =
+    let s = Schedule.of_layers ls in
+    Printf.sprintf "depth %d, size %d" (Schedule.depth s) (Schedule.size s)
+  in
+  QCheck.Test.make ~name:"to_buffer = printed to_json" ~count:300
+    (QCheck.make ~print layers)
+    (fun ls ->
+      let s = Schedule.of_layers ls in
       let buf = Buffer.create 16 in
       Buffer.add_string buf "prefix";
       Schedule.to_buffer buf s;
-      Buffer.contents buf
-      = "prefix" ^ Qr_obs.Json.to_string (Schedule.to_json s))
+      let expected = "prefix" ^ Qr_obs.Json.to_string (Schedule.to_json s) in
+      let got = Buffer.contents buf in
+      got = expected
+      || QCheck.Test.fail_reportf "%s" (first_difference got expected))
 
 (* Into a buffer already large enough, the writer allocates nothing: no
    tree, no string per integer. *)
@@ -376,6 +417,36 @@ let test_to_buffer_allocates_nothing () =
   Schedule.to_buffer buf sched;
   let words = Gc.minor_words () -. before in
   checkb (Printf.sprintf "%.0f minor words = 0" words) true (words = 0.)
+
+(* A layer whose first swap holds two [min_int]s is the largest step the
+   writer stages.  Padding layers move where such layers start, through
+   every offset modulo their length, so one of them starts at the last
+   position the staging chunk accepts without a flush. *)
+let test_to_buffer_every_chunk_offset () =
+  let lengths =
+    List.init (String.length (string_of_int max_int)) (fun k ->
+        int_of_string ("1" ^ String.make k '0'))
+  in
+  let pads = lengths @ List.map (fun x -> -x) lengths @ [ min_int ] in
+  let wide = Array.make 200 [| (min_int, min_int) |] in
+  for zeros = 0 to 5 do
+    List.iter
+      (fun pad ->
+        let s =
+          Schedule.of_layers
+            (List.init zeros (fun _ -> [| (0, 0) |])
+            @ [ [| (pad, 0) |] ]
+            @ Array.to_list wide)
+        in
+        let buf = Buffer.create 16 in
+        Schedule.to_buffer buf s;
+        let expected = Qr_obs.Json.to_string (Schedule.to_json s) in
+        let got = Buffer.contents buf in
+        if got <> expected then
+          Alcotest.failf "%d zero layers, pad %d: %s" zeros pad
+            (first_difference got expected))
+      pads
+  done
 
 let test_map_vertices () =
   let s = Schedule.of_layers [ [| (0, 1) |] ] in
@@ -606,5 +677,7 @@ let () =
           qc grid_validity_agrees;
           Alcotest.test_case "realizes allocates O(n) words" `Quick
             test_realizes_allocates_o_n;
+          Alcotest.test_case "to_buffer at every chunk offset" `Quick
+            test_to_buffer_every_chunk_offset;
         ] );
     ]

@@ -186,14 +186,28 @@ let test_perm_codec () =
   (match P.perm_of_json ~expect_size:3 (P.perm_to_json pi) with
   | Ok again -> checkb "round-trip" true (Perm.equal pi again)
   | Error msg -> Alcotest.failf "round-trip failed: %s" msg);
-  let bad ?expect_size text =
-    Result.is_error (P.perm_of_json ?expect_size (Json.of_string_exn text))
+  let error ?expect_size text =
+    match P.perm_of_json ?expect_size (Json.of_string_exn text) with
+    | Ok _ -> "accepted"
+    | Error msg -> msg
   in
-  checkb "repeated image" true (bad "[0,0,1]");
-  checkb "out of range" true (bad "[0,3,1]");
-  checkb "non-int entry" true (bad {|[0,"x",1]|});
-  checkb "size mismatch" true (bad ~expect_size:4 "[2,0,1]");
-  checkb "non-list" true (bad {|{"perm": [0,1]}|})
+  let not_ints = "perm: expected a list of integers"
+  and not_perm = "perm: not a permutation of 0..n-1" in
+  checks "repeated image" not_perm (error "[0,0,1]");
+  checks "out of range" not_perm (error "[0,3,1]");
+  checks "negative entry" not_perm (error "[0,-1,1]");
+  checks "non-int entry" not_ints (error {|[0,"x",1]|});
+  checks "float entry" not_ints (error "[0,1.0,2]");
+  checks "size mismatch" "perm: expected 4 entries, got 3"
+    (error ~expect_size:4 "[2,0,1]");
+  checks "non-int before size mismatch" not_ints
+    (error ~expect_size:4 {|[2,0,"x"]|});
+  checks "size mismatch before permutation" "perm: expected 2 entries, got 3"
+    (error ~expect_size:2 "[0,0,0]");
+  checks "non-list" not_ints (error {|{"perm": [0,1]}|});
+  (match P.perm_of_json (Json.of_string_exn "[]") with
+  | Ok empty -> checki "empty list" 0 (Array.length empty)
+  | Error msg -> Alcotest.failf "empty list: %s" msg)
 
 let test_config_codec () =
   (* Every key at its default, in the object form, is the default. *)
