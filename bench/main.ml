@@ -42,34 +42,6 @@ let seeds = 5
 (* Figure 5's timed calls per seed, after one untimed call. *)
 let timed_calls = 3
 
-(* One measured cell of the sweep: mean depth and mean seconds over seeds,
-   with the correctness of each schedule asserted.  Each seed's
-   permutation is routed once untimed, so first-touch allocation and cold
-   caches stay out of the figure, and its seconds are the fastest of
-   [timed_calls] more calls.  With [timed_calls = 0] (Figure 4, which
-   reports depth) the untimed call's seconds stand. *)
-let measure ?on_sample ~timed_calls grid kind engine =
-  let depths = Array.make seeds 0. in
-  let times = Array.make seeds 0. in
-  for seed = 0 to seeds - 1 do
-    let pi = Generators.generate grid kind (Rng.create (1000 + seed)) in
-    let sched, first =
-      Timer.time (fun () -> Router_intf.route_grid engine grid pi)
-    in
-    assert (Schedule.realizes ~n:(Grid.size grid) sched pi);
-    let seconds = ref (if timed_calls = 0 then first else infinity) in
-    for _ = 1 to timed_calls do
-      let _, s = Timer.time (fun () -> Router_intf.route_grid engine grid pi) in
-      seconds := Float.min !seconds s
-    done;
-    depths.(seed) <- float_of_int (Schedule.depth sched);
-    times.(seed) <- !seconds;
-    match on_sample with
-    | Some f -> f seed (Schedule.depth sched) (Schedule.size sched) !seconds
-    | None -> ()
-  done;
-  (Stats.mean depths, Stats.mean times)
-
 let header title =
   Printf.printf "\n================ %s ================\n" title
 
@@ -111,6 +83,42 @@ let record_csv side kind engine seed depth swaps seconds =
        swaps, seconds)
       :: !csv_rows
 
+(* One row of the sweep: each engine's mean depth and mean seconds over
+   the seeds, with the correctness of each schedule asserted.  The seeds
+   are the outer loop and every engine routes a seed's permutation in
+   turn, so a burst of load on the host spreads over the row instead of
+   deciding one engine's cell.  An engine routes each permutation once
+   untimed, so first-touch allocation and cold caches stay out of the
+   figure, and its seconds are the fastest of [timed_calls] more calls.
+   With [timed_calls = 0] (Figure 4, which reports depth) the untimed
+   call's seconds stand. *)
+let measure_row ~timed_calls side grid kind engines =
+  let cells =
+    List.map (fun _ -> (Array.make seeds 0., Array.make seeds 0.)) engines
+  in
+  for seed = 0 to seeds - 1 do
+    let pi = Generators.generate grid kind (Rng.create (1000 + seed)) in
+    List.iter2
+      (fun engine (depths, times) ->
+        let sched, first =
+          Timer.time (fun () -> Router_intf.route_grid engine grid pi)
+        in
+        assert (Schedule.realizes ~n:(Grid.size grid) sched pi);
+        let seconds = ref (if timed_calls = 0 then first else infinity) in
+        for _ = 1 to timed_calls do
+          let _, s =
+            Timer.time (fun () -> Router_intf.route_grid engine grid pi)
+          in
+          seconds := Float.min !seconds s
+        done;
+        depths.(seed) <- float_of_int (Schedule.depth sched);
+        times.(seed) <- !seconds;
+        record_csv side kind engine seed (Schedule.depth sched)
+          (Schedule.size sched) !seconds)
+      engines cells
+  done;
+  List.map (fun (depths, times) -> (Stats.mean depths, Stats.mean times)) cells
+
 (* The sweep's engine set and column headers come from the registry, so a
    newly registered engine shows up in Figures 4 and 5 with no harness
    change. *)
@@ -131,16 +139,8 @@ let sweep sides pick render unit_label ~with_bound ~timed_calls =
             (Printf.sprintf "%dx%d" side side)
             (Generators.name kind);
           List.iter
-            (fun engine ->
-              let cell =
-                pick
-                  (measure
-                     ~on_sample:(fun seed depth swaps seconds ->
-                       record_csv side kind engine seed depth swaps seconds)
-                     ~timed_calls grid kind engine)
-              in
-              Printf.printf " %12s" (render cell))
-            engines;
+            (fun cell -> Printf.printf " %12s" (render (pick cell)))
+            (measure_row ~timed_calls side grid kind engines);
           if with_bound then
             Printf.printf " %12.2f" (mean_lower_bound grid kind);
           print_newline ())
@@ -600,6 +600,19 @@ let micro () =
   let best_random = route ~engine:"best" grid pi_random in
   let reply = Buffer.create 16 in
   Schedule.to_buffer reply best_random;
+  (* The same route as a request line, already planned by the session,
+     and its twin with an escaped method, which the session reads as a
+     tree after the hot-shape reader refuses it. *)
+  let route_line meth =
+    Printf.sprintf
+      {|{"id":1,"method":"%s","params":{"grid":{"rows":16,"cols":16},"perm":[%s],"engine":"best"}}|}
+      meth
+      (String.concat "," (Array.to_list (Array.map string_of_int pi_random)))
+  in
+  let hit_line = route_line "route" in
+  let escaped_line = route_line {|rout\u0065|} in
+  let session = Server_session.create () in
+  ignore (Server_session.handle_line session hit_line);
   let grid32 = Grid.make ~rows:32 ~cols:32 in
   let cg32 =
     Column_graph.build grid32
@@ -651,6 +664,12 @@ let micro () =
         (Staged.stage (fun () ->
              Buffer.clear reply;
              Schedule.to_buffer reply best_random));
+      (* A plan-cache hit, request line to reply line. *)
+      Test.make ~name:"serve/route-hit-16x16"
+        (Staged.stage (fun () -> Server_session.handle_line session hit_line));
+      Test.make ~name:"serve/route-hit-16x16-escaped"
+        (Staged.stage (fun () ->
+             Server_session.handle_line session escaped_line));
       (* Kernel phases at the benchmark's 32x32 size. *)
       Test.make ~name:"kernel/band-drain-32x32"
         (Staged.stage (fun () ->

@@ -151,6 +151,21 @@ let to_channel oc json =
 
 exception Parse_error of string
 
+(* The value of the four hex digits of [s] at [i], or -1 if any of them
+   is not one.  [int_of_string "0x..."] would also take OCaml's digit
+   separator '_'. *)
+let hex4 s i =
+  let rec go k acc =
+    if k = 4 then acc
+    else
+      match s.[i + k] with
+      | '0' .. '9' as c -> go (k + 1) ((acc lsl 4) lor (Char.code c - 48))
+      | 'a' .. 'f' as c -> go (k + 1) ((acc lsl 4) lor (Char.code c - 87))
+      | 'A' .. 'F' as c -> go (k + 1) ((acc lsl 4) lor (Char.code c - 55))
+      | _ -> -1
+  in
+  go 0 0
+
 let of_string_exn' s =
   let n = String.length s in
   let pos = ref 0 in
@@ -199,10 +214,8 @@ let of_string_exn' s =
             | 't' -> Buffer.add_char buf '\t'
             | 'u' ->
                 if !pos + 4 >= n then fail "truncated \\u escape";
-                let code =
-                  try int_of_string ("0x" ^ String.sub s (!pos + 1) 4)
-                  with _ -> fail "bad \\u escape"
-                in
+                let code = hex4 s (!pos + 1) in
+                if code < 0 then fail "bad \\u escape";
                 pos := !pos + 4;
                 (* A high surrogate followed by an escaped low surrogate is
                    one code point past U+FFFF.  Lone surrogates pass
@@ -214,8 +227,8 @@ let of_string_exn' s =
                     && s.[!pos + 1] = '\\'
                     && s.[!pos + 2] = 'u'
                   then
-                    match int_of_string_opt ("0x" ^ String.sub s (!pos + 3) 4) with
-                    | Some low when low land 0xFC00 = 0xDC00 ->
+                    match hex4 s (!pos + 3) with
+                    | low when low land 0xFC00 = 0xDC00 ->
                         pos := !pos + 6;
                         0x10000 + ((code - 0xD800) lsl 10) + (low - 0xDC00)
                     | _ -> code

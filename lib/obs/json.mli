@@ -42,8 +42,8 @@ val to_channel : out_channel -> t -> unit
 
 val of_string : string -> (t, string) result
 (** Parse a complete JSON document; trailing garbage is an error.  The
-    error message carries a byte offset.  [\uXXXX] escapes decode to
-    UTF-8: an escaped surrogate pair becomes one 4-byte sequence, and a
+    error message carries a byte offset.  [\uXXXX] escapes (exactly
+    four hex digits) decode to UTF-8: an escaped surrogate pair becomes one 4-byte sequence, and a
     lone surrogate passes through as its 3-byte encoding. *)
 
 val of_string_exn : string -> t

@@ -10,28 +10,32 @@ let c_evictions = Metrics.counter "plan_cache_evictions"
 
 type key = string
 
-(* Fixed-width fields first (rows, cols, the engine name's length, the
-   permutation's digest), then the engine name and the config text, so
-   two keys are equal exactly when all five parts are.  The permutation
-   is digested as 8 little-endian bytes per entry, not as text, which
-   would cost one [string_of_int] per entry on every request. *)
+(* Fixed-width fields first (rows, cols, n, the engine name's length),
+   then every permutation entry at one width, 4 bytes while the entries
+   fit below 2^31 and 8 past that, then the engine name and the config
+   text.  So two keys are equal exactly when all five parts are, with no
+   digest to collide.  A 16x16 key is one string of 1,060 bytes and the
+   config text. *)
 let key ~grid ~pi ~engine ~config =
   let n = Array.length pi in
-  let perm = Bytes.create (8 * n) in
+  let config = Router_config.to_string config in
+  let width = if n <= 1 lsl 31 then 4 else 8 in
+  let engine_at = 32 + (width * n) in
+  let config_at = engine_at + String.length engine in
+  let b = Bytes.create (config_at + String.length config) in
+  Bytes.set_int64_le b 0 (Int64.of_int (Grid.rows grid));
+  Bytes.set_int64_le b 8 (Int64.of_int (Grid.cols grid));
+  Bytes.set_int64_le b 16 (Int64.of_int n);
+  Bytes.set_int64_le b 24 (Int64.of_int (String.length engine));
   for k = 0 to n - 1 do
-    Bytes.set_int64_le perm (8 * k) (Int64.of_int pi.(k))
+    let d = pi.(k) in
+    if d < 0 || d >= n then invalid_arg "Plan_cache.key: not a permutation";
+    if width = 4 then Bytes.set_int32_le b (32 + (4 * k)) (Int32.of_int d)
+    else Bytes.set_int64_le b (32 + (8 * k)) (Int64.of_int d)
   done;
-  let head = Bytes.create 24 in
-  Bytes.set_int64_le head 0 (Int64.of_int (Grid.rows grid));
-  Bytes.set_int64_le head 8 (Int64.of_int (Grid.cols grid));
-  Bytes.set_int64_le head 16 (Int64.of_int (String.length engine));
-  String.concat ""
-    [
-      Bytes.unsafe_to_string head;
-      Digest.bytes perm;
-      engine;
-      Router_config.to_string config;
-    ]
+  Bytes.blit_string engine 0 b engine_at (String.length engine);
+  Bytes.blit_string config 0 b config_at (String.length config);
+  Bytes.unsafe_to_string b
 
 (* Doubly-linked recency list threaded through the table's entries: head =
    most recent, tail = next eviction.  All operations O(1). *)

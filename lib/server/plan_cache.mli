@@ -3,12 +3,13 @@
     Routing is deterministic — the schedule for a [(grid, permutation,
     engine, configuration)] quadruple never changes — so a long-lived
     service can answer repeated requests without replanning.  Keys
-    canonicalize the quadruple as the grid dimensions, an MD5 digest of
-    the permutation's destination array in a fixed-width binary encoding
-    (8 little-endian bytes per entry), the engine's registry name and the
-    configuration's canonical text form.  The fixed-width fields come
-    first and the engine name is length-prefixed, so two keys are equal
-    exactly when all of their parts are.  The routing service passes the
+    canonicalize the quadruple as the grid dimensions, the permutation's
+    length and its destination array in a fixed-width binary encoding (4
+    little-endian bytes per entry below 2^31 vertices, 8 above), the
+    engine's registry name and the configuration's canonical text form.
+    The fixed-width fields come first and the engine name is
+    length-prefixed, so two keys are equal exactly when all of their
+    parts are: no digest, so no collision.  The routing service passes the
     engine's normalized configuration ([Router_intf.t]'s [normalize]), so
     requests that differ only in fields the engine never reads share one
     key.  Cached schedules are returned as-is, so a hit is
@@ -43,6 +44,9 @@ val key :
   engine:string ->
   config:Qr_route.Router_config.t ->
   key
+(** One string of about [4n] bytes, after the config's text.
+    @raise Invalid_argument when an entry of [pi] lies outside
+    [0..n-1]. *)
 
 val create : ?capacity:int -> unit -> t
 (** Default capacity 128.  A capacity of 0 disables caching (every lookup

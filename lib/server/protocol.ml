@@ -229,63 +229,69 @@ let response_result json =
 
 (* --------------------------------------------------------------- codecs *)
 
+let ( let* ) = Result.bind
+
 let grid_to_json grid =
   Json.Obj
     [ ("rows", Json.Int (Grid.rows grid)); ("cols", Json.Int (Grid.cols grid)) ]
 
-(* The size check reads two numbers, where [Grid.make] would build the
-   whole coupling graph first; [rows > n / cols] is [rows * cols > n]
-   without forming a product that may overflow. *)
-let grid_dims_of_json ?vertices json =
+let grid_fields_of_json json =
   match
     ( Option.bind (Json.member "rows" json) Json.get_int,
       Option.bind (Json.member "cols" json) Json.get_int )
   with
-  | Some rows, Some cols -> (
-      if rows < 1 || cols < 1 then Error "grid: rows and cols must be >= 1"
-      else
-        match vertices with
-        | Some n when rows > n / cols || rows * cols <> n ->
-            Error
-              (Printf.sprintf "grid: %dx%d does not have %d vertices" rows cols
-                 n)
-        | None when rows > max_int / cols ->
-            Error (Printf.sprintf "grid: %dx%d has too many vertices" rows cols)
-        | _ -> Ok (rows, cols))
+  | Some rows, Some cols -> Ok (rows, cols)
   | _ -> Error "grid: expected {\"rows\": m, \"cols\": n}"
 
+(* The size check reads two numbers, where [Grid.make] would build the
+   whole coupling graph first; [rows > n / cols] is [rows * cols > n]
+   without forming a product that may overflow. *)
+let grid_dims ?vertices rows cols =
+  if rows < 1 || cols < 1 then Error "grid: rows and cols must be >= 1"
+  else
+    match vertices with
+    | Some n when rows > n / cols || rows * cols <> n ->
+        Error
+          (Printf.sprintf "grid: %dx%d does not have %d vertices" rows cols n)
+    | None when rows > max_int / cols ->
+        Error (Printf.sprintf "grid: %dx%d has too many vertices" rows cols)
+    | _ -> Ok (rows, cols)
+
 let grid_of_json ?vertices json =
-  Result.map
-    (fun (rows, cols) -> Grid.make ~rows ~cols)
-    (grid_dims_of_json ?vertices json)
+  let* rows, cols = grid_fields_of_json json in
+  let* rows, cols = grid_dims ?vertices rows cols in
+  Ok (Grid.make ~rows ~cols)
 
 let perm_to_json pi =
   Json.List (Array.to_list (Array.map (fun d -> Json.Int d) pi))
 
-(* One pass: the entries go straight into the array, and a non-integer
-   entry is reported before a size mismatch. *)
-let perm_of_json ?expect_size json =
-  match json with
-  | Json.List items -> (
+(* One pass: the entries go straight into the array. *)
+let perm_entries_of_json = function
+  | Json.List items ->
       let arr = Array.make (List.length items) 0 in
       let rec fill k = function
-        | [] -> true
+        | [] -> Ok arr
         | Json.Int i :: rest ->
             arr.(k) <- i;
             fill (k + 1) rest
-        | _ -> false
+        | _ -> Error "perm: expected a list of integers"
       in
-      if not (fill 0 items) then Error "perm: expected a list of integers"
-      else
-        match expect_size with
-        | Some n when Array.length arr <> n ->
-            Error
-              (Printf.sprintf "perm: expected %d entries, got %d" n
-                 (Array.length arr))
-        | _ ->
-            if Perm.is_permutation arr then Ok arr
-            else Error "perm: not a permutation of 0..n-1")
+      fill 0 items
   | _ -> Error "perm: expected a list of integers"
+
+let perm_of_ints ?expect_size arr =
+  match expect_size with
+  | Some n when Array.length arr <> n ->
+      Error
+        (Printf.sprintf "perm: expected %d entries, got %d" n
+           (Array.length arr))
+  | _ ->
+      if Perm.is_permutation arr then Ok arr
+      else Error "perm: not a permutation of 0..n-1"
+
+(* A non-integer entry is reported before a size mismatch. *)
+let perm_of_json ?expect_size json =
+  Result.bind (perm_entries_of_json json) (perm_of_ints ?expect_size)
 
 (* The object form's values, written in the text form: each key's JSON
    type is checked here, and the text form's own code parses the value.
@@ -320,7 +326,6 @@ let config_value_text key value =
   | _ -> Ok ""
 
 let config_of_json json =
-  let ( let* ) = Result.bind in
   let parsed =
     match json with
     | Json.String text -> Router_config.of_string text
@@ -336,6 +341,224 @@ let config_of_json json =
   match Result.bind parsed Router_registry.check_config with
   | Ok c -> Ok c
   | Error msg -> Error ("config: " ^ msg)
+
+(* ----------------------------------------------------------- route lines *)
+
+type route_line = {
+  route_id : Json.t;
+  route_deadline_ms : int option;
+  route_trace : Trace_context.t option;
+  rows : int;
+  cols : int;
+  perm : int array;
+  engine : string option;
+}
+
+(* The reader walks the line with a cursor and gives up, with [Refused],
+   at the first byte outside its shape.  It accepts no byte sequence the
+   tree parser would read differently: whitespace is the tree's four
+   bytes, a string has no escape (the tree keeps such a string's bytes as
+   they are), and a number has no fraction or exponent and fits an
+   [int]. *)
+exception Refused
+
+type cursor = { line : string; mutable at : int }
+
+let refuse () = raise_notrace Refused
+
+let skip_ws c =
+  let n = String.length c.line in
+  while
+    c.at < n
+    && match String.unsafe_get c.line c.at with
+       | ' ' | '\t' | '\n' | '\r' -> true
+       | _ -> false
+  do
+    c.at <- c.at + 1
+  done
+
+(* Consume [ch], after whitespace, if it comes next. *)
+let accept c ch =
+  skip_ws c;
+  c.at < String.length c.line
+  && String.unsafe_get c.line c.at = ch
+  && begin
+       c.at <- c.at + 1;
+       true
+     end
+
+let expect c ch = if not (accept c ch) then refuse ()
+
+(* An escape-free string: where its bytes start.  They end one byte
+   before the cursor, at the closing quote. *)
+let string_start c =
+  expect c '"';
+  let start = c.at and n = String.length c.line in
+  while
+    c.at < n
+    && match String.unsafe_get c.line c.at with '"' | '\\' -> false | _ -> true
+  do
+    c.at <- c.at + 1
+  done;
+  if c.at = n || String.unsafe_get c.line c.at = '\\' then refuse ();
+  c.at <- c.at + 1;
+  start
+
+let string_value c =
+  let start = string_start c in
+  String.sub c.line start (c.at - 1 - start)
+
+let rec same_from line start lit k =
+  k = String.length lit
+  || String.unsafe_get line (start + k) = String.unsafe_get lit k
+     && same_from line start lit (k + 1)
+
+(* Whether the string read from [start] to [stop] is [lit]. *)
+let is c start stop lit =
+  stop - start = String.length lit && same_from c.line start lit 0
+
+(* An integer as the tree reads one into an [Int]: a '-' and digits
+   within [min_int, max_int] (past it the tree reads a [Float]).  A
+   fraction or an exponent after the digits is refused by the caller,
+   which expects ',', ']' or '}' there.  The magnitude is accumulated
+   negated, so [min_int] fits. *)
+let int c =
+  skip_ws c;
+  let line = c.line and n = String.length c.line in
+  let neg = c.at < n && String.unsafe_get line c.at = '-' in
+  if neg then c.at <- c.at + 1;
+  let first = c.at in
+  let m = ref 0 in
+  while
+    c.at < n
+    && match String.unsafe_get line c.at with '0' .. '9' -> true | _ -> false
+  do
+    let d = Char.code (String.unsafe_get line c.at) - 48 in
+    if !m < (min_int + d) / 10 then refuse ();
+    m := (!m * 10) - d;
+    c.at <- c.at + 1
+  done;
+  if c.at = first then refuse ();
+  if neg then !m else if !m = min_int then refuse () else - !m
+
+(* A list of integers, straight into an array: a first pass counts the
+   commas up to the closing bracket, a second reads exactly that many
+   entries and checks the syntax. *)
+let int_array c =
+  expect c '[';
+  let first = c.at and n = String.length c.line in
+  let commas = ref 0 and blank = ref true in
+  while c.at < n && String.unsafe_get c.line c.at <> ']' do
+    (match String.unsafe_get c.line c.at with
+    | ',' -> incr commas
+    | ' ' | '\t' | '\n' | '\r' -> ()
+    | _ -> blank := false);
+    c.at <- c.at + 1
+  done;
+  let len = if !blank && !commas = 0 then 0 else !commas + 1 in
+  c.at <- first;
+  let arr = Array.make len 0 in
+  for k = 0 to len - 1 do
+    if k > 0 then expect c ',';
+    Array.unsafe_set arr k (int c)
+  done;
+  expect c ']';
+  arr
+
+(* The members of an object, in any order: [field] gets each key's span
+   with the cursor before its value, and must read the value.  An empty
+   object is refused, as every object of a route line has members. *)
+let members c field =
+  expect c '{';
+  let rec next () =
+    let start = string_start c in
+    let stop = c.at - 1 in
+    expect c ':';
+    field start stop;
+    if accept c ',' then next () else expect c '}'
+  in
+  next ()
+
+let read_route_line line =
+  let c = { line; at = 0 } in
+  (* One bit per key: a repeated key is left to the tree, whose [member]
+     takes its first value. *)
+  let seen = ref 0 in
+  let once bit =
+    if !seen land bit <> 0 then refuse () else seen := !seen lor bit
+  in
+  let id = ref Json.Null and deadline_ms = ref None and trace = ref None in
+  let rows = ref 0 and cols = ref 0 and perm = ref [||] and engine = ref None in
+  let grid start stop =
+    if is c start stop "rows" then (once 1; rows := int c)
+    else if is c start stop "cols" then (once 2; cols := int c)
+    else refuse ()
+  in
+  let params start stop =
+    if is c start stop "grid" then (once 4; members c grid)
+    else if is c start stop "perm" then (once 8; perm := int_array c)
+    else if is c start stop "engine" then begin
+      once 16;
+      engine := Some (string_value c)
+    end
+    else refuse ()
+  in
+  let envelope start stop =
+    if is c start stop "id" then begin
+      once 32;
+      skip_ws c;
+      id :=
+        if c.at = String.length line then refuse ()
+        else
+          match line.[c.at] with
+          | '"' -> Json.String (string_value c)
+          | 'n'
+            when c.at + 4 <= String.length line && same_from line c.at "null" 0
+            ->
+              c.at <- c.at + 4;
+              Json.Null
+          | _ -> Json.Int (int c)
+    end
+    else if is c start stop "method" then begin
+      once 64;
+      let start = string_start c in
+      if not (is c start (c.at - 1) "route") then refuse ()
+    end
+    else if is c start stop "params" then (once 128; members c params)
+    else if is c start stop "deadline_ms" then begin
+      once 256;
+      let ms = int c in
+      if ms < 0 then refuse ();
+      deadline_ms := Some ms
+    end
+    else if is c start stop "trace" then begin
+      once 512;
+      match Trace_context.of_traceparent (string_value c) with
+      | Ok t -> trace := Some t
+      | Error _ -> refuse ()
+    end
+    else refuse ()
+  in
+  match
+    members c envelope;
+    skip_ws c;
+    (* Everything but [id], [deadline_ms], [trace] and [engine] is
+       required. *)
+    if c.at <> String.length line || !seen land 0b11001111 <> 0b11001111 then
+      refuse ()
+  with
+  | () ->
+      Some
+        {
+          route_id = !id;
+          route_deadline_ms = !deadline_ms;
+          route_trace = !trace;
+          rows = !rows;
+          cols = !cols;
+          perm = !perm;
+          engine = !engine;
+        }
+  | exception Refused -> None
 
 let engines_json () =
   Json.Obj

@@ -135,7 +135,10 @@ val response_server_ms : Json.t -> float option
 val grid_to_json : Qr_graph.Grid.t -> Json.t
 (** [{"rows": m, "cols": n}]. *)
 
-val grid_dims_of_json : ?vertices:int -> Json.t -> (int * int, string) result
+val grid_fields_of_json : Json.t -> (int * int, string) result
+(** [(rows, cols)] as written, both integers, not yet checked. *)
+
+val grid_dims : ?vertices:int -> int -> int -> (int * int, string) result
 (** [(rows, cols)], both at least 1.  With [vertices], [rows × cols] must
     equal it.  That is checked on the two numbers, overflow-safe, so an
     oversized grid costs nothing to reject.  Without it, only a grid
@@ -143,15 +146,24 @@ val grid_dims_of_json : ?vertices:int -> Json.t -> (int * int, string) result
 
 val grid_of_json :
   ?vertices:int -> Json.t -> (Qr_graph.Grid.t, string) result
-(** {!grid_dims_of_json}, then the grid: the coupling graph is built only
-    after the size check passes. *)
+(** {!grid_fields_of_json} and {!grid_dims}, then the grid: the coupling
+    graph is built only after the size check passes. *)
 
 val perm_to_json : Qr_perm.Perm.t -> Json.t
 (** The destination array as a JSON list. *)
 
+val perm_entries_of_json : Json.t -> (int array, string) result
+(** A list of ints, as an array, not yet checked to be a permutation. *)
+
+val perm_of_ints :
+  ?expect_size:int -> int array -> (Qr_perm.Perm.t, string) result
+(** The array, when it is a bijection on [0..n-1]; with [expect_size] the
+    length must also match (the grid's vertex count), and is checked
+    first. *)
+
 val perm_of_json : ?expect_size:int -> Json.t -> (Qr_perm.Perm.t, string) result
-(** A list of ints that is a bijection on [0..n-1]; with [expect_size] the
-    length must also match (the grid's vertex count). *)
+(** {!perm_entries_of_json}, then {!perm_of_ints}: a non-integer entry is
+    reported before a size mismatch. *)
 
 val config_of_json : Json.t -> (Qr_route.Router_config.t, string) result
 (** Accepts the object form or a [String] holding the canonical text form.
@@ -168,6 +180,38 @@ val engines_json : unit -> Json.t
 (** [{"engines": [{"name": ..., "inputs": "grid"|"any", "transpose": bool,
     "partial": bool}, ...]}] over the current registry — the [engines]
     method's result and the payload of [qroute engines --json]. *)
+
+(** {2 The hot request shape}
+
+    A [route] line that a transpiler sends again and again is read
+    without a tree: its permutation goes straight into an [int array].
+    Every other line is read by {!Json.of_string} and
+    {!request_of_json}, and {!Session} sends both to one function, so a
+    line answers the same whichever reader took it (DESIGN.md §10). *)
+
+type route_line = {
+  route_id : Json.t;  (** [Int], [String] or [Null] (also when absent). *)
+  route_deadline_ms : int option;
+  route_trace : Trace_context.t option;
+  rows : int;
+  cols : int;
+  perm : int array;  (** Integers, not yet checked to be a permutation. *)
+  engine : string option;
+}
+
+val read_route_line : string -> route_line option
+(** The fields of a [route] line in the one shape this reader takes, or
+    [None], never an exception.  The shape: a top-level object with
+    [id] (an integer, a string without escapes, or [null]),
+    ["method":"route"], [deadline_ms] and [trace] with values
+    {!request_of_json} accepts, and [params] holding [grid] as
+    [{"rows", "cols"}] integers, an all-integer [perm] and an optional
+    [engine] string without escapes.  Keys come in any order, with the
+    tree's whitespace between tokens.  [None] for anything else: an
+    escape, a repeated or unknown key (a [config] among them), a number
+    with a fraction or exponent or outside the [int] range, a missing
+    member, trailing bytes.  A line it reads is one {!Json.of_string}
+    reads to the same values. *)
 
 val methods : string list
 (** The methods {!Session} dispatches, for error messages and docs. *)

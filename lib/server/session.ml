@@ -162,32 +162,43 @@ let ( let* ) = Result.bind
    length or the circuit's qubit count.  The grid is built only when it
    has exactly that many (DESIGN.md §14, "Input hardening"), and only
    when its shape differs from the last request's. *)
-let parse_grid t ~vertices params =
+let grid_of_dims t ~vertices rows cols =
+  let* rows, cols = P.grid_dims ~vertices rows cols in
+  match t.last_grid with
+  | Some grid when Grid.rows grid = rows && Grid.cols grid = cols -> Ok grid
+  | _ ->
+      let grid = Grid.make ~rows ~cols in
+      t.last_grid <- Some grid;
+      Ok grid
+
+let grid_fields params =
   match Json.member "grid" params with
   | None -> Error "missing grid"
-  | Some g -> (
-      let* rows, cols = P.grid_dims_of_json ~vertices g in
-      match t.last_grid with
-      | Some grid when Grid.rows grid = rows && Grid.cols grid = cols -> Ok grid
-      | _ ->
-          let grid = Grid.make ~rows ~cols in
-          t.last_grid <- Some grid;
-          Ok grid)
+  | Some g -> P.grid_fields_of_json g
+
+let parse_grid t ~vertices params =
+  let* rows, cols = grid_fields params in
+  grid_of_dims t ~vertices rows cols
 
 let perm_length = function
   | Json.List items -> Ok (List.length items)
   | _ -> Error "perm: expected a list of integers"
 
-let parse_engine params =
-  match Json.member "engine" params with
+(* The engine a request names, [best] when it names none. *)
+let engine_named = function
   | None -> Ok (Router_registry.get "best")
-  | Some (Json.String name) -> (
+  | Some name -> (
       match Router_registry.find name with
       | Some engine -> Ok engine
       | None ->
           Error
             (Printf.sprintf "unknown engine %S (registered: %s)" name
                (String.concat ", " (Router_registry.names ()))))
+
+let parse_engine params =
+  match Json.member "engine" params with
+  | None -> engine_named None
+  | Some (Json.String name) -> engine_named (Some name)
   | Some _ -> Error "engine: expected a string"
 
 let parse_config params =
@@ -279,17 +290,17 @@ let routed t grid pi engine config =
           Plan_cache.remove t.cache key;
           compute ())
 
-let do_route t cancel params =
-  let* perm =
-    match Json.member "perm" params with
-    | None -> Error "missing perm"
-    | Some j -> Ok j
-  in
-  let* vertices = perm_length perm in
-  let* grid = parse_grid t ~vertices params in
-  let* pi = P.perm_of_json ~expect_size:(Grid.size grid) perm in
-  let* engine = parse_engine params in
-  let* config = parse_config params in
+(* Both readers of a [route] line end here, so a line gets the same
+   reply whichever read it: the grid's size against the permutation's
+   length [n], then the permutation, the engine and the configuration,
+   each with the message and in the order the tree path has always
+   used.  [pi], [engine] and [config] arrive as results, so an error in
+   reading one is reported at its step. *)
+let route_checked t cancel ~rows ~cols ~n ~pi ~engine ~config =
+  let* grid = grid_of_dims t ~vertices:n rows cols in
+  let* pi = Result.bind pi P.perm_of_ints in
+  let* engine = engine in
+  let* config = config in
   Cancel.check cancel;
   let sched, cached = routed t grid pi engine config in
   t.last_cached <- Some cached;
@@ -303,6 +314,22 @@ let do_route t cancel params =
          else {|,"cached":false,"schedule":|});
       Schedule.to_buffer buf sched;
       Buffer.add_char buf '}')
+
+let do_route t cancel params =
+  let* perm =
+    match Json.member "perm" params with
+    | None -> Error "missing perm"
+    | Some j -> Ok j
+  in
+  let* n = perm_length perm in
+  let* rows, cols = grid_fields params in
+  route_checked t cancel ~rows ~cols ~n ~pi:(P.perm_entries_of_json perm)
+    ~engine:(parse_engine params) ~config:(parse_config params)
+
+let do_route_line t cancel (r : P.route_line) =
+  route_checked t cancel ~rows:r.rows ~cols:r.cols ~n:(Array.length r.perm)
+    ~pi:(Ok r.perm) ~engine:(engine_named r.engine)
+    ~config:(Ok Router_config.default)
 
 let do_route_batch t cancel params =
   let* perm_jsons =
@@ -491,9 +518,9 @@ let dispatch t cancel meth params =
 
 (* ------------------------------------------------------------- envelope *)
 
-(* Dispatch one request and render its reply into [t.reply].  [server_ms]
-   stops before the reply is rendered. *)
-let respond t (req : P.request) =
+(* Run one request's [dispatch] and render its reply into [t.reply].
+   [server_ms] stops before the reply is rendered. *)
+let respond t ~id ~meth ?deadline_ms ?trace dispatch =
   t.served <- t.served + 1;
   Metrics.incr c_requests;
   let timer = Timer.start () in
@@ -510,13 +537,9 @@ let respond t (req : P.request) =
   t.last_cached <- None;
   let degradations_before = Router_registry.degradations () in
   let run () =
-    Trace.with_span "serve_request"
-      ~attrs:[ ("method", Trace.String req.meth) ]
+    Trace.with_span "serve_request" ~attrs:[ ("method", Trace.String meth) ]
     @@ fun () ->
-    match
-      Fault.point "session.dispatch" ~f:(fun () ->
-          dispatch t cancel req.meth req.params)
-    with
+    match Fault.point "session.dispatch" ~f:(fun () -> dispatch cancel) with
     | Ok write -> Ok write
     | Error msg -> Error (P.error P.Invalid_params msg)
     | exception Cancel.Cancelled Cancel.Deadline ->
@@ -553,13 +576,13 @@ let respond t (req : P.request) =
      lookups, the degraded_to attribute — carries the caller's trace_id
      in the exported trace. *)
   let trace_id =
-    match req.trace with
+    match trace with
     | None -> Trace.trace_id ()
     | Some tc -> Some tc.Trace_context.trace_id
   in
   let scoped () = in_scope ~cancel ~trace_id run in
   let result =
-    match req.deadline_ms with
+    match deadline_ms with
     | None -> scoped ()
     | Some ms -> Cancel.with_budget_ms cancel ms scoped
   in
@@ -571,21 +594,18 @@ let respond t (req : P.request) =
   t.last_access <-
     Some
       {
-        a_meth = req.meth;
+        a_meth = meth;
         a_status = status;
         a_ms = ms;
-        a_trace = req.trace;
+        a_trace = trace;
         a_cached = t.last_cached;
         a_degraded = Router_registry.degradations () > degradations_before;
       };
   match result with
-  | Ok write ->
-      P.ok_response_to_buffer t.reply ?trace:req.trace ~server_ms:ms ~id:req.id
-        write
+  | Ok write -> P.ok_response_to_buffer t.reply ?trace ~server_ms:ms ~id write
   | Error err ->
       Metrics.incr c_errors;
-      Json.to_buffer t.reply
-        (P.error_response ?trace:req.trace ~server_ms:ms ~id:req.id err)
+      Json.to_buffer t.reply (P.error_response ?trace ~server_ms:ms ~id err)
 
 (* One line of access log per request line, at Info — the per-connection
    record operators grep/parse (DESIGN.md §12).  Guarded by [would_log]
@@ -643,22 +663,31 @@ let reject t ~meth err =
 let handle_line_status t line =
   t.last_access <- None;
   Buffer.clear t.reply;
-  (match Json.of_string line with
-  | Error msg ->
-      Json.to_buffer t.reply
-        (P.error_response ~id:Json.Null
-           (reject t ~meth:"?" (P.error P.Parse_error msg)))
-  | Ok json -> (
-      match P.request_of_json json with
-      | Error err ->
-          let meth =
-            match Json.member "method" json with
-            | Some (Json.String m) -> m
-            | _ -> "?"
-          in
+  (* The hot shape first; any line it refuses is read as a tree. *)
+  (match P.read_route_line line with
+  | Some r ->
+      respond t ~id:r.route_id ~meth:"route" ?deadline_ms:r.route_deadline_ms
+        ?trace:r.route_trace (fun cancel -> do_route_line t cancel r)
+  | None -> (
+      match Json.of_string line with
+      | Error msg ->
           Json.to_buffer t.reply
-            (P.error_response ~id:(P.request_id json) (reject t ~meth err))
-      | Ok req -> respond t req));
+            (P.error_response ~id:Json.Null
+               (reject t ~meth:"?" (P.error P.Parse_error msg)))
+      | Ok json -> (
+          match P.request_of_json json with
+          | Error err ->
+              let meth =
+                match Json.member "method" json with
+                | Some (Json.String m) -> m
+                | _ -> "?"
+              in
+              Json.to_buffer t.reply
+                (P.error_response ~id:(P.request_id json) (reject t ~meth err))
+          | Ok req ->
+              respond t ~id:req.id ~meth:req.meth ?deadline_ms:req.deadline_ms
+                ?trace:req.trace (fun cancel ->
+                  dispatch t cancel req.meth req.params))));
   let rendered = Buffer.contents t.reply in
   if Buffer.length t.reply > reply_release_bytes then Buffer.reset t.reply;
   log_access t ~bytes:(String.length rendered);

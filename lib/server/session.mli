@@ -147,6 +147,11 @@ val handle_line : t -> string -> string
     [route_batch] item fanned out to a pool domain, so the routing loops
     poll it wherever they run.
 
+    A [route] line of the one hot shape {!Protocol.read_route_line}
+    takes is read without a tree; every other line is parsed by
+    [Json.of_string].  Both reach the same checks, in one function, so a
+    line gets the same reply whichever reader took it (DESIGN.md §10).
+
     The reply is rendered in one pass into a buffer the session reuses:
     [route] and [route_batch] write their schedules straight into it
     ({!Qr_route.Schedule.to_buffer}), and every other method renders its

@@ -180,7 +180,18 @@ let test_json_error_offsets () =
   checks "trailing second document" "trailing garbage at byte 8"
     (error_of {|{"a":1} {"b":2}|});
   checkb "offset skips interior whitespace" true
-    (error_of "[1,2]   x" = "trailing garbage at byte 8")
+    (error_of "[1,2]   x" = "trailing garbage at byte 8");
+  (* A \u escape takes exactly four hex digits: OCaml's digit separator
+     '_' is not one, there or in a low surrogate's lookahead. *)
+  List.iter
+    (fun (text, msg) -> checks text msg (error_of text))
+    [
+      ({|"\u00_1"|}, "bad \\u escape at byte 2");
+      ({|"\u0_41"|}, "bad \\u escape at byte 2");
+      ({|"\u004_"|}, "bad \\u escape at byte 2");
+      ({|["a\u_041"]|}, "bad \\u escape at byte 4");
+      ({|"\ud83d\ude_0"|}, "bad \\u escape at byte 8");
+    ]
 
 let test_json_nonfinite_roundtrip () =
   (* Non-finite floats print as null (JSON has no NaN/inf), and the

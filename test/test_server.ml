@@ -1076,8 +1076,10 @@ let random_route_line ?(engine = "best") rows cols seed =
     engine
 
 (* A 16x16 plan-cache hit allocated 65,396 minor words when its reply was
-   built as a [Json.t] tree, rendered, and the grid rebuilt per request.
-   The reply (20 KB) is one string on the major heap and not counted. *)
+   built as a [Json.t] tree, rendered, and the grid rebuilt per request,
+   and 6,460 while its request was still read as a tree and its key
+   digested.  The reply (20 KB) is one string on the major heap and not
+   counted. *)
 let test_cache_hit_minor_words () =
   with_clean_sinks @@ fun () ->
   let line = random_route_line 16 16 42 in
@@ -1088,9 +1090,8 @@ let test_cache_hit_minor_words () =
   let words = Gc.minor_words () -. before in
   checkb "a hit" true (member_exn "cached" (result_of reply) = Json.Bool true);
   checkb
-    (Printf.sprintf "%.0f minor words <= 65_396 / 4" words)
-    true
-    (words <= 65_396. /. 4.)
+    (Printf.sprintf "%.0f minor words <= 2_000" words)
+    true (words <= 2_000.)
 
 (* The session reuses the last request's grid while the shape repeats:
    every reply equals a fresh session's, and the size check still runs
@@ -1120,6 +1121,305 @@ let test_grid_reuse_across_shapes () =
        {|{"id":3,"method":"route_batch","params":{"grid":{"rows":4,"cols":4},"perms":[[1,0,3,2]]}}|}
     = Some P.Invalid_params);
   checkb "still routes the shape" true (code (random_route_line 4 4 6) = None)
+
+(* ----------------------------------------------------- route line reader *)
+
+(* A request line as its members, so a generator can shuffle and pad
+   them: each key is written between quotes as given (escapes and all),
+   and an object's second list follows its shuffled first in order, for
+   a repeated key the tree must read after the original. *)
+type doc = Text of string | Members of (string * doc) list * (string * doc) list
+
+let ws_gen = QCheck.Gen.oneofl [ ""; ""; ""; " "; "\t"; "\n"; "\r"; "  " ]
+
+let rec render_gen doc =
+  let open QCheck.Gen in
+  match doc with
+  | Text text -> return text
+  | Members (shuffled, tail) ->
+      let* order = shuffle_l shuffled in
+      let* parts =
+        flatten_l
+          (List.map
+             (fun (key, value) ->
+               let* a = ws_gen and* b = ws_gen and* c = ws_gen and* d = ws_gen in
+               let* value = render_gen value in
+               return (Printf.sprintf "%s\"%s\"%s:%s%s%s" a key b c value d))
+             (order @ tail))
+      in
+      return ("{" ^ String.concat "," parts ^ "}")
+
+let int_list_gen ints =
+  let open QCheck.Gen in
+  let* parts =
+    flatten_l
+      (List.map
+         (fun i ->
+           let* a = ws_gen and* b = ws_gen in
+           return (a ^ string_of_int i ^ b))
+         ints)
+  in
+  let* pad = ws_gen in
+  return ("[" ^ pad ^ String.concat "," parts ^ "]")
+
+type line_id = Id_int of int | Id_string of string | Id_null | Id_absent
+
+(* What a generated [route] line asks for; [perm] may be no permutation,
+   or of the wrong length, and [rows] x [cols] need not fit it. *)
+type route_spec = {
+  id : line_id;
+  rows : int;
+  cols : int;
+  perm : int list;
+  engine : string option;
+  deadline_ms : int option;
+  trace : bool;
+}
+
+(* Changes the reader refuses and the tree reads as if they were not
+   there: an escape that decodes to the plain text, a member the tree
+   ignores, or a repeated key after the one the tree takes. *)
+type twin =
+  | Escaped_method
+  | Escaped_key
+  | Escaped_id
+  | Escaped_engine
+  | Extra_param
+  | Extra_grid_member
+  | Extra_member
+  | Repeated_method
+  | Repeated_id
+
+let twins spec =
+  [ Escaped_method; Escaped_key; Extra_param; Extra_grid_member; Extra_member;
+    Repeated_method ]
+  @ (match spec.id with
+    | Id_string s when s <> "" && s.[0] >= 'a' && s.[0] <= 'z' -> [ Escaped_id ]
+    | _ -> [])
+  @ (if spec.engine <> None then [ Escaped_engine ] else [])
+  @ if spec.id <> Id_absent then [ Repeated_id ] else []
+
+(* [\u00XX] for the first byte of [s]. *)
+let escape_first s =
+  Printf.sprintf "\\u%04x%s" (Char.code s.[0])
+    (String.sub s 1 (String.length s - 1))
+
+let spec_doc ?twin spec perm_text =
+  let quoted s = Text ("\"" ^ s ^ "\"") in
+  let only flag members = if twin = Some flag then members else [] in
+  let grid =
+    Members
+      ( [
+          ("rows", Text (string_of_int spec.rows));
+          ("cols", Text (string_of_int spec.cols));
+        ],
+        only Extra_grid_member [ ("depth", Text "1") ] )
+  in
+  let engine =
+    match spec.engine with
+    | None -> []
+    | Some name when twin = Some Escaped_engine ->
+        [ ("engine", quoted (escape_first name)) ]
+    | Some name -> [ ("engine", quoted name) ]
+  in
+  let perm_key = if twin = Some Escaped_key then "p\\u0065rm" else "perm" in
+  let params =
+    Members
+      ( [ ("grid", grid); (perm_key, Text perm_text) ]
+        @ engine
+        @ only Extra_param [ ("x", Text "null") ],
+        [] )
+  in
+  let id =
+    match spec.id with
+    | Id_int i -> [ ("id", Text (string_of_int i)) ]
+    | Id_string s when twin = Some Escaped_id ->
+        [ ("id", quoted (escape_first s)) ]
+    | Id_string s -> [ ("id", quoted s) ]
+    | Id_null -> [ ("id", Text "null") ]
+    | Id_absent -> []
+  in
+  let meth = if twin = Some Escaped_method then "rout\\u0065" else "route" in
+  Members
+    ( id
+      @ [ ("method", quoted meth); ("params", params) ]
+      @ (match spec.deadline_ms with
+        | Some ms -> [ ("deadline_ms", Text (string_of_int ms)) ]
+        | None -> [])
+      @ (if spec.trace then [ ("trace", quoted tp_example) ] else [])
+      @ only Extra_member [ ("x", Text "[1,{}]") ],
+      only Repeated_method [ ("method", quoted "teleport") ]
+      @ only Repeated_id [ ("id", Text "424242") ] )
+
+let route_spec_gen =
+  let open QCheck.Gen in
+  let* rows, cols =
+    oneofl [ (1, 1); (1, 4); (2, 2); (2, 3); (3, 2); (3, 3); (4, 4) ]
+  in
+  let n = rows * cols in
+  let* perm = shuffle_l (List.init n Fun.id) in
+  (* Mostly good lines, and every kind of bad one the shared checks
+     answer. *)
+  let* flaw =
+    frequency
+      [ (6, return `None); (1, return `Dims); (1, return `Zero);
+        (1, return `Not_perm); (1, return `Length) ]
+  in
+  let rows, cols, perm =
+    match flaw with
+    | `None -> (rows, cols, perm)
+    | `Dims -> (rows, cols + 1, perm)
+    | `Zero -> (0, cols, perm)
+    | `Not_perm ->
+        ( rows,
+          cols,
+          if n = 1 then [ 1 ]
+          else List.mapi (fun k d -> if k = 1 then List.hd perm else d) perm )
+    | `Length -> (rows, cols, n :: perm)
+  in
+  let* id =
+    oneof
+      [
+        map
+          (fun i -> Id_int i)
+          (oneof [ int_range (-1000) 1000; oneofl [ max_int; min_int ] ]);
+        map
+          (fun s -> Id_string s)
+          (oneofl [ "a"; "req-7"; ""; "\xf0\x9f\x98\x80"; "q\x01z" ]);
+        return Id_null;
+        return Id_absent;
+      ]
+  in
+  let* engine =
+    option
+      (oneofl [ "best"; "local"; "local1"; "naive"; "snake"; "ats"; "warp" ])
+  in
+  let* deadline_ms = oneofl [ None; None; Some 0; Some 60_000 ] in
+  let* trace = bool in
+  return { id; rows; cols; perm; engine; deadline_ms; trace }
+
+(* A line the reader takes, and its twin, rendered separately. *)
+let line_and_twin_gen =
+  let open QCheck.Gen in
+  let* spec = route_spec_gen in
+  let* twin = oneofl (twins spec) in
+  let* pad_l = ws_gen and* pad_r = ws_gen in
+  let* perm = int_list_gen spec.perm and* twin_perm = int_list_gen spec.perm in
+  let* line = render_gen (spec_doc spec perm) in
+  let* twin_line = render_gen (spec_doc ~twin spec twin_perm) in
+  return (pad_l ^ line ^ pad_r, twin_line)
+
+(* Both readers give one reply, byte for byte once [server_ms] is cut:
+   the line and its twin, each sent twice to a fresh session (a miss,
+   then a hit, for the [cached] flag).  Mutants it kills: a hot path
+   that defaults the engine to [local], a reader that keeps a string's
+   escapes as raw bytes, and one that lets a repeated key overwrite. *)
+let reader_matches_tree_property =
+  QCheck.Test.make ~name:"reader and tree give the same reply" ~count:300
+    (QCheck.make ~print:(fun (l, t) -> l ^ "\n" ^ t) line_and_twin_gen)
+    (fun (line, twin) ->
+      let replies line =
+        let session = Session.create () in
+        List.init 2 (fun _ ->
+            strip_server_ms (Session.handle_line session line))
+      in
+      if P.read_route_line line = None then
+        QCheck.Test.fail_reportf "reader refused %S" line;
+      if P.read_route_line twin <> None then
+        QCheck.Test.fail_reportf "reader took the twin %S" twin;
+      let a = replies line and b = replies twin in
+      if a <> b then
+        QCheck.Test.fail_reportf "replies differ:\n%s\n%s"
+          (String.concat "\n" a) (String.concat "\n" b);
+      true)
+
+(* [edits] random edits of [line]: a byte set, deleted or inserted, or a
+   run of digits that overflows any number it lands in. *)
+let mutate_gen line =
+  let open QCheck.Gen in
+  let json_bytes = List.of_seq (String.to_seq "{}[]\":,-0 \\.e") in
+  let rec go k line =
+    if k = 0 || line = "" then return line
+    else
+      let* at = int_bound (String.length line - 1) in
+      let* byte = map (String.make 1) (oneof [ char; oneofl json_bytes ]) in
+      let* edit = oneofl [ `Set; `Delete; `Insert; `Digits ] in
+      let before = String.sub line 0 at in
+      let from k = String.sub line k (String.length line - k) in
+      go (k - 1)
+        (match edit with
+        | `Set -> before ^ byte ^ from (at + 1)
+        | `Delete -> before ^ from (at + 1)
+        | `Insert -> before ^ byte ^ from at
+        | `Digits -> before ^ "9999999999999999999" ^ from at)
+  in
+  let* edits = int_range 1 3 in
+  go edits line
+
+(* The fields the tree reads from [line], in the reader's terms, or why
+   it does not read them as a [route] line the reader could take. *)
+let tree_route_fields line =
+  let ( let* ) = Result.bind in
+  let* json = Json.of_string line in
+  let* req =
+    Result.map_error (fun e -> e.P.message) (P.request_of_json json)
+  in
+  let field name = Json.member name req.P.params in
+  let* grid = Option.to_result ~none:"no grid" (field "grid") in
+  let* perm = Option.to_result ~none:"no perm" (field "perm") in
+  let* rows, cols = P.grid_fields_of_json grid in
+  let* perm = P.perm_entries_of_json perm in
+  let keys =
+    match req.P.params with Json.Obj fields -> List.map fst fields | _ -> []
+  in
+  if not (List.for_all (fun k -> List.mem k [ "grid"; "perm"; "engine" ]) keys)
+  then Error "other params"
+  else
+    Ok
+      ( req.P.meth,
+        {
+          P.route_id = req.P.id;
+          route_deadline_ms = req.P.deadline_ms;
+          route_trace = req.P.trace;
+          rows;
+          cols;
+          perm;
+          engine = Option.bind (field "engine") Json.get_string;
+        } )
+
+(* Hostile input: the reader never raises, and takes only lines the tree
+   parses to a [route] request with the same fields.  A mutant it kills:
+   a reader without its overflow check. *)
+let reader_hostile_property =
+  let open QCheck.Gen in
+  let junk =
+    string_size
+      ~gen:(oneofl (List.of_seq (String.to_seq "{}[]\":,-0129 nulltrue\\e.x")))
+      (int_bound 40)
+  in
+  let gen =
+    oneof [ junk; string; (let* line, _ = line_and_twin_gen in mutate_gen line) ]
+  in
+  QCheck.Test.make ~name:"reader takes only what the tree reads alike"
+    ~count:3000
+    (QCheck.make ~print:(Printf.sprintf "%S") gen)
+    (fun line ->
+      match P.read_route_line line with
+      | exception e ->
+          QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e)
+      | None -> true
+      | Some r -> (
+          let same_trace a b = Option.equal Trace_context.equal a b in
+          match tree_route_fields line with
+          | Ok (meth, t) ->
+              meth = "route"
+              && Json.equal t.P.route_id r.P.route_id
+              && t.P.route_deadline_ms = r.P.route_deadline_ms
+              && same_trace t.P.route_trace r.P.route_trace
+              && (t.P.rows, t.P.cols, t.P.perm, t.P.engine)
+                 = (r.P.rows, r.P.cols, r.P.perm, r.P.engine)
+              || QCheck.Test.fail_reportf "the tree reads other fields"
+          | Error msg -> QCheck.Test.fail_reportf "the tree refuses it: %s" msg))
 
 (* --------------------------------------------------------- serving loop *)
 
@@ -1271,5 +1571,10 @@ let () =
             test_serve_channels_end_to_end;
           Alcotest.test_case "metrics file snapshot" `Quick
             test_metrics_file_snapshot;
+        ] );
+      ( "route_line",
+        [
+          QCheck_alcotest.to_alcotest reader_matches_tree_property;
+          QCheck_alcotest.to_alcotest reader_hostile_property;
         ] );
     ]
