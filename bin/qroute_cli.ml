@@ -566,7 +566,7 @@ let serve_cmd =
   in
   let max_inflight =
     Arg.(
-      value & opt int Server_session.default_config.max_inflight
+      value & opt positive_int Server_session.default_config.max_inflight
       & info [ "max-inflight" ] ~docv:"N"
           ~doc:
             "Pipelined requests queued per poll cycle before shedding with \
@@ -605,7 +605,7 @@ let serve_cmd =
   in
   let max_line_bytes =
     Arg.(
-      value & opt int Server_session.default_config.max_line_bytes
+      value & opt positive_int Server_session.default_config.max_line_bytes
       & info [ "max-line-bytes" ] ~docv:"N"
           ~doc:
             "Largest request line (or buffered partial line) a connection \

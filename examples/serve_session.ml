@@ -29,7 +29,7 @@ let () =
   (* A different configuration is a different cache key. *)
   say
     {|{"id": 4, "method": "route", "params": {"grid": {"rows": 4, "cols": 4}, "perm": [15,14,13,12,11,10,9,8,7,6,5,4,3,2,1,0], "engine": "local", "config": {"transpose": false}}}|};
-  (* Batches share the session's planning workspace. *)
+  (* A batch routes each permutation through the plan cache in turn. *)
   say
     {|{"id": 5, "method": "route_batch", "params": {"grid": {"rows": 2, "cols": 3}, "perms": [[5,4,3,2,1,0], [1,0,2,3,4,5]], "engine": "naive"}}|};
   (* A 0 ms budget expires before planning starts. *)

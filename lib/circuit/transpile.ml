@@ -137,10 +137,7 @@ let run_grid ?initial ?on_route ?extension ?engine ?config grid circuit =
     | Some e -> e
     | None -> Qr_route.Router_registry.get "local"
   in
-  (* One workspace per transpilation: every routed slice reuses the same
-     planning buffers (same-sized instances throughout). *)
-  let ws = Qr_route.Router_workspace.create () in
-  let router rho = Qr_route.Router_intf.route_grid ~ws ?config engine grid rho in
+  let router rho = Qr_route.Router_intf.route_grid ?config engine grid rho in
   run ?initial ?on_route ?extension ~graph:(Grid.graph grid)
     ~dist:(Distance.of_grid grid) ~router circuit
 

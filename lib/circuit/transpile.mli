@@ -59,9 +59,7 @@ val run_grid :
   Circuit.t ->
   result
 (** Grid convenience: route every slice with a registered engine (default
-    ["local"], the paper's LocalGridRoute with the transpose race).  All
-    slices share one {!Qr_route.Router_workspace}, so planning buffers are
-    allocated once per transpilation. *)
+    ["local"], the paper's LocalGridRoute with the transpose race). *)
 
 val verify_feasible : Qr_graph.Graph.t -> result -> bool
 (** The physical circuit respects the coupling graph. *)

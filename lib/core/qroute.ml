@@ -27,7 +27,6 @@ module Schedule = Qr_route.Schedule
 module Router_intf = Qr_route.Router_intf
 module Router_config = Qr_route.Router_config
 module Router_registry = Qr_route.Router_registry
-module Router_workspace = Qr_route.Router_workspace
 module Path_route = Qr_route.Path_route
 module Column_graph = Qr_route.Column_graph
 module Grid_route = Qr_route.Grid_route
@@ -71,10 +70,6 @@ let () = Token_engines.register ()
 
 let route ?(engine = "best") ?config grid pi =
   Router_intf.route_grid ?config (Router_registry.get engine) grid pi
-
-let route_many ?(engine = "best") ?config grid pis =
-  Router_intf.route_many ?config (Router_registry.get engine)
-    (List.map (fun pi -> Router_intf.Grid_input (grid, pi)) pis)
 
 let route_partial ?engine ?config ?policy grid partial =
   let policy =

@@ -34,7 +34,6 @@ module Schedule = Qr_route.Schedule
 module Router_intf = Qr_route.Router_intf
 module Router_config = Qr_route.Router_config
 module Router_registry = Qr_route.Router_registry
-module Router_workspace = Qr_route.Router_workspace
 module Path_route = Qr_route.Path_route
 module Column_graph = Qr_route.Column_graph
 module Grid_route = Qr_route.Grid_route
@@ -98,13 +97,6 @@ val route :
   Grid.t -> Perm.t -> Schedule.t
 (** Route a permutation on a grid.  Every engine returns a valid schedule
     realizing the permutation. *)
-
-val route_many :
-  ?engine:string -> ?config:Router_config.t ->
-  Grid.t -> Perm.t list -> Schedule.t list
-(** Route a batch of permutations on one grid through a shared planning
-    workspace ({!Router_intf.route_many}): same schedules as repeated
-    {!route} calls, fewer allocations. *)
 
 val route_partial :
   ?engine:string ->

@@ -9,22 +9,16 @@ type t = {
   dst_row : int array;
 }
 
-(* Cannibalize a previous column graph of the same vertex count: the four
-   edge arrays are overwritten wholesale by the builders, so batch callers
-   avoid re-allocating 4n words per permutation. *)
-let make ?reuse ~rows ~cols n =
-  match reuse with
-  | Some prev when Array.length prev.src_col = n -> { prev with rows; cols }
-  | _ ->
-      let fresh () = Array.make n 0 in
-      {
-        rows;
-        cols;
-        src_col = fresh ();
-        dst_col = fresh ();
-        src_row = fresh ();
-        dst_row = fresh ();
-      }
+let make ~rows ~cols n =
+  let fresh () = Array.make n 0 in
+  {
+    rows;
+    cols;
+    src_col = fresh ();
+    dst_col = fresh ();
+    src_row = fresh ();
+    dst_row = fresh ();
+  }
 
 let check_size name grid pi =
   let n = Grid.size grid in
@@ -36,10 +30,10 @@ let image name n pi v =
   if w < 0 || w >= n then invalid_arg (name ^ ": image out of range");
   w
 
-let build ?reuse grid pi =
+let build grid pi =
   let n = check_size "Column_graph.build" grid pi in
   let rows = Grid.rows grid and cols = Grid.cols grid in
-  let t = make ?reuse ~rows ~cols n in
+  let t = make ~rows ~cols n in
   for v = 0 to n - 1 do
     let w = image "Column_graph.build" n pi v in
     t.src_row.(v) <- v / cols;
@@ -51,10 +45,10 @@ let build ?reuse grid pi =
 
 (* Vertex (r, c) of the grid is vertex (c, r) of its transpose, at flat
    index c * rows + r there; its image moves the same way. *)
-let build_transposed ?reuse grid pi =
+let build_transposed grid pi =
   let n = check_size "Column_graph.build_transposed" grid pi in
   let rows = Grid.rows grid and cols = Grid.cols grid in
-  let t = make ?reuse ~rows:cols ~cols:rows n in
+  let t = make ~rows:cols ~cols:rows n in
   for v = 0 to n - 1 do
     let w = image "Column_graph.build_transposed" n pi v in
     let e = ((v mod cols) * rows) + (v / cols) in

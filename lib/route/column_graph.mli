@@ -13,19 +13,15 @@
 
 type t
 
-val build : ?reuse:t -> Qr_graph.Grid.t -> Qr_perm.Perm.t -> t
-(** [build grid pi].  Passing [reuse] (a column graph of a same-sized
-    instance, no longer needed) recycles its edge arrays instead of
-    allocating fresh ones — the batched [route_many] seam; the reused value
-    must not be consulted afterwards.  A size mismatch silently falls back
-    to fresh allocation. *)
+val build : Qr_graph.Grid.t -> Qr_perm.Perm.t -> t
+(** [build grid pi].  @raise Invalid_argument unless [pi] has one entry
+    per vertex, each a vertex. *)
 
-val build_transposed : ?reuse:t -> Qr_graph.Grid.t -> Qr_perm.Perm.t -> t
+val build_transposed : Qr_graph.Grid.t -> Qr_perm.Perm.t -> t
 (** [build_transposed grid pi] is the column graph of the transposed
     instance, equal to
     [build (Grid.transpose grid) (Grid_perm.transpose grid pi)], built from
-    the shape alone: no transposed grid or permutation is materialized.
-    [reuse] as in {!build}. *)
+    the shape alone: no transposed grid or permutation is materialized. *)
 
 val rows : t -> int
 (** [m] — also the multigraph's regularity degree. *)

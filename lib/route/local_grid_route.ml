@@ -125,13 +125,13 @@ let drain_band s ~lo ~hi =
     end
   done
 
-let discover_doubling ?hk ?(initial_width = 0) cg =
+let discover_doubling ?(initial_width = 0) cg =
   let m = Column_graph.rows cg and n = Column_graph.cols cg in
   let ne = Column_graph.num_edges cg in
   let s =
     {
       cg;
-      hk = (match hk with Some hk -> hk | None -> Hopcroft_karp.workspace ());
+      hk = Hopcroft_karp.workspace ();
       live = Array.make ne true;
       ids = Array.make ne 0;
       src = Array.make ne 0;
@@ -160,13 +160,13 @@ let discover_doubling ?hk ?(initial_width = 0) cg =
   (* Narrow-band matchings first: they carry the locality. *)
   Array.to_list s.found
 
-let discover_matchings ?hk discovery cg =
+let discover_matchings discovery cg =
   match discovery with
-  | Doubling -> discover_doubling ?hk cg
+  | Doubling -> discover_doubling cg
   | Fixed_band h ->
       if h <= 0 then invalid_arg "Local_grid_route: band height must be positive";
-      discover_doubling ?hk ~initial_width:(h - 1) cg
-  | Whole -> discover_doubling ?hk ~initial_width:(Column_graph.rows cg - 1) cg
+      discover_doubling ~initial_width:(h - 1) cg
+  | Whole -> discover_doubling ~initial_width:(Column_graph.rows cg - 1) cg
 
 let assign_rows assignment cg matchings =
   let m = Column_graph.rows cg in
@@ -181,48 +181,43 @@ let assign_rows assignment cg matchings =
       Array.iter (fun r -> assert (r >= 0)) assigned;
       assigned
 
-let column_graph ws build =
-  let cg =
-    Trace.with_span "column_graph_build" (fun () ->
-        build (Router_workspace.reusable_cg ws))
-  in
-  Option.iter (fun w -> Router_workspace.remember_cg w cg) ws;
-  cg
-
-let sigmas_of_graph ws ~discovery ~assignment cg =
+let sigmas_of_graph ~discovery ~assignment cg =
   let matchings =
     Trace.with_span "band_search"
       ~attrs:[ ("discovery", Trace.String (discovery_name discovery)) ]
-      (fun () -> discover_matchings ?hk:(Router_workspace.hk ws) discovery cg)
+      (fun () -> discover_matchings discovery cg)
   in
   let assigned_rows =
     Trace.with_span "mcbbm_assign" (fun () -> assign_rows assignment cg matchings)
   in
   Grid_route.sigmas_of_assignment cg ~matchings ~assigned_rows
 
-let sigmas ?ws ?(discovery = Doubling) ?(assignment = Mcbbm) grid pi =
-  column_graph ws (fun reuse -> Column_graph.build ?reuse grid pi)
-  |> sigmas_of_graph ws ~discovery ~assignment
+let sigmas ?(discovery = Doubling) ?(assignment = Mcbbm) grid pi =
+  Trace.with_span "column_graph_build" (fun () -> Column_graph.build grid pi)
+  |> sigmas_of_graph ~discovery ~assignment
 
-let route ?ws ?discovery ?assignment grid pi =
-  Grid_route.route_with_sigmas grid pi (sigmas ?ws ?discovery ?assignment grid pi)
+(* One orientation: its column graph built once, Algorithm 2's sigmas
+   drawn from it, and GridRoute's rounds counted on it. *)
+let plan ~discovery ~assignment build =
+  let cg = Trace.with_span "column_graph_build" build in
+  Grid_route.plan_rounds cg (sigmas_of_graph ~discovery ~assignment cg)
 
-let route_best_orientation ?ws ?(discovery = Doubling) ?(assignment = Mcbbm) grid pi
+let route ?(discovery = Doubling) ?(assignment = Mcbbm) grid pi =
+  Grid_route.emit
+    (plan ~discovery ~assignment (fun () -> Column_graph.build grid pi))
+
+let route_best_orientation ?(discovery = Doubling) ?(assignment = Mcbbm) grid pi
     =
-  let plan build =
-    let cg = column_graph ws build in
-    Grid_route.plan_rounds cg (sigmas_of_graph ws ~discovery ~assignment cg)
-  in
+  let plan = plan ~discovery ~assignment in
   let direct =
     Trace.with_span "orientation_direct" (fun () ->
-        plan (fun reuse -> Column_graph.build ?reuse grid pi))
+        plan (fun () -> Column_graph.build grid pi))
   in
   let transposed =
     Trace.with_span "orientation_transposed" (fun () ->
         (* Routed from the shape alone, with no transposed grid or
-           permutation built.  The instance has the same vertex count, so
-           with a workspace it reuses the direct orientation's buffers. *)
-        plan (fun reuse -> Column_graph.build_transposed ?reuse grid pi))
+           permutation built. *)
+        plan (fun () -> Column_graph.build_transposed grid pi))
   in
   (* Both depths are known before any layer is written, so only the
      shallower orientation is materialized; a tie keeps the direct one. *)

@@ -41,9 +41,7 @@ val deltas : Column_graph.t -> int array -> int array
     histogram of the matching's row labels: the MCBBM weight row of one
     matching.  [(deltas cg matching).(r) = delta cg matching r]. *)
 
-val discover_matchings :
-  ?hk:Qr_bipartite.Hopcroft_karp.workspace ->
-  discovery -> Column_graph.t -> int array list
+val discover_matchings : discovery -> Column_graph.t -> int array list
 (** Decompose the column multigraph into [m] perfect matchings (edge-id
     arrays indexed by column), in discovery order.  Every discovery runs
     the same band drain: take a band's live edges in ascending id order
@@ -51,28 +49,25 @@ val discover_matchings :
     with {!Qr_bipartite.Hopcroft_karp.max_matching} until none remains,
     and kill each matching's edges, dropping them from the band in
     place.  The result always partitions the edge set
-    ({!Qr_bipartite.Decompose.validate} holds).  [hk] reuses matching
-    scratch across the band windows (identical results). *)
+    ({!Qr_bipartite.Decompose.validate} holds). *)
 
 val assign_rows : assignment -> Column_graph.t -> int array list -> int array
 (** Row assigned to each matching, in list order. *)
 
 val sigmas :
-  ?ws:Router_workspace.t ->
   ?discovery:discovery -> ?assignment:assignment ->
   Qr_graph.Grid.t -> Qr_perm.Perm.t -> Grid_route.sigmas
 (** Column-phase permutations per Algorithm 2 (default: [Doubling],
-    [Mcbbm]).  [ws] reuses planning buffers across calls; schedules are
-    identical with or without it. *)
+    [Mcbbm]). *)
 
 val route :
-  ?ws:Router_workspace.t ->
   ?discovery:discovery -> ?assignment:assignment ->
   Qr_graph.Grid.t -> Qr_perm.Perm.t -> Schedule.t
-(** Algorithm 2: LocalGridRoute on the grid as given. *)
+(** Algorithm 2: LocalGridRoute on the grid as given.  One column graph
+    serves the sigmas and the rounds, so the result equals
+    [Grid_route.route_with_sigmas grid pi (sigmas grid pi)]. *)
 
 val route_best_orientation :
-  ?ws:Router_workspace.t ->
   ?discovery:discovery -> ?assignment:assignment ->
   Qr_graph.Grid.t -> Qr_perm.Perm.t -> Schedule.t
 (** Algorithm 1 (Main Procedure): run LocalGridRoute on [(G, π)] and on the

@@ -25,7 +25,7 @@ let equal a b = a = b
 
 let discovery_to_string = function
   | Local_grid_route.Doubling -> "doubling"
-  | Local_grid_route.Fixed_band h -> Printf.sprintf "fixed:%d" h
+  | Local_grid_route.Fixed_band h -> "fixed:" ^ string_of_int h
   | Local_grid_route.Whole -> "whole"
 
 let assignment_to_string = function
@@ -34,17 +34,21 @@ let assignment_to_string = function
 
 let onoff = function true -> "on" | false -> "off"
 
+(* Every plan-cache lookup keys on this text, so it is one concatenation,
+   with no format string to interpret. *)
 let to_string c =
-  let base =
-    Printf.sprintf
-      "discovery=%s,assignment=%s,transpose=%s,compaction=%s,trials=%d,seed=%d"
-      (discovery_to_string c.discovery)
-      (assignment_to_string c.assignment)
-      (onoff c.transpose) (onoff c.compaction) c.ats_trials c.seed
+  let best =
+    match c.best_of with
+    | None -> []
+    | Some names -> [ ",best="; String.concat "+" names ]
   in
-  match c.best_of with
-  | None -> base
-  | Some names -> base ^ ",best=" ^ String.concat "+" names
+  String.concat ""
+    ("discovery=" :: discovery_to_string c.discovery
+    :: ",assignment=" :: assignment_to_string c.assignment
+    :: ",transpose=" :: onoff c.transpose
+    :: ",compaction=" :: onoff c.compaction
+    :: ",trials=" :: string_of_int c.ats_trials
+    :: ",seed=" :: string_of_int c.seed :: best)
 
 let pp fmt c = Format.pp_print_string fmt (to_string c)
 

@@ -18,7 +18,7 @@ type capabilities = {
 type t = {
   name : string;
   capabilities : capabilities;
-  route : Router_workspace.t option -> Router_config.t -> input -> Schedule.t;
+  route : Router_config.t -> input -> Schedule.t;
   normalize : Router_config.t -> Router_config.t;
 }
 
@@ -51,8 +51,8 @@ let require_grid ~engine = function
 (* Route + the compaction post-pass, with no span or counters — the
    internal path engines (like [best]) use to race contenders without
    inflating the public per-call metrics. *)
-let run ?ws engine config input =
-  let sched = engine.route ws config input in
+let run engine config input =
+  let sched = engine.route config input in
   if config.Router_config.compaction then
     Schedule.compact ~n:(input_size input) sched
   else sched
@@ -64,7 +64,7 @@ let c_route_calls = Metrics.counter "route_calls"
 let c_swap_layers = Metrics.counter "swap_layers"
 let c_swaps_total = Metrics.counter "swaps_total"
 
-let route ?ws ?(config = Router_config.default) engine input =
+let route ?ws:_ ?(config = Router_config.default) engine input =
   Trace.with_span "route"
     ~attrs:[ ("strategy", Trace.String engine.name) ]
   @@ fun () ->
@@ -72,7 +72,7 @@ let route ?ws ?(config = Router_config.default) engine input =
     List.iter
       (fun (k, v) -> Trace.add_attr k v)
       (Router_config.to_attrs (engine.normalize config));
-  let sched = run ?ws engine config input in
+  let sched = run engine config input in
   if Metrics.enabled () then begin
     Metrics.incr c_route_calls;
     Metrics.add c_swap_layers (Schedule.depth sched);
@@ -80,12 +80,5 @@ let route ?ws ?(config = Router_config.default) engine input =
   end;
   sched
 
-let route_grid ?ws ?config engine grid pi =
-  route ?ws ?config engine (Grid_input (grid, pi))
-
-let route_many ?(config = Router_config.default) engine inputs =
-  match inputs with
-  | [] -> []
-  | inputs ->
-      let ws = Router_workspace.create () in
-      List.map (fun input -> route ~ws ~config engine input) inputs
+let route_grid ?config engine grid pi =
+  route ?config engine (Grid_input (grid, pi))

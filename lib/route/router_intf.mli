@@ -30,7 +30,7 @@ type capabilities = {
 type t = {
   name : string;  (** Registry key; lowercase, stable across releases. *)
   capabilities : capabilities;
-  route : Router_workspace.t option -> Router_config.t -> input -> Schedule.t;
+  route : Router_config.t -> input -> Schedule.t;
       (** The engine itself, with no span, counters or compaction; callers
           go through {!route} or {!run}. *)
   normalize : Router_config.t -> Router_config.t;
@@ -57,7 +57,7 @@ val require_grid : engine:string -> input -> Qr_graph.Grid.t * Qr_perm.Perm.t
 (** Destructure a grid input or raise {!Unsupported_input} — the standard
     first line of a grid-only engine's [route]. *)
 
-val run : ?ws:Router_workspace.t -> t -> Router_config.t -> input -> Schedule.t
+val run : t -> Router_config.t -> input -> Schedule.t
 (** Route and apply the configured compaction post-pass, with no span and
     no counters.  Internal composition seam (the [best] engine races
     contenders through this). *)
@@ -70,16 +70,10 @@ val route :
     [route_calls]/[swap_layers]/[swaps_total] counters recorded from the
     returned schedule.  Every engine returns a valid schedule realizing the
     input permutation.  @raise Unsupported_input outside the engine's
-    capabilities. *)
+    capabilities.  [ws] is ignored; it stays only because the benchmark
+    of record still passes one ({!Router_workspace}). *)
 
 val route_grid :
-  ?ws:Router_workspace.t ->
   ?config:Router_config.t ->
   t -> Qr_graph.Grid.t -> Qr_perm.Perm.t -> Schedule.t
 (** {!route} on a {!Grid_input}. *)
-
-val route_many : ?config:Router_config.t -> t -> input list -> Schedule.t list
-(** Route a batch through one shared {!Router_workspace}, amortizing the
-    planning allocations.  Schedules are bit-identical to routing each
-    input with a separate {!route} call.  An empty batch returns [[]]
-    without allocating a workspace. *)

@@ -22,12 +22,12 @@ let with_fault_points (engine : Router_intf.t) =
   {
     engine with
     Router_intf.route =
-      (fun ws config input ->
+      (fun config input ->
         Fault.point "engine.slow" ~f:(fun () ->
             Fault.point slow_point ~f:(fun () ->
                 Fault.point "engine.plan" ~f:(fun () ->
                     Fault.point plan_point ~f:(fun () ->
-                        engine.Router_intf.route ws config input)))));
+                        engine.Router_intf.route config input)))));
   }
 
 let register (engine : Router_intf.t) =
@@ -80,7 +80,7 @@ let note_fallback ~from ~to_ =
 
 let generic_fallback = "ats"
 
-let route_generic ?ws ?config engine graph dist pi =
+let route_generic ?config engine graph dist pi =
   let engine =
     if engine.Router_intf.capabilities.grid_only then begin
       note_fallback ~from:engine.Router_intf.name ~to_:generic_fallback;
@@ -88,8 +88,7 @@ let route_generic ?ws ?config engine graph dist pi =
     end
     else engine
   in
-  Router_intf.route ?ws ?config engine
-    (Router_intf.Graph_input (graph, dist, pi))
+  Router_intf.route ?config engine (Router_intf.Graph_input (graph, dist, pi))
 
 (* {2 Verified routing with graceful degradation} *)
 
@@ -148,8 +147,8 @@ let note_verify_failure ~engine ~reason =
    open breaker skips the primary entirely (straight to the chain) —
    the misbehaving engine stops charging a full failure per request. *)
 let verified ?(chain = default_verify_chain) ?breaker engine =
-  let attempt ws config input candidate =
-    match Router_intf.run ?ws candidate config input with
+  let attempt config input candidate =
+    match Router_intf.run candidate config input with
     | sched -> (
         match validate input sched with
         | Ok () -> Ok sched
@@ -160,7 +159,7 @@ let verified ?(chain = default_verify_chain) ?breaker engine =
     | exception (Qr_util.Cancel.Cancelled _ as exn) -> raise exn
     | exception exn -> Error (Printexc.to_string exn)
   in
-  let degrade ws config input reason =
+  let degrade config input reason =
     let graph_input =
       match input with
       | Router_intf.Graph_input _ -> true
@@ -183,7 +182,7 @@ let verified ?(chain = default_verify_chain) ?breaker engine =
           match candidate with
           | None -> go rest
           | Some fallback -> (
-              match attempt ws config input fallback with
+              match attempt config input fallback with
               | Ok sched ->
                   Atomic.incr degradations_total;
                   Metrics.incr c_degraded;
@@ -202,7 +201,7 @@ let verified ?(chain = default_verify_chain) ?breaker engine =
     | Some b, `Admit -> Breaker.record b ~ok
     | Some b, `Probe -> Breaker.record_probe b ~ok
   in
-  let route ws config input =
+  let route config input =
     let ticket =
       match breaker with None -> `Admit | Some b -> Breaker.admit b
     in
@@ -211,16 +210,16 @@ let verified ?(chain = default_verify_chain) ?breaker engine =
         (* Breaker open: don't even invoke the primary.  Not a verify
            failure — the rejection tally lives on the breaker. *)
         Trace.add_attr "breaker_rejected" (Trace.Bool true);
-        degrade ws config input "circuit breaker open"
+        degrade config input "circuit breaker open"
     | (`Admit | `Probe) as ticket -> (
-        match attempt ws config input engine with
+        match attempt config input engine with
         | Ok sched ->
             settle ticket ~ok:true;
             sched
         | Error reason ->
             settle ticket ~ok:false;
             note_verify_failure ~engine:engine.Router_intf.name ~reason;
-            degrade ws config input reason
+            degrade config input reason
         | exception (Qr_util.Cancel.Cancelled _ as exn) ->
             (* Hand the probe slot back unjudged so the breaker doesn't
                stay half-open waiting on a probe that will never report. *)
@@ -255,14 +254,13 @@ let local =
     Router_intf.name = "local";
     capabilities = grid_caps ~transpose:true;
     route =
-      (fun ws config input ->
+      (fun config input ->
         let grid, pi = Router_intf.require_grid ~engine:"local" input in
         let discovery = config.Router_config.discovery in
         let assignment = config.Router_config.assignment in
         if config.Router_config.transpose then
-          Local_grid_route.route_best_orientation ?ws ~discovery ~assignment
-            grid pi
-        else Local_grid_route.route ?ws ~discovery ~assignment grid pi);
+          Local_grid_route.route_best_orientation ~discovery ~assignment grid pi
+        else Local_grid_route.route ~discovery ~assignment grid pi);
     normalize =
       (fun c ->
         {
@@ -278,9 +276,9 @@ let local1 =
     Router_intf.name = "local1";
     capabilities = grid_caps ~transpose:false;
     route =
-      (fun ws config input ->
+      (fun config input ->
         let grid, pi = Router_intf.require_grid ~engine:"local1" input in
-        Local_grid_route.route ?ws ~discovery:config.Router_config.discovery
+        Local_grid_route.route ~discovery:config.Router_config.discovery
           ~assignment:config.Router_config.assignment grid pi);
     normalize =
       (fun c ->
@@ -292,10 +290,9 @@ let naive =
     Router_intf.name = "naive";
     capabilities = grid_caps ~transpose:false;
     route =
-      (fun ws _config input ->
+      (fun _config input ->
         let grid, pi = Router_intf.require_grid ~engine:"naive" input in
-        Local_grid_route.route ?ws ~discovery:Whole ~assignment:Arbitrary grid
-          pi);
+        Local_grid_route.route ~discovery:Whole ~assignment:Arbitrary grid pi);
     normalize =
       (fun c -> { (compaction_only c) with discovery = Whole; assignment = Arbitrary });
   }
@@ -305,7 +302,7 @@ let snake =
     Router_intf.name = "snake";
     capabilities = grid_caps ~transpose:false;
     route =
-      (fun _ws _config input ->
+      (fun _config input ->
         let grid, pi = Router_intf.require_grid ~engine:"snake" input in
         Line_route.route grid pi);
     normalize = compaction_only;
@@ -370,7 +367,7 @@ let best =
         supports_partial = true;
       };
     route =
-      (fun ws config input ->
+      (fun config input ->
         let wanted =
           match config.Router_config.best_of with
           | Some contenders -> contenders
@@ -391,11 +388,11 @@ let best =
             match input with
             | Router_intf.Graph_input _ ->
                 note_fallback ~from:"best" ~to_:generic_fallback;
-                Router_intf.run ?ws (get generic_fallback) config input
+                Router_intf.run (get generic_fallback) config input
             | Router_intf.Grid_input _ ->
                 invalid_arg "Router_registry: best has no contenders")
         | first :: rest ->
-            let run e = (e, Router_intf.run ?ws e config input) in
+            let run e = (e, Router_intf.run e config input) in
             let winner, sched =
               List.fold_left
                 (fun (we, ws_sched) e ->

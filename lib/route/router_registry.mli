@@ -44,7 +44,6 @@ val names : unit -> string list
 val all : unit -> Router_intf.t list
 
 val route_generic :
-  ?ws:Router_workspace.t ->
   ?config:Router_config.t ->
   Router_intf.t ->
   Qr_graph.Graph.t -> Qr_graph.Distance.t -> Qr_perm.Perm.t -> Schedule.t

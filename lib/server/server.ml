@@ -371,9 +371,9 @@ let pool_executor config ~loop ~cache ~sup ~workers =
     Worker_pool.create ~queue_bound:config.Session.max_inflight ~notify
       ~workers ()
   in
-  (* One session per worker, created lazily {e on} the worker so its
-     router workspace is domain-owned there; slot [k] is only ever
-     touched by worker [k].  All sessions share the one plan cache. *)
+  (* One session per worker, created lazily {e on} the worker that owns
+     its reply buffer and last grid; slot [k] is only ever touched by
+     worker [k].  All sessions share the one plan cache. *)
   let sessions = Array.make workers None in
   let session_for k =
     match sessions.(k) with
@@ -429,9 +429,9 @@ let pool_executor config ~loop ~cache ~sup ~workers =
         end
   in
   (* A lost worker's session is dropped before its slot is respawned, so
-     the replacement builds a fresh one (the zombie may still be
-     mutating the old workspace) — the write happens before [replace]'s
-     spawn, so the new domain sees it. *)
+     the replacement builds a fresh one (the zombie may still be writing
+     to the old session's reply buffer) — the write happens before
+     [replace]'s spawn, so the new domain sees it. *)
   let respawn k =
     sessions.(k) <- None;
     Worker_pool.replace pool k
@@ -620,10 +620,10 @@ let rec accept_burst listener ~on_fd =
       accept_burst listener ~on_fd
   | exception (Unix.Unix_error _ | Fault.Injected _) -> ()
 
-(* The supervisor's knobs are durations and a size, and the outbox cap a
-   size: one below 1 is a configuration error, and so is a negative
-   cache capacity (0 turns caching off).  All are reported before the
-   socket is bound. *)
+(* The supervisor's knobs are durations and a size, and the queue bound,
+   the line cap and the outbox cap are sizes: one below 1 is a
+   configuration error, and so is a negative cache capacity (0 turns
+   caching off).  All are reported before the socket is bound. *)
 let check_knobs config =
   List.iter
     (fun (field, floor, value) ->
@@ -636,6 +636,8 @@ let check_knobs config =
       ("hung_request_ms", 1, config.Session.hung_request_ms);
       ("queue_delay_target_ms", 1, config.Session.queue_delay_target_ms);
       ("max_rss_mb", 1, config.Session.max_rss_mb);
+      ("max_inflight", 1, Some config.Session.max_inflight);
+      ("max_line_bytes", 1, Some config.Session.max_line_bytes);
       ("max_outbox_bytes", 1, Some config.Session.max_outbox_bytes);
       ("cache_capacity", 0, Some config.Session.cache_capacity);
     ]

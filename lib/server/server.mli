@@ -109,8 +109,9 @@ val run_socket :
 (** Bind, listen and serve [path] until SIGINT/SIGTERM, then drain.  A
     stale socket file left by a crashed server is replaced; any other
     existing file is an error ([Failure]), and so is a
-    [hung_request_ms], [queue_delay_target_ms], [max_rss_mb] or
-    [max_outbox_bytes] below 1 or a negative [cache_capacity]
+    [hung_request_ms], [queue_delay_target_ms], [max_rss_mb],
+    [max_inflight], [max_line_bytes] or [max_outbox_bytes] below 1 or a
+    negative [cache_capacity]
     ([Failure] naming the field, raised before the socket is bound).
     The socket file is removed on exit.  Sessions report the pending
     queue's length as their [health] [inflight] count.  [metrics_file]

@@ -13,7 +13,6 @@ module Schedule = Qr_route.Schedule
 module Router_intf = Qr_route.Router_intf
 module Router_config = Qr_route.Router_config
 module Router_registry = Qr_route.Router_registry
-module Router_workspace = Qr_route.Router_workspace
 module Breaker = Qr_route.Breaker
 module Circuit = Qr_circuit.Circuit
 module Qasm = Qr_circuit.Qasm
@@ -104,7 +103,6 @@ type access = {
 type t = {
   config : config;
   cache : Plan_cache.t;
-  ws : Router_workspace.t;
   started_ns : int64;
   session_id : int;
   inflight_probe : unit -> int;
@@ -137,7 +135,6 @@ let create ?(config = default_config) ?cache ?(inflight_probe = fun () -> 0)
   {
     config;
     cache;
-    ws = Router_workspace.create ();
     started_ns = Timer.now_ns ();
     session_id = 1 + Atomic.fetch_and_add next_session_id 1;
     inflight_probe;
@@ -240,8 +237,7 @@ let effective_engine t engine =
   else engine
 
 (* One routing call behind the cache: a hit returns the stored schedule
-   (byte-identical response), a miss plans through the session's shared
-   workspace and stores the result.
+   (byte-identical response), a miss plans and stores the result.
 
    Cache trouble must never fail a request that routing itself could
    answer: a raising lookup counts as a miss, a raising insert serves
@@ -259,7 +255,7 @@ let routed t grid pi engine config =
       ~config:(engine.Router_intf.normalize config)
   in
   let plan () =
-    Router_intf.route ~ws:t.ws ~config (effective_engine t engine)
+    Router_intf.route ~config (effective_engine t engine)
       (Router_intf.Grid_input (grid, pi))
   in
   let compute () =
@@ -422,8 +418,6 @@ let do_route_batch t cancel params =
       Json.int_to_buffer buf completed;
       Buffer.add_char buf '}')
 
-(* Transpilation manages its own per-run workspace inside
-   [Transpile.run_grid]; the session's is not threaded through. *)
 let do_transpile t cancel params =
   let* logical =
     match Json.member "circuit" params with

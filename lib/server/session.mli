@@ -1,16 +1,15 @@
 (** Request processing.
 
-    A session owns everything its requests reuse: a
-    {!Qr_route.Router_workspace.t} (so every request after the first rides
-    the batched [route_many] allocation profile), a {!Plan_cache.t}
-    (optionally shared between sessions by the server), and the request
-    counter behind the [health] report.  The socket server runs one
-    session for every connection at [--workers 1] and one per worker
-    above it, so connection state (the error budget) lives in
-    {!Server}, not here.  {!handle_line} is the whole
-    request pipeline — parse, dispatch, route, serialize — and is pure
-    string-to-string, so tests and the [serve_session] example drive it
-    without sockets or channels.
+    A session owns everything its requests reuse: the reply buffer every
+    reply is rendered into, the last grid (rebuilt only when the shape
+    changes), a {!Plan_cache.t} (optionally shared between sessions by
+    the server), and the request counter behind the [health] report.
+    The socket server runs one session for every connection at
+    [--workers 1] and one per worker above it, so connection state (the
+    error budget) lives in {!Server}, not here.  {!handle_line} is the
+    whole request pipeline — parse, dispatch, route, serialize — and is
+    pure string-to-string, so tests and the [serve_session] example drive
+    it without sockets or channels.
 
     Every request runs inside a [serve_request] trace span (method name
     and outcome as attributes) and bumps the [server_requests] /
@@ -96,7 +95,7 @@ val create :
   ?worker:int ->
   unit ->
   t
-(** A fresh session with its own workspace.  [cache] shares a cache
+(** A fresh session with its own reply buffer.  [cache] shares a cache
     between sessions (the socket server passes one cache to every
     connection); by default the session creates its own with
     [config.cache_capacity].  [inflight_probe] supplies the [health]
@@ -113,8 +112,8 @@ val create :
     mutable state — create it on (or dedicate it to) the one domain
     that calls [handle_line]; the multicore server keeps one session
     per worker.  The cache shared between sessions is safe
-    ({!Plan_cache} locks internally); the workspace is per-session and
-    ownership-checked. *)
+    ({!Plan_cache} locks internally); the reply buffer and the last grid
+    are the session's own. *)
 
 val config : t -> config
 

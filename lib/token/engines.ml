@@ -21,7 +21,7 @@ let ats =
     Router_intf.name = "ats";
     capabilities = generic_caps;
     route =
-      (fun _ws config input ->
+      (fun config input ->
         let graph, dist, pi = graph_of_input input in
         Parallel_ats.route ~trials:config.Router_config.ats_trials
           ~seed:config.Router_config.seed graph dist pi);
@@ -44,7 +44,7 @@ let ats_serial =
     Router_intf.name = "ats-serial";
     capabilities = generic_caps;
     route =
-      (fun _ws _config input ->
+      (fun _config input ->
         let graph, dist, pi = graph_of_input input in
         Token_swap.schedule graph dist pi);
     normalize = Router_registry.compaction_only;

@@ -338,7 +338,7 @@ let () =
             supports_partial = false;
           };
         route =
-          (fun _ _ input ->
+          (fun _config input ->
             Schedule.of_layers [ [| (0, Router_intf.input_size input - 1) |] ]);
         normalize = Fun.id;
       }

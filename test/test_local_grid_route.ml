@@ -308,8 +308,7 @@ let transposed_column_graph =
   QCheck.Test.make ~name:"build_transposed = build on the transposed instance"
     ~count:150 shape_gen (fun shape ->
       let grid, pi = random_instance shape in
-      let direct = Column_graph.build grid pi in
-      let fast = Column_graph.build_transposed ~reuse:direct grid pi in
+      let fast = Column_graph.build_transposed grid pi in
       let slow =
         Column_graph.build (Grid.transpose grid)
           (Qr_perm.Grid_perm.transpose grid pi)
@@ -344,6 +343,22 @@ let best_orientation_matches_reference =
       Local.route_best_orientation grid pi = reference
       && d1 + d2 + d3 = Schedule.depth direct)
 
+(* Algorithm 2 plans its sigmas and its rounds on one column graph; the
+   reference builds one for the sigmas and another for the rounds. *)
+let route_matches_two_builds =
+  QCheck.Test.make ~name:"route = route_with_sigmas of sigmas" ~count:150
+    QCheck.(pair shape_gen (int_range 1 9))
+    (fun (shape, h) ->
+      let grid, pi = random_instance shape in
+      List.for_all
+        (fun (discovery, assignment) ->
+          Local.route ~discovery ~assignment grid pi
+          = Grid_route.route_with_sigmas grid pi
+              (Local.sigmas ~discovery ~assignment grid pi))
+        (List.concat_map
+           (fun d -> [ (d, Local.Mcbbm); (d, Local.Arbitrary) ])
+           [ Local.Doubling; Local.Whole; Local.Fixed_band h ]))
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "local_grid_route"
@@ -374,5 +389,6 @@ let () =
           qc transposed_column_graph;
           qc best_orientation_matches_reference;
           qc drain_matches_reference;
+          qc route_matches_two_builds;
         ] );
     ]

@@ -370,7 +370,7 @@ let () =
         local with
         Qr_route.Router_intf.name = "scope-probe";
         route =
-          (fun ws config input ->
+          (fun config input ->
             let s =
               {
                 domain = (Domain.self () :> int);
@@ -388,7 +388,7 @@ let () =
               end
             in
             hold 10_000;
-            local.Qr_route.Router_intf.route ws config input);
+            local.Qr_route.Router_intf.route config input);
       }
   with Invalid_argument _ -> ()
 
