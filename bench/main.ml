@@ -614,10 +614,8 @@ let micro () =
   let session = Server_session.create () in
   ignore (Server_session.handle_line session hit_line);
   let grid32 = Grid.make ~rows:32 ~cols:32 in
-  let cg32 =
-    Column_graph.build grid32
-      (Generators.generate grid32 Generators.Random (Rng.create 1))
-  in
+  let pi32 = Generators.generate grid32 Generators.Random (Rng.create 1) in
+  let cg32 = Column_graph.build grid32 pi32 in
   let tests =
     [
       (* One Test.make per figure series. *)
@@ -645,6 +643,7 @@ let micro () =
       Test.make ~name:"substrate/hopcroft-karp"
         (Staged.stage (fun () ->
              Hopcroft_karp.solve ~nl:16 ~nr:16 ~edges));
+      (* The flat path router, from the shallower parity. *)
       Test.make ~name:"substrate/odd-even-path-64"
         (Staged.stage (fun () -> Path_route.route dests));
       (* The counted rounds GridRoute plans with, both parities, on a
@@ -674,6 +673,9 @@ let micro () =
       Test.make ~name:"kernel/band-drain-32x32"
         (Staged.stage (fun () ->
              Local_grid_route.discover_matchings Local_grid_route.Doubling cg32));
+      (* The snake baseline: one odd-even path through all 1024 vertices. *)
+      Test.make ~name:"route/snake-32x32"
+        (Staged.stage (fun () -> route ~engine:"snake" grid32 pi32));
     ]
   in
   let cfg =

@@ -558,7 +558,7 @@ let serve_cmd =
   in
   let max_batch =
     Arg.(
-      value & opt int Server_session.default_config.max_batch
+      value & opt positive_int Server_session.default_config.max_batch
       & info [ "max-batch" ] ~docv:"N"
           ~doc:
             "Largest accepted route_batch; bigger batches get the \
@@ -585,7 +585,7 @@ let serve_cmd =
   in
   let error_budget =
     Arg.(
-      value & opt int Server_session.default_config.error_budget
+      value & opt non_negative_int Server_session.default_config.error_budget
       & info [ "error-budget" ] ~docv:"N"
           ~doc:
             "Consecutive error responses a connection may accumulate before \

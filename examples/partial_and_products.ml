@@ -37,7 +37,7 @@ let () =
   let cylinder = Product.make (Graph.cycle 6) (Graph.path 5) in
   let path_router g pi =
     assert (Graph.num_vertices g = Array.length pi);
-    Schedule.of_layers (List.map Array.of_list (Path_route.route_min_parity pi))
+    Path_route.route pi
   in
   let cycle_router g pi =
     Parallel_ats.route ~trials:1 g (Distance.of_graph g) pi

@@ -32,7 +32,6 @@ module Column_graph = Qr_route.Column_graph
 module Grid_route = Qr_route.Grid_route
 module Local_grid_route = Qr_route.Local_grid_route
 module Product_route = Qr_route.Product_route
-module Line_route = Qr_route.Line_route
 module Bounds = Qr_route.Bounds
 module Viz = Qr_route.Viz
 module Token_swap = Qr_token.Token_swap

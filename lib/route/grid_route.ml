@@ -71,37 +71,17 @@ type rounds = { rows : int; cols : int; phases : phase array }
 
 let depth r = Array.fold_left (fun acc ph -> acc + ph.depth) 0 r.phases
 
-(* Choose each line's parity as Path_route.route_min_parity does (odd only
-   when strictly shallower), from counted rather than recorded rounds.  A
-   non-empty round moves a token one position, so no parity takes fewer
-   than [reach], the farthest any token travels: when the even parity
-   meets that bound the odd one cannot beat it and is not counted. *)
+(* Each line's parity is Path_route's choice, and its swap counts add into
+   the merged layer sizes; a merged layer holds a swap exactly while some
+   line is that deep. *)
 let plan_phase ph ~tokens ~even ~odd =
   for line = 0 to ph.lines - 1 do
-    let off = line * ph.len in
-    let reach = ref 0 in
-    for p = 0 to ph.len - 1 do
-      let dest = ph.dests.(off + p) in
-      tokens.(p) <- dest;
-      if abs (dest - p) > !reach then reach := abs (dest - p)
-    done;
-    let depth_even = Path_route.count_layers tokens ph.len 0 even in
-    let depth, counts =
-      if depth_even = !reach then (depth_even, even)
-      else begin
-        Array.blit ph.dests off tokens 0 ph.len;
-        let depth_odd = Path_route.count_layers tokens ph.len 1 odd in
-        if depth_odd < depth_even then begin
-          ph.parity.(line) <- 1;
-          (depth_odd, odd)
-        end
-        else (depth_even, even)
-      end
-    in
-    for t = 0 to depth - 1 do
-      ph.sizes.(t) <- ph.sizes.(t) + counts.(t)
-    done;
-    if depth > ph.depth then ph.depth <- depth
+    ph.parity.(line) <-
+      Path_route.min_parity ph.dests (line * ph.len) ph.len ~tokens ~even ~odd
+        ~sizes:ph.sizes
+  done;
+  while ph.sizes.(ph.depth) > 0 do
+    ph.depth <- ph.depth + 1
   done
 
 (* Apply a planned round to [token_at]: each line realizes its
@@ -182,37 +162,16 @@ let plan_rounds cg sigmas =
 
 (* Replay every line from its chosen parity, writing each swap's two
    endpoints straight into its merged layer's slots of [ends].  Layers
-   are filled from the end ([fill.(t)] is one past layer [t]'s next free
-   swap), so a layer lists lines, and positions within a line, in
-   descending order.  The phase's layers start at [first].  Position p of
-   a line is output vertex line * vertex_line + p * vertex_pos. *)
+   are filled from the end ([fill.(t)] starts one past layer [t]'s last
+   slot and steps down), so a layer lists lines, and positions within a
+   line, in descending order.  The phase's layers start at [first].
+   Position p of a line is output vertex line * vertex_line + p *
+   vertex_pos. *)
 let emit_phase ph ~first ~vertex_line ~vertex_pos tokens ends fill =
   for line = 0 to ph.lines - 1 do
-    let base = line * vertex_line in
-    Array.blit ph.dests (line * ph.len) tokens 0 ph.len;
-    let t = ref first and idle = ref 0 and start = ref ph.parity.(line) in
-    while !idle < 2 do
-      let p = ref !start and swapped = ref false in
-      while !p + 1 < ph.len do
-        let a = tokens.(!p) and b = tokens.(!p + 1) in
-        if a > b then begin
-          tokens.(!p) <- b;
-          tokens.(!p + 1) <- a;
-          let u = base + (!p * vertex_pos) and i = fill.(!t) - 1 in
-          fill.(!t) <- i;
-          ends.(2 * i) <- u;
-          ends.((2 * i) + 1) <- u + vertex_pos;
-          swapped := true
-        end;
-        p := !p + 2
-      done;
-      if !swapped then begin
-        incr t;
-        idle := 0
-      end
-      else incr idle;
-      start := 1 - !start
-    done
+    Path_route.replay ph.dests (line * ph.len) ph.len ph.parity.(line)
+      ~base:(line * vertex_line) ~stride:vertex_pos ~first ~step:(-1) tokens
+      ends fill
   done
 
 let emit ?(transposed = false) r =

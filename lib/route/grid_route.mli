@@ -33,7 +33,7 @@ val route_with_sigmas :
   Qr_graph.Grid.t -> Qr_perm.Perm.t -> sigmas -> Schedule.t
 (** Run the three rounds with odd–even transposition on each line, each
     line from the shallower starting parity
-    ({!Path_route.route_min_parity}).  The result realizes [π] exactly
+    ({!Path_route.min_parity}).  The result realizes [π] exactly
     (asserted internally).  [emit (plan_rounds (Column_graph.build grid pi)
     sigmas)].
     @raise Invalid_argument when {!check_sigmas} fails. *)

@@ -128,7 +128,7 @@ let validate input sched =
     Error "the schedule does not realize the requested permutation"
   else Ok ()
 
-let default_verify_chain = [ generic_fallback; "naive" ]
+let verify_chain = [ generic_fallback; "naive" ]
 
 let note_verify_failure ~engine ~reason =
   Atomic.incr verify_failures_total;
@@ -141,12 +141,12 @@ let note_verify_failure ~engine ~reason =
 (* Wrap an engine so every schedule it emits is checked against the
    routing invariant (valid matchings realizing pi) before it can
    escape.  An invalid schedule or a raising engine degrades through
-   [chain] — each candidate verified the same way — and only when the
-   whole chain is exhausted does the wrapper raise.  With [breaker],
+   [verify_chain] — each candidate verified the same way — and only when
+   the whole chain is exhausted does the wrapper raise.  With [breaker],
    every primary outcome feeds the engine's circuit breaker, and an
    open breaker skips the primary entirely (straight to the chain) —
    the misbehaving engine stops charging a full failure per request. *)
-let verified ?(chain = default_verify_chain) ?breaker engine =
+let verified ?breaker engine =
   let attempt config input candidate =
     match Router_intf.run candidate config input with
     | sched -> (
@@ -193,7 +193,7 @@ let verified ?(chain = default_verify_chain) ?breaker engine =
                   note_verify_failure ~engine:fallback.Router_intf.name ~reason;
                   go rest))
     in
-    go chain
+    go verify_chain
   in
   let settle ticket ~ok =
     match (breaker, ticket) with
@@ -304,7 +304,7 @@ let snake =
     route =
       (fun _config input ->
         let grid, pi = Router_intf.require_grid ~engine:"snake" input in
-        Line_route.route grid pi);
+        Path_route.route_snake grid pi);
     normalize = compaction_only;
   }
 

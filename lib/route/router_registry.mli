@@ -82,11 +82,10 @@ val validate : Router_intf.input -> Schedule.t -> (unit, string) result
     permutation ({!Schedule.realizes}).  The error says which half
     failed. *)
 
-val verified :
-  ?chain:string list -> ?breaker:Breaker.t -> Router_intf.t -> Router_intf.t
+val verified : ?breaker:Breaker.t -> Router_intf.t -> Router_intf.t
 (** [verified engine] routes with [engine], checks the result with
     {!validate}, and on an invalid schedule {e or} a raising engine
-    retries down [chain] (default [["ats"; "naive"]]; the wrapped
+    retries down the fallback chain [["ats"; "naive"]] (the wrapped
     engine's own name and, on generic-graph inputs, grid-only chain
     members are skipped).  Each failure bumps [router_verify_failures]
     and warns once per engine name; each rescue bumps [router_degraded]
@@ -97,7 +96,7 @@ val verified :
 
     With [breaker], the primary engine's outcome feeds the circuit
     breaker on every request, and while the breaker is open the primary
-    is skipped entirely — the request degrades straight down [chain]
+    is skipped entirely — the request degrades straight down the chain
     (a [breaker_rejected] span attribute marks it; the chain exhausting
     still raises {!Verification_failed}).  Fallback outcomes never feed
     the breaker — it judges only the engine it guards. *)
@@ -113,4 +112,3 @@ val degradations : unit -> int
 (**/**)
 
 val default_contenders : string list
-val default_verify_chain : string list

@@ -204,59 +204,6 @@ let compact ~n t =
 
 let map_vertices f t = { t with ends = Array.map f t.ends }
 
-let to_string t =
-  let buf = Buffer.create (12 * size t) in
-  for k = 0 to depth t - 1 do
-    if k > 0 then Buffer.add_char buf '\n';
-    for i = t.starts.(k) to t.starts.(k + 1) - 1 do
-      if i > t.starts.(k) then Buffer.add_char buf ' ';
-      Json.int_to_buffer buf t.ends.(2 * i);
-      Buffer.add_char buf '-';
-      Json.int_to_buffer buf t.ends.((2 * i) + 1)
-    done
-  done;
-  Buffer.contents buf
-
-(* Two passes, as in [of_json]: the first splits the text into lines of
-   tokens and sizes the arrays, the second parses the swaps into them and
-   reports the first bad token. *)
-let of_string text =
-  let swap_of_token token =
-    match String.split_on_char '-' token with
-    | [ u; v ] -> (
-        match (int_of_string_opt u, int_of_string_opt v) with
-        | Some u, Some v when u >= 0 && v >= 0 && u <> v -> Some (u, v)
-        | _ -> None)
-    | _ -> None
-  in
-  let lines =
-    List.map
-      (fun line ->
-        List.filter (fun s -> s <> "") (String.split_on_char ' ' (String.trim line)))
-      (String.split_on_char '\n' text)
-  in
-  let d = List.length lines in
-  let starts = Array.make (d + 1) 0 in
-  List.iteri (fun k tokens -> starts.(k + 1) <- starts.(k) + List.length tokens) lines;
-  let ends = Array.make (2 * starts.(d)) 0 in
-  let rec fill lineno i = function
-    | [] -> Ok { ends; starts }
-    | [] :: rest -> fill (lineno + 1) i rest
-    | (token :: more) :: rest -> (
-        match swap_of_token token with
-        | Some (u, v) ->
-            ends.(2 * i) <- u;
-            ends.((2 * i) + 1) <- v;
-            fill lineno (i + 1) (more :: rest)
-        | None -> Error (Printf.sprintf "line %d: bad swap %S" lineno token))
-  in
-  if String.trim text = "" then Ok empty else fill 1 0 lines
-
-let of_string_exn text =
-  match of_string text with
-  | Ok t -> t
-  | Error msg -> invalid_arg ("Schedule.of_string: " ^ msg)
-
 let to_json t =
   let swap_json i = Json.List [ Json.Int t.ends.(2 * i); Json.Int t.ends.((2 * i) + 1) ] in
   let layer_json k =
@@ -394,14 +341,3 @@ let of_json_exn json =
   match of_json json with
   | Ok t -> t
   | Error msg -> invalid_arg ("Schedule.of_json: " ^ msg)
-
-let pp fmt t =
-  Format.fprintf fmt "@[<v>";
-  for k = 0 to depth t - 1 do
-    Format.fprintf fmt "layer %d:" k;
-    for i = t.starts.(k) to t.starts.(k + 1) - 1 do
-      Format.fprintf fmt " (%d %d)" t.ends.(2 * i) t.ends.((2 * i) + 1)
-    done;
-    Format.fprintf fmt "@,"
-  done;
-  Format.fprintf fmt "@]"

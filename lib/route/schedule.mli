@@ -97,19 +97,6 @@ val map_vertices : (int -> int) -> t -> t
 (** Relabel every endpoint, e.g. to lift a schedule computed on the
     transposed grid (or on a factor of a product) back to the host graph. *)
 
-val pp : Format.formatter -> t -> unit
-
-val to_string : t -> string
-(** Compact text serialization: one layer per line, swaps as ["u-v"]
-    separated by spaces; the empty schedule is the empty string.  Stable
-    format, round-trips with {!of_string}. *)
-
-val of_string : string -> (t, string) result
-(** Parse {!to_string}'s format.  The error names the offending line. *)
-
-val of_string_exn : string -> t
-(** @raise Invalid_argument on malformed input. *)
-
 val to_json : t -> Qr_obs.Json.t
 (** [{"depth": d, "size": s, "layers": [[[u,v], ...], ...]}] — the schedule
     payload of the routing service's wire protocol, also handy for bench

@@ -102,11 +102,9 @@ let take_lines inbuf ~limit =
 
 (* Every transport frames lines the same way: [take_lines] under
    [max_line_bytes], and the end of input ends the last line. *)
-let serve_channels ?config ?session ?metrics_file ic oc =
-  let session =
-    match session with Some s -> s | None -> Session.create ?config ()
-  in
-  let limit = (Session.config session).Session.max_line_bytes in
+let serve_channels ?(config = Session.default_config) ?metrics_file ic oc =
+  let session = Session.create ~config () in
+  let limit = config.Session.max_line_bytes in
   let tick_metrics, flush_metrics = metrics_writer metrics_file in
   let send reply =
     output_string oc reply;
@@ -546,11 +544,10 @@ let drain p =
 
 (* ------------------------------------------------- single-connection loop *)
 
-let serve_fd ?(config = Session.default_config) ?session fd =
+let serve_fd ?(config = Session.default_config) fd =
   let p =
     pipeline ~config ~loop:(Event_loop.create ()) ~release:ignore
-      (inline_executor config (fun _ ->
-           match session with Some s -> s | None -> Session.create ~config ()))
+      (inline_executor config (fun _ -> Session.create ~config ()))
   in
   Unix.set_nonblock fd;
   add_conn p fd;
@@ -621,9 +618,10 @@ let rec accept_burst listener ~on_fd =
   | exception (Unix.Unix_error _ | Fault.Injected _) -> ()
 
 (* The supervisor's knobs are durations and a size, and the queue bound,
-   the line cap and the outbox cap are sizes: one below 1 is a
-   configuration error, and so is a negative cache capacity (0 turns
-   caching off).  All are reported before the socket is bound. *)
+   the batch cap, the line cap and the outbox cap are sizes: one below 1
+   is a configuration error, and so is a negative cache capacity or error
+   budget (0 turns caching or shedding off).  All are reported before the
+   socket is bound. *)
 let check_knobs config =
   List.iter
     (fun (field, floor, value) ->
@@ -636,10 +634,12 @@ let check_knobs config =
       ("hung_request_ms", 1, config.Session.hung_request_ms);
       ("queue_delay_target_ms", 1, config.Session.queue_delay_target_ms);
       ("max_rss_mb", 1, config.Session.max_rss_mb);
+      ("max_batch", 1, Some config.Session.max_batch);
       ("max_inflight", 1, Some config.Session.max_inflight);
       ("max_line_bytes", 1, Some config.Session.max_line_bytes);
       ("max_outbox_bytes", 1, Some config.Session.max_outbox_bytes);
       ("cache_capacity", 0, Some config.Session.cache_capacity);
+      ("error_budget", 0, Some config.Session.error_budget);
     ]
 
 let run_socket ?(config = Session.default_config) ?metrics_file

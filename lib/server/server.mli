@@ -68,7 +68,6 @@
 
 val serve_channels :
   ?config:Session.config ->
-  ?session:Session.t ->
   ?metrics_file:string ->
   in_channel ->
   out_channel ->
@@ -85,8 +84,7 @@ val serve_channels :
 val run_stdio : ?config:Session.config -> ?metrics_file:string -> unit -> unit
 (** {!serve_channels} on stdin/stdout with metrics enabled. *)
 
-val serve_fd :
-  ?config:Session.config -> ?session:Session.t -> Unix.file_descr -> unit
+val serve_fd : ?config:Session.config -> Unix.file_descr -> unit
 (** Serve one connected descriptor until EOF, peer reset, an injected
     read fault, or the error budget trips — reads through the
     [server.read] fault point and writes through [server.write], so chaos
@@ -95,9 +93,9 @@ val serve_fd :
     server's connection pipeline with the inline executor, so
     [max_inflight], [max_line_bytes], [max_outbox_bytes] and
     [error_budget] apply as they do on a socket (the fd is switched to
-    nonblocking for the duration and restored on exit).  [session]
-    answers every line; by default a fresh one.  Does not close [fd]
-    and does not enable metrics; the caller owns both. *)
+    nonblocking for the duration and restored on exit).  A fresh
+    session answers every line.  Does not close [fd] and does not enable
+    metrics; the caller owns both. *)
 
 val run_socket :
   ?config:Session.config ->
@@ -110,8 +108,8 @@ val run_socket :
     stale socket file left by a crashed server is replaced; any other
     existing file is an error ([Failure]), and so is a
     [hung_request_ms], [queue_delay_target_ms], [max_rss_mb],
-    [max_inflight], [max_line_bytes] or [max_outbox_bytes] below 1 or a
-    negative [cache_capacity]
+    [max_batch], [max_inflight], [max_line_bytes] or [max_outbox_bytes]
+    below 1 or a negative [cache_capacity] or [error_budget]
     ([Failure] naming the field, raised before the socket is bound).
     The socket file is removed on exit.  Sessions report the pending
     queue's length as their [health] [inflight] count.  [metrics_file]

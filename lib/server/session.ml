@@ -147,7 +147,6 @@ let create ?(config = default_config) ?cache ?(inflight_probe = fun () -> 0)
     last_access = None;
   }
 
-let config t = t.config
 let cache t = t.cache
 let requests_served t = t.served
 

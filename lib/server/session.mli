@@ -29,7 +29,7 @@ type config = {
           negative capacity is refused). *)
   max_batch : int;
       (** Largest accepted [route_batch]; bigger batches get the
-          [overloaded] error (default 64). *)
+          [overloaded] error (default 64; below 1 is refused). *)
   max_inflight : int;
       (** Pipelined requests the server queues per poll cycle before
           answering [overloaded] (default 32; enforced by {!Server}). *)
@@ -43,8 +43,8 @@ type config = {
   error_budget : int;
       (** Consecutive error responses a connection may accumulate
           before the server stops reading it and closes it once its
-          replies are written (default 32; 0 disables; enforced by
-          {!Server}). *)
+          replies are written (default 32; 0 disables, and a negative
+          budget is refused; enforced by {!Server}). *)
   max_line_bytes : int;
       (** Largest request line (and largest partial line buffered while
           waiting for its newline) a connection may send; past it the
@@ -114,8 +114,6 @@ val create :
     per worker.  The cache shared between sessions is safe
     ({!Plan_cache} locks internally); the reply buffer and the last grid
     are the session's own. *)
-
-val config : t -> config
 
 val cache : t -> Plan_cache.t
 

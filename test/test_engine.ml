@@ -425,9 +425,10 @@ let test_golden_depths () =
 
 (* Whole schedules, pinned by digest: depth and size alone would miss a
    reordered or relabelled layer.  One digest per (configuration, shape):
-   the MD5 over the MD5s of [Schedule.to_string] for every schedule of the
-   corpus, which is the paper's four kinds plus Random, Reversal,
-   Mirror_rows and Identity, six seeds each.  Recorded before the kernel
+   the MD5 over the MD5s of the text form ([Reference.to_string]: one
+   layer per line, swaps as "u-v") of every schedule of the corpus, which
+   is the paper's four kinds plus Random, Reversal, Mirror_rows and
+   Identity, six seeds each.  Recorded before the kernel
    was rewritten on flat int arrays; a change here is a changed schedule.
 
    The same pass also digests the wire bytes of every schedule,
@@ -460,7 +461,7 @@ let corpus_digests =
               in
               let sched = Router_intf.route_grid ~config:parsed engine grid pi in
               Buffer.add_string scheds
-                (Digest.string (Schedule.to_string sched));
+                (Digest.string (Reference.to_string (Schedule.layers sched)));
               Buffer.add_string wire
                 (Digest.string (Obs_json.to_string (Schedule.to_json sched)))
             done)

@@ -592,10 +592,10 @@ let test_brownout_at_every_worker_count () =
     [ 1; 2 ]
 
 let test_bad_supervisor_knobs_refused () =
-  (* A non-positive watchdog, admission, memory, queue, line or outbox
-     knob, or a negative cache capacity, is a config error at every worker
-     count: [Failure] naming the field, raised before the socket is
-     bound. *)
+  (* A non-positive watchdog, admission, memory, batch, queue, line or
+     outbox knob, or a negative cache capacity or error budget, is a
+     config error at every worker count: [Failure] naming the field,
+     raised before the socket is bound. *)
   with_test_deadline 30 @@ fun () ->
   let path =
     Filename.concat (Filename.get_temp_dir_name ())
@@ -619,10 +619,12 @@ let test_bad_supervisor_knobs_refused () =
       ("hung_request_ms", { d with Session.hung_request_ms = Some 0 });
       ("queue_delay_target_ms", { d with Session.queue_delay_target_ms = Some 0 });
       ("max_rss_mb", { d with Session.max_rss_mb = Some (-1) });
+      ("max_batch", { d with Session.max_batch = 0 });
       ("max_inflight", { d with Session.max_inflight = 0 });
       ("max_line_bytes", { d with Session.max_line_bytes = 0 });
       ("max_outbox_bytes", { d with Session.max_outbox_bytes = 0 });
       ("cache_capacity", { d with Session.cache_capacity = -1 });
+      ("error_budget", { d with Session.error_budget = -1 });
     ]
 
 (* ------------------------------------------------------------ idle server *)

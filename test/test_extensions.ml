@@ -1,5 +1,5 @@
 (* Tests for the extension modules: Assignment (Hungarian), Partial_perm,
-   Perm_stats, Bounds, Line_route (snake baseline), Noise, Placement. *)
+   Perm_stats, Bounds, the snake baseline, Noise, Placement. *)
 
 open Qroute
 
@@ -286,13 +286,13 @@ let test_size_bound_respected () =
       (Router_registry.names ())
   done
 
-(* -------------------------------------------------------------- Line_route *)
+(* ------------------------------------------------------------------ Snake *)
 
 let test_snake_order_adjacent () =
   List.iter
     (fun (m, n) ->
       let grid = Grid.make ~rows:m ~cols:n in
-      let order = Line_route.snake_order grid in
+      let order = Path_route.snake_order grid in
       checkb "is permutation" true (Perm.is_permutation order);
       for k = 0 to Array.length order - 2 do
         checkb "consecutive adjacency" true
@@ -307,22 +307,32 @@ let test_snake_routes_correctly () =
       let grid = Grid.make ~rows:m ~cols:n in
       for _ = 1 to 5 do
         let pi = Perm.check (Rng.permutation rng (m * n)) in
-        let s = Line_route.route grid pi in
+        let s = Path_route.route_snake grid pi in
         checkb "valid" true (Schedule.is_valid (Grid.graph grid) s);
         checkb "realizes" true (Schedule.realizes ~n:(m * n) s pi)
       done)
     [ (1, 6); (3, 3); (4, 5) ]
 
+(* The snake engine is Path_route.route_snake, and on a 1xN or Nx1 grid
+   the snake IS the path: the schedule is the path router's, relabelled
+   through the snake order. *)
 let test_snake_on_line_equals_path_router () =
-  (* On a 1xN grid the snake IS the path; depth must match odd-even. *)
-  let grid = Grid.make ~rows:1 ~cols:8 in
   let rng = Rng.create 10 in
-  for _ = 1 to 10 do
-    let pi = Perm.check (Rng.permutation rng 8) in
-    let snake = Line_route.route grid pi in
-    let direct = Path_route.route_min_parity pi in
-    checki "same depth" (List.length direct) (Schedule.depth snake)
-  done
+  List.iter
+    (fun (m, n) ->
+      let grid = Grid.make ~rows:m ~cols:n in
+      let order = Path_route.snake_order grid in
+      for _ = 1 to 10 do
+        let pi = Perm.check (Rng.permutation rng (m * n)) in
+        let snake = route ~engine:"snake" grid pi in
+        checkb "engine = route_snake" true
+          (snake = Path_route.route_snake grid pi);
+        if m = 1 || n = 1 then
+          checkb "snake = path router" true
+            (snake
+            = Schedule.map_vertices (fun p -> order.(p)) (Path_route.route pi))
+      done)
+    [ (1, 8); (8, 1); (1, 1); (3, 4); (5, 2) ]
 
 let test_snake_much_deeper_on_square () =
   (* The whole point: 1-D embedding wastes the second dimension. *)

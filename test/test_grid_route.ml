@@ -7,7 +7,6 @@ module Generators = Qr_perm.Generators
 module Schedule = Qr_route.Schedule
 module Column_graph = Qr_route.Column_graph
 module Grid_route = Qr_route.Grid_route
-module Path_route = Qr_route.Path_route
 module Local = Qr_route.Local_grid_route
 module Router_intf = Qr_route.Router_intf
 module Router_registry = Qr_route.Router_registry
@@ -214,15 +213,18 @@ let naive_route_property =
       && Schedule.realizes ~n:(m * n) s pi
       && Schedule.depth s <= (2 * m) + n)
 
-(* The three rounds as first written, as a reference: every line routed by
-   Path_route.route_min_parity into lists, layer t of a round the union of
-   every line's t-th layer (lines, and positions within a line, descending),
-   applied before the next round reads its destinations. *)
+(* The three rounds as first written, as a reference: every line routed
+   by the list router Reference.Path.route_min_parity, layer t of a round
+   the union of every line's t-th layer (lines, and positions within a
+   line, descending), applied before the next round reads its
+   destinations. *)
 let reference_rounds grid pi sigmas =
   let m = Grid.rows grid and n = Grid.cols grid in
   let token_at = Array.init (m * n) Fun.id in
   let round lines dests_of vertex =
-    let per_line = List.init lines (fun l -> Path_route.route_min_parity (dests_of l)) in
+    let per_line =
+      List.init lines (fun l -> Reference.Path.route_min_parity (dests_of l))
+    in
     let depth = List.fold_left (fun d layers -> max d (List.length layers)) 0 per_line in
     let layers =
       List.init depth (fun t ->

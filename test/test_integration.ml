@@ -190,7 +190,7 @@ let test_product_router_on_cylinder_torus () =
   let rng = Rng.create 37 in
   let path_router g pi =
     assert (Graph.num_vertices g = Array.length pi);
-    Schedule.of_layers (List.map Array.of_list (Path_route.route_min_parity pi))
+    Path_route.route pi
   in
   let ats_router g pi =
     Parallel_ats.route ~trials:1 g (Distance.of_graph g) pi

@@ -1,5 +1,5 @@
-(* Tests for the peephole optimizer, schedule serialization, and the
-   partial-routing / placement entry points of the umbrella API. *)
+(* Tests for the peephole optimizer and the partial-routing / placement
+   entry points of the umbrella API. *)
 
 open Qroute
 
@@ -130,45 +130,6 @@ let optimize_idempotent =
       let once = Optimize.run c in
       Circuit.equal once (Optimize.run once))
 
-(* --------------------------------------------------- Schedule serialization *)
-
-let test_schedule_roundtrip () =
-  let s = Schedule.of_layers [ [| (0, 1); (2, 3) |]; [| (1, 2) |] ] in
-  (match Schedule.of_string (Schedule.to_string s) with
-  | Ok parsed ->
-      checkb "roundtrip" true
-        (Perm.equal (Schedule.apply ~n:4 s) (Schedule.apply ~n:4 parsed));
-      checki "same depth" (Schedule.depth s) (Schedule.depth parsed)
-  | Error msg -> Alcotest.failf "parse failed: %s" msg)
-
-let test_schedule_empty_roundtrip () =
-  match Schedule.of_string (Schedule.to_string Schedule.empty) with
-  | Ok parsed -> checki "empty" 0 (Schedule.depth parsed)
-  | Error msg -> Alcotest.failf "parse failed: %s" msg
-
-let test_schedule_parse_errors () =
-  checkb "garbage" true (Result.is_error (Schedule.of_string "0-1 x-2"));
-  checkb "self swap" true (Result.is_error (Schedule.of_string "3-3"));
-  checkb "negative" true (Result.is_error (Schedule.of_string "1--2"))
-
-let test_schedule_of_string_exn () =
-  Alcotest.check_raises "exn"
-    (Invalid_argument "Schedule.of_string: line 1: bad swap \"junk\"")
-    (fun () -> ignore (Schedule.of_string_exn "junk"))
-
-let schedule_roundtrip_property =
-  QCheck.Test.make ~name:"router schedules round-trip through text" ~count:50
-    QCheck.(pair (int_range 2 5) (int_range 0 100000))
-    (fun (side, seed) ->
-      let grid = Grid.make ~rows:side ~cols:side in
-      let pi =
-        Perm.check (Rng.permutation (Rng.create seed) (Grid.size grid))
-      in
-      let s = route grid pi in
-      match Schedule.of_string (Schedule.to_string s) with
-      | Ok parsed -> Schedule.realizes ~n:(Grid.size grid) parsed pi
-      | Error _ -> false)
-
 (* -------------------------------------------------------- route_partial *)
 
 let test_route_partial_honors_constraints () =
@@ -264,14 +225,6 @@ let () =
           Alcotest.test_case "transpiled circuit" `Quick
             test_optimize_on_transpiled_circuit;
           qc optimize_idempotent;
-        ] );
-      ( "schedule text",
-        [
-          Alcotest.test_case "roundtrip" `Quick test_schedule_roundtrip;
-          Alcotest.test_case "empty" `Quick test_schedule_empty_roundtrip;
-          Alcotest.test_case "errors" `Quick test_schedule_parse_errors;
-          Alcotest.test_case "exn" `Quick test_schedule_of_string_exn;
-          qc schedule_roundtrip_property;
         ] );
       ( "route_partial",
         [

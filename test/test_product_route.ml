@@ -16,7 +16,7 @@ let checki = Alcotest.check Alcotest.int
 (* Factor router for paths: odd-even transposition. *)
 let path_router g pi =
   assert (Graph.num_vertices g = Array.length pi);
-  Schedule.of_layers (List.map Array.of_list (Path_route.route_min_parity pi))
+  Path_route.route pi
 
 (* Generic factor router for non-path factors: parallel token swapping. *)
 let ats_router g pi =
@@ -110,10 +110,10 @@ let test_identity_is_free () =
   in
   checki "empty schedule" 0 (Schedule.depth s)
 
-(* Whole schedules, pinned by digest: the MD5 over the MD5s of
-   [Schedule.to_string] for every schedule of the corpus.  Path factors
-   use odd-even transposition, cycle factors single-trial parallel ATS;
-   every product is routed with both [locality] settings, directly and
+(* Whole schedules, pinned by digest: the MD5 over the MD5s of the text
+   form ([Reference.to_string]) of every schedule of the corpus.  Path
+   factors use odd-even transposition, cycle factors single-trial
+   parallel ATS; every product is routed with both [locality] settings, directly and
    over both orientations.  Recorded before the product router moved
    onto the grid's column graph, band search and sigma builder; a change
    here is a changed schedule. *)
@@ -140,7 +140,7 @@ let test_whole_schedule_digest () =
               (fun route ->
                 let s = route ?locality:(Some locality) ~route1 ~route2 p pi in
                 Buffer.add_string digests
-                  (Digest.string (Schedule.to_string s)))
+                  (Digest.string (Reference.to_string (Schedule.layers s))))
               [ Product_route.route; Product_route.route_best_orientation ])
           [ true; false ]
       done)

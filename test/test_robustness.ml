@@ -104,7 +104,6 @@ let test_detects_corrupted_circuit () =
     (Statevector.approx_equal good bad)
 
 let test_validators_reject_garbage_text () =
-  checkb "schedule" true (Result.is_error (Schedule.of_string "1-2 2-3\nfoo"));
   checkb "qasm" true (Result.is_error (Qasm.parse "qubits 2\ncx 0 0\n"))
 
 (* ------------------------------------------------------ golden regression *)
