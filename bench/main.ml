@@ -663,6 +663,10 @@ let micro () =
         (Staged.stage (fun () ->
              Buffer.clear reply;
              Schedule.to_buffer reply best_random));
+      (* The hit's request line read without a tree: its 256-entry
+         perm is most of the bytes. *)
+      Test.make ~name:"serve/read-route-line-16x16"
+        (Staged.stage (fun () -> Server_protocol.read_route_line hit_line));
       (* A plan-cache hit, request line to reply line. *)
       Test.make ~name:"serve/route-hit-16x16"
         (Staged.stage (fun () -> Server_session.handle_line session hit_line));

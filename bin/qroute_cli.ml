@@ -593,7 +593,7 @@ let serve_cmd =
   in
   let workers =
     Arg.(
-      value & opt int 1
+      value & opt positive_int 1
       & info [ "workers" ] ~docv:"N"
           ~doc:
             "Worker domains serving requests (socket mode).  1 (default) \
@@ -628,7 +628,7 @@ let serve_cmd =
   let hung_request_ms =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some positive_int) None
       & info [ "hung-request-ms" ] ~docv:"MS"
           ~doc:
             "Watchdog budget (pool mode): a request running longer is \
@@ -640,7 +640,7 @@ let serve_cmd =
   let queue_delay_ms =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some positive_int) None
       & info [ "queue-delay-ms" ] ~docv:"MS"
           ~doc:
             "Adaptive admission target (pool mode): when the measured queue \
@@ -650,7 +650,7 @@ let serve_cmd =
   let max_rss_mb =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some positive_int) None
       & info [ "max-rss-mb" ] ~docv:"MB"
           ~doc:
             "Memory brownout threshold (socket mode, at every worker \
@@ -659,7 +659,7 @@ let serve_cmd =
   in
   let breaker_threshold =
     Arg.(
-      value & opt int 0
+      value & opt non_negative_int 0
       & info [ "breaker-threshold" ] ~docv:"N"
           ~doc:
             "Trip an engine's circuit breaker open after $(docv) failures \
@@ -668,7 +668,7 @@ let serve_cmd =
   in
   let breaker_cooldown_ms =
     Arg.(
-      value & opt int 2000
+      value & opt positive_int 2000
       & info [ "breaker-cooldown-ms" ] ~docv:"MS"
           ~doc:
             "How long a tripped breaker stays open before admitting \
@@ -679,14 +679,14 @@ let serve_cmd =
       queue_delay_ms max_rss_mb breaker_threshold breaker_cooldown_ms
       metrics_file log_level log_format =
     let breaker =
-      if breaker_threshold <= 0 then None
+      if breaker_threshold = 0 then None
       else
         Some
           {
             Qr_route.Breaker.default_config with
             Qr_route.Breaker.threshold = breaker_threshold;
             window = max Qr_route.Breaker.default_config.window breaker_threshold;
-            cooldown_ns = Int64.mul (Int64.of_int (max 1 breaker_cooldown_ms)) 1_000_000L;
+            cooldown_ns = Int64.mul (Int64.of_int breaker_cooldown_ms) 1_000_000L;
           }
     in
     let config =
@@ -708,10 +708,6 @@ let serve_cmd =
        stderr while NDJSON responses own stdout. *)
     Log.set_level log_level;
     Log.set_format log_format;
-    if workers < 1 then begin
-      Printf.eprintf "error: --workers must be at least 1\n";
-      exit 2
-    end;
     match (stdio, socket) with
     | true, Some _ ->
         Printf.eprintf "error: --stdio and --socket are mutually exclusive\n";

@@ -48,13 +48,26 @@ let max_digits = max_int_bytes - 1
 
 (* [string_of_int] without its C [caml_format_int] call, which costs
    several times the rest of an integer's rendering, and without an
-   intermediate string.  The digits are those of the non-positive
-   magnitude [m], so [min_int] needs no special case.  Up to three digits
-   (every vertex id of a grid up to 31x32) are written by digit count,
-   with one division per digit after the first; a longer [m] is counted
-   against -10^4, -10^5, ... and written least significant first from the
-   end.  Writing every length through that loop made the 16x16 reply
-   writer about 40 % slower. *)
+   intermediate string.  Entry [v] of [digit_table], for [v] in
+   [0, 999] (every vertex id of a grid up to 31x32), is four bytes:
+   [string_of_int v] padded to three bytes, then its length.  Such a
+   number is one 4-byte load and one 4-byte store, in place of two
+   divisions and three checked byte stores; the store also writes the
+   padding and the length past the digits, where the caller's next
+   bytes go. *)
+let digit_table =
+  String.init 4000 (fun j ->
+      let s = string_of_int (j / 4) and slot = j mod 4 in
+      if slot = 3 then Char.chr (String.length s)
+      else if slot < String.length s then s.[slot]
+      else '\000')
+
+external table_word : string -> int -> int32 = "%caml_string_get32u"
+external store_word : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+
+(* A longer number is counted against -10, -100, ... and written least
+   significant first from its end.  The digits are those of the
+   non-positive magnitude [m], so [min_int] needs no special case. *)
 let[@inline] digit d = Char.unsafe_chr (48 - d)
 
 let rec digit_count m bound len =
@@ -63,38 +76,24 @@ let rec digit_count m bound len =
 
 let rec write_digits b last m =
   let q = m / 10 in
-  Bytes.set b last (digit (m - (10 * q)));
+  Bytes.unsafe_set b last (digit (m - (10 * q)));
   if q <> 0 then write_digits b (last - 1) q
 
+(* One range check per number covers every store after it: the sign
+   and the table's 4-byte word, or the sign and every digit. *)
 let write_int b pos i =
   let m = if i < 0 then i else -i in
-  let pos =
-    if i < 0 then begin
-      Bytes.set b pos '-';
-      pos + 1
-    end
-    else pos
-  in
-  if m > -10 then begin
-    Bytes.set b pos (digit m);
-    pos + 1
-  end
-  else if m > -100 then begin
-    let q = m / 10 in
-    Bytes.set b pos (digit q);
-    Bytes.set b (pos + 1) (digit (m - (10 * q)));
-    pos + 2
-  end
-  else if m > -1000 then begin
-    let q = m / 10 in
-    let qq = q / 10 in
-    Bytes.set b pos (digit qq);
-    Bytes.set b (pos + 1) (digit (q - (10 * qq)));
-    Bytes.set b (pos + 2) (digit (m - (10 * q)));
-    pos + 3
+  let start = if i < 0 then pos + 1 else pos in
+  if m > -1000 && pos >= 0 && start + 4 <= Bytes.length b then begin
+    if i < 0 then Bytes.unsafe_set b pos '-';
+    let entry = -4 * m in
+    store_word b start (table_word digit_table entry);
+    start + Char.code (String.unsafe_get digit_table (entry + 3))
   end
   else begin
-    let stop = pos + digit_count m (-10_000) 4 in
+    let stop = start + digit_count m (-10) 1 in
+    if pos < 0 || stop > Bytes.length b then invalid_arg "Json.write_int";
+    if i < 0 then Bytes.unsafe_set b pos '-';
     write_digits b (stop - 1) m;
     stop
   end

@@ -25,10 +25,19 @@ val max_int_bytes : int
 
 val write_int : Bytes.t -> int -> int -> int
 (** [write_int b pos i] writes [string_of_int i] into [b] from [pos] and
-    returns the position after it, allocating nothing.  The one digit
-    routine: {!int_to_buffer} and the staged writers that skip the tree
+    returns the position after it, allocating nothing.  A number in
+    [(-1000, 1000)] may also overwrite up to three bytes after that
+    position, never past the end of [b].  The one digit routine:
+    {!int_to_buffer} and the staged writers that skip the tree
     ([Qr_route.Schedule.to_buffer]) both write through it.
     @raise Invalid_argument if [b] has no room for it. *)
+
+val digit_table : string
+(** Entry [v], for [v] in [0, 999], is bytes [4v] to [4v + 3]:
+    [string_of_int v] padded to three bytes, then its length as a byte.
+    {!write_int} writes such a number as one 4-byte word.  A writer
+    that stages many small numbers ([Qr_route.Schedule.to_buffer]) reads
+    the word itself and saves the call. *)
 
 val int_to_buffer : Buffer.t -> int -> unit
 (** Append [string_of_int i] without allocating, through {!write_int} and

@@ -100,7 +100,9 @@ let replay dests off k parity ~base ~stride ~first ~step (tokens : int array)
     start := 1 - !start
   done
 
-let route dests =
+(* [route]'s endpoint array and layer offsets, before [Schedule.of_flat]
+   takes them: [route_snake] relabels the array in place. *)
+let route_flat dests =
   if not (Perm.is_permutation dests) then
     invalid_arg "Path_route.route: dests is not a permutation";
   let k = Array.length dests in
@@ -123,6 +125,10 @@ let route dests =
   let fill = Array.init depth (fun t -> starts.(t) - 1) in
   replay dests 0 k parity ~base:0 ~stride:1 ~first:0 ~step:1 tokens ends fill;
   Array.iteri (fun t last -> assert (last = starts.(t + 1) - 1)) fill;
+  (ends, starts)
+
+let route dests =
+  let ends, starts = route_flat dests in
   Schedule.of_flat ~ends ~starts
 
 let snake_order grid =
@@ -142,7 +148,9 @@ let route_snake grid pi =
   (* Token at snake slot k must reach the snake slot of its grid
      destination. *)
   let dests = Array.init n (fun k -> position_in_snake.(pi.(order.(k)))) in
-  let sched = Schedule.map_vertices (fun p -> order.(p)) (route dests) in
+  let ends, starts = route_flat dests in
+  Array.iteri (fun i p -> ends.(i) <- order.(p)) ends;
+  let sched = Schedule.of_flat ~ends ~starts in
   assert (Schedule.realizes ~n sched pi);
   sched
 

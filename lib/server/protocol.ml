@@ -366,14 +366,12 @@ type cursor = { line : string; mutable at : int }
 
 let refuse () = raise_notrace Refused
 
+let[@inline] is_ws ch =
+  match ch with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
+
 let skip_ws c =
   let n = String.length c.line in
-  while
-    c.at < n
-    && match String.unsafe_get c.line c.at with
-       | ' ' | '\t' | '\n' | '\r' -> true
-       | _ -> false
-  do
+  while c.at < n && is_ws (String.unsafe_get c.line c.at) do
     c.at <- c.at + 1
   done
 
@@ -417,11 +415,22 @@ let rec same_from line start lit k =
 let is c start stop lit =
   stop - start = String.length lit && same_from c.line start lit 0
 
-(* An integer as the tree reads one into an [Int]: a '-' and digits
-   within [min_int, max_int] (past it the tree reads a [Float]).  A
-   fraction or an exponent after the digits is refused by the caller,
+(* Integers are read as the tree reads one into an [Int]: a '-' and
+   digits within [min_int, max_int] (past it the tree reads a [Float]).
+   A fraction or an exponent after the digits is refused by the caller,
    which expects ',', ']' or '}' there.  The magnitude is accumulated
-   negated, so [min_int] fits. *)
+   negated, so [min_int] fits.  [more m d] appends digit [d] to the
+   negated magnitude [m], refusing a result below [min_int]. *)
+let more m d = if m < (min_int + d) / 10 then refuse () else (m * 10) - d
+
+(* No run of this many digits leaves the [int] range: [max_int] has one
+   more.  So an integer's first [safe_digits] digits skip [more]'s
+   test. *)
+let safe_digits = String.length (string_of_int max_int) - 1
+
+let[@inline] signed neg m =
+  if neg then m else if m = min_int then refuse () else -m
+
 let int c =
   skip_ws c;
   let line = c.line and n = String.length c.line in
@@ -433,35 +442,61 @@ let int c =
     c.at < n
     && match String.unsafe_get line c.at with '0' .. '9' -> true | _ -> false
   do
-    let d = Char.code (String.unsafe_get line c.at) - 48 in
-    if !m < (min_int + d) / 10 then refuse ();
-    m := (!m * 10) - d;
+    m := more !m (Char.code (String.unsafe_get line c.at) - 48);
     c.at <- c.at + 1
   done;
   if c.at = first then refuse ();
-  if neg then !m else if !m = min_int then refuse () else - !m
+  signed neg !m
 
 (* A list of integers, straight into an array: a first pass counts the
    commas up to the closing bracket, a second reads exactly that many
-   entries and checks the syntax. *)
+   entries and checks the syntax.  Both walk a local position, and the
+   second reads each entry's separator, sign and digits in one loop. *)
 let int_array c =
   expect c '[';
-  let first = c.at and n = String.length c.line in
-  let commas = ref 0 and blank = ref true in
-  while c.at < n && String.unsafe_get c.line c.at <> ']' do
-    (match String.unsafe_get c.line c.at with
-    | ',' -> incr commas
-    | ' ' | '\t' | '\n' | '\r' -> ()
-    | _ -> blank := false);
-    c.at <- c.at + 1
+  let line = c.line and n = String.length c.line and first = c.at in
+  let pos = ref first and commas = ref 0 in
+  while !pos < n && String.unsafe_get line !pos <> ']' do
+    if String.unsafe_get line !pos = ',' then incr commas;
+    incr pos
   done;
-  let len = if !blank && !commas = 0 then 0 else !commas + 1 in
-  c.at <- first;
+  (* No comma: one entry, or none if only whitespace comes before the
+     bracket. *)
+  let stop = !pos in
+  pos := first;
+  if !commas = 0 then
+    while !pos < stop && is_ws (String.unsafe_get line !pos) do
+      incr pos
+    done;
+  let len = if !commas = 0 && !pos = stop then 0 else !commas + 1 in
   let arr = Array.make len 0 in
+  pos := first;
   for k = 0 to len - 1 do
-    if k > 0 then expect c ',';
-    Array.unsafe_set arr k (int c)
+    while !pos < n && is_ws (String.unsafe_get line !pos) do
+      incr pos
+    done;
+    if k > 0 then begin
+      if !pos = n || String.unsafe_get line !pos <> ',' then refuse ();
+      incr pos;
+      while !pos < n && is_ws (String.unsafe_get line !pos) do
+        incr pos
+      done
+    end;
+    let neg = !pos < n && String.unsafe_get line !pos = '-' in
+    if neg then incr pos;
+    let digits = !pos and m = ref 0 in
+    while
+      !pos < n
+      && match String.unsafe_get line !pos with '0' .. '9' -> true | _ -> false
+    do
+      let d = Char.code (String.unsafe_get line !pos) - 48 in
+      m := if !pos - digits < safe_digits then (!m * 10) - d else more !m d;
+      incr pos
+    done;
+    if !pos = digits then refuse ();
+    Array.unsafe_set arr k (signed neg !m)
   done;
+  c.at <- !pos;
   expect c ']';
   arr
 

@@ -135,9 +135,42 @@ let serve_channels ?(config = Session.default_config) ?metrics_file ic oc =
   go ();
   flush_metrics ()
 
-let run_stdio ?config ?metrics_file () =
+(* The worker count, the supervisor's knobs (durations and a size), the
+   queue bound, the batch cap, the line cap, the outbox cap and a
+   breaker's threshold and cooldown are counts or sizes: one below 1 is a
+   configuration error, and so is a negative cache capacity or error
+   budget (0 turns caching or shedding off).  [Failure] names the first
+   one out of range, before anything is served or bound. *)
+let check_knobs ?(workers = 1) config =
+  let breaker field = Option.map field config.Session.breaker in
+  List.iter
+    (fun (field, floor, value) ->
+      match value with
+      | Some v when v < floor ->
+          failwith
+            (Printf.sprintf "%s must be at least %d, got %d" field floor v)
+      | _ -> ())
+    [
+      ("workers", 1, Some workers);
+      ("hung_request_ms", 1, config.Session.hung_request_ms);
+      ("queue_delay_target_ms", 1, config.Session.queue_delay_target_ms);
+      ("max_rss_mb", 1, config.Session.max_rss_mb);
+      ("max_batch", 1, Some config.Session.max_batch);
+      ("max_inflight", 1, Some config.Session.max_inflight);
+      ("max_line_bytes", 1, Some config.Session.max_line_bytes);
+      ("max_outbox_bytes", 1, Some config.Session.max_outbox_bytes);
+      ("cache_capacity", 0, Some config.Session.cache_capacity);
+      ("error_budget", 0, Some config.Session.error_budget);
+      ("breaker.threshold", 1, breaker (fun b -> b.Qr_route.Breaker.threshold));
+      ( "breaker.cooldown_ns",
+        1,
+        breaker (fun b -> Int64.to_int b.Qr_route.Breaker.cooldown_ns) );
+    ]
+
+let run_stdio ?(config = Session.default_config) ?metrics_file () =
+  check_knobs config;
   Metrics.enable ();
-  serve_channels ?config ?metrics_file stdin stdout
+  serve_channels ~config ?metrics_file stdin stdout
 
 (* ------------------------------------------------------------ connections *)
 
@@ -617,35 +650,9 @@ let rec accept_burst listener ~on_fd =
       accept_burst listener ~on_fd
   | exception (Unix.Unix_error _ | Fault.Injected _) -> ()
 
-(* The supervisor's knobs are durations and a size, and the queue bound,
-   the batch cap, the line cap and the outbox cap are sizes: one below 1
-   is a configuration error, and so is a negative cache capacity or error
-   budget (0 turns caching or shedding off).  All are reported before the
-   socket is bound. *)
-let check_knobs config =
-  List.iter
-    (fun (field, floor, value) ->
-      match value with
-      | Some v when v < floor ->
-          failwith
-            (Printf.sprintf "%s must be at least %d, got %d" field floor v)
-      | _ -> ())
-    [
-      ("hung_request_ms", 1, config.Session.hung_request_ms);
-      ("queue_delay_target_ms", 1, config.Session.queue_delay_target_ms);
-      ("max_rss_mb", 1, config.Session.max_rss_mb);
-      ("max_batch", 1, Some config.Session.max_batch);
-      ("max_inflight", 1, Some config.Session.max_inflight);
-      ("max_line_bytes", 1, Some config.Session.max_line_bytes);
-      ("max_outbox_bytes", 1, Some config.Session.max_outbox_bytes);
-      ("cache_capacity", 0, Some config.Session.cache_capacity);
-      ("error_budget", 0, Some config.Session.error_budget);
-    ]
-
 let run_socket ?(config = Session.default_config) ?metrics_file
     ?(workers = 1) ~path () =
-  check_knobs config;
-  let workers = max 1 workers in
+  check_knobs ~workers config;
   Metrics.enable ();
   Metrics.set g_workers (float_of_int workers);
   let tick_metrics, flush_metrics = metrics_writer metrics_file in

@@ -82,7 +82,9 @@ val serve_channels :
     response, plus once at EOF. *)
 
 val run_stdio : ?config:Session.config -> ?metrics_file:string -> unit -> unit
-(** {!serve_channels} on stdin/stdout with metrics enabled. *)
+(** {!serve_channels} on stdin/stdout with metrics enabled.  A knob
+    {!run_socket} refuses is refused here too, with the same [Failure],
+    before anything is read. *)
 
 val serve_fd : ?config:Session.config -> Unix.file_descr -> unit
 (** Serve one connected descriptor until EOF, peer reset, an injected
@@ -106,11 +108,12 @@ val run_socket :
   unit
 (** Bind, listen and serve [path] until SIGINT/SIGTERM, then drain.  A
     stale socket file left by a crashed server is replaced; any other
-    existing file is an error ([Failure]), and so is a
+    existing file is an error ([Failure]), and so is a [workers],
     [hung_request_ms], [queue_delay_target_ms], [max_rss_mb],
     [max_batch], [max_inflight], [max_line_bytes] or [max_outbox_bytes]
-    below 1 or a negative [cache_capacity] or [error_budget]
-    ([Failure] naming the field, raised before the socket is bound).
+    below 1, a [breaker] whose threshold or cooldown is below 1, or a
+    negative [cache_capacity] or [error_budget] ([Failure] naming the
+    field, raised before the socket is bound).
     The socket file is removed on exit.  Sessions report the pending
     queue's length as their [health] [inflight] count.  [metrics_file]
     snapshots are written at startup, about every 2s, and at shutdown.

@@ -257,7 +257,7 @@ let bottleneck_matches_brute_force =
 let mcbbm_assignment_is_permutation =
   QCheck.Test.make ~name:"complete-matrix MCBBM is a perfect assignment"
     ~count:100
-    QCheck.(pair (int_range 1 6) (int_range 0 10000))
+    QCheck.(pair (Arb.int_range 1 6) (int_range 0 10000))
     (fun (n, seed) ->
       let rng = Rng.create seed in
       let weights =
@@ -316,7 +316,7 @@ let complete_matches_on_both_branches =
    same matching, whatever the workspace has served before. *)
 let max_matching_reuses_workspace =
   QCheck.Test.make ~name:"max_matching on a reused workspace = solve" ~count:200
-    QCheck.(pair (int_range 1 8) (int_range 0 100000))
+    QCheck.(pair (Arb.int_range 1 8) (int_range 0 100000))
     (fun (n, seed) ->
       let rng = Rng.create seed in
       let ws = HK.workspace () in

@@ -153,7 +153,7 @@ let normalize_keeps_schedules =
     ~count:400
     QCheck.(
       pair config_arbitrary
-        (triple (int_range 1 5) (int_range 1 5) (int_range 0 10_000)))
+        (triple (Arb.int_range 1 5) (Arb.int_range 1 5) (int_range 0 10_000)))
     (fun (config, (m, n, seed)) ->
       let grid = Grid.make ~rows:m ~cols:n in
       let pi = Perm.check (Rng.permutation (Rng.create seed) (m * n)) in
@@ -224,7 +224,7 @@ let every_engine_valid_on_random_grids =
   QCheck.Test.make
     ~name:"every registry engine emits valid realizing schedules"
     ~count:40
-    QCheck.(triple (int_range 1 6) (int_range 2 6) (int_range 0 10_000))
+    QCheck.(triple (Arb.int_range 1 6) (Arb.int_range 2 6) (int_range 0 10_000))
     (fun (m, n, seed) ->
       let grid = Grid.make ~rows:m ~cols:n in
       let pi = Perm.check (Rng.permutation (Rng.create seed) (m * n)) in

@@ -20,6 +20,7 @@ module Server = Qr_server.Server
 module Client = Qr_server.Client
 module Event_loop = Qr_server.Event_loop
 module Write_queue = Qr_server.Write_queue
+module Breaker = Qr_route.Breaker
 module Fault = Qr_fault.Fault
 
 let () = Qr_token.Engines.register ()
@@ -591,30 +592,51 @@ let test_brownout_at_every_worker_count () =
         "overloaded" (batch_status 10))
     [ 1; 2 ]
 
+(* [f ()] with /dev/null as standard input, so a stdio server that
+   failed to refuse its knobs would read end of input, not wait. *)
+let with_null_stdin f =
+  let saved = Unix.dup Unix.stdin in
+  let null = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
+  Unix.dup2 null Unix.stdin;
+  Unix.close null;
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.dup2 saved Unix.stdin;
+      Unix.close saved)
+    f
+
 let test_bad_supervisor_knobs_refused () =
-  (* A non-positive watchdog, admission, memory, batch, queue, line or
-     outbox knob, or a negative cache capacity or error budget, is a
-     config error at every worker count: [Failure] naming the field,
-     raised before the socket is bound. *)
+  (* A non-positive worker count, watchdog, admission, memory, batch,
+     queue, line or outbox knob, or breaker threshold or cooldown, or a
+     negative cache capacity or error budget, is a config error at every
+     worker count and over stdio: [Failure] naming the field, raised
+     before the socket is bound or a line is read. *)
   with_test_deadline 30 @@ fun () ->
   let path =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "qr_evloop_knobs_%d.sock" (Unix.getpid ()))
   in
   let d = Session.default_config in
+  let breaker b = { d with Session.breaker = Some b } in
+  let refused name field serve =
+    match serve () with
+    | () -> Alcotest.failf "%s: served" name
+    | exception Failure msg ->
+        checkb (name ^ ": names the field") true
+          (String.length msg >= String.length field
+          && String.sub msg 0 (String.length field) = field)
+  in
   List.iter
     (fun (field, config) ->
       List.iter
         (fun workers ->
           let name = Printf.sprintf "%s at workers %d" field workers in
-          (match Server.run_socket ~config ~workers ~path () with
-          | () -> Alcotest.failf "%s: served" name
-          | exception Failure msg ->
-              checkb (name ^ ": names the field") true
-                (String.length msg >= String.length field
-                && String.sub msg 0 (String.length field) = field));
+          refused name field (fun () ->
+              Server.run_socket ~config ~workers ~path ());
           checkb (name ^ ": socket never bound") false (Sys.file_exists path))
-        [ 1; 2 ])
+        [ 1; 2 ];
+      refused (field ^ " over stdio") field (fun () ->
+          with_null_stdin (fun () -> Server.run_stdio ~config ())))
     [
       ("hung_request_ms", { d with Session.hung_request_ms = Some 0 });
       ("queue_delay_target_ms", { d with Session.queue_delay_target_ms = Some 0 });
@@ -625,7 +647,17 @@ let test_bad_supervisor_knobs_refused () =
       ("max_outbox_bytes", { d with Session.max_outbox_bytes = 0 });
       ("cache_capacity", { d with Session.cache_capacity = -1 });
       ("error_budget", { d with Session.error_budget = -1 });
-    ]
+      ( "breaker.threshold",
+        breaker { Breaker.default_config with Breaker.threshold = 0 } );
+      ( "breaker.cooldown_ns",
+        breaker { Breaker.default_config with Breaker.cooldown_ns = 0L } );
+    ];
+  List.iter
+    (fun workers ->
+      let name = Printf.sprintf "workers %d" workers in
+      refused name "workers" (fun () -> Server.run_socket ~workers ~path ());
+      checkb (name ^ ": socket never bound") false (Sys.file_exists path))
+    [ 0; -1 ]
 
 (* ------------------------------------------------------------ idle server *)
 

@@ -45,7 +45,7 @@ let test_assignment_rejects_ragged () =
 
 let assignment_matches_brute_force =
   QCheck.Test.make ~name:"hungarian = brute force" ~count:200
-    QCheck.(pair (int_range 1 6) (int_range 0 100000))
+    QCheck.(pair (Arb.int_range 1 6) (int_range 0 100000))
     (fun (n, seed) ->
       let rng = Rng.create seed in
       let costs =
@@ -166,7 +166,7 @@ let test_partial_greedy_no_worse_than_stay_on_line () =
 
 let partial_extension_property =
   QCheck.Test.make ~name:"all extension policies honor constraints" ~count:200
-    QCheck.(pair (int_range 1 10) (int_range 0 100000))
+    QCheck.(pair (Arb.int_range 1 10) (int_range 0 100000))
     (fun (n, seed) ->
       let rng = Rng.create seed in
       let k = Rng.int rng (n + 1) in
@@ -333,6 +333,27 @@ let test_snake_on_line_equals_path_router () =
             = Schedule.map_vertices (fun p -> order.(p)) (Path_route.route pi))
       done)
     [ (1, 8); (8, 1); (1, 1); (3, 4); (5, 2) ]
+
+(* The endpoint array [route] fills is relabelled in place, so a route
+   allocates it once: a 32x32 route has 262,588 swaps, and an array of
+   that size goes straight to the major heap.  Relabelling a copy
+   allocated 1,062,606 direct major words, twice the array's 525,176. *)
+let test_snake_one_endpoint_array () =
+  let grid = Grid.make ~rows:32 ~cols:32 in
+  let pi = Generators.generate grid Generators.Random (Rng.create 1) in
+  ignore (Path_route.route_snake grid pi);
+  let direct_major () =
+    let _, promoted, major = Gc.counters () in
+    major -. promoted
+  in
+  let before = direct_major () in
+  let s = Path_route.route_snake grid pi in
+  let words = direct_major () -. before in
+  let array_words = float_of_int (2 * Schedule.size s) in
+  checkb
+    (Printf.sprintf "%.0f direct major words <= 1.1 x %.0f" words array_words)
+    true
+    (words <= 1.1 *. array_words)
 
 let test_snake_much_deeper_on_square () =
   (* The whole point: 1-D embedding wastes the second dimension. *)
@@ -511,6 +532,8 @@ let () =
           Alcotest.test_case "routes correctly" `Quick test_snake_routes_correctly;
           Alcotest.test_case "1xN = path router" `Quick
             test_snake_on_line_equals_path_router;
+          Alcotest.test_case "one endpoint array" `Quick
+            test_snake_one_endpoint_array;
           Alcotest.test_case "wasteful on squares" `Quick
             test_snake_much_deeper_on_square;
         ] );

@@ -438,7 +438,7 @@ let test_distance_bounds_checked () =
 
 let grid_distance_property =
   QCheck.Test.make ~name:"grid manhattan = bfs on random grids" ~count:50
-    QCheck.(pair (int_range 1 6) (int_range 1 6))
+    QCheck.(pair (Arb.int_range 1 6) (Arb.int_range 1 6))
     (fun (m, n) ->
       let grid = Grid.make ~rows:m ~cols:n in
       let table = Bfs.all_pairs (Grid.graph grid) in
@@ -452,7 +452,7 @@ let grid_distance_property =
 
 let product_degree_property =
   QCheck.Test.make ~name:"product degree = sum of factor degrees" ~count:50
-    QCheck.(pair (int_range 1 5) (int_range 1 5))
+    QCheck.(pair (Arb.int_range 1 5) (Arb.int_range 1 5))
     (fun (a, b) ->
       let g1 = Graph.path a and g2 = Graph.path b in
       let p = Product.make g1 g2 in

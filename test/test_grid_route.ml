@@ -203,7 +203,7 @@ let test_round_depths_row_local () =
 let naive_route_property =
   QCheck.Test.make ~name:"naive GridRoute correct on random instances"
     ~count:200
-    QCheck.(triple (int_range 1 7) (int_range 1 7) (int_range 0 100000))
+    QCheck.(triple (Arb.int_range 1 7) (Arb.int_range 1 7) (int_range 0 100000))
     (fun (m, n, seed) ->
       let grid = Grid.make ~rows:m ~cols:n in
       let rng = Rng.create seed in
@@ -259,7 +259,7 @@ let rounds_match_reference =
   QCheck.Test.make ~name:"planned and emitted rounds = list-merged reference"
     ~count:300
     QCheck.(
-      quad (int_range 1 8) (int_range 1 8) (int_range 0 4) (int_range 0 100000))
+      quad (Arb.int_range 1 8) (Arb.int_range 1 8) (int_range 0 4) (int_range 0 100000))
     (fun (m, n, kind, seed) ->
       let grid = Grid.make ~rows:m ~cols:n in
       let rng = Rng.create seed in

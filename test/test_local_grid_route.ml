@@ -68,7 +68,7 @@ let column_edges cg =
 let discovery_partitions_edges =
   QCheck.Test.make ~name:"discovery partitions" ~count:300
     QCheck.(
-      quad (int_range 1 8) (int_range 1 8) (int_range 1 9) (int_range 0 100000))
+      quad (Arb.int_range 1 8) (Arb.int_range 1 8) (Arb.int_range 1 9) (int_range 0 100000))
     (fun (m, n, h, seed) ->
       let grid = Grid.make ~rows:m ~cols:n in
       let pi = Perm.check (Rng.permutation (Rng.create seed) (m * n)) in
@@ -130,7 +130,7 @@ let drain_matches_reference =
   QCheck.Test.make ~name:"discover_matchings = rescanning reference drain"
     ~count:300
     QCheck.(
-      quad (int_range 1 10) (int_range 1 10) (pair (int_range 0 4) (int_range 1 11))
+      quad (Arb.int_range 1 10) (Arb.int_range 1 10) (pair (int_range 0 4) (Arb.int_range 1 11))
         (int_range 0 100000))
     (fun (m, n, (kind, h), seed) ->
       let grid = Grid.make ~rows:m ~cols:n in
@@ -260,7 +260,7 @@ let test_ablation_switches_work () =
 let local_route_property =
   QCheck.Test.make ~name:"LocalGridRoute correct on random instances"
     ~count:150
-    QCheck.(triple (int_range 1 7) (int_range 1 7) (int_range 0 100000))
+    QCheck.(triple (Arb.int_range 1 7) (Arb.int_range 1 7) (int_range 0 100000))
     (fun (m, n, seed) ->
       let grid = Grid.make ~rows:m ~cols:n in
       let rng = Rng.create seed in
@@ -273,7 +273,7 @@ let local_route_property =
 let best_orientation_property =
   QCheck.Test.make ~name:"Algorithm 1 correct and bounded by both orientations"
     ~count:100
-    QCheck.(triple (int_range 1 6) (int_range 1 6) (int_range 0 100000))
+    QCheck.(triple (Arb.int_range 1 6) (Arb.int_range 1 6) (int_range 0 100000))
     (fun (m, n, seed) ->
       let grid = Grid.make ~rows:m ~cols:n in
       let rng = Rng.create seed in
@@ -287,7 +287,7 @@ let random_instance (m, n, seed) =
   let grid = Grid.make ~rows:m ~cols:n in
   (grid, Perm.check (Rng.permutation (Rng.create seed) (m * n)))
 
-let shape_gen = QCheck.(triple (int_range 1 9) (int_range 1 9) (int_range 0 100000))
+let shape_gen = QCheck.(triple (Arb.int_range 1 9) (Arb.int_range 1 9) (int_range 0 100000))
 
 (* The histogram Δ against the per-row reference, on every matching the
    band search discovers. *)
@@ -347,7 +347,7 @@ let best_orientation_matches_reference =
    reference builds one for the sigmas and another for the rounds. *)
 let route_matches_two_builds =
   QCheck.Test.make ~name:"route = route_with_sigmas of sigmas" ~count:150
-    QCheck.(pair shape_gen (int_range 1 9))
+    QCheck.(pair shape_gen (Arb.int_range 1 9))
     (fun (shape, h) ->
       let grid, pi = random_instance shape in
       List.for_all

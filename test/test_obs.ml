@@ -127,6 +127,36 @@ let json_int_prints_as_string_of_int =
       Json.int_to_buffer buf i;
       Buffer.contents buf = "[" ^ string_of_int i)
 
+(* [Json.write_int] against [string_of_int] on the edges of its digit
+   table (0 to 999) and of the longer path, at several positions in
+   bytes with 0 to 4 bytes to spare: exactly the text, at [pos], ending
+   where it says, nothing before [pos] touched.  One byte short of room,
+   or a negative [pos], is [Invalid_argument]. *)
+let test_write_int_table_edges () =
+  List.iter
+    (fun i ->
+      let text = string_of_int i in
+      let len = String.length text in
+      for pos = 0 to 3 do
+        for spare = 0 to 4 do
+          let b = Bytes.make (pos + len + spare) '#' in
+          let stop = Json.write_int b pos i in
+          checki (Printf.sprintf "%s at %d: end" text pos) (pos + len) stop;
+          checks (Printf.sprintf "%s at %d: text" text pos) text
+            (Bytes.sub_string b pos len);
+          checks (Printf.sprintf "%s at %d: before" text pos)
+            (String.make pos '#') (Bytes.sub_string b 0 pos)
+        done;
+        match Json.write_int (Bytes.make (pos + len - 1) '#') pos i with
+        | _ -> Alcotest.failf "%s at %d: wrote without room" text pos
+        | exception Invalid_argument _ -> ()
+      done;
+      match Json.write_int (Bytes.make 32 '#') (-1) i with
+      | _ -> Alcotest.failf "%s at -1: written" text
+      | exception Invalid_argument _ -> ())
+    [ 0; 9; 10; 99; 100; 999; 1000; 1023; -1; -9; -10; -99; -100; -999;
+      -1000; min_int; max_int ]
+
 let test_json_unicode_escapes () =
   let parsed text =
     match Json.of_string text with
@@ -850,6 +880,8 @@ let () =
           Alcotest.test_case "member" `Quick test_json_member;
           Alcotest.test_case "int edges" `Quick test_json_int_edges;
           QCheck_alcotest.to_alcotest json_int_prints_as_string_of_int;
+          Alcotest.test_case "write_int = string_of_int at table edges" `Quick
+            test_write_int_table_edges;
         ] );
       ( "trace",
         [

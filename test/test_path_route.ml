@@ -66,7 +66,7 @@ let test_min_parity_no_worse () =
 let route_always_correct =
   QCheck.Test.make ~name:"odd-even routes any permutation within k layers"
     ~count:500
-    QCheck.(pair (int_range 1 14) (int_range 0 100000))
+    QCheck.(pair (Arb.int_range 1 14) (int_range 0 100000))
     (fun (k, seed) ->
       let rng = Rng.create seed in
       let dests = Perm.check (Rng.permutation rng k) in
@@ -78,7 +78,7 @@ let route_always_correct =
 (* The flat router keeps the shallower of the two starting parities. *)
 let min_parity_always_correct =
   QCheck.Test.make ~name:"min-parity variant also correct" ~count:300
-    QCheck.(pair (int_range 1 14) (int_range 0 100000))
+    QCheck.(pair (Arb.int_range 1 14) (int_range 0 100000))
     (fun (k, seed) ->
       let rng = Rng.create seed in
       let dests = Perm.check (Rng.permutation rng k) in
@@ -90,7 +90,7 @@ let min_parity_always_correct =
 
 let depth_lower_bound_displacement =
   QCheck.Test.make ~name:"depth >= max displacement" ~count:300
-    QCheck.(pair (int_range 1 14) (int_range 0 100000))
+    QCheck.(pair (Arb.int_range 1 14) (int_range 0 100000))
     (fun (k, seed) ->
       let rng = Rng.create seed in
       let dests = Perm.check (Rng.permutation rng k) in
@@ -104,7 +104,7 @@ let depth_lower_bound_displacement =
    adds that parity's sizes. *)
 let count_only_parity_matches =
   QCheck.Test.make ~name:"count-only parity choice = route_min_parity" ~count:500
-    QCheck.(triple (int_range 1 40) (int_range 0 3) (int_range 0 100000))
+    QCheck.(triple (Arb.int_range 1 40) (int_range 0 3) (int_range 0 100000))
     (fun (k, off, seed) ->
       let dests = Perm.check (Rng.permutation (Rng.create seed) k) in
       let counted parity =
@@ -167,7 +167,7 @@ let test_flat_equals_reference_exhaustive () =
 
 let flat_equals_reference_random =
   QCheck.Test.make ~name:"flat route = list reference up to k = 64" ~count:500
-    QCheck.(pair (int_range 8 64) (int_range 0 100000))
+    QCheck.(pair (Arb.int_range 8 64) (int_range 0 100000))
     (fun (k, seed) ->
       equals_reference (Perm.check (Rng.permutation (Rng.create seed) k)))
 

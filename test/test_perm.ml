@@ -291,7 +291,7 @@ let test_paper_kinds_cover_figure4 () =
 
 let generators_valid_property =
   QCheck.Test.make ~name:"every generator yields valid permutations" ~count:100
-    QCheck.(triple (int_range 1 6) (int_range 1 6) (int_range 0 1000))
+    QCheck.(triple (Arb.int_range 1 6) (Arb.int_range 1 6) (int_range 0 1000))
     (fun (m, n, seed) ->
       let g = Grid.make ~rows:m ~cols:n in
       let rng = Rng.create seed in

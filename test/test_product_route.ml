@@ -152,7 +152,7 @@ let test_whole_schedule_digest () =
 let product_route_property =
   QCheck.Test.make ~name:"product routing correct on random factors"
     ~count:60
-    QCheck.(triple (int_range 1 4) (int_range 1 4) (int_range 0 100000))
+    QCheck.(triple (Arb.int_range 1 4) (Arb.int_range 1 4) (int_range 0 100000))
     (fun (a, b, seed) ->
       let p = Product.make (Graph.path a) (Graph.path b) in
       let rng = Rng.create seed in

@@ -177,8 +177,13 @@ let json_roundtrip_exact =
            (Qr_obs.Json.of_string_exn (Qr_obs.Json.to_string doc))
          = s)
 
-(* Ids of every digit count and both signs, 0, [max_int] and [min_int]:
-   the shapes the writer's digit routine and its chunk room must cover. *)
+(* The edges of the writer's digit table, which holds 0 to 999, and of
+   the longer path. *)
+let table_edges = [ 0; 9; 10; 99; 100; 999; 1000; 1023; -1; min_int; max_int ]
+
+(* Ids of every digit count and both signs, the table's edges, [max_int]
+   and [min_int]: the shapes the writer's digit routine and its chunk
+   room must cover. *)
 let id_gen =
   let rec pow10 k = if k = 0 then 1 else 10 * pow10 (k - 1) in
   let max_digits = String.length (string_of_int max_int) in
@@ -195,6 +200,7 @@ let id_gen =
           in
           map (fun negative -> if negative then -x else x) bool );
         (1, oneofl [ 0; max_int; min_int; min_int + 1; -1 ]);
+        (2, oneofl table_edges);
       ])
 
 (* The bytes after the shared prefix, for a failure message that does
@@ -254,31 +260,51 @@ let test_to_buffer_allocates_nothing () =
    writer stages.  Padding layers move where such layers start, through
    every offset modulo their length, so one of them starts at the last
    position the staging chunk accepts without a flush. *)
+(* A swap of two table ids writes each as a 4-byte word, past its
+   digits: a run of one such swap, after a first layer whose id has 1 to
+   19 digits, starts that swap at every offset modulo its text's length,
+   so at every chunk offset up to the flush, for every pair of the
+   table's edges. *)
 let test_to_buffer_every_chunk_offset () =
   let lengths =
     List.init (String.length (string_of_int max_int)) (fun k ->
         int_of_string ("1" ^ String.make k '0'))
   in
   let pads = lengths @ List.map (fun x -> -x) lengths @ [ min_int ] in
+  let check what s =
+    let buf = Buffer.create 16 in
+    Schedule.to_buffer buf s;
+    let expected = Qr_obs.Json.to_string (Schedule.to_json s) in
+    let got = Buffer.contents buf in
+    if got <> expected then
+      Alcotest.failf "%s: %s" what (first_difference got expected)
+  in
   let wide = Array.make 200 [| (min_int, min_int) |] in
   for zeros = 0 to 5 do
     List.iter
       (fun pad ->
-        let s =
-          Schedule.of_layers
-            (List.init zeros (fun _ -> [| (0, 0) |])
-            @ [ [| (pad, 0) |] ]
-            @ Array.to_list wide)
-        in
-        let buf = Buffer.create 16 in
-        Schedule.to_buffer buf s;
-        let expected = Qr_obs.Json.to_string (Schedule.to_json s) in
-        let got = Buffer.contents buf in
-        if got <> expected then
-          Alcotest.failf "%d zero layers, pad %d: %s" zeros pad
-            (first_difference got expected))
+        check
+          (Printf.sprintf "%d zero layers, pad %d" zeros pad)
+          (Schedule.of_layers
+             (List.init zeros (fun _ -> [| (0, 0) |])
+             @ [ [| (pad, 0) |] ]
+             @ Array.to_list wide)))
       pads
-  done
+  done;
+  let small = List.filter (fun i -> i >= 0 && i < 1000) table_edges in
+  List.iter
+    (fun u ->
+      List.iter
+        (fun v ->
+          let run = [| Array.make 1500 (u, v) |] in
+          List.iter
+            (fun pad ->
+              check
+                (Printf.sprintf "pad %d, swaps (%d, %d)" pad u v)
+                (Schedule.of_layers ([| (pad, 0) |] :: Array.to_list run)))
+            lengths)
+        small)
+    small
 
 let test_map_vertices () =
   let s = Schedule.of_layers [ [| (0, 1) |] ] in

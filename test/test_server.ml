@@ -1149,18 +1149,38 @@ let rec render_gen doc =
       in
       return ("{" ^ String.concat "," parts ^ "}")
 
-let int_list_gen ints =
+(* An integer as a JSON text the tree reads to it: its digits, or with
+   up to 20 leading zeros, and 0 also as "-0". *)
+let spelling_gen i =
+  let open QCheck.Gen in
+  let text = string_of_int i in
+  let sign, digits =
+    if i < 0 then ("-", String.sub text 1 (String.length text - 1))
+    else ("", text)
+  in
+  frequency
+    ([
+       (6, return text);
+       (1, map (fun z -> sign ^ String.make z '0' ^ digits) (int_range 1 20));
+     ]
+    @ if i = 0 then [ (1, return "-0") ] else [])
+
+(* A JSON list of the items' texts, with whitespace around every
+   token. *)
+let list_text_gen items =
   let open QCheck.Gen in
   let* parts =
     flatten_l
       (List.map
-         (fun i ->
-           let* a = ws_gen and* b = ws_gen in
-           return (a ^ string_of_int i ^ b))
-         ints)
+         (fun item ->
+           let* a = ws_gen and* b = ws_gen and* text = item in
+           return (a ^ text ^ b))
+         items)
   in
   let* pad = ws_gen in
   return ("[" ^ pad ^ String.concat "," parts ^ "]")
+
+let int_list_gen ints = list_text_gen (List.map spelling_gen ints)
 
 type line_id = Id_int of int | Id_string of string | Id_null | Id_absent
 
@@ -1333,8 +1353,43 @@ let reader_matches_tree_property =
           (String.concat "\n" a) (String.concat "\n" b);
       true)
 
-(* [edits] random edits of [line]: a byte set, deleted or inserted, or a
-   run of digits that overflows any number it lands in. *)
+(* [s], a run of decimal digits, plus one. *)
+let succ_digits s =
+  let b = Bytes.of_string s in
+  let rec carry i =
+    if i < 0 then "1" ^ Bytes.to_string b
+    else if Bytes.get b i = '9' then begin
+      Bytes.set b i '0';
+      carry (i - 1)
+    end
+    else begin
+      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) + 1));
+      Bytes.to_string b
+    end
+  in
+  carry (String.length s - 1)
+
+(* Number texts at the edges of the reader's digit loop: "-0", leading
+   zeros, and 18, 19 and 20 digits on both sides of [max_int] and
+   [min_int].  No 18 digits leave the [int] range, so the reader tests
+   for overflow only from an entry's 19th digit on. *)
+let number_edges =
+  let max_text = string_of_int max_int in
+  let min_digits = String.sub (string_of_int min_int) 1 (String.length max_text) in
+  let nines k = String.make k '9' and ten_to k = "1" ^ String.make k '0' in
+  [
+    "0"; "-0"; "00"; "-00"; "007"; "-007"; String.make 24 '0' ^ "1";
+    nines 18; "-" ^ nines 18; ten_to 17; "-" ^ ten_to 17;
+    string_of_int (max_int - 1); max_text; succ_digits max_text; nines 19;
+    string_of_int (min_int + 1); "-" ^ min_digits; "-" ^ succ_digits min_digits;
+    "-" ^ nines 19;
+    ten_to 19; "-" ^ ten_to 19; "0" ^ max_text; "-0" ^ min_digits;
+    "0" ^ succ_digits max_text; "-0" ^ succ_digits min_digits;
+  ]
+
+(* [edits] random edits of [line]: a byte set, deleted or inserted, a
+   run of digits that overflows any number it lands in, a number from
+   [number_edges], or whitespace. *)
 let mutate_gen line =
   let open QCheck.Gen in
   let json_bytes = List.of_seq (String.to_seq "{}[]\":,-0 \\.e") in
@@ -1343,7 +1398,8 @@ let mutate_gen line =
     else
       let* at = int_bound (String.length line - 1) in
       let* byte = map (String.make 1) (oneof [ char; oneofl json_bytes ]) in
-      let* edit = oneofl [ `Set; `Delete; `Insert; `Digits ] in
+      let* number = oneofl number_edges and* ws = ws_gen in
+      let* edit = oneofl [ `Set; `Delete; `Insert; `Digits; `Number; `Ws ] in
       let before = String.sub line 0 at in
       let from k = String.sub line k (String.length line - k) in
       go (k - 1)
@@ -1351,10 +1407,20 @@ let mutate_gen line =
         | `Set -> before ^ byte ^ from (at + 1)
         | `Delete -> before ^ from (at + 1)
         | `Insert -> before ^ byte ^ from at
-        | `Digits -> before ^ "9999999999999999999" ^ from at)
+        | `Digits -> before ^ "9999999999999999999" ^ from at
+        | `Number -> before ^ number ^ from at
+        | `Ws -> before ^ ws ^ from at)
   in
   let* edits = int_range 1 3 in
   go edits line
+
+(* A line of the reader's shape whose perm is edge numbers. *)
+let edge_perm_line_gen =
+  let open QCheck.Gen in
+  let* spec = route_spec_gen in
+  let* entries = list_size (int_range 1 5) (oneofl number_edges) in
+  let* perm = list_text_gen (List.map return entries) in
+  render_gen (spec_doc spec perm)
 
 (* The fields the tree reads from [line], in the reader's terms, or why
    it does not read them as a [route] line the reader could take. *)
@@ -1398,7 +1464,16 @@ let reader_hostile_property =
       (int_bound 40)
   in
   let gen =
-    oneof [ junk; string; (let* line, _ = line_and_twin_gen in mutate_gen line) ]
+    oneof
+      [
+        junk;
+        string;
+        (let* line, _ = line_and_twin_gen in
+         mutate_gen line);
+        edge_perm_line_gen;
+        (let* line = edge_perm_line_gen in
+         mutate_gen line);
+      ]
   in
   QCheck.Test.make ~name:"reader takes only what the tree reads alike"
     ~count:3000
@@ -1420,6 +1495,62 @@ let reader_hostile_property =
                  = (r.P.rows, r.P.cols, r.P.perm, r.P.engine)
               || QCheck.Test.fail_reportf "the tree reads other fields"
           | Error msg -> QCheck.Test.fail_reportf "the tree refuses it: %s" msg))
+
+(* Every edge number as a perm entry, with whitespace around every
+   token or none: the reader takes the line exactly when the tree reads
+   the entry as an [Int], reads the same value, and both readers give
+   one reply (miss, then hit).  A permutation spelled with "-0" and
+   leading zeros gets the reply its plain spelling gets. *)
+let test_perm_entry_edges () =
+  let line key perm =
+    Printf.sprintf
+      {|{"id":7,"method":"route","params":{"grid":{"rows":2,"cols":2},"%s":%s}}|}
+      key perm
+  in
+  let replies line =
+    let session = Session.create () in
+    List.init 2 (fun _ -> strip_server_ms (Session.handle_line session line))
+  in
+  let perm_texts entries =
+    [
+      "[" ^ String.concat "," entries ^ "]";
+      "[ \t" ^ String.concat " ,\n\r" entries ^ "\t ]";
+    ]
+  in
+  let same_replies text =
+    let a = replies (line "perm" text) and b = replies (line "p\\u0065rm" text) in
+    if a <> b then
+      Alcotest.failf "%s: replies differ:\n%s\n%s" text (String.concat "\n" a)
+        (String.concat "\n" b)
+  in
+  List.iter
+    (fun entry ->
+      List.iter
+        (fun text ->
+          let expected = int_of_string_opt entry in
+          (match (P.read_route_line (line "perm" text), expected) with
+          | Some r, Some v -> checki (text ^ ": entry") v r.P.perm.(3)
+          | None, None -> ()
+          | Some _, None -> Alcotest.failf "%s: read an entry out of range" text
+          | None, Some _ -> Alcotest.failf "%s: refused an int entry" text);
+          same_replies text)
+        (perm_texts [ "1"; "0"; "3"; entry ]))
+    number_edges;
+  let plain = replies (line "perm" "[1,0,3,2]") in
+  List.iter
+    (fun entries ->
+      List.iter
+        (fun text ->
+          checkb (text ^ ": read") true
+            (P.read_route_line (line "perm" text) <> None);
+          same_replies text;
+          if replies (line "perm" text) <> plain then
+            Alcotest.failf "%s: not the reply to [1,0,3,2]" text)
+        (perm_texts entries))
+    [
+      [ "01"; "-0"; "0003"; "2" ];
+      [ "1"; "00"; "3"; String.make 24 '0' ^ "2" ];
+    ]
 
 (* --------------------------------------------------------- serving loop *)
 
@@ -1576,5 +1707,6 @@ let () =
         [
           QCheck_alcotest.to_alcotest reader_matches_tree_property;
           QCheck_alcotest.to_alcotest reader_hostile_property;
+          Alcotest.test_case "perm entry edges" `Quick test_perm_entry_edges;
         ] );
     ]

@@ -92,7 +92,7 @@ let test_local_never_deeper_than_worst_case () =
 let strategy_agreement_property =
   QCheck.Test.make ~name:"all strategies realize the same permutation"
     ~count:40
-    QCheck.(triple (int_range 1 5) (int_range 1 5) (int_range 0 100000))
+    QCheck.(triple (Arb.int_range 1 5) (Arb.int_range 1 5) (int_range 0 100000))
     (fun (m, n, seed) ->
       let grid = Grid.make ~rows:m ~cols:n in
       let pi = Perm.check (Rng.permutation (Rng.create seed) (m * n)) in

@@ -163,7 +163,7 @@ let test_cancel_kill_and_deadline () =
 let cancellation_is_transparent =
   QCheck.Test.make ~name:"cancellation checkpoints never change schedules"
     ~count:30
-    QCheck.(triple (int_range 2 5) (int_range 2 5) (int_range 0 10_000))
+    QCheck.(triple (Arb.int_range 2 5) (Arb.int_range 2 5) (int_range 0 10_000))
     (fun (m, n, seed) ->
       let grid = Grid.make ~rows:m ~cols:n in
       let pi = Perm.check (Rng.permutation (Rng.create seed) (m * n)) in

@@ -106,7 +106,7 @@ let test_serial_reversal_on_path_is_optimal_class () =
 
 let serial_property =
   QCheck.Test.make ~name:"serial ATS realizes pi with edge swaps" ~count:150
-    QCheck.(triple (int_range 1 5) (int_range 1 5) (int_range 0 100000))
+    QCheck.(triple (Arb.int_range 1 5) (Arb.int_range 1 5) (int_range 0 100000))
     (fun (m, n, seed) ->
       let grid = Grid.make ~rows:m ~cols:n in
       let g = Grid.graph grid in
@@ -430,7 +430,7 @@ let differential_instance kind rng =
 let differential_property =
   QCheck.Test.make ~name:"flat digraph = list-based reference" ~count:2000
     QCheck.(
-      quad (int_range 0 2) (int_range 0 1_000_000) (int_range 1 5)
+      quad (int_range 0 2) (int_range 0 1_000_000) (Arb.int_range 1 5)
         (int_range 0 1000))
     (fun (kind, instance, trials, seed) ->
       let g, oracle, pi = differential_instance kind (Rng.create instance) in
@@ -481,7 +481,7 @@ let test_matchings_of_path () =
 
 let exact_vs_routers_property =
   QCheck.Test.make ~name:"routers never beat the exact depth" ~count:40
-    QCheck.(pair (int_range 2 3) (int_range 0 10000))
+    QCheck.(pair (Arb.int_range 2 3) (int_range 0 10000))
     (fun (n, seed) ->
       let grid = Grid.make ~rows:2 ~cols:n in
       let g = Grid.graph grid in

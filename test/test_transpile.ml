@@ -158,7 +158,7 @@ let test_min_total_extension_correct_and_no_worse () =
 let transpile_property =
   QCheck.Test.make ~name:"transpilation always yields a feasible circuit"
     ~count:50
-    QCheck.(triple (int_range 2 4) (int_range 2 4) (int_range 0 100000))
+    QCheck.(triple (Arb.int_range 2 4) (Arb.int_range 2 4) (int_range 0 100000))
     (fun (m, n, seed) ->
       let grid = Grid.make ~rows:m ~cols:n in
       let rng = Rng.create seed in

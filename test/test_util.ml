@@ -232,6 +232,27 @@ let test_timer_now_s_matches_ns () =
   let dt = s -. (Int64.to_float ns *. 1e-9) in
   checkb "same clock (within 1s)" true (dt >= 0. && dt < 1.)
 
+(* The suites' shared range arbitrary draws as [QCheck.int_range] does,
+   and every shrink candidate of a drawn [x] lies in [lo, x - 1]: a
+   failing property over [1, k] never shrinks to a 0 it was not drawn
+   from. *)
+let test_arb_int_range_shrinks_in_range () =
+  List.iter
+    (fun (lo, hi) ->
+      let arb = Arb.int_range lo hi and qc = QCheck.int_range lo hi in
+      let a = Random.State.make [| lo; hi |]
+      and b = Random.State.make [| lo; hi |] in
+      for _ = 1 to 50 do
+        Alcotest.(check int) "same draw" (QCheck.gen qc b) (QCheck.gen arb a)
+      done;
+      let shrink = Option.get arb.QCheck.shrink in
+      for x = lo to hi do
+        shrink x (fun y ->
+            if y < lo || y >= x then
+              Alcotest.failf "[%d, %d]: %d shrinks to %d" lo hi x y)
+      done)
+    [ (1, 1); (1, 6); (2, 5); (1, 64); (8, 64); (1, 1000) ]
+
 let () =
   Alcotest.run "qr_util"
     [
@@ -275,6 +296,11 @@ let () =
           Alcotest.test_case "empty rejected" `Quick test_stats_empty_rejected;
           Alcotest.test_case "of_ints" `Quick test_stats_of_ints;
           Alcotest.test_case "of_list" `Quick test_stats_of_list;
+        ] );
+      ( "arb",
+        [
+          Alcotest.test_case "int_range shrinks in range" `Quick
+            test_arb_int_range_shrinks_in_range;
         ] );
       ( "timer",
         [
