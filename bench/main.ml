@@ -457,17 +457,19 @@ let circuits () =
   in
   Printf.printf "%-15s %-7s %7s %7s %7s %9s %9s %10s\n" "circuit" "router"
     "size" "depth" "swaps" "opt-size" "opt-depth" "log10(p)";
+  let place logical =
+    Placement.place ~graph:(Grid.graph grid) ~dist:(Distance.of_grid grid)
+      logical
+  in
   let transpilers =
-    [ ("local", fun logical -> transpile ~engine:"local" ~place:true grid logical);
-      ("ats", fun logical -> transpile ~engine:"ats" ~place:true grid logical);
-      ("snake", fun logical -> transpile ~engine:"snake" ~place:true grid logical);
-      ("sabre",
-       fun logical ->
-         let initial =
-           Placement.place ~graph:(Grid.graph grid)
-             ~dist:(Distance.of_grid grid) logical
-         in
-         Sabre_lite.run_grid ~initial grid logical) ]
+    List.map
+      (fun engine ->
+        (engine,
+         fun logical -> transpile ~engine ~initial:(place logical) grid logical))
+      [ "local"; "ats"; "snake" ]
+    @ [ ("sabre",
+         fun logical ->
+           Sabre_lite.run_grid ~initial:(place logical) grid logical) ]
   in
   List.iter
     (fun (label, logical) ->

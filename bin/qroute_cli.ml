@@ -366,24 +366,33 @@ let gen_cmd =
       & info [] ~docv:"KIND" ~doc:"Circuit family: qft, ghz, ising, random.")
   in
   let gates =
-    Arg.(value & opt int 64 & info [ "gates" ] ~docv:"G"
+    Arg.(value & opt non_negative_int 64 & info [ "gates" ] ~docv:"G"
            ~doc:"Gate count for random circuits.")
   in
   let run (rows, cols) seed which gates =
-    let grid = Grid.make ~rows ~cols in
-    let n = Grid.size grid in
-    let circuit =
-      match which with
-      | `Qft -> Library.qft n
-      | `Ghz -> Library.ghz n
-      | `Ising -> Library.ising_trotter_2d grid ~steps:1 ~theta:0.1
-      | `Random -> Library.random_two_qubit (Rng.create seed) ~num_qubits:n ~gates
-    in
-    print_string (Qasm.print circuit)
+    if which = `Random && rows * cols < 2 then
+      `Error
+        (true,
+         Printf.sprintf "random circuits need 2 qubits, got a %dx%d grid" rows
+           cols)
+    else begin
+      let grid = Grid.make ~rows ~cols in
+      let n = Grid.size grid in
+      let circuit =
+        match which with
+        | `Qft -> Library.qft n
+        | `Ghz -> Library.ghz n
+        | `Ising -> Library.ising_trotter_2d grid ~steps:1 ~theta:0.1
+        | `Random ->
+            Library.random_two_qubit (Rng.create seed) ~num_qubits:n ~gates
+      in
+      print_string (Qasm.print circuit);
+      `Ok ()
+    end
   in
   Cmd.v
     (Cmd.info "gen" ~doc:"Emit a stock circuit in the QASM subset")
-    Term.(const run $ grid_arg $ seed_arg $ which $ gates)
+    Term.(ret (const run $ grid_arg $ seed_arg $ which $ gates))
 
 (* ------------------------------------------------------------------ stats *)
 
@@ -777,7 +786,7 @@ let request_cmd =
   let deadline_ms =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some non_negative_int) None
       & info [ "deadline-ms" ] ~docv:"MS" ~doc:"Per-request time budget.")
   in
   let id =
@@ -787,7 +796,7 @@ let request_cmd =
   in
   let retries =
     Arg.(
-      value & opt int 0
+      value & opt non_negative_int 0
       & info [ "retries" ] ~docv:"N"
           ~doc:
             "Retry transport failures and $(b,overloaded) responses up to \
@@ -839,7 +848,7 @@ let request_cmd =
         ~meth params
     in
     let retry =
-      { Server_client.default_retry with attempts = 1 + max 0 retries }
+      { Server_client.default_retry with attempts = 1 + retries }
     in
     match Server_client.rpc_retry ~retry ~path request with
     | Server_client.Transport_failure msg ->

@@ -1,3 +1,6 @@
+module Gate = Qr_circuit.Gate
+module Circuit = Qr_circuit.Circuit
+
 type model = {
   one_qubit_error : float;
   two_qubit_error : float;

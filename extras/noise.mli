@@ -24,13 +24,13 @@ val default : model
 (** Superconducting-flavoured defaults: 1e-4 / 1e-2 / 1e-3, no native
     SWAP. *)
 
-val log_success : model -> Circuit.t -> float
+val log_success : model -> Qr_circuit.Circuit.t -> float
 (** Sum of [log (1 - error)] over all gates plus idle terms: the log of the
     estimated probability that no error occurred. *)
 
-val success_probability : model -> Circuit.t -> float
+val success_probability : model -> Qr_circuit.Circuit.t -> float
 (** [exp (log_success model circuit)], clamped to [0, 1]. *)
 
-val gate_counts : Circuit.t -> int * int
+val gate_counts : Qr_circuit.Circuit.t -> int * int
 (** [(one_qubit, two_qubit)] gate counts after SWAP costing is {e not}
     applied (raw circuit). *)

@@ -1,3 +1,6 @@
+module Gate = Qr_circuit.Gate
+module Circuit = Qr_circuit.Circuit
+
 let angle_is_zero a = Float.abs a < 1e-12
 
 (* Combine two gates acting on identical operand (sets): [Some None] means

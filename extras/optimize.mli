@@ -16,6 +16,6 @@
     tracks the last pending gate per qubit).  Unitary equivalence is
     guaranteed (and statevector-checked in the tests). *)
 
-val run : Circuit.t -> Circuit.t
+val run : Qr_circuit.Circuit.t -> Qr_circuit.Circuit.t
 (** Optimize to a fixed point.  The result has the same qubit count and
     acts identically on every state. *)

@@ -1,5 +1,8 @@
 module Graph = Qr_graph.Graph
 module Distance = Qr_graph.Distance
+module Gate = Qr_circuit.Gate
+module Circuit = Qr_circuit.Circuit
+module Layout = Qr_circuit.Layout
 
 let interaction_weights ?(decay = 1.) circuit =
   let table = Hashtbl.create 64 in

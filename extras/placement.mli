@@ -18,7 +18,7 @@
     identity layout on strongly structured circuits. *)
 
 val interaction_weights :
-  ?decay:float -> Circuit.t -> (int * int * float) list
+  ?decay:float -> Qr_circuit.Circuit.t -> (int * int * float) list
 (** Weighted interaction pairs [(q1, q2, w)], [q1 < q2], one entry per
     interacting pair.  [decay] < 1 discounts gate [k] by [decay^layer]
     (default [1.], no discount). *)
@@ -27,8 +27,8 @@ val place :
   ?decay:float ->
   graph:Qr_graph.Graph.t ->
   dist:Qr_graph.Distance.t ->
-  Circuit.t ->
-  Layout.t
+  Qr_circuit.Circuit.t ->
+  Qr_circuit.Layout.t
 (** Greedy placement of the circuit's qubits on the device.  The circuit
     and device must have the same size; qubits with no interactions fill
     the remaining vertices in index order. *)
@@ -38,9 +38,9 @@ val anneal :
   ?temperature:float ->
   rng:Qr_util.Rng.t ->
   dist:Qr_graph.Distance.t ->
-  Circuit.t ->
-  Layout.t ->
-  Layout.t
+  Qr_circuit.Circuit.t ->
+  Qr_circuit.Layout.t ->
+  Qr_circuit.Layout.t
 (** Simulated-annealing refinement of a layout: random pairwise exchanges
     of physical slots, accepted when they lower {!placement_cost} (or with
     Boltzmann probability otherwise), geometric cooling over [iterations]
@@ -48,6 +48,7 @@ val anneal :
     Returns the best layout seen; never worse than the input. *)
 
 val placement_cost :
-  dist:Qr_graph.Distance.t -> Circuit.t -> Layout.t -> float
+  dist:Qr_graph.Distance.t -> Qr_circuit.Circuit.t -> Qr_circuit.Layout.t ->
+  float
 (** [Σ_pairs w · d(phys q1, phys q2)] — the objective the heuristic
     descends; exposed for evaluation and tests. *)

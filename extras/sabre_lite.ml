@@ -2,6 +2,10 @@ module Graph = Qr_graph.Graph
 module Grid = Qr_graph.Grid
 module Bfs = Qr_graph.Bfs
 module Distance = Qr_graph.Distance
+module Gate = Qr_circuit.Gate
+module Circuit = Qr_circuit.Circuit
+module Layout = Qr_circuit.Layout
+module Transpile = Qr_circuit.Transpile
 
 type config = {
   lookahead : int;

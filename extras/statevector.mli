@@ -30,9 +30,6 @@ val amplitude : t -> int -> float * float
 
 val norm : t -> float
 
-val apply_gate : t -> Qr_circuit.Gate.t -> unit
-(** In-place application. *)
-
 val run : Qr_circuit.Circuit.t -> t -> t
 (** Apply every gate to a copy of the state. *)
 

@@ -152,53 +152,3 @@ let solve ~nl ~nr ~edges =
     max_matching (workspace ()) ~nl ~nr ~ne ~src ~dst ~left_match ~right_match
   in
   { size; left_match; right_match }
-
-let is_perfect ~nl ~nr result = nl = nr && result.size = nl
-
-let hall_violator ~nl ~nr ~edges result =
-  ignore nr;
-  let free = ref [] in
-  for l = nl - 1 downto 0 do
-    if result.left_match.(l) = -1 then free := l :: !free
-  done;
-  match !free with
-  | [] -> None
-  | free_lefts ->
-      (* Alternating BFS from all free left vertices: follow any edge
-         left→right, then matched edge right→left.  The reachable left set S
-         has N(S) = reachable rights, all matched, and |N(S)| = |S| - #free,
-         hence a Hall violator. *)
-      let seen_l = Array.make nl false in
-      let seen_r = Array.make (Array.length result.right_match) false in
-      let adjacency = Array.make nl [] in
-      Array.iter
-        (fun (l, r) -> adjacency.(l) <- r :: adjacency.(l))
-        edges;
-      let queue = Queue.create () in
-      List.iter
-        (fun l ->
-          seen_l.(l) <- true;
-          Queue.add l queue)
-        free_lefts;
-      while not (Queue.is_empty queue) do
-        let l = Queue.pop queue in
-        List.iter
-          (fun r ->
-            if not seen_r.(r) then begin
-              seen_r.(r) <- true;
-              match result.right_match.(r) with
-              | -1 -> () (* impossible for a maximum matching *)
-              | k ->
-                  let l' = fst edges.(k) in
-                  if not seen_l.(l') then begin
-                    seen_l.(l') <- true;
-                    Queue.add l' queue
-                  end
-            end)
-          adjacency.(l)
-      done;
-      let violator = ref [] in
-      for l = nl - 1 downto 0 do
-        if seen_l.(l) then violator := l :: !violator
-      done;
-      Some !violator

@@ -46,13 +46,3 @@ val max_matching :
 val solve : nl:int -> nr:int -> edges:(int * int) array -> result
 (** Maximum-cardinality matching.  Deterministic: ties are broken by edge
     order.  @raise Invalid_argument on out-of-range endpoints. *)
-
-val is_perfect : nl:int -> nr:int -> result -> bool
-(** Whether every vertex on both sides is matched (requires [nl = nr]). *)
-
-val hall_violator :
-  nl:int -> nr:int -> edges:(int * int) array -> result -> int list option
-(** When the matching is not left-perfect, produce a Hall violator: a set
-    [S] of left vertices with [|N(S)| < |S|], as a certificate (built from
-    the vertices alternating-reachable from an unmatched left vertex).
-    [None] when the matching is left-perfect. *)

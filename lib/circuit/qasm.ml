@@ -7,6 +7,13 @@ let tokens line =
   String.split_on_char ' ' (String.trim (strip_comment line))
   |> List.filter (fun s -> s <> "")
 
+(* An angle is a finite float: "nan", "inf" and overflowing literals such
+   as "1e999" read as floats but name no rotation. *)
+let angle_of_string s =
+  match float_of_string_opt s with
+  | Some a when Float.is_finite a -> Some a
+  | _ -> None
+
 let gate_of_tokens = function
   | [ op; q ] -> (
       match (op, int_of_string_opt q) with
@@ -21,7 +28,7 @@ let gate_of_tokens = function
       | "tdg", Some q -> Ok (Gate.One (Gate.Tdg, q))
       | _ -> Error "unknown single-qubit gate")
   | [ op; a; q ] when op = "rx" || op = "ry" || op = "rz" -> (
-      match (float_of_string_opt a, int_of_string_opt q) with
+      match (angle_of_string a, int_of_string_opt q) with
       | Some angle, Some q ->
           Ok
             (Gate.One
@@ -41,7 +48,8 @@ let gate_of_tokens = function
           | _ -> Error "unknown two-qubit gate")
       | _ -> Error "bad qubits")
   | [ op; angle; a; b ] when op = "cp" || op = "rzz" -> (
-      match (float_of_string_opt angle, int_of_string_opt a, int_of_string_opt b)
+      match
+        (angle_of_string angle, int_of_string_opt a, int_of_string_opt b)
       with
       | Some angle, Some a, Some b ->
           Ok

@@ -1,6 +1,6 @@
 (** Umbrella API: one import for the whole routing stack.
 
-    Re-exports every sub-library under stable names and adds routing entry
+    Re-exports lib's modules under stable names and adds routing entry
     points that name their engine by {!Router_registry} key. *)
 
 (** {2 Re-exports} *)
@@ -20,14 +20,12 @@ module Grid = Qr_graph.Grid
 module Product = Qr_graph.Product
 module Bfs = Qr_graph.Bfs
 module Distance = Qr_graph.Distance
-module Topology = Qr_graph.Topology
 module Perm = Qr_perm.Perm
 module Grid_perm = Qr_perm.Grid_perm
 module Generators = Qr_perm.Generators
 module Partial_perm = Qr_perm.Partial_perm
 module Perm_stats = Qr_perm.Perm_stats
 module Hopcroft_karp = Qr_bipartite.Hopcroft_karp
-module Decompose = Qr_bipartite.Decompose
 module Bottleneck = Qr_bipartite.Bottleneck
 module Assignment = Qr_bipartite.Assignment
 module Schedule = Qr_route.Schedule
@@ -44,20 +42,12 @@ module Viz = Qr_route.Viz
 module Token_swap = Qr_token.Token_swap
 module Token_engines = Qr_token.Engines
 module Parallel_ats = Qr_token.Parallel_ats
-module Exact = Qr_token.Exact
 module Gate = Qr_circuit.Gate
 module Circuit = Qr_circuit.Circuit
 module Qasm = Qr_circuit.Qasm
 module Layout = Qr_circuit.Layout
 module Transpile = Qr_circuit.Transpile
 module Library = Qr_circuit.Library
-module Noise = Qr_circuit.Noise
-module Placement = Qr_circuit.Placement
-module Optimize = Qr_circuit.Optimize
-module Sabre_lite = Qr_circuit.Sabre_lite
-module Statevector = Qr_sim.Statevector
-module Unitary = Qr_sim.Unitary
-module Permsim = Qr_sim.Permsim
 module Server = Qr_server.Server
 module Server_session = Qr_server.Session
 module Server_protocol = Qr_server.Protocol
@@ -111,8 +101,5 @@ val transpile :
   ?engine:string ->
   ?config:Router_config.t ->
   ?initial:Layout.t ->
-  ?place:bool ->
   Grid.t -> Circuit.t -> Transpile.result
-(** Transpile a logical circuit onto the grid, routing with [engine].
-    With [~place:true] and no explicit [initial], the interaction-graph
-    {!Placement} heuristic chooses the starting layout. *)
+(** Transpile a logical circuit onto the grid, routing with [engine]. *)

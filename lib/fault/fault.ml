@@ -254,7 +254,6 @@ let fires point =
       Option.value ~default:0 (Hashtbl.find_opt st.tally point)
 
 let env_var = "QR_FAULTS"
-let seed_env_var = "QR_FAULTS_SEED"
 
 let arm_from_env () =
   match Sys.getenv_opt "QR_FAULTS" with

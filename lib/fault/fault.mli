@@ -82,9 +82,6 @@ val arm : ?seed:int -> spec list -> unit
 val env_var : string
 (** ["QR_FAULTS"]. *)
 
-val seed_env_var : string
-(** ["QR_FAULTS_SEED"]. *)
-
 val arm_from_env : unit -> (bool, string) result
 (** Arm from [QR_FAULTS] (+ optional [QR_FAULTS_SEED]).  [Ok false] when
     the variable is unset or empty (nothing armed), [Ok true] when a plan

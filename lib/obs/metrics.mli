@@ -38,10 +38,6 @@ val histogram : ?help:string -> ?buckets:float array -> string -> histogram
     overflow bucket.  Default: powers of two from 1 to 1024.  On lookup of
     an existing histogram, [buckets] is ignored. *)
 
-val default_buckets : float array
-(** Powers of two from 1 to 1024 — the bounds used when [buckets] is not
-    given. *)
-
 val latency_buckets : float array
 (** Geometric 1-2.5-5 bounds from 0.05 to 10000, intended for
     millisecond-valued histograms ([*_ms]): resolves 50µs at the low end

@@ -1,8 +1,6 @@
 module Grid = Qr_graph.Grid
 module Perm = Qr_perm.Perm
 
-let displacement_bound dist pi = Perm.max_distance dist pi
-
 let size_lower_bound dist pi = (Perm.total_distance dist pi + 1) / 2
 
 let grid_cut_bound grid pi =
@@ -37,5 +35,5 @@ let grid_cut_bound grid pi =
 
 let depth_lower_bound grid pi =
   max
-    (displacement_bound (fun u v -> Grid.manhattan grid u v) pi)
+    (Perm.max_distance (fun u v -> Grid.manhattan grid u v) pi)
     (grid_cut_bound grid pi)

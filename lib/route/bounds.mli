@@ -14,9 +14,6 @@
     The benches report each router's depth against {!depth_lower_bound};
     the tests assert no router ever beats these. *)
 
-val displacement_bound : (int -> int -> int) -> Qr_perm.Perm.t -> int
-(** Max token distance under the given metric. *)
-
 val size_lower_bound : (int -> int -> int) -> Qr_perm.Perm.t -> int
 (** ⌈Σ distances / 2⌉. *)
 

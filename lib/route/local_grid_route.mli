@@ -48,8 +48,8 @@ val discover_matchings : discovery -> Column_graph.t -> int array list
     ({!Column_graph.scan_band}, once per band), extract perfect matchings
     with {!Qr_bipartite.Hopcroft_karp.max_matching} until none remains,
     and kill each matching's edges, dropping them from the band in
-    place.  The result always partitions the edge set
-    ({!Qr_bipartite.Decompose.validate} holds). *)
+    place.  The result always partitions the edge set (the test suite's
+    [Decompose.validate] holds). *)
 
 val assign_rows : assignment -> Column_graph.t -> int array list -> int array
 (** Row assigned to each matching, in list order. *)

@@ -60,11 +60,6 @@ val compaction_only : Router_config.t -> Router_config.t
     field at its default.  The base of each registered engine's
     [normalize]. *)
 
-val note_fallback : from:string -> to_:string -> unit
-(** Record a capability fallback: bump [router_fallbacks] and warn on
-    stderr once per [from] name.  Exposed for engines that implement their
-    own fallback paths. *)
-
 (** {2 Verified routing}
 
     The serving stack's "never emit an unroutable schedule" guarantee:
@@ -108,7 +103,3 @@ val verify_failures : unit -> int
 
 val degradations : unit -> int
 (** Process-wide count of requests rescued by a fallback engine. *)
-
-(**/**)
-
-val default_contenders : string list

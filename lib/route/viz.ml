@@ -88,45 +88,3 @@ let occupancy_ascii grid sched =
       if k > 9 then "+" else string_of_int k)
     ~horizontal:(fun _ _ -> "   ")
     ~vertical:(fun _ _ -> " ")
-
-let graph_dot g =
-  buffer_build (fun buffer ->
-      Buffer.add_string buffer "graph coupling {\n  node [shape=circle];\n";
-      Graph.iter_edges g (fun u v ->
-          Buffer.add_string buffer (Printf.sprintf "  %d -- %d;\n" u v));
-      Buffer.add_string buffer "}\n")
-
-let schedule_dot grid sched =
-  (* First layer index using each edge; unused edges stay gray. *)
-  let first_use = Hashtbl.create 64 in
-  List.iteri
-    (fun step layer ->
-      Array.iter
-        (fun (u, v) ->
-          let key = (min u v, max u v) in
-          if not (Hashtbl.mem first_use key) then
-            Hashtbl.replace first_use key step)
-        layer)
-    (Schedule.layers sched);
-  let palette = [| "red"; "orange"; "gold"; "green"; "blue"; "purple" |] in
-  buffer_build (fun buffer ->
-      Buffer.add_string buffer "graph schedule {\n  node [shape=point];\n";
-      for r = 0 to Grid.rows grid - 1 do
-        for c = 0 to Grid.cols grid - 1 do
-          Buffer.add_string buffer
-            (Printf.sprintf "  %d [pos=\"%d,%d!\"];\n" (Grid.index grid r c) c
-               (Grid.rows grid - 1 - r))
-        done
-      done;
-      Graph.iter_edges (Grid.graph grid) (fun u v ->
-          let key = (min u v, max u v) in
-          match Hashtbl.find_opt first_use key with
-          | Some step ->
-              Buffer.add_string buffer
-                (Printf.sprintf "  %d -- %d [color=%s, label=\"%d\"];\n" u v
-                   palette.(step mod Array.length palette)
-                   step)
-          | None ->
-              Buffer.add_string buffer
-                (Printf.sprintf "  %d -- %d [color=gray80];\n" u v));
-      Buffer.add_string buffer "}\n")

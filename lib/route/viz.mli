@@ -1,9 +1,8 @@
-(** Text renderings of grids, permutations and schedules — debugging aids
-    and export formats (ASCII for terminals, DOT for Graphviz).
+(** ASCII renderings of grids, permutations and schedules — debugging
+    aids for terminals.
 
     Nothing here affects routing; every function is a pure formatter.  The
-    CLI's [--show] paths and the examples use the ASCII forms; the DOT
-    forms are for papers/slides. *)
+    CLI's [--show] paths and the examples use them. *)
 
 val grid_ascii : Qr_graph.Grid.t -> string
 (** The coupling grid as an ASCII lattice of [o] vertices with [-]/[|]
@@ -23,10 +22,3 @@ val schedule_ascii : Qr_graph.Grid.t -> Schedule.t -> string
 val occupancy_ascii : Qr_graph.Grid.t -> Schedule.t -> string
 (** A heatmap of how many swaps touch each vertex over the whole schedule
     (digits, [9+] capped) — shows routing hotspots. *)
-
-val graph_dot : Qr_graph.Graph.t -> string
-(** The coupling graph in Graphviz DOT format. *)
-
-val schedule_dot : Qr_graph.Grid.t -> Schedule.t -> string
-(** DOT rendering of the grid with swap edges colored by the layer index
-    in which they are (first) used. *)

@@ -14,9 +14,3 @@ val ats_serial : Qr_route.Router_intf.t
 val register : unit -> unit
 (** Register both engines; idempotent.  The [qroute] umbrella calls this at
     initialization, so programs linking [qroute] need not. *)
-
-val graph_of_input :
-  Qr_route.Router_intf.input ->
-  Qr_graph.Graph.t * Qr_graph.Distance.t * Qr_perm.Perm.t
-(** View any input as a generic graph (grids via {!Qr_graph.Grid.graph} and
-    {!Qr_graph.Distance.of_grid}). *)

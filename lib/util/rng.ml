@@ -40,17 +40,14 @@ let float t bound =
 
 let bool t = Int64.logand (next_int64 t) 1L = 1L
 
-let shuffle_prefix t a k =
+let shuffle_in_place t a =
   let n = Array.length a in
-  if k < 0 || k > n then invalid_arg "Rng.shuffle_prefix";
-  for i = 0 to k - 1 do
+  for i = 0 to n - 1 do
     let j = int_in t i (n - 1) in
     let tmp = a.(i) in
     a.(i) <- a.(j);
     a.(j) <- tmp
   done
-
-let shuffle_in_place t a = shuffle_prefix t a (Array.length a)
 
 let permutation t n =
   let a = Array.init n (fun i -> i) in

@@ -41,11 +41,6 @@ val bool : t -> bool
 val shuffle_in_place : t -> 'a array -> unit
 (** Fisher–Yates shuffle of the whole array. *)
 
-val shuffle_prefix : t -> 'a array -> int -> unit
-(** [shuffle_prefix t a k] applies Fisher–Yates to positions [0..k-1],
-    drawing replacements from the whole array: the standard partial shuffle.
-    @raise Invalid_argument if [k] is negative or exceeds the length. *)
-
 val permutation : t -> int -> int array
 (** [permutation t n] is a uniformly random permutation of [0..n-1]. *)
 

@@ -1,8 +1,7 @@
 (** Exact token-swapping and routing-depth solvers by state-space search.
 
     Both problems are NP-hard; these brute-force BFS solvers exist solely to
-    calibrate the heuristics on tiny instances in the test suite and the
-    ablation benchmarks (approximation-ratio measurements). *)
+    calibrate the heuristics on tiny instances in the test suite. *)
 
 val min_swaps : ?max_states:int -> Qr_graph.Graph.t -> Qr_perm.Perm.t -> int
 (** Minimum number of swaps realizing the permutation: BFS over token

@@ -1,7 +1,7 @@
-(* Tests for Qr_bipartite: Hopcroft_karp, Decompose, Bottleneck. *)
+(* Tests for Qr_bipartite (Hopcroft_karp, Bottleneck) and the test-side
+   Decompose checker. *)
 
 module HK = Qr_bipartite.Hopcroft_karp
-module Decompose = Qr_bipartite.Decompose
 module Bottleneck = Qr_bipartite.Bottleneck
 module Rng = Qr_util.Rng
 
@@ -27,7 +27,6 @@ let test_hk_perfect_on_identity () =
   let edges = Array.init 5 (fun i -> (i, i)) in
   let r = HK.solve ~nl:5 ~nr:5 ~edges in
   checki "size" 5 r.size;
-  checkb "perfect" true (HK.is_perfect ~nl:5 ~nr:5 r);
   checkb "consistent" true (matching_consistent ~edges r)
 
 let test_hk_empty_graph () =
@@ -61,8 +60,7 @@ let test_hk_rejects_range () =
 let test_hk_rectangular () =
   let edges = [| (0, 0); (1, 1); (2, 2); (3, 3) |] in
   let r = HK.solve ~nl:4 ~nr:6 ~edges in
-  checki "size" 4 r.size;
-  checkb "not perfect (nl<>nr)" false (HK.is_perfect ~nl:4 ~nr:6 r)
+  checki "size" 4 r.size
 
 (* Brute-force maximum matching for cross-checking. *)
 let brute_max_matching ~nl ~nr ~edges =
@@ -97,28 +95,6 @@ let hk_matches_brute_force =
       let r = HK.solve ~nl:5 ~nr:5 ~edges in
       r.size = brute_max_matching ~nl:5 ~nr:5 ~edges
       && matching_consistent ~edges r)
-
-let test_hall_violator_none_when_perfect () =
-  let edges = Array.init 3 (fun i -> (i, i)) in
-  let r = HK.solve ~nl:3 ~nr:3 ~edges in
-  checkb "no violator" true (HK.hall_violator ~nl:3 ~nr:3 ~edges r = None)
-
-let test_hall_violator_found () =
-  (* L0, L1 both only see R0: violator must include both. *)
-  let edges = [| (0, 0); (1, 0); (2, 1) |] in
-  let r = HK.solve ~nl:3 ~nr:3 ~edges in
-  match HK.hall_violator ~nl:3 ~nr:3 ~edges r with
-  | None -> Alcotest.fail "expected a violator"
-  | Some s ->
-      (* |N(S)| < |S| must hold. *)
-      let neighborhood = Hashtbl.create 4 in
-      List.iter
-        (fun l ->
-          Array.iter
-            (fun (el, er) -> if el = l then Hashtbl.replace neighborhood er ())
-            edges)
-        s;
-      checkb "violates Hall" true (Hashtbl.length neighborhood < List.length s)
 
 (* -------------------------------------------------------------- Decompose *)
 
@@ -443,8 +419,6 @@ let () =
           Alcotest.test_case "parallel edges" `Quick test_hk_parallel_edges;
           Alcotest.test_case "rejects range" `Quick test_hk_rejects_range;
           Alcotest.test_case "rectangular" `Quick test_hk_rectangular;
-          Alcotest.test_case "hall none" `Quick test_hall_violator_none_when_perfect;
-          Alcotest.test_case "hall found" `Quick test_hall_violator_found;
           qc hk_matches_brute_force;
           qc max_matching_reuses_workspace;
           qc max_matching_matches_reference;

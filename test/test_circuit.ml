@@ -148,7 +148,15 @@ let test_qasm_errors () =
   checkb "missing header" true (Result.is_error (Qasm.parse "h 0\n"));
   checkb "unknown gate" true (Result.is_error (Qasm.parse "qubits 2\nfoo 0\n"));
   checkb "bad qubit" true (Result.is_error (Qasm.parse "qubits 2\nh x\n"));
-  checkb "range" true (Result.is_error (Qasm.parse "qubits 2\nh 5\n"))
+  checkb "range" true (Result.is_error (Qasm.parse "qubits 2\nh 5\n"));
+  List.iter
+    (fun (line, msg) ->
+      Alcotest.(check (result reject string))
+        line
+        (Error (Printf.sprintf "line 2: %s: %S" msg line))
+        (Qasm.parse ("qubits 2\n" ^ line ^ "\n")))
+    [ ("rz inf 0", "bad rotation"); ("rx nan 1", "bad rotation");
+      ("ry 1e999 0", "bad rotation"); ("cp -inf 0 1", "bad controlled rotation") ]
 
 let test_qasm_parse_exn () =
   Alcotest.check_raises "exn variant"

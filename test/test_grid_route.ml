@@ -10,7 +10,6 @@ module Grid_route = Qr_route.Grid_route
 module Local = Qr_route.Local_grid_route
 module Router_intf = Qr_route.Router_intf
 module Router_registry = Qr_route.Router_registry
-module Decompose = Qr_bipartite.Decompose
 module Rng = Qr_util.Rng
 
 let checkb = Alcotest.check Alcotest.bool

@@ -7,7 +7,6 @@ module Schedule = Qr_route.Schedule
 module Column_graph = Qr_route.Column_graph
 module Grid_route = Qr_route.Grid_route
 module Local = Qr_route.Local_grid_route
-module Decompose = Qr_bipartite.Decompose
 module HK = Qr_bipartite.Hopcroft_karp
 module Rng = Qr_util.Rng
 

@@ -1,5 +1,5 @@
-(* Tests for the peephole optimizer and the partial-routing / placement
-   entry points of the umbrella API. *)
+(* Tests for the peephole optimizer, the umbrella's partial-routing entry
+   point, and transpiling from a given or placed initial layout. *)
 
 open Qroute
 
@@ -169,13 +169,16 @@ let test_route_partial_policies_differ_but_both_work () =
     [ Partial_perm.Stay;
       Partial_perm.Greedy_nearest (fun u v -> Grid.manhattan grid u v) ]
 
-(* ------------------------------------------------------ transpile ~place *)
+(* ---------------------------------------------------- transpile ~initial *)
 
 let test_transpile_with_placement () =
   let grid = Grid.make ~rows:3 ~cols:3 in
   let rng = Rng.create 17 in
   let c = Library.random_local_two_qubit rng ~grid ~radius:1 ~gates:30 in
-  let placed = transpile ~place:true grid c in
+  let initial =
+    Placement.place ~graph:(Grid.graph grid) ~dist:(Distance.of_grid grid) c
+  in
+  let placed = transpile ~initial grid c in
   checkb "feasible" true (Transpile.verify_feasible (Grid.graph grid) placed);
   (* Placement must not be ignored: initial layout differs from identity
      in general, and the run is still correct. *)
@@ -190,11 +193,11 @@ let test_transpile_with_placement () =
     (Statevector.approx_equal out_logical
        (Statevector.permute_qubits out_phys back))
 
-let test_transpile_explicit_initial_wins_over_place () =
+let test_transpile_explicit_initial () =
   let grid = Grid.make ~rows:2 ~cols:2 in
   let c = Circuit.create ~num_qubits:4 [ Gate.Two (Gate.CX, 0, 1) ] in
   let initial = Layout.of_phys_of_logical [| 3; 2; 1; 0 |] in
-  let r = transpile ~initial ~place:true grid c in
+  let r = transpile ~initial grid c in
   checkb "explicit layout respected" true (Layout.equal r.initial initial)
 
 let () =
@@ -239,6 +242,6 @@ let () =
         [
           Alcotest.test_case "place:true" `Quick test_transpile_with_placement;
           Alcotest.test_case "explicit wins" `Quick
-            test_transpile_explicit_initial_wins_over_place;
+            test_transpile_explicit_initial;
         ] );
     ]

@@ -713,7 +713,13 @@ let test_session_transpile () =
     Session.handle_line session
       {|{"id": 2, "method": "transpile", "params": {"grid": {"rows": 2, "cols": 2}, "circuit": "qubits 2\ncx 0 1\n"}}|}
   in
-  checkb "qubit mismatch" true (error_code_of bad = Some P.Invalid_params)
+  checkb "qubit mismatch" true (error_code_of bad = Some P.Invalid_params);
+  let nan_angle =
+    Session.handle_line session
+      {|{"id": 3, "method": "transpile", "params": {"grid": {"rows": 2, "cols": 2}, "circuit": "qubits 4\nrz nan 0\n"}}|}
+  in
+  checkb "non-finite angle" true
+    (error_code_of nan_angle = Some P.Invalid_params)
 
 let test_session_introspection_methods () =
   let session = Session.create () in

@@ -1,4 +1,4 @@
-(* Tests for Qr_sim: Statevector and Permsim. *)
+(* Tests for the simulators: Statevector and Permsim. *)
 
 module Grid = Qr_graph.Grid
 module Distance = Qr_graph.Distance
@@ -7,8 +7,7 @@ module Gate = Qr_circuit.Gate
 module Circuit = Qr_circuit.Circuit
 module Library = Qr_circuit.Library
 module Schedule = Qr_route.Schedule
-module SV = Qr_sim.Statevector
-module Permsim = Qr_sim.Permsim
+module SV = Statevector
 module Rng = Qr_util.Rng
 
 let checkb = Alcotest.check Alcotest.bool
@@ -167,7 +166,22 @@ let test_permute_qubits_matches_swap () =
   let psi = SV.random_state rng 2 in
   let by_gate = SV.run (circuit 2 [ Gate.Two (Gate.SWAP, 0, 1) ]) psi in
   let by_relabel = SV.permute_qubits psi [| 1; 0 |] in
-  checkb "relabel = swap gate" true (SV.approx_equal by_gate by_relabel)
+  checkb "relabel = swap gate" true (SV.approx_equal by_gate by_relabel);
+  (* A circuit with its wires renamed by [p] runs as the original does
+     between two relabelings by [p]. *)
+  let p = [| 1; 2; 0 |] in
+  let c =
+    circuit 3
+      [ Gate.One (Gate.H, 0); Gate.Two (Gate.CX, 0, 1); Gate.One (Gate.T, 2) ]
+  in
+  let renamed = Circuit.map_qubits (fun q -> p.(q)) c in
+  List.iter
+    (fun psi ->
+      checkb "renamed wires = relabeled run" true
+        (SV.approx_equal
+           (SV.run renamed (SV.permute_qubits psi p))
+           (SV.permute_qubits (SV.run c psi) p)))
+    (List.init 8 (SV.basis_state 3) @ [ SV.random_state rng 3 ])
 
 let test_permute_qubits_composition () =
   let rng = Rng.create 12 in
@@ -182,7 +196,17 @@ let test_fidelity_global_phase () =
   let rng = Rng.create 13 in
   let psi = SV.random_state rng 2 in
   (* Z on a basis state only adds phases; fidelity with itself is 1. *)
-  checkf "self fidelity" 1. (SV.fidelity psi psi)
+  checkf "self fidelity" 1. (SV.fidelity psi psi);
+  (* Z = e^{iπ/2} Rz(π): equal up to phase on every input; Z and X not. *)
+  let gate g phi = SV.run (circuit 1 [ Gate.One (g, 0) ]) phi in
+  let random = SV.random_state rng 1 in
+  List.iter
+    (fun phi ->
+      checkf "Z ~ Rz(pi)" 1.
+        (SV.fidelity (gate Gate.Z phi) (gate (Gate.Rz Float.pi) phi)))
+    [ SV.basis_state 1 0; SV.basis_state 1 1; random ];
+  checkb "Z <> X" true
+    (SV.fidelity (gate Gate.Z random) (gate Gate.X random) < 0.99)
 
 let test_random_state_normalized () =
   let rng = Rng.create 14 in
@@ -199,7 +223,17 @@ let test_gates_preserve_norm () =
       Gate.Two (Gate.RZZ 0.8, 0, 1); Gate.Two (Gate.SWAP, 1, 2) ]
   in
   let out = SV.run (circuit 3 gates) psi in
-  checkf "unitary evolution" 1. (SV.norm out)
+  checkf "unitary evolution" 1. (SV.norm out);
+  List.iter
+    (fun c ->
+      let n = Circuit.num_qubits c in
+      List.iter
+        (fun psi -> checkf "library circuit" 1. (SV.norm (SV.run c psi)))
+        (List.init (1 lsl n) (SV.basis_state n)
+        @ List.init 4 (fun _ -> SV.random_state rng n)))
+    [ Library.qft 4; Library.ghz 5;
+      Library.ising_trotter_2d (Grid.make ~rows:2 ~cols:2) ~steps:2 ~theta:0.7;
+      Library.random_two_qubit (Rng.create 1) ~num_qubits:5 ~gates:20 ]
 
 (* --------------------------------------------------------------- Permsim *)
 

@@ -1,4 +1,5 @@
-(* Tests for Qr_token: Token_swap, Parallel_ats, Ats_core, Exact. *)
+(* Tests for Qr_token (Token_swap, Parallel_ats, Ats_core) and the
+   test-side Exact oracle. *)
 
 module Graph = Qr_graph.Graph
 module Grid = Qr_graph.Grid
@@ -8,7 +9,6 @@ module Generators = Qr_perm.Generators
 module Schedule = Qr_route.Schedule
 module Token_swap = Qr_token.Token_swap
 module Parallel_ats = Qr_token.Parallel_ats
-module Exact = Qr_token.Exact
 module Rng = Qr_util.Rng
 
 let checkb = Alcotest.check Alcotest.bool

@@ -139,16 +139,16 @@ let test_min_total_extension_correct_and_no_worse () =
   checkb "min-total feasible" true
     (Circuit.is_feasible (Grid.graph grid) hungarian.physical);
   (* Both must preserve semantics; check the Hungarian variant exactly. *)
-  let psi = Qr_sim.Statevector.random_state (Rng.create 1) 16 in
-  let out_logical = Qr_sim.Statevector.run c psi in
+  let psi = Statevector.random_state (Rng.create 1) 16 in
+  let out_logical = Statevector.run c psi in
   let placed =
-    Qr_sim.Statevector.permute_qubits psi (Layout.to_phys_array hungarian.initial)
+    Statevector.permute_qubits psi (Layout.to_phys_array hungarian.initial)
   in
-  let out_phys = Qr_sim.Statevector.run hungarian.physical placed in
+  let out_phys = Statevector.run hungarian.physical placed in
   let back = Array.init 16 (fun v -> Layout.logical hungarian.final v) in
   checkb "min-total equivalent" true
-    (Qr_sim.Statevector.approx_equal out_logical
-       (Qr_sim.Statevector.permute_qubits out_phys back));
+    (Statevector.approx_equal out_logical
+       (Statevector.permute_qubits out_phys back));
   (* Empirically the optimal completion should not lose by much; allow 20%
      slack to keep the test robust across instances. *)
   checkb "min-total competitive" true

@@ -47,19 +47,6 @@ let test_occupancy_counts () =
   (* vertex 1 participates twice, 0 and 2 once. *)
   checkb "pattern" true (contains text "1   2   1")
 
-let test_graph_dot_wellformed () =
-  let text = Viz.graph_dot (Graph.path 3) in
-  checkb "header" true (contains text "graph coupling {");
-  checkb "edge" true (contains text "0 -- 1;");
-  checkb "closed" true (contains text "}")
-
-let test_schedule_dot_colors_used_edges () =
-  let grid = Grid.make ~rows:2 ~cols:2 in
-  let sched = Schedule.of_layers [ [| (0, 1) |] ] in
-  let text = Viz.schedule_dot grid sched in
-  checkb "used edge colored" true (contains text "0 -- 1 [color=red");
-  checkb "unused edge gray" true (contains text "color=gray80")
-
 (* --------------------------------------------------------------- Sampling *)
 
 let test_sample_basis_state () =
@@ -184,9 +171,6 @@ let () =
           Alcotest.test_case "schedule ascii" `Quick
             test_schedule_ascii_counts_layers;
           Alcotest.test_case "occupancy" `Quick test_occupancy_counts;
-          Alcotest.test_case "graph dot" `Quick test_graph_dot_wellformed;
-          Alcotest.test_case "schedule dot" `Quick
-            test_schedule_dot_colors_used_edges;
         ] );
       ( "sampling",
         [

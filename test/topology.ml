@@ -1,3 +1,6 @@
+module Graph = Qr_graph.Graph
+module Grid = Qr_graph.Grid
+
 type heavy_hex = {
   graph : Graph.t;
   data_rows : int;

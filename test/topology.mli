@@ -9,7 +9,7 @@
     the tests and benchmarks realistic non-grid instances. *)
 
 type heavy_hex = {
-  graph : Graph.t;
+  graph : Qr_graph.Graph.t;
   data_rows : int;  (** Number of qubit rows. *)
   row_length : int;  (** Qubits per row. *)
   bridges : (int * int * int) list;
@@ -24,9 +24,9 @@ val heavy_hex : rows:int -> cols:int -> heavy_hex
     and has maximum degree 3.  @raise Invalid_argument unless both
     dimensions are positive. *)
 
-val ladder : int -> Graph.t
+val ladder : int -> Qr_graph.Graph.t
 (** The 2×n grid as a plain graph — a convenience for tests. *)
 
-val ibm_falcon_27 : unit -> Graph.t
+val ibm_falcon_27 : unit -> Qr_graph.Graph.t
 (** The 27-qubit IBM Falcon coupling map (e.g. ibmq_mumbai), hard-coded —
     a realistic fixed instance for benchmarks. *)
